@@ -49,23 +49,14 @@ def _float_list(raw: str | None) -> tuple:
 
 
 def _parse_profile(raw: str | None, levels: dict | None = None) -> dict:
-    profile = {}
     levels = levels or {}
+    schema = CovariateSchema(baseline=tuple(levels), levels=levels)
+    profile = {}
     for item in _csv_list(raw):
         if "=" not in item:
             raise DataError(f"profile entry {item!r} is not name=value")
-        name, value = item.split("=", 1)
-        name = name.strip()
-        value = value.strip()
-        if name in levels and value in levels[name]:
-            profile[name] = float(list(levels[name]).index(value))
-        else:
-            try:
-                profile[name] = float(value)
-            except ValueError:
-                raise DataError(
-                    f"profile value {value!r} for {name!r} is neither numeric "
-                    "nor a declared level") from None
+        name, value = (part.strip() for part in item.split("=", 1))
+        profile[name] = schema.encode(name, value)
     return profile
 
 

@@ -1,9 +1,12 @@
-"""Product-limit estimators and cause-specific cumulative incidence.
+"""Cause-specific cumulative incidence; the one product-limit routine.
 
 The while-untreated risk combines two cause-specific hazard models (event of
 interest vs treatment start) through the Aalen-Johansen plug-in: overall
 survival is the product integral of one minus the summed hazard increments,
 so event mass, treatment mass and survivors add to one by construction.
+With no treatment model the same routine is the product-limit (Kaplan-Meier)
+transform of a single hazard; every strategy curve without covariates or a
+treatment term is computed this way.
 """
 
 from __future__ import annotations
@@ -16,62 +19,9 @@ import numpy as np
 from . import cox
 from .curves import RiskCurve
 from .data import CountingProcessDataset, Status, split_at_treatment
-from .errors import NoEvents
 
 EVENT = Status.EVENT
 TREATMENT = Status.TREATMENT_START
-
-
-def _counting_arrays(ds: CountingProcessDataset, weights=None):
-    start, stop, status, w = [], [], [], []
-    for sub, ep in ds.iter_episodes():
-        start.append(ep.tstart)
-        stop.append(ep.tstop)
-        status.append(int(ep.status))
-        w.append(1.0 if weights is None else weights.lookup(sub.subject_id, ep.tstop))
-    return (np.asarray(start, float), np.asarray(stop, float),
-            np.asarray(status, int), np.asarray(w, float))
-
-
-def _at_risk_and_deaths(start, stop, status, w, times, codes):
-    """Weighted at-risk totals and per-cause event mass at each time.
-
-    At risk at t means start < t <= stop, so the at-risk mass is the weight
-    of rows with start < t minus the weight of rows with stop < t.
-    """
-    def below(values):
-        order = np.argsort(values, kind="stable")
-        cumw = np.concatenate([[0.0], np.cumsum(w[order])])
-        return cumw[np.searchsorted(values[order], times, side="left")]
-
-    n_at_risk = below(start) - below(stop)
-    mass = {}
-    for code in codes:
-        rows = status == code
-        idx = np.searchsorted(times, stop[rows])
-        valid = (idx < times.size)
-        valid[valid] &= times[idx[valid]] == stop[rows][valid]
-        m = np.zeros(times.size)
-        np.add.at(m, idx[valid], w[rows][valid])
-        mass[code] = m
-    return n_at_risk, mass
-
-
-def km_risk(ds: CountingProcessDataset, event_code: Status = EVENT,
-            weights=None, label: str = "", profile=None,
-            t_hor: float | None = None) -> RiskCurve:
-    """One minus the (optionally weighted) product-limit survival curve for
-    the chosen event code; everything else counts as censoring."""
-    start, stop, status, w = _counting_arrays(ds, weights)
-    code = int(event_code)
-    times = np.unique(stop[status == code])
-    if times.size == 0:
-        raise NoEvents(f"no episode carries event code {code}")
-    n_at_risk, mass = _at_risk_and_deaths(start, stop, status, w, times, [code])
-    surv = np.cumprod(1.0 - mass[code] / n_at_risk)
-    curve = RiskCurve(times, 1.0 - surv, strategy=label,
-                      profile=dict(profile or {}), horizon=t_hor)
-    return curve.truncated(t_hor) if t_hor is not None else curve
 
 
 @dataclass(frozen=True)
@@ -132,76 +82,26 @@ def aalen_johansen(pair: CauseSpecificPair, profile=None, t_hor=None):
         times = times[times <= t_hor]
     dh_ev = _hazard_increments(pair.model_event, profile, times)
     dh_tr = _hazard_increments(pair.model_treatment, profile, times)
-    f_ev = np.zeros(times.size)
-    f_tr = np.zeros(times.size)
-    s = 1.0
-    for k in range(times.size):
-        total = dh_ev[k] + dh_tr[k]
-        if total > 1.0:
-            warnings.warn("hazard increment exceeds remaining mass; "
-                          "clipping the overall survival at zero",
-                          RuntimeWarning, stacklevel=2)
-            dh_ev[k] /= total
-            dh_tr[k] /= total
-        jump_ev = s * dh_ev[k]
-        jump_tr = s * dh_tr[k]
-        f_ev[k] = (f_ev[k - 1] if k else 0.0) + jump_ev
-        f_tr[k] = (f_tr[k - 1] if k else 0.0) + jump_tr
-        s = s - jump_ev - jump_tr
-    return times, f_ev, f_tr, 1.0 - f_ev - f_tr
-
-
-def aalen_johansen_nonparametric(ds: CountingProcessDataset, t_hor=None,
-                                 weights=None):
-    """Nonparametric cumulative incidences: increments are event mass over
-    the at-risk total at each time where either cause fires."""
-    base = split_at_treatment(ds)
-    start, stop, status, w = _counting_arrays(base, weights)
-    is_ev = status == int(EVENT)
-    is_tr = status == int(TREATMENT)
-    times = np.unique(stop[is_ev | is_tr])
-    if t_hor is not None:
-        times = times[times <= t_hor]
-    n_at_risk, mass = _at_risk_and_deaths(start, stop, status, w, times,
-                                          [int(EVENT), int(TREATMENT)])
-    f_ev = np.zeros(times.size)
-    f_tr = np.zeros(times.size)
-    s = 1.0
-    for k in range(times.size):
-        jump_ev = s * mass[int(EVENT)][k] / n_at_risk[k]
-        jump_tr = s * mass[int(TREATMENT)][k] / n_at_risk[k]
-        f_ev[k] = (f_ev[k - 1] if k else 0.0) + jump_ev
-        f_tr[k] = (f_tr[k - 1] if k else 0.0) + jump_tr
-        s = s - jump_ev - jump_tr
+    total = dh_ev + dh_tr
+    over = total > 1.0
+    if over.any():
+        warnings.warn("hazard increment exceeds remaining mass; "
+                      "clipping the overall survival at zero",
+                      RuntimeWarning, stacklevel=2)
+        dh_ev[over] /= total[over]
+        dh_tr[over] /= total[over]
+    # overall survival just before each jump time
+    s_before = np.cumprod(np.concatenate([[1.0], 1.0 - dh_ev - dh_tr]))[:-1]
+    f_ev = np.cumsum(s_before * dh_ev)
+    f_tr = np.cumsum(s_before * dh_tr)
     return times, f_ev, f_tr, 1.0 - f_ev - f_tr
 
 
 def cuminc(pair: CauseSpecificPair, profile=None, t_hor=None,
            label: str = "while-untreated") -> RiskCurve:
-    """Cumulative incidence of the event of interest before treatment."""
+    """Cumulative incidence of the event of interest before treatment; with
+    no treatment model, one minus the product-limit survival of the event
+    model."""
     times, f_ev, _, _ = aalen_johansen(pair, profile, t_hor)
     return RiskCurve(times, f_ev, strategy=label,
                      profile=dict(profile or {}), horizon=t_hor)
-
-
-def composite_risk(ds: CountingProcessDataset, covariates=(),
-                   ties: str = "efron", profile=None, t_hor=None,
-                   label: str = "composite") -> RiskCurve:
-    """Risk of the combined endpoint min(T, V).
-
-    Nonparametric (no covariates) uses the product-limit curve so that the
-    composite equals F_event + F_treatment exactly; with covariates the
-    composed data are fit with a single Cox model.
-    """
-    from .data import compose_outcome
-
-    composed = compose_outcome(ds)
-    if not covariates:
-        return km_risk(composed, EVENT, label=label, profile=profile,
-                       t_hor=t_hor)
-    model = cox.fit(composed, cox.CoxSpec(event_code=EVENT,
-                                          covariates=tuple(covariates),
-                                          ties=ties))
-    surv = cox.predict_survival(model, dict(profile or {}))
-    return RiskCurve.from_survival(surv, strategy=label, profile=profile,
-                                   horizon=t_hor)

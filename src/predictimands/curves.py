@@ -32,8 +32,9 @@ class StepFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial)
+        # position 0 holds ``initial``, so a function with no jumps works too
+        steps = np.concatenate([[self.initial], self.values])
+        out = steps[np.searchsorted(self.times, t, side="right")]
         return float(out) if out.ndim == 0 else out
 
 
@@ -104,12 +105,6 @@ class RiskCurve:
             times, surv = times[keep], surv[keep]
         return cls(times, 1.0 - surv, strategy=strategy,
                    profile=dict(profile or {}), horizon=horizon)
-
-    def truncated(self, horizon: float) -> "RiskCurve":
-        keep = self.times <= horizon
-        return RiskCurve(self.times[keep], self.risk[keep],
-                         strategy=self.strategy, profile=self.profile,
-                         horizon=horizon)
 
     def value_at(self, t) -> float:
         return StepFunction(self.times, self.risk, initial=0.0)(t)

@@ -229,8 +229,11 @@ def split_at_treatment(ds: CountingProcessDataset) -> CountingProcessDataset:
     """Truncate every subject's follow-up at treatment start.
 
     The episode ending in a treatment start becomes the final one; episodes
-    after it are dropped. Idempotent on stops-at-treatment data.
+    after it are dropped. Stops-at-treatment data are returned as they are:
+    validation already rules out episodes after a treatment start there.
     """
+    if ds.design == DesignFlavor.STOPS_AT_TREATMENT:
+        return ds
     subjects = []
     for sub in ds.subjects:
         episodes = []

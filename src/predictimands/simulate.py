@@ -28,7 +28,7 @@ from .data import (
     Status,
     SubjectRecord,
 )
-from .errors import InvalidIntensity, ScenarioError
+from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
 
@@ -485,8 +485,8 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     """Simulate-then-estimate across seeds and compare to the truth oracle.
 
     Per-strategy entries report bias and RMSE at the horizon plus a pass flag
-    against the declared tolerance; estimation errors are collected per seed
-    rather than raised.
+    against the declared tolerance; data and numeric errors in estimation are
+    collected per seed rather than raised, anything else propagates.
     """
     from . import strategies as strat
 
@@ -504,26 +504,21 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
         "all_passed": True,
     }
 
-    def label_of(sspec):
-        if sspec.strategy == strat.Strategy.HYPOTHETICAL:
-            return f"hypothetical:{sspec.hypothetical_method.value}"
-        return sspec.strategy.value
-
-    estimates = {label_of(s): [] for s in strategy_specs}
-    errors = {label_of(s): [] for s in strategy_specs}
+    estimates = {s.label: [] for s in strategy_specs}
+    errors = {s.label: [] for s in strategy_specs}
     for seed in seeds:
         ds = simulate(spec, n, seed, workers=workers)
         for sspec in strategy_specs:
-            label = label_of(sspec)
+            label = sspec.label
             try:
                 curve = strat.estimate(ds, sspec, profile)
                 estimates[label].append(float(curve.value_at(t_hor)))
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
+            except (DataError, NumericError) as exc:
                 errors[label].append(
                     {"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 
     for sspec in strategy_specs:
-        label = label_of(sspec)
+        label = sspec.label
         truth_key = sspec.strategy.value
         entry = {
             "truth": truth.risks[truth_key],

@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-import numpy as np
-
 from . import competing, cox, weights as weights_mod
 from .curves import RiskCurve
 from .data import (
@@ -145,8 +143,9 @@ def _ipc_weights(ds, spec: StrategySpec, mode):
     num_covs = tuple(c for c in spec.covariates if c in ds.schema.baseline)
     den_covs = num_covs + tuple(c for c in spec.weight_covariates
                                 if c not in num_covs)
-    numerator = weights_mod.fit_treatment_hazard(ds, num_covs, ties=spec.ties)
-    denominator = weights_mod.fit_treatment_hazard(ds, den_covs, ties=spec.ties)
+    base = split_at_treatment(ds)
+    numerator = weights_mod.fit_treatment_hazard(base, num_covs, ties=spec.ties)
+    denominator = weights_mod.fit_treatment_hazard(base, den_covs, ties=spec.ties)
     return weights_mod.stabilized_weights(ds, numerator, denominator,
                                           mode=mode, truncation=spec.truncation)
 
@@ -176,11 +175,11 @@ def fit_strategy_models(ds: CountingProcessDataset,
         return StrategyFit(spec, {"main": _single_fit(split_at_treatment(ds), spec)})
 
     if method == HypotheticalMethod.CENSOR_IPCW:
-        if not ds.has_treatment_starts:
-            return StrategyFit(spec,
-                               {"main": _single_fit(split_at_treatment(ds), spec)})
-        table = _ipc_weights(ds, spec, weights_mod.WeightMode.IPCW)
-        model = _single_fit(split_at_treatment(ds), spec, weight_table=table)
+        base = split_at_treatment(ds)
+        if not base.has_treatment_starts:
+            return StrategyFit(spec, {"main": _single_fit(base, spec)})
+        table = _ipc_weights(base, spec, weights_mod.WeightMode.IPCW)
+        model = _single_fit(base, spec, weight_table=table)
         return StrategyFit(spec, {"main": model}, weight_table=table)
 
     _require_continued_follow_up(ds, f"hypothetical method {method.value!r}")
@@ -200,10 +199,6 @@ def fit_strategy_models(ds: CountingProcessDataset,
     return StrategyFit(spec, {"main": model}, weight_table=table)
 
 
-def _product_limit_risk(model: cox.CoxModel) -> tuple:
-    return model.baseline_times, 1.0 - np.cumprod(1.0 - model.baseline_increments)
-
-
 def predict_risk(fit: StrategyFit, profile: dict | None = None) -> RiskCurve:
     """Risk curve for a fitted strategy at one covariate profile, cut at the
     horizon."""
@@ -212,13 +207,11 @@ def predict_risk(fit: StrategyFit, profile: dict | None = None) -> RiskCurve:
     if "event" in fit.models:
         pair = competing.CauseSpecificPair(fit.models["event"],
                                            fit.models.get("treatment"))
-        return competing.cuminc(pair, profile, spec.t_hor)
+        return competing.cuminc(pair, profile, spec.t_hor, label=spec.label)
     model = fit.models["main"]
     if not model.covariates and model.treatment is None:
-        times, risk = _product_limit_risk(model)
-        keep = times <= spec.t_hor
-        return RiskCurve(times[keep], risk[keep], strategy=spec.label,
-                         profile=profile, horizon=spec.t_hor)
+        return competing.cuminc(competing.CauseSpecificPair(model, None),
+                                profile, spec.t_hor, label=spec.label)
     surv = cox.predict_survival(model, profile,
                                 treatment_path=(lambda t: 0)
                                 if model.treatment is not None else None)

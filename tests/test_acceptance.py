@@ -23,6 +23,7 @@ from predictimands.strategies import (
     StrategySpec,
     estimate,
     estimate_all,
+    fit_strategy_models,
 )
 from tests.test_cox import d1_hand_loglik, random_dataset
 
@@ -116,9 +117,14 @@ def test_criterion_3_competing_risks_conservation():
             spec = scenarios.builtin(name)
             for seed in (1, 2, 3):
                 ds = simulate.simulate(spec, 400, seed=seed)
-                times, f_ev, f_tr, s = competing.aalen_johansen_nonparametric(ds)
+                t_hor = spec.admin_censor
+                wu = fit_strategy_models(
+                    ds, StrategySpec(Strategy.WHILE_UNTREATED, t_hor=t_hor))
+                pair = competing.CauseSpecificPair(wu.models["event"],
+                                                   wu.models.get("treatment"))
+                times, f_ev, f_tr, s = competing.aalen_johansen(pair, {}, t_hor)
                 assert np.abs(f_ev + f_tr + s - 1.0).max() <= 1e-12
-                comp = competing.composite_risk(ds)
+                comp = estimate(ds, StrategySpec(Strategy.COMPOSITE, t_hor=t_hor))
                 np.testing.assert_array_equal(comp.times, times)
                 assert np.abs(comp.risk - (f_ev + f_tr)).max() <= 1e-12
 

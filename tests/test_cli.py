@@ -149,6 +149,19 @@ class TestFitPredict:
                     "--out", str(tmp_path / "p")]) == 0
         assert "flat" in capsys.readouterr().err
 
+    def test_horizon_before_first_event_gives_zero_risk(self, tmp_path):
+        data = tmp_path / "late.csv"
+        data.write_text("id,tstart,tstop,status,treated\n"
+                        "1,0,3,1,0\n2,0,4,0,0\n3,0,5,1,0\n")
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(data), "--strategy", "ignore",
+                    "--horizon", "1", "--out", str(out)]) == 0
+        pred = tmp_path / "pred"
+        assert run(["predict", "--run", str(out), "--out", str(pred)]) == 0
+        report = json.loads((pred / "report.json").read_text())
+        assert report["risk_at_horizon"] == 0
+        assert report["curve"]["time"] == []
+
     def test_ipcw_fit_writes_weights(self, s2_data, tmp_path):
         out = tmp_path / "ipcw"
         assert run(["fit", "--data", str(s2_data), "--strategy", "hypothetical",

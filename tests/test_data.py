@@ -159,6 +159,8 @@ class TestTransforms:
             CovariateSchema())
         assert split_at_treatment(ds).subjects == ds.subjects
         assert split_at_treatment(split_at_treatment(ds)) == split_at_treatment(ds)
+        base = split_at_treatment(ds)
+        assert split_at_treatment(base) is base
 
     def test_split_person_time_on_simulated(self):
         spec = scenarios.builtin("s1")

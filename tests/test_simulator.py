@@ -238,6 +238,18 @@ class TestValidate:
             assert "bias" in entry or entry["errors"]
         json.dumps(report)  # report must be serializable
 
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        from predictimands import strategies
+
+        def broken(ds, spec, profile):
+            raise TypeError("not an estimation failure")
+
+        monkeypatch.setattr(strategies, "estimate", broken)
+        with pytest.raises(TypeError, match="not an estimation failure"):
+            validate(scenarios.builtin("s1"), n=10, seeds=[1],
+                     strategy_specs=self.strategy_specs(), t_hor=5.0,
+                     tolerance=0.5, mc_reps=1000)
+
     def test_validate_flags_failures(self):
         report = validate(scenarios.builtin("s1"), n=400, seeds=[1],
                           strategy_specs=self.strategy_specs(), t_hor=5.0,

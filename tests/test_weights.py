@@ -14,6 +14,12 @@ from predictimands.data import (
 )
 from predictimands.errors import DataError, NoTreatmentStarts
 from predictimands.simulate import IntensitySpec
+from predictimands.strategies import (
+    HypotheticalMethod,
+    Strategy,
+    StrategySpec,
+    estimate,
+)
 from predictimands.weights import WeightMode, fit_treatment_hazard, stabilized_weights
 
 
@@ -171,18 +177,16 @@ class TestWeightedEstimation:
         truth = simulate.true_risks(spec, {}, t_hor=5.0, mc_reps=100_000)
         hyp = truth.risks["hypothetical"]
 
-        from predictimands import competing
-
+        naive = StrategySpec(Strategy.HYPOTHETICAL, t_hor=5.0,
+                             hypothetical_method=HypotheticalMethod.CENSOR_BASELINE)
+        weighted = StrategySpec(Strategy.HYPOTHETICAL, t_hor=5.0,
+                                hypothetical_method=HypotheticalMethod.CENSOR_IPCW,
+                                weight_covariates=("z",))
         naive_vals, weighted_vals = [], []
         for seed in range(1, 6):
             ds = simulate.simulate(spec, 5000, seed=seed)
-            split = split_at_treatment(ds)
-            naive_vals.append(competing.km_risk(split).value_at(5.0))
-            num = fit_treatment_hazard(ds, ())
-            den = fit_treatment_hazard(ds, ("z",))
-            table = stabilized_weights(ds, num, den, WeightMode.IPCW)
-            weighted_vals.append(
-                competing.km_risk(split, weights=table).value_at(5.0))
+            naive_vals.append(estimate(ds, naive).value_at(5.0))
+            weighted_vals.append(estimate(ds, weighted).value_at(5.0))
         naive_bias = np.mean(naive_vals) - hyp
         weighted_bias = np.mean(weighted_vals) - hyp
         # censoring removes high-risk person-time, so the naive estimate is low
