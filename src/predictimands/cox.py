@@ -6,6 +6,12 @@ step-function time-varying treatment coefficients and Schoenfeld residuals.
 
 Risk-set convention: a row with interval (tstart, tstop] is at risk at event
 time t whenever tstart < t <= tstop; events happen at tstop.
+
+Risk-set sums take the counting-process cumulative-sum form of ``agreg`` in
+R ``survival`` (Therneau & Grambsch 2000, ch. 3): S0, S1 and S2 of
+r = w exp(x'beta) at event time t are reverse cumulative sums over the rows
+with tstop >= t minus those over the rows with tstart >= t. One such pass
+gives the log likelihood, score, information and baseline increments.
 """
 
 from __future__ import annotations
@@ -151,36 +157,78 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
                    names, sids)
 
 
-def _group_by(keys: np.ndarray, n_groups: int) -> list:
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    bounds = np.searchsorted(sorted_keys, np.arange(n_groups + 1))
-    return [order[bounds[k]:bounds[k + 1]] for k in range(n_groups)]
-
-
 class _RiskSets:
-    """Unique event times plus the row indices entering, dying and exiting
-    at each one (for a backward sweep)."""
+    """Unique event times and the index arrays a sweep sums over.
+
+    A row joins the risk sets at its entry slot (the last event time at or
+    before its stop) and leaves them after its exit slot (the first event
+    time after its start); rows with no event time inside their interval
+    never join. Dead rows are ordered by event time. Each event time has
+    one tie slot per death under Efron (slot j of d removes j/d of the tied
+    deaths' risk) and one slot with ``frac = 0`` under Breslow.
+    """
 
     def __init__(self, design: _Design, ties: str = "efron"):
         self.design = design
-        self.ties = ties
-        event_times = design.stop[design.event]
-        self.uft = np.unique(event_times)
+        self.uft = np.unique(design.stop[design.event])
         nuft = self.uft.size
         enter = np.searchsorted(self.uft, design.stop, side="right") - 1
         exit_ = np.searchsorted(self.uft, design.start, side="right")
-        active = enter >= exit_
-        self.enter_rows = _group_by(np.where(active, enter, nuft), nuft)
-        self.exit_rows = _group_by(np.where(active, exit_, nuft), nuft)
-        dead_key = np.where(design.event,
-                            np.searchsorted(self.uft, design.stop), nuft)
-        self.dead_rows = _group_by(dead_key, nuft)
+        self.active = np.flatnonzero(enter >= exit_)
+        self.enter = enter[self.active]
+        self.exit = exit_[self.active]
+        dead = np.flatnonzero(design.event)
+        dead_time = np.searchsorted(self.uft, design.stop[dead])
+        order = np.argsort(dead_time, kind="stable")
+        dead, dead_time = dead[order], dead_time[order]
+        self.dead, self.dead_time = dead, dead_time
+        deaths = np.bincount(dead_time, minlength=nuft)
+        if ties == "efron":
+            rank = np.arange(dead.size) - (np.cumsum(deaths) - deaths)[dead_time]
+            self.slot_time, self.n_slots = dead_time, deaths
+            self.slot_frac = rank / deaths[dead_time]
+        else:
+            self.slot_time, self.n_slots = np.arange(nuft), np.ones(nuft)
+            self.slot_frac = np.zeros(nuft)
+
+
+def _products(r: np.ndarray, X: np.ndarray, order: int):
+    """Yield the columns r, rX and (order 2) rXX' in row-major order."""
+    p = X.shape[1]
+    yield r
+    for i in range(p if order >= 1 else 0):
+        yield r * X[:, i]
+    for i in range(p if order >= 2 else 0):
+        for j in range(p):
+            # one product per pair keeps S2 exactly symmetric
+            yield r * X[:, min(i, j)] * X[:, max(i, j)]
+
+
+def _unpack(sums: np.ndarray, p: int, order: int):
+    """Split per-time column sums into S0, S1 and S2 (None beyond order)."""
+    return (sums[:, 0], sums[:, 1:1 + p] if order >= 1 else None,
+            sums[:, 1 + p:].reshape(len(sums), p, p) if order >= 2 else None)
+
+
+def _risk_sums(rs: _RiskSets, r: np.ndarray, order: int):
+    """S0, S1 and S2 over the risk set at each unique event time: reverse
+    cumulative sums of each column binned by entry slot, minus the same
+    binned by exit slot."""
+    X = rs.design.X[rs.active]
+    n_bins = rs.uft.size + 1
+
+    def at_risk(col):
+        entered = np.bincount(rs.enter, col, n_bins)[::-1].cumsum()[::-1]
+        exited = np.bincount(rs.exit, col, n_bins)[::-1].cumsum()[::-1]
+        return entered[:-1] - exited[1:]
+
+    sums = [at_risk(col) for col in _products(r[rs.active], X, order)]
+    return _unpack(np.stack(sums, axis=1), X.shape[1], order)
 
 
 def _sweep(rs: _RiskSets, beta: np.ndarray, order: int = 2,
            baseline: bool = False):
-    """One backward pass over the unique event times.
+    """Log likelihood, score, information and baseline increments at beta.
 
     Returns (loglik, score, info, baseline_increments); entries beyond
     ``order`` are None. Weighted Efron handling spreads the tied event mass
@@ -191,67 +239,28 @@ def _sweep(rs: _RiskSets, beta: np.ndarray, order: int = 2,
     lp = d.X @ beta if p else np.zeros(d.X.shape[0])
     shift = lp.max(initial=0.0)
     r = d.w * np.exp(lp - shift)
-    loglik = 0.0
-    score = np.zeros(p) if order >= 1 else None
-    info = np.zeros((p, p)) if order >= 2 else None
-    dH = np.zeros(rs.uft.size) if baseline else None
+    s0, s1, s2 = _risk_sums(rs, r, order)
 
-    s0 = 0.0
-    s1 = np.zeros(p)
-    s2 = np.zeros((p, p))
-    for k in range(rs.uft.size - 1, -1, -1):
-        ix = rs.enter_rows[k]
-        if ix.size:
-            re = r[ix]
-            s0 += re.sum()
-            if p:
-                V = d.X[ix]
-                s1 += re @ V
-                if order >= 2:
-                    s2 += (V.T * re) @ V
-        dead = rs.dead_rows[k]
-        nd = dead.size
-        if nd:
-            wd = d.w[dead].sum()
-            if rs.ties == "efron":
-                frac = np.arange(nd) / nd
-                rd = r[dead].sum()
-                den = s0 - frac * rd
-            else:
-                frac = np.zeros(1)
-                den = np.array([s0])
-            loglik += float(d.w[dead] @ lp[dead]) - (wd / frac.size) * (
-                np.log(den).sum() + frac.size * shift)
-            if baseline:
-                dH[k] = (wd / frac.size) * (np.exp(-shift) / den).sum()
-            if p:
-                if rs.ties == "efron":
-                    s1d = r[dead] @ d.X[dead]
-                    num1 = s1[None, :] - np.outer(frac, s1d)
-                else:
-                    num1 = s1[None, :]
-                u = num1 / den[:, None]
-                if order >= 1:
-                    score += d.w[dead] @ d.X[dead] - (wd / frac.size) * u.sum(axis=0)
-                if order >= 2:
-                    if rs.ties == "efron":
-                        Vd = d.X[dead]
-                        s2d = (Vd.T * r[dead]) @ Vd
-                        num2 = s2[None, :, :] - frac[:, None, None] * s2d[None, :, :]
-                    else:
-                        num2 = s2[None, :, :]
-                    info += (wd / frac.size) * (
-                        (num2 / den[:, None, None]).sum(axis=0)
-                        - np.einsum("ki,kj->ij", u, u))
-        ix = rs.exit_rows[k]
-        if ix.size:
-            re = r[ix]
-            s0 -= re.sum()
-            if p:
-                V = d.X[ix]
-                s1 -= re @ V
-                if order >= 2:
-                    s2 -= (V.T * re) @ V
+    nuft = rs.uft.size
+    dead, t, frac = rs.dead, rs.slot_time, rs.slot_frac
+    Xd, wd_rows = d.X[dead], d.w[dead]
+    rd, s1d, s2d = _unpack(np.stack(
+        [np.bincount(rs.dead_time, col, nuft)
+         for col in _products(r[dead], Xd, order)], axis=1), p, order)
+    # each slot carries its time's event weight over its number of slots
+    c = np.bincount(rs.dead_time, wd_rows, nuft) / rs.n_slots
+    den = s0[t] - frac * rd[t]
+    loglik = float(wd_rows @ lp[dead]) - float(c[t] @ (np.log(den) + shift))
+    dH = c * np.bincount(t, np.exp(-shift) / den, nuft) if baseline else None
+    score = info = None
+    if order >= 1:
+        u = (s1[t] - frac[:, None] * s1d[t]) / den[:, None]
+        score = wd_rows @ Xd - c[t] @ u
+    if order >= 2:
+        a = np.bincount(t, c[t] / den, nuft)
+        b = np.bincount(t, c[t] * frac / den, nuft)
+        info = (np.tensordot(a, s2, axes=1) - np.tensordot(b, s2d, axes=1)
+                - (u.T * c[t]) @ u)
     return loglik, score, info, dH
 
 
@@ -513,29 +522,10 @@ def schoenfeld_residuals(model: CoxModel, ds: CountingProcessDataset
     p = design.X.shape[1]
     lp = design.X @ model.beta if p else np.zeros(design.X.shape[0])
     r = design.w * np.exp(lp - lp.max(initial=0.0))
-
-    out_t, out_id, out_res = [], [], []
-    s0, s1 = 0.0, np.zeros(p)
-    for k in range(rs.uft.size - 1, -1, -1):
-        ix = rs.enter_rows[k]
-        if ix.size:
-            s0 += r[ix].sum()
-            s1 += r[ix] @ design.X[ix]
-        dead = rs.dead_rows[k]
-        if dead.size:
-            xbar = s1 / s0
-            for i in dead:
-                out_t.append(rs.uft[k])
-                out_id.append(design.subject_ids[i])
-                out_res.append(design.X[i] - xbar)
-        ix = rs.exit_rows[k]
-        if ix.size:
-            s0 -= r[ix].sum()
-            s1 -= r[ix] @ design.X[ix]
-    order = np.argsort(out_t, kind="stable")
-    res = np.asarray(out_res, float).reshape(len(out_t), p)
+    s0, s1, _ = _risk_sums(rs, r, order=1)
+    xbar = s1 / s0[:, None]
     return SchoenfeldResiduals(
-        times=np.asarray(out_t, float)[order],
-        subject_ids=tuple(out_id[i] for i in order),
+        times=rs.uft[rs.dead_time],
+        subject_ids=tuple(design.subject_ids[i] for i in rs.dead),
         names=design.names,
-        residuals=res[order])
+        residuals=design.X[rs.dead] - xbar[rs.dead_time])

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidCurve
+
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -24,9 +26,9 @@ class StepFunction:
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
+            raise InvalidCurve("times and values must be 1-d arrays of equal length")
         if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("jump times must be strictly increasing")
+            raise InvalidCurve("jump times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -49,11 +51,11 @@ class SurvivalCurve:
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.surv, dtype=float)
         if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("jump times must be strictly increasing")
+            raise InvalidCurve("jump times must be strictly increasing")
         if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
-            raise ValueError("survival probabilities must lie in [0, 1]")
+            raise InvalidCurve("survival probabilities must lie in [0, 1]")
         if s.size and np.any(np.diff(s) > 1e-12):
-            raise ValueError("survival must be nonincreasing")
+            raise InvalidCurve("survival must be nonincreasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "surv", np.clip(s, 0.0, 1.0))
 
@@ -86,13 +88,13 @@ class RiskCurve:
         t = np.asarray(self.times, dtype=float)
         r = np.asarray(self.risk, dtype=float)
         if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("jump times must be strictly increasing")
+            raise InvalidCurve("jump times must be strictly increasing")
         if t.size and t[0] <= 0:
-            raise ValueError("risk jumps must occur at positive times")
+            raise InvalidCurve("risk jumps must occur at positive times")
         if np.any(r < -1e-12) or np.any(r > 1 + 1e-12):
-            raise ValueError("risks must lie in [0, 1]")
+            raise InvalidCurve("risks must lie in [0, 1]")
         if r.size and np.any(np.diff(r) < -1e-12):
-            raise ValueError("risk must be nondecreasing")
+            raise InvalidCurve("risk must be nondecreasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "risk", np.clip(r, 0.0, 1.0))
 

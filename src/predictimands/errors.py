@@ -72,6 +72,11 @@ class NonPositiveProbability(NumericError):
     """A survival probability underflowed to zero inside a weight ratio."""
 
 
+class InvalidCurve(NumericError):
+    """A step-function curve breaks its ordering, range or monotonicity
+    invariant."""
+
+
 class ScenarioError(Exception):
     """A simulation scenario config is malformed."""
 

@@ -92,21 +92,19 @@ def fit_treatment_hazard(ds: CountingProcessDataset, covariates=(),
                                      covariates=tuple(covariates), ties=ties))
 
 
-def _survival_at_episode_ends(model: cox.CoxModel, sub, schema) -> list:
-    """Staying-untreated probability at each episode end, accumulating the
-    model's hazard increments over the subject's covariate path."""
-    times = model.baseline_times
-    incs = model.baseline_increments
-    out = []
-    cum = 0.0
-    for ep in sub.episodes:
-        lp = sum(model.beta[j] * cox._covariate_value(sub, ep, name, schema)
-                 for j, name in enumerate(model.covariates))
-        lo = np.searchsorted(times, ep.tstart, side="right")
-        hi = np.searchsorted(times, ep.tstop, side="right")
-        cum += float(incs[lo:hi].sum()) * float(np.exp(lp))
-        out.append(float(np.exp(-cum)))
-    return out
+def _survival_at_episode_ends(model: cox.CoxModel, start: np.ndarray,
+                              stop: np.ndarray, columns: dict,
+                              first: np.ndarray) -> np.ndarray:
+    """Staying-untreated probability at each episode end: the model's
+    cumulative baseline hazard over each episode, times exp(x'beta),
+    summed along each subject's episodes (``first`` holds each episode's
+    subject's first row)."""
+    H = np.concatenate([[0.0], np.cumsum(model.baseline_increments)])
+    lo, hi = np.searchsorted(model.baseline_times, [start, stop], side="right")
+    lp = sum(b * columns[name] for b, name in zip(model.beta, model.covariates))
+    inc = (H[hi] - H[lo]) * np.exp(lp)
+    cum = np.concatenate([[0.0], np.cumsum(inc)])
+    return np.exp(-(cum[1:] - cum[first]))
 
 
 def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
@@ -126,39 +124,47 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
                         "denominator covariates")
     target = split_at_treatment(ds) if mode == WeightMode.IPCW else ds
     schema = target.schema
+    episodes = list(target.iter_episodes())
+    n = len(episodes)
+    start = np.fromiter((ep.tstart for _, ep in episodes), float, n)
+    stop = np.fromiter((ep.tstop for _, ep in episodes), float, n)
+    columns = {name: np.fromiter(
+        (cox._covariate_value(sub, ep, name, schema) for sub, ep in episodes),
+        float, n) for name in denominator.covariates}
+    sizes = [len(sub.episodes) for sub in target.subjects]
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    rows = []
-    for sub in target.subjects:
-        s_num = _survival_at_episode_ends(numerator, sub, schema)
-        s_den = _survival_at_episode_ends(denominator, sub, schema)
-        frozen = None
-        for ep, sn, sd in zip(sub.episodes, s_num, s_den):
-            if frozen is not None:
-                w = frozen
-            else:
-                if sd <= 0.0:
-                    raise NonPositiveProbability(
-                        f"subject {sub.subject_id}: staying-untreated "
-                        f"probability underflowed at t={ep.tstop}")
-                w = sn / sd
-                if mode == WeightMode.IPTW and ep.status == Status.TREATMENT_START:
-                    frozen = w
-            rows.append(WeightRow(sub.subject_id, ep.tstart, ep.tstop, w))
+    s_num = _survival_at_episode_ends(numerator, start, stop, columns, first)
+    s_den = _survival_at_episode_ends(denominator, start, stop, columns, first)
+    index = np.arange(n)
+    # IPTW rows after a treatment start copy its weight and go unchecked
+    source = index
+    if mode == WeightMode.IPTW:
+        starts = np.fromiter((ep.status == Status.TREATMENT_START
+                              for _, ep in episodes), bool, n)
+        latest = np.maximum.accumulate(np.where(starts, index, -1))
+        source = np.where(latest >= first, latest, index)
+    checked = source == index
+    bad = np.flatnonzero(checked & (s_den <= 0.0))
+    if bad.size:
+        sub, ep = episodes[bad[0]]
+        raise NonPositiveProbability(
+            f"subject {sub.subject_id}: staying-untreated "
+            f"probability underflowed at t={ep.tstop}")
+    values = np.divide(s_num, s_den, out=np.zeros(n), where=checked)[source]
 
-    values = np.asarray([r.weight for r in rows])
     bounds = None
     if truncation is not None:
         lo, hi = truncation
         bounds = tuple(np.percentile(values, [lo, hi]))
         values = np.clip(values, *bounds)
-        rows = [WeightRow(r.subject_id, r.tstart, r.tstop, float(v))
-                for r, v in zip(rows, values)]
+    rows = tuple(WeightRow(sub.subject_id, ep.tstart, ep.tstop, w)
+                 for (sub, ep), w in zip(episodes, values.tolist()))
+    diagnostics = _diagnostics(start, stop, values, denominator)
+    return WeightTable(rows, mode, diagnostics, bounds)
 
-    diagnostics = _diagnostics(rows, values, denominator)
-    return WeightTable(tuple(rows), mode, diagnostics, bounds)
 
-
-def _diagnostics(rows, values, denominator) -> dict:
+def _diagnostics(start, stop, values, denominator) -> dict:
     diag = {
         "n_rows": int(values.size),
         "mean": float(values.mean()),
@@ -170,9 +176,6 @@ def _diagnostics(rows, values, denominator) -> dict:
     # values far from 1 signal misspecification or positivity trouble
     times = denominator.baseline_times
     if times.size:
-        start = np.asarray([r.tstart for r in rows])
-        stop = np.asarray([r.tstop for r in rows])
-
         def below(v, weights):
             order = np.argsort(v, kind="stable")
             cumw = np.concatenate([[0.0], np.cumsum(weights[order])])

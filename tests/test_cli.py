@@ -61,6 +61,22 @@ class TestUsageErrors:
         assert code == 3
 
 
+    def test_broken_curve_exits_4(self, tmp_path, d4_csv, capsys):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(d4_csv), "--strategy", "composite",
+                    "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        # a negative hazard increment drives the risk below zero
+        model["baseline_cumhaz"][0][1] = -0.5
+        (out / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        code = run(["predict", "--run", str(out), "--out", str(tmp_path / "p")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "InvalidCurve"
+        assert "[0, 1]" in err["message"]
+
+
 class TestFitPredict:
     def test_while_untreated_writes_both_models(self, d4_csv, tmp_path):
         out = tmp_path / "wu"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from predictimands import cox
@@ -13,6 +15,9 @@ from predictimands.data import (
     SubjectRecord,
 )
 from predictimands.errors import MonotoneLikelihood, NoEvents, ProfileIncomplete
+from predictimands.scenarios import builtin
+from predictimands.simulate import simulate
+from predictimands.weights import WeightMode, WeightRow, WeightTable
 from tests.conftest import one_episode_subject
 
 SQRT2 = math.sqrt(2.0)
@@ -46,29 +51,70 @@ def random_dataset(rng, n_max=30, p=2, with_ties=False, multi_episode=False):
     return CountingProcessDataset(tuple(subjects), schema)
 
 
-def naive_loglik(ds, spec, beta):
-    """Independent slow evaluation: scan every episode for every event time."""
+def naive_risk_sets(ds, spec, beta):
+    """Independent slow scan: for every event time, the (linear predictor,
+    weight) of each episode at risk and of each episode dying there.
+
+    Weights come from ``spec.weights.lookup`` at the episode's stop; a
+    treated episode's step-function coefficient is the one whose segment
+    holds the event time.
+    """
     beta = np.asarray(beta, float)
+    cuts = spec.treatment.tv_cuts if spec.treatment else ()
     rows = []
     for sub, ep in ds.iter_episodes():
-        x = np.array([sub.baseline[c] if c in ds.schema.baseline else ep.tv[c]
-                      for c in spec.covariates])
-        rows.append((ep.tstart, ep.tstop, ep.status == spec.event_code, x, 1.0))
-    times = sorted({stop for _, stop, ev, _, _ in rows if ev})
+        x = [sub.baseline[c] if c in ds.schema.baseline else ep.tv[c]
+             for c in spec.covariates]
+        w = (1.0 if spec.weights is None
+             else spec.weights.lookup(sub.subject_id, ep.tstop))
+        rows.append((ep.tstart, ep.tstop, ep.status == spec.event_code, x,
+                     spec.treatment is not None and ep.treated, w))
+
+    def lp(row, t):
+        x = list(row[3])
+        if spec.treatment:
+            seg = [0.0] * (len(cuts) + 1)
+            if row[4]:
+                seg[sum(c < t for c in cuts)] = 1.0
+            x += seg
+        return float(np.dot(x, beta)) if x else 0.0
+
+    for t in sorted({stop for _, stop, ev, *_ in rows if ev}):
+        risk = [(lp(r, t), r[5]) for r in rows if r[0] < t <= r[1]]
+        dead = [(lp(r, t), r[5]) for r in rows if r[1] == t and r[2]]
+        yield t, risk, dead
+
+
+def naive_loglik(ds, spec, beta):
     ll = 0.0
-    for t in times:
-        risk = [r for r in rows if r[0] < t <= r[1]]
-        dead = [r for r in risk if r[1] == t and r[2]]
+    for _, risk, dead in naive_risk_sets(ds, spec, beta):
         d = len(dead)
-        s0 = sum(w * math.exp(x @ beta) for _, _, _, x, w in risk)
-        s0d = sum(w * math.exp(x @ beta) for _, _, _, x, w in dead)
-        wd = sum(w for *_, w in dead)
-        ll += sum(w * (x @ beta) for _, _, _, x, w in dead)
+        s0 = sum(w * math.exp(e) for e, w in risk)
+        s0d = sum(w * math.exp(e) for e, w in dead)
+        wd = sum(w for _, w in dead)
+        ll += sum(w * e for e, w in dead)
         if spec.ties == "efron":
             ll -= (wd / d) * sum(math.log(s0 - (j / d) * s0d) for j in range(d))
         else:
             ll -= wd * math.log(s0)
     return ll
+
+
+def naive_baseline_increments(ds, spec, beta):
+    """Event times and baseline hazard increments at beta by the same scan."""
+    times, incs = [], []
+    for t, risk, dead in naive_risk_sets(ds, spec, beta):
+        d = len(dead)
+        s0 = sum(w * math.exp(e) for e, w in risk)
+        s0d = sum(w * math.exp(e) for e, w in dead)
+        wd = sum(w for _, w in dead)
+        if spec.ties == "efron":
+            inc = (wd / d) * sum(1.0 / (s0 - (j / d) * s0d) for j in range(d))
+        else:
+            inc = wd / s0
+        times.append(t)
+        incs.append(inc)
+    return np.asarray(times), np.asarray(incs)
 
 
 class TestD1:
@@ -141,6 +187,128 @@ class TestTies:
                 spec = cox.CoxSpec(covariates=("x0", "x1"), ties=ties)
                 assert cox.partial_loglik(ds, spec, beta) == pytest.approx(
                     naive_loglik(ds, spec, beta), rel=1e-10)
+
+
+def all_deaths_tied():
+    """Six deaths at t = 2; censorings before, at and after the tie."""
+    rng = np.random.default_rng(11)
+    stops = [2.0] * 6 + [1.0, 2.0, 3.0, 3.5]
+    subjects = tuple(
+        one_episode_subject(str(i + 1), stop,
+                            Status.EVENT if i < 6 else Status.CENSORED,
+                            x0=float(rng.normal()), x1=float(rng.normal()))
+        for i, stop in enumerate(stops))
+    ds = CountingProcessDataset(subjects, CovariateSchema(baseline=("x0", "x1")))
+    return ds, {"covariates": ("x0", "x1")}
+
+
+def single_subject():
+    ds = CountingProcessDataset(
+        (one_episode_subject("1", 2.5, Status.EVENT, x0=0.3, x1=-1.2),),
+        CovariateSchema(baseline=("x0", "x1")))
+    return ds, {"covariates": ("x0", "x1")}
+
+
+def late_entry():
+    """Three episodes per subject, so most rows enter after time 0 and
+    carry their own value of the time-varying x1; deaths tie on a 0.5 grid."""
+    rng = np.random.default_rng(12)
+    subjects = []
+    for i in range(25):
+        stop = float(rng.integers(3, 13)) / 2.0
+        a, b = np.sort(rng.uniform(0.1, stop - 0.1, size=2))
+        bounds = [0.0, float(a), float(b), stop]
+        status = Status.EVENT if rng.random() < 0.7 else Status.CENSORED
+        eps = tuple(Episode(lo, hi, status if hi == stop else Status.CENSORED,
+                            tv={"x1": float(rng.normal())})
+                    for lo, hi in zip(bounds[:-1], bounds[1:]))
+        subjects.append(SubjectRecord(str(i + 1), eps, {"x0": float(rng.normal())}))
+    schema = CovariateSchema(baseline=("x0",), time_varying=("x1",))
+    return CountingProcessDataset(tuple(subjects), schema), {"covariates": ("x0", "x1")}
+
+
+def zero_weights():
+    """Every third subject weighs 0; the subject followed longest weighs
+    more than 0 and keeps every risk set positive."""
+    rng = np.random.default_rng(13)
+    ds = random_dataset(rng, n_max=30, with_ties=True, multi_episode=True)
+    longest = max(ds.subjects, key=lambda sub: sub.follow_up_end).subject_id
+    rows = []
+    for sub, ep in ds.iter_episodes():
+        zero = int(sub.subject_id) % 3 == 0 and sub.subject_id != longest
+        rows.append(WeightRow(sub.subject_id, ep.tstart, ep.tstop,
+                              0.0 if zero else float(rng.uniform(0.5, 2.0))))
+    table = WeightTable(tuple(rows), WeightMode.IPCW)
+    assert 0.0 in table.values
+    return ds, {"covariates": ("x0", "x1"), "weights": table}
+
+
+def treatment_two_cuts():
+    ds = simulate(builtin("s1"), 300, seed=4)
+    return ds, {"treatment": cox.TreatmentTerm((2.0, 5.0))}
+
+
+ADVERSARIAL = {
+    "all-deaths-tied": all_deaths_tied,
+    "single-subject": single_subject,
+    "late-entry": late_entry,
+    "zero-weights": zero_weights,
+    "treatment-two-cuts": treatment_two_cuts,
+}
+
+
+class TestAdversarialOracle:
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+    def test_sweep_matches_naive_scan(self, case, ties):
+        ds, kwargs = ADVERSARIAL[case]()
+        spec = cox.CoxSpec(ties=ties, **kwargs)
+        model = cox.fit(ds, spec)
+        beta = np.random.default_rng(3).normal(size=model.beta.size) * 0.5
+        assert cox.partial_loglik(ds, spec, beta) == pytest.approx(
+            naive_loglik(ds, spec, beta), rel=1e-10)
+        times, incs = naive_baseline_increments(ds, spec, model.beta)
+        np.testing.assert_array_equal(model.baseline_times, times)
+        np.testing.assert_allclose(model.baseline_increments, incs, rtol=1e-10)
+
+
+@st.composite
+def small_weighted_datasets(draw):
+    """1-6 subjects of 1-3 contiguous episodes on an integer grid (so
+    deaths, censorings and episode boundaries tie), one covariate and a
+    positive weight per episode."""
+    subjects, rows = [], []
+    for i in range(draw(st.integers(1, 6))):
+        ends = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)))
+        status = draw(st.sampled_from([Status.EVENT, Status.CENSORED]))
+        bounds = [0.0] + [float(e) for e in ends]
+        eps = tuple(Episode(lo, hi,
+                            status if hi == bounds[-1] else Status.CENSORED)
+                    for lo, hi in zip(bounds[:-1], bounds[1:]))
+        sid = str(i + 1)
+        x = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+        subjects.append(SubjectRecord(sid, eps, {"x": x}))
+        rows += [WeightRow(sid, ep.tstart, ep.tstop,
+                           draw(st.sampled_from([0.25, 1.0, 3.0]))) for ep in eps]
+    assume(any(ep.status == Status.EVENT for sub in subjects for ep in sub.episodes))
+    ds = CountingProcessDataset(tuple(subjects), CovariateSchema(baseline=("x",)))
+    return ds, WeightTable(tuple(rows), WeightMode.IPCW)
+
+
+class TestOracleProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=small_weighted_datasets(), beta=st.floats(-1.5, 1.5),
+           ties=st.sampled_from(["efron", "breslow"]))
+    def test_random_datasets_match_naive_scan(self, data, beta, ties):
+        ds, table = data
+        spec = cox.CoxSpec(covariates=("x",), ties=ties, weights=table)
+        assert cox.partial_loglik(ds, spec, [beta]) == pytest.approx(
+            naive_loglik(ds, spec, [beta]), rel=1e-10)
+        null = cox.CoxSpec(ties=ties, weights=table)
+        times, incs = naive_baseline_increments(ds, null, [])
+        model = cox.fit(ds, null)
+        np.testing.assert_array_equal(model.baseline_times, times)
+        np.testing.assert_allclose(model.baseline_increments, incs, rtol=1e-10)
 
 
 class TestDerivatives:

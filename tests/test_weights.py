@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from predictimands import simulate, weights
+from predictimands import scenarios, simulate
 from predictimands.data import (
     CountingProcessDataset,
     CovariateSchema,
@@ -12,7 +13,7 @@ from predictimands.data import (
     SubjectRecord,
     split_at_treatment,
 )
-from predictimands.errors import DataError, NoTreatmentStarts
+from predictimands.errors import DataError, NonPositiveProbability, NoTreatmentStarts
 from predictimands.simulate import IntensitySpec
 from predictimands.strategies import (
     HypotheticalMethod,
@@ -74,6 +75,93 @@ def untreated_two_interval(sid, mid, end, status, z0, z1):
 @pytest.fixture
 def confounded_ds():
     return simulate.simulate(confounded_spec(gamma_treat=1.0), 400, seed=5)
+
+
+def reference_weights(ds, numerator, denominator, mode):
+    """Slow reference: per-subject accumulation of each model's hazard
+    increments along the subject's covariate path, episode by episode.
+    Returns (subject_id, tstart, tstop, weight) per row."""
+    target = split_at_treatment(ds) if mode == WeightMode.IPCW else ds
+    schema = target.schema
+
+    def survival(model, sub):
+        out, cum = [], 0.0
+        for ep in sub.episodes:
+            lp = sum(model.beta[j] * (sub.baseline[name] if name in schema.baseline
+                                      else ep.tv[name])
+                     for j, name in enumerate(model.covariates))
+            lo = np.searchsorted(model.baseline_times, ep.tstart, side="right")
+            hi = np.searchsorted(model.baseline_times, ep.tstop, side="right")
+            cum += float(model.baseline_increments[lo:hi].sum()) * float(np.exp(lp))
+            out.append(float(np.exp(-cum)))
+        return out
+
+    rows = []
+    for sub in target.subjects:
+        frozen = None
+        for ep, sn, sd in zip(sub.episodes, survival(numerator, sub),
+                              survival(denominator, sub)):
+            if frozen is not None:
+                w = frozen
+            else:
+                if sd <= 0.0:
+                    raise NonPositiveProbability(
+                        f"subject {sub.subject_id}: staying-untreated "
+                        f"probability underflowed at t={ep.tstop}")
+                w = sn / sd
+                if mode == WeightMode.IPTW and ep.status == Status.TREATMENT_START:
+                    frozen = w
+            rows.append((sub.subject_id, ep.tstart, ep.tstop, w))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def s2_models():
+    ds = simulate.simulate(scenarios.builtin("s2"), 300, seed=17)
+    return ds, fit_treatment_hazard(ds, ()), fit_treatment_hazard(ds, ("z",))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("mode", [WeightMode.IPCW, WeightMode.IPTW])
+    def test_matches_per_subject_accumulation(self, s2_models, mode):
+        ds, num, den = s2_models
+        table = stabilized_weights(ds, num, den, mode)
+        ref = reference_weights(ds, num, den, mode)
+        assert [(r.subject_id, r.tstart, r.tstop) for r in table.rows] == [
+            row[:3] for row in ref]
+        np.testing.assert_allclose(table.values, [row[3] for row in ref],
+                                   rtol=1e-12, atol=0)
+
+    def test_underflow_names_first_failing_subject(self, s2_models):
+        ds, num, den = s2_models
+        huge = replace(den, baseline_increments=den.baseline_increments * 1e4)
+        with pytest.raises(NonPositiveProbability) as ref:
+            reference_weights(ds, num, huge, WeightMode.IPCW)
+        assert str(ref.value).startswith("subject ")
+        with pytest.raises(NonPositiveProbability) as exc:
+            stabilized_weights(ds, num, huge, WeightMode.IPCW)
+        assert str(exc.value) == str(ref.value)
+
+    def test_rows_after_iptw_freeze_are_not_checked(self, d4):
+        num = fit_treatment_hazard(d4, ())
+        # the staying-untreated probability underflows after t = 5, which
+        # only frozen rows reach
+        den = replace(num, baseline_times=np.array([1.0, 3.0, 5.0]),
+                      baseline_increments=np.array([0.2, 0.3, 1e4]))
+        subjects = (two_interval_subject("1", 1.0, 6.0, Status.CENSORED, 0.0, 0.0),
+                    two_interval_subject("2", 3.0, 6.0, Status.EVENT, 0.0, 0.0),
+                    untreated_two_interval("3", 1.0, 2.0, Status.EVENT, 0.0, 0.0))
+        ds = CountingProcessDataset(subjects, CovariateSchema(time_varying=("z",)))
+        table = stabilized_weights(ds, num, den, WeightMode.IPTW)
+        weights_of = {r.subject_id: [] for r in table.rows}
+        for r in table.rows:
+            weights_of[r.subject_id].append(r.weight)
+        assert weights_of["1"][1] == weights_of["1"][0] > 0
+        assert weights_of["2"][1] == weights_of["2"][0] > 0
+        late = untreated_two_interval("4", 1.0, 6.0, Status.CENSORED, 0.0, 0.0)
+        unfrozen = CountingProcessDataset(subjects + (late,), ds.schema)
+        with pytest.raises(NonPositiveProbability, match="subject 4: .* t=6.0"):
+            stabilized_weights(unfrozen, num, den, WeightMode.IPTW)
 
 
 class TestStabilizedWeights:
