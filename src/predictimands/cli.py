@@ -45,7 +45,10 @@ def _csv_list(raw: str | None) -> tuple:
 
 
 def _float_list(raw: str | None) -> tuple:
-    return tuple(float(s) for s in _csv_list(raw))
+    try:
+        return tuple(float(s) for s in _csv_list(raw))
+    except ValueError:
+        raise DataError(f"cannot parse {raw!r} as a comma list of numbers") from None
 
 
 def _parse_profile(raw: str | None, levels: dict | None = None) -> dict:
@@ -135,15 +138,14 @@ def _strategy_spec(args, horizon: float) -> StrategySpec:
         ties=args.tie,
         tv_cuts=_float_list(args.tv_cuts),
         weight_covariates=_csv_list(args.weight_covariates),
-        truncation=(tuple(_float_list(args.truncate_weights))
-                    if args.truncate_weights else None),
+        truncation=_float_list(args.truncate_weights) or None,
     )
 
 
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
-    horizon = args.horizon if args.horizon is not None else max(
-        sub.follow_up_end for sub in ds.subjects)
+    horizon = (args.horizon if args.horizon is not None
+               else float(ds.tstop.max()))
     spec = _strategy_spec(args, horizon)
     fit = fit_strategy_models(ds, spec)
 
@@ -261,9 +263,8 @@ def cmd_simulate(args) -> int:
     _write_json(str(out) + ".run.json",
                 _echo(args, "simulate", {"scenario_spec": spec.to_dict()}))
     print(json.dumps({"out": str(out), "subjects": ds.n_subjects,
-                      "events": sum(ep.status == 1 for _, ep in ds.iter_episodes()),
-                      "treatment_starts": sum(ep.status == 2
-                                              for _, ep in ds.iter_episodes())}))
+                      "events": int((ds.status == 1).sum()),
+                      "treatment_starts": int((ds.status == 2).sum())}))
     return EXIT_OK
 
 
@@ -309,8 +310,7 @@ def cmd_weights(args) -> int:
         ds, _csv_list(args.weight_covariates), ties=args.tie)
     table = weights_mod.stabilized_weights(
         ds, numerator, denominator, mode=weights_mod.WeightMode(args.mode),
-        truncation=(tuple(_float_list(args.truncate_weights))
-                    if args.truncate_weights else None))
+        truncation=_float_list(args.truncate_weights) or None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "weights.csv")

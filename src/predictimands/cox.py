@@ -78,7 +78,7 @@ class CoxSpec:
     covariates: tuple = ()
     treatment: TreatmentTerm | None = None
     ties: str = "efron"
-    weights: object = None  # WeightTable, duck-typed via .lookup()
+    weights: object = None  # WeightTable with one row per dataset row
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
@@ -94,67 +94,42 @@ class _Design:
     X: np.ndarray
     w: np.ndarray
     names: tuple
-    subject_ids: list
-
-    @property
-    def n_events(self) -> int:
-        return int(self.event.sum())
-
-
-def _covariate_value(sub, ep, name, schema):
-    if name in schema.baseline:
-        return sub.baseline[name]
-    if name in schema.time_varying:
-        v = ep.tv.get(name)
-        if v is None:
-            raise DataError(
-                f"subject {sub.subject_id}: missing value for {name!r} at "
-                f"({ep.tstart}, {ep.tstop}] (impute first)")
-        return v
-    raise DataError(f"covariate {name!r} not in schema")
+    subject: np.ndarray
 
 
 def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
-    schema = ds.schema
-    cuts = spec.treatment.tv_cuts if spec.treatment else ()
-    n_seg = len(cuts) + 1 if spec.treatment else 0
+    """One design row per dataset row in dataset order, except that treated
+    rows are split at the coefficient cut times so the active segment is
+    constant within each piece."""
+    cuts = np.asarray(spec.treatment.tv_cuts if spec.treatment else (), float)
+    covariates = [ds.covariate(name) for name in spec.covariates]
     names = tuple(spec.covariates) + tuple(
         spec.treatment.segment_names() if spec.treatment else ())
 
-    start, stop, event, rows, w, sids = [], [], [], [], [], []
-    for sub in ds.subjects:
-        for ep in sub.episodes:
-            base = [_covariate_value(sub, ep, name, schema)
-                    for name in spec.covariates]
-            # treated rows are split at the coefficient cut times so the
-            # active segment is constant within each row
-            if spec.treatment and ep.treated:
-                bounds = [ep.tstart] + [c for c in cuts
-                                        if ep.tstart < c < ep.tstop] + [ep.tstop]
-            else:
-                bounds = [ep.tstart, ep.tstop]
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                x = list(base)
-                if spec.treatment:
-                    seg = [0.0] * n_seg
-                    if ep.treated:
-                        seg[spec.treatment.segment_of(b)] = 1.0
-                    x.extend(seg)
-                start.append(a)
-                stop.append(b)
-                event.append(b == ep.tstop and ep.status == spec.event_code)
-                rows.append(x)
-                weight = 1.0
-                if spec.weights is not None:
-                    weight = spec.weights.lookup(sub.subject_id, b)
-                w.append(weight)
-                sids.append(sub.subject_id)
+    first_cut = np.searchsorted(cuts, ds.tstart, side="right")
+    pieces = np.where(ds.treated, np.searchsorted(cuts, ds.tstop) - first_cut + 1, 1)
+    row = np.repeat(np.arange(ds.n_rows), pieces)
+    piece = np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    last = piece == pieces[row] - 1
+    start, stop = ds.tstart[row], ds.tstop[row]
+    start[piece > 0] = cuts[(first_cut[row] + piece - 1)[piece > 0]]
+    stop[~last] = cuts[(first_cut[row] + piece)[~last]]
 
-    n = len(start)
-    X = np.asarray(rows, dtype=float).reshape(n, len(names))
-    return _Design(np.asarray(start, float), np.asarray(stop, float),
-                   np.asarray(event, bool), X, np.asarray(w, float),
-                   names, sids)
+    X = np.zeros((row.size, len(names)))
+    for j, col in enumerate(covariates):
+        X[:, j] = col[row]
+    if spec.treatment:
+        on = np.flatnonzero(ds.treated[row])
+        X[on, len(covariates) + np.searchsorted(cuts, stop[on])] = 1.0
+    w = np.ones(ds.n_rows)
+    if spec.weights is not None:
+        # the weight table's rows must be the dataset's rows
+        if not np.array_equal([r.tstop for r in spec.weights.rows], ds.tstop):
+            raise DataError(f"the weight table's {len(spec.weights.rows)} rows do not "
+                            f"match the dataset's {ds.n_rows} rows")
+        w = spec.weights.values
+    event = last & (ds.status[row] == spec.event_code)
+    return _Design(start, stop, event, X, w[row], names, ds.row_subject[row])
 
 
 class _RiskSets:
@@ -290,10 +265,6 @@ class CoxModel:
     def coefficients(self) -> dict:
         return dict(zip(self.names, (float(b) for b in self.beta)))
 
-    def baseline_cumhaz_function(self) -> StepFunction:
-        return StepFunction(self.baseline_times,
-                            np.cumsum(self.baseline_increments), initial=0.0)
-
     def to_dict(self) -> dict:
         return {
             "coefficients": self.coefficients,
@@ -377,7 +348,8 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     score has not vanished raises MonotoneLikelihood.
     """
     design, rs = _prepared(ds, spec)
-    if design.n_events == 0:
+    n_events = int(design.event.sum())
+    if n_events == 0:
         raise NoEvents(f"no episode carries event code {int(spec.event_code)}")
     if spec.treatment and spec.treatment.tv_cuts:
         last = float(design.stop.max())
@@ -387,23 +359,11 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
                 f"(last cut {spec.treatment.tv_cuts[-1]:g} >= end {last:g})")
     p = design.X.shape[1]
     beta = np.zeros(p)
-
-    if p == 0:
-        loglik, _, _, dH = _sweep(rs, beta, order=0, baseline=True)
-        return CoxModel(
-            names=(), beta=beta, info=np.zeros((0, 0)), loglik=loglik,
-            baseline_times=rs.uft, baseline_increments=dH,
-            covariates=spec.covariates, treatment=spec.treatment,
-            ties=spec.ties, event_code=int(spec.event_code), iterations=0,
-            score_norm=0.0, degenerate=False, n_events=design.n_events,
-            weighted=spec.weights is not None,
-            schema_levels=dict(ds.schema.levels))
-
     loglik, g, info, _ = _sweep(rs, beta, order=2)
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):
-        gmax = float(np.abs(g).max())
+        gmax = float(np.abs(g).max(initial=0.0))
         if gmax < SCORE_TOL:
             converged = True
             iterations -= 1
@@ -454,14 +414,15 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
         baseline_times=rs.uft, baseline_increments=dH,
         covariates=spec.covariates, treatment=spec.treatment, ties=spec.ties,
         event_code=int(spec.event_code), iterations=iterations,
-        score_norm=float(np.abs(g).max()), degenerate=degenerate,
-        n_events=design.n_events, weighted=spec.weights is not None,
+        score_norm=float(np.abs(g).max(initial=0.0)), degenerate=degenerate,
+        n_events=n_events, weighted=spec.weights is not None,
         schema_levels=dict(ds.schema.levels))
 
 
 def baseline_cumhaz(model: CoxModel) -> StepFunction:
     """Baseline cumulative hazard H0(t) as a step function, H0(0) = 0."""
-    return model.baseline_cumhaz_function()
+    return StepFunction(model.baseline_times,
+                        np.cumsum(model.baseline_increments), initial=0.0)
 
 
 def _profile_lp(model: CoxModel, profile: dict) -> float:
@@ -504,14 +465,6 @@ class SchoenfeldResiduals:
     names: tuple
     residuals: np.ndarray
 
-    def to_csv(self, path):
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["time", "id"] + list(self.names))
-            for t, sid, row in zip(self.times, self.subject_ids, self.residuals):
-                w.writerow([repr(float(t)), sid] + [repr(float(v)) for v in row])
-
 
 def schoenfeld_residuals(model: CoxModel, ds: CountingProcessDataset
                          ) -> SchoenfeldResiduals:
@@ -526,6 +479,6 @@ def schoenfeld_residuals(model: CoxModel, ds: CountingProcessDataset
     xbar = s1 / s0[:, None]
     return SchoenfeldResiduals(
         times=rs.uft[rs.dead_time],
-        subject_ids=tuple(design.subject_ids[i] for i in rs.dead),
+        subject_ids=tuple(ds.ids[s] for s in design.subject[rs.dead]),
         names=design.names,
         residuals=design.X[rs.dead] - xbar[rs.dead_time])

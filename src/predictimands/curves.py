@@ -62,13 +62,6 @@ class SurvivalCurve:
     def __call__(self, t):
         return StepFunction(self.times, self.surv, initial=1.0)(t)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "survival"])
-            for t, s in zip(self.times, self.surv):
-                w.writerow([repr(float(t)), repr(float(s))])
-
 
 @dataclass(frozen=True)
 class RiskCurve:

@@ -1,18 +1,34 @@
-"""Counting-process survival data: types, validation, CSV I/O, transforms.
+"""Counting-process survival data: columns, validation, CSV I/O, transforms.
 
-Subjects are represented as ordered (tstart, tstop] episodes with a status at
-the stop time, an on-treatment flag, baseline covariates X(0) held on the
-subject and time-dependent covariates X(t) held on the episode. Status codes
-in files are 0 = censored / interval boundary, 1 = event, 2 = treatment
-start. Datasets are immutable; every transform returns a new dataset.
+A dataset holds one row per (tstart, tstop] episode. ``ids`` lists the
+subjects in order of first appearance and subject s owns rows
+``offsets[s]:offsets[s + 1]``, in time order. Per row there are ``tstart``,
+``tstop``, ``status`` (at tstop: 0 = censored / interval boundary, 1 = event,
+2 = treatment start), ``treated`` (the indicator in force on the row) and
+one float column per covariate in ``columns``: a baseline value X(0) repeats
+on each of its subject's rows, a time-dependent X(t) belongs to its row and
+NaN marks a missing one.
+
+Validation runs once, when a dataset is built from records or read from
+CSV, and names the first failing subject or line. Datasets are immutable;
+the transforms select rows or fill columns without validating again.
+
+Record boundary: ``CountingProcessDataset(subjects, schema, design)`` builds
+a dataset from ``SubjectRecord``s of ``Episode``s, as tests and the
+simulator do. ``ds.subjects`` is a read-only record view derived from the
+columns, for tests and tools; no module of the package reads it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     DataError,
@@ -40,9 +56,6 @@ class DesignFlavor(str, Enum):
 class ImputePolicy(str, Enum):
     LOCF = "locf"
     MEDIAN_FALLBACK = "median-fallback"
-
-
-RESERVED_COLUMNS = ("id", "tstart", "tstop", "status", "treated", "time")
 
 
 @dataclass(frozen=True)
@@ -120,105 +133,213 @@ class SubjectRecord:
     def __post_init__(self):
         object.__setattr__(self, "episodes", tuple(self.episodes))
 
-    @property
-    def treatment_time(self):
-        """Time treatment started, or None if the subject was never treated."""
-        for ep in self.episodes:
-            if ep.status == Status.TREATMENT_START:
-                return ep.tstop
-        return None
 
-    @property
-    def follow_up_end(self) -> float:
-        return self.episodes[-1].tstop
-
-    def person_time(self) -> float:
-        return sum(ep.tstop - ep.tstart for ep in self.episodes)
-
-
-def _validate_subject(sub: SubjectRecord, schema: CovariateSchema):
-    sid = sub.subject_id
-    if not sub.episodes:
-        raise DataError(f"subject {sid}: no episodes")
-    if sub.episodes[0].tstart != 0.0:
-        raise DataError(f"subject {sid}: first episode must start at time 0")
-    seen_treatment = False
-    for k, ep in enumerate(sub.episodes):
-        if ep.tstart < 0 or ep.tstop < 0:
-            raise NegativeTime(f"subject {sid}: negative time in episode {k}")
-        if not ep.tstart < ep.tstop:
-            raise DataError(f"subject {sid}: episode {k} has tstart >= tstop")
-        if k > 0 and ep.tstart != sub.episodes[k - 1].tstop:
-            raise NonContiguousEpisodes(
-                f"subject {sid}: episode starting at {ep.tstart} does not "
-                f"continue from {sub.episodes[k - 1].tstop}")
-        if ep.status == Status.EVENT and k != len(sub.episodes) - 1:
-            raise DataError(f"subject {sid}: event before the final episode")
-        if ep.status == Status.TREATMENT_START:
-            if seen_treatment:
-                raise DataError(f"subject {sid}: more than one treatment start")
-            if ep.treated:
-                raise DataError(
-                    f"subject {sid}: episode ending at treatment start must be untreated")
-            seen_treatment = True
-        elif seen_treatment and not ep.treated:
-            raise DataError(
-                f"subject {sid}: untreated episode after treatment start "
-                "(treatment indicator must stay on once treatment began)")
-        if ep.treated and not seen_treatment:
-            raise DataError(
-                f"subject {sid}: treated episode without a prior treatment start")
-        unknown = set(ep.tv) - set(schema.time_varying)
-        if unknown:
-            raise UnknownCovariate(
-                f"subject {sid}: episode covariates {sorted(unknown)} not in schema")
-    missing = set(schema.baseline) - set(sub.baseline)
-    if missing:
-        raise DataError(f"subject {sid}: missing baseline covariates {sorted(missing)}")
-    unknown = set(sub.baseline) - set(schema.baseline)
-    if unknown:
-        raise UnknownCovariate(f"subject {sid}: baseline covariates {sorted(unknown)} not in schema")
-
-
-@dataclass(frozen=True)
 class CountingProcessDataset:
-    """Immutable collection of subjects plus their covariate schema."""
+    """Immutable counting-process rows plus their covariate schema, built
+    from validated ``SubjectRecord``s; equal when their columns are equal."""
 
-    subjects: tuple
-    schema: CovariateSchema = field(default_factory=CovariateSchema)
-    design: DesignFlavor = DesignFlavor.CONTINUES_AFTER_TREATMENT
+    def __init__(self, subjects=(), schema: CovariateSchema | None = None,
+                 design: DesignFlavor = DesignFlavor.CONTINUES_AFTER_TREATMENT):
+        schema = CovariateSchema() if schema is None else schema
+        subjects = tuple(subjects)
+        rows = [(sub, ep) for sub in subjects for ep in sub.episodes]
+        columns = {name: [sub.baseline.get(name, math.nan) for sub, _ in rows]
+                   for name in schema.baseline}
+        columns.update({name: [math.nan if ep.tv.get(name) is None else ep.tv[name]
+                               for _, ep in rows] for name in schema.time_varying})
+        self._init(schema, design, [sub.subject_id for sub in subjects],
+                   np.cumsum([0] + [len(sub.episodes) for sub in subjects]),
+                   *np.array([(ep.tstart, ep.tstop, ep.status, ep.treated)
+                              for _, ep in rows], float).reshape(-1, 4).T, columns)
+        _validate(self, _record_failures(subjects, schema))
 
-    def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        object.__setattr__(self, "design", DesignFlavor(self.design))
-        seen = set()
-        for sub in self.subjects:
-            if sub.subject_id in seen:
-                raise DataError(f"duplicate subject id {sub.subject_id!r}")
-            seen.add(sub.subject_id)
-            _validate_subject(sub, self.schema)
-            if self.design == DesignFlavor.STOPS_AT_TREATMENT:
-                if any(ep.treated for ep in sub.episodes):
-                    raise DataError(
-                        f"subject {sub.subject_id}: treated person-time in a "
-                        "stops-at-treatment design")
+    def _init(self, schema, design, ids, offsets, tstart, tstop, status,
+              treated, columns):
+        self.schema, self.design, self.ids = schema, DesignFlavor(design), tuple(ids)
+        self.offsets = _frozen(offsets, int)
+        self.tstart, self.tstop = _frozen(tstart, float), _frozen(tstop, float)
+        self.status, self.treated = _frozen(status, int), _frozen(treated, bool)
+        self.columns = {name: _frozen(columns[name], float) for name in schema.names()}
+
+    @classmethod
+    def _of(cls, *columns) -> "CountingProcessDataset":
+        """A dataset from columns (as ``_init`` takes them) that are valid."""
+        ds = cls.__new__(cls)
+        ds._init(*columns)
+        return ds
+
+    def _replace(self, keep=slice(None), status=None, design=None,
+                 columns=None) -> "CountingProcessDataset":
+        """The rows selected by the mask ``keep``, optionally with a new
+        status column, design or covariate columns."""
+        counts = np.bincount(self.row_subject[keep], minlength=self.n_subjects)
+        status = self.status if status is None else status
+        return self._of(self.schema, design or self.design, self.ids,
+                        np.concatenate([[0], np.cumsum(counts)]),
+                        self.tstart[keep], self.tstop[keep], status[keep],
+                        self.treated[keep],
+                        {name: col[keep] for name, col in (columns or self.columns).items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, CountingProcessDataset):
+            return NotImplemented
+        return ((self.schema, self.design, self.ids) == (other.schema, other.design, other.ids)
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("offsets", "tstart", "tstop", "status", "treated"))
+                and all(np.array_equal(col, other.columns[name], equal_nan=True)
+                        for name, col in self.columns.items()))
+
+    __hash__ = None
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
+
+    @property
+    def n_rows(self) -> int:
+        return self.tstop.size
+
+    @cached_property
+    def row_subject(self) -> np.ndarray:
+        """Index of each row's subject."""
+        return _frozen(np.repeat(np.arange(self.n_subjects), np.diff(self.offsets)), int)
 
     @property
     def has_treatment_starts(self) -> bool:
-        return any(ep.status == Status.TREATMENT_START
-                   for sub in self.subjects for ep in sub.episodes)
+        return bool((self.status == Status.TREATMENT_START).any())
 
     def person_time(self) -> float:
-        return sum(sub.person_time() for sub in self.subjects)
+        return float((self.tstop - self.tstart).sum())
 
-    def iter_episodes(self):
-        for sub in self.subjects:
-            for ep in sub.episodes:
-                yield sub, ep
+    def covariate(self, name: str) -> np.ndarray:
+        """The column of ``name``; a DataError for a covariate outside the
+        schema or a missing time-dependent value."""
+        if name not in self.columns:
+            raise DataError(f"covariate {name!r} not in schema")
+        col = self.columns[name]
+        missing = np.flatnonzero(np.isnan(col) & (name in self.schema.time_varying))
+        if missing.size:
+            r = missing[0]
+            raise DataError(
+                f"subject {self.ids[self.row_subject[r]]}: missing value for "
+                f"{name!r} at ({float(self.tstart[r])}, {float(self.tstop[r])}] "
+                "(impute first)")
+        return col
+
+    @cached_property
+    def subjects(self) -> tuple:
+        """The rows as ``SubjectRecord``s: a view derived from the columns."""
+        tstart, tstop, status, treated = (
+            a.tolist() for a in (self.tstart, self.tstop, self.status, self.treated))
+        values = {name: col.tolist() for name, col in self.columns.items()}
+
+        def episode(r):
+            tv = {name: None if math.isnan(values[name][r]) else values[name][r]
+                  for name in self.schema.time_varying}
+            return Episode(tstart[r], tstop[r], status[r], treated[r], tv)
+
+        return tuple(
+            SubjectRecord(sid, tuple(map(episode, range(lo, hi))),
+                          {name: values[name][lo] for name in self.schema.baseline})
+            for sid, lo, hi in zip(self.ids, self.offsets.tolist(), self.offsets[1:].tolist()))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _count_before(ds: CountingProcessDataset, mask: np.ndarray) -> np.ndarray:
+    """For each row, how many earlier rows of its subject have ``mask`` set."""
+    total = np.concatenate([[0], np.cumsum(mask)])
+    return total[:-1] - total[ds.offsets[ds.row_subject]]
+
+
+def _raise_first(failures):
+    """Raise the error of the (key, error) pair with the smallest key."""
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
+def _record_failures(subjects, schema) -> list:
+    """What only records can get wrong, keyed as in ``_validate``: repeated
+    subject ids and covariates that are missing or outside the schema."""
+    failures, seen, row, tv_names = [], set(), 0, set(schema.time_varying)
+    for s, sub in enumerate(subjects):
+        sid = sub.subject_id
+        if sid in seen:
+            failures.append(((s, 0, 0, 0), DataError(f"duplicate subject id {sid!r}")))
+        seen.add(sid)
+        for ep in sub.episodes:
+            unknown = ep.tv.keys() - tv_names
+            if unknown:
+                failures.append(((s, 1, row, 8), UnknownCovariate(
+                    f"subject {sid}: episode covariates {sorted(unknown)} not in schema")))
+            row += 1
+        missing = set(schema.baseline) - set(sub.baseline)
+        if missing:
+            failures.append(((s, 2, 0, 0), DataError(
+                f"subject {sid}: missing baseline covariates {sorted(missing)}")))
+        unknown = set(sub.baseline) - set(schema.baseline)
+        if unknown:
+            failures.append(((s, 2, 0, 1), UnknownCovariate(
+                f"subject {sid}: baseline covariates {sorted(unknown)} not in schema")))
+    return failures
+
+
+def _validate(ds: CountingProcessDataset, failures=()):
+    """Check the counting-process contract and raise its first violation:
+    subjects in order; within one, its start, then episode by episode, then
+    its design."""
+    failures = list(failures)
+    sizes = np.diff(ds.offsets)
+    for s in np.flatnonzero(sizes == 0)[:1]:
+        failures.append(((s, 0, 0, 1), DataError(f"subject {ds.ids[s]}: no episodes")))
+    first, last = np.zeros(ds.n_rows, bool), np.zeros(ds.n_rows, bool)
+    first[ds.offsets[:-1][sizes > 0]] = True
+    last[ds.offsets[1:][sizes > 0] - 1] = True
+    tstart, tstop, treated = ds.tstart, ds.tstop, ds.treated
+    starts = ds.status == Status.TREATMENT_START
+    seen = _count_before(ds, starts) > 0
+    prev_stop = np.concatenate([[math.nan], tstop[:-1]])
+
+    def sid(r):
+        return ds.ids[ds.row_subject[r]]
+
+    def k(r):
+        return r - ds.offsets[ds.row_subject[r]]
+
+    checks = [
+        (first & (tstart != 0.0), 0, 2, lambda r: DataError(
+            f"subject {sid(r)}: first episode must start at time 0")),
+        ((tstart < 0) | (tstop < 0), 1, 0, lambda r: NegativeTime(
+            f"subject {sid(r)}: negative time in episode {k(r)}")),
+        (~(tstart < tstop), 1, 1, lambda r: DataError(
+            f"subject {sid(r)}: episode {k(r)} has tstart >= tstop")),
+        (~first & (tstart != prev_stop), 1, 2, lambda r: NonContiguousEpisodes(
+            f"subject {sid(r)}: episode starting at {float(tstart[r])} does not "
+            f"continue from {float(prev_stop[r])}")),
+        ((ds.status == Status.EVENT) & ~last, 1, 3, lambda r: DataError(
+            f"subject {sid(r)}: event before the final episode")),
+        (starts & seen, 1, 4, lambda r: DataError(
+            f"subject {sid(r)}: more than one treatment start")),
+        (starts & treated, 1, 5, lambda r: DataError(
+            f"subject {sid(r)}: episode ending at treatment start must be untreated")),
+        (~starts & seen & ~treated, 1, 6, lambda r: DataError(
+            f"subject {sid(r)}: untreated episode after treatment start "
+            "(treatment indicator must stay on once treatment began)")),
+        (treated & ~seen & ~starts, 1, 7, lambda r: DataError(
+            f"subject {sid(r)}: treated episode without a prior treatment start")),
+        (treated & (ds.design == DesignFlavor.STOPS_AT_TREATMENT), 2, 2,
+         lambda r: DataError(f"subject {sid(r)}: treated person-time in a "
+                             "stops-at-treatment design")),
+    ]
+    for mask, phase, check, error in checks:
+        for r in np.flatnonzero(mask)[:1]:
+            key = (ds.row_subject[r], phase, r if phase == 1 else 0, check)
+            failures.append((key, error(r)))
+    _raise_first(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +349,14 @@ class CountingProcessDataset:
 def split_at_treatment(ds: CountingProcessDataset) -> CountingProcessDataset:
     """Truncate every subject's follow-up at treatment start.
 
-    The episode ending in a treatment start becomes the final one; episodes
+    The row ending in a treatment start becomes the subject's last; rows
     after it are dropped. Stops-at-treatment data are returned as they are:
-    validation already rules out episodes after a treatment start there.
+    validation already rules out rows after a treatment start there.
     """
     if ds.design == DesignFlavor.STOPS_AT_TREATMENT:
         return ds
-    subjects = []
-    for sub in ds.subjects:
-        episodes = []
-        for ep in sub.episodes:
-            episodes.append(ep)
-            if ep.status == Status.TREATMENT_START:
-                break
-        subjects.append(replace(sub, episodes=tuple(episodes)))
-    return CountingProcessDataset(tuple(subjects), ds.schema,
-                                  DesignFlavor.STOPS_AT_TREATMENT)
+    keep = _count_before(ds, ds.status == Status.TREATMENT_START) == 0
+    return ds._replace(keep, design=DesignFlavor.STOPS_AT_TREATMENT)
 
 
 def compose_outcome(ds: CountingProcessDataset) -> CountingProcessDataset:
@@ -252,19 +365,10 @@ def compose_outcome(ds: CountingProcessDataset) -> CountingProcessDataset:
     Follow-up ends at min(T, V); the combined endpoint carries the event
     status.
     """
-    subjects = []
-    for sub in ds.subjects:
-        episodes = []
-        for ep in sub.episodes:
-            if ep.status == Status.TREATMENT_START:
-                episodes.append(replace(ep, status=Status.EVENT))
-                break
-            episodes.append(ep)
-            if ep.status == Status.EVENT:
-                break
-        subjects.append(replace(sub, episodes=tuple(episodes)))
-    return CountingProcessDataset(tuple(subjects), ds.schema,
-                                  DesignFlavor.STOPS_AT_TREATMENT)
+    starts = ds.status == Status.TREATMENT_START
+    keep = _count_before(ds, starts) == 0
+    return ds._replace(keep, status=np.where(starts, Status.EVENT, ds.status),
+                       design=DesignFlavor.STOPS_AT_TREATMENT)
 
 
 def impute_tv_covariates(ds: CountingProcessDataset,
@@ -279,59 +383,32 @@ def impute_tv_covariates(ds: CountingProcessDataset,
     error.
     """
     policy = ImputePolicy(policy)
-    tv_names = ds.schema.time_varying
-    if not tv_names:
-        return ds
-
-    first_obs = {name: [] for name in tv_names}
-    for sub in ds.subjects:
-        for name in tv_names:
-            for ep in sub.episodes:
-                v = ep.tv.get(name)
-                if v is not None:
-                    first_obs[name].append(v)
-                    break
-
-    medians = {}
-    for name in tv_names:
-        if first_obs[name]:
-            medians[name] = statistics.median(first_obs[name])
-
-    subjects = []
-    changed = False
-    for sub in ds.subjects:
-        filled = {name: [ep.tv.get(name) for ep in sub.episodes] for name in tv_names}
-        for name in tv_names:
-            values = filled[name]
-            if all(v is None for v in values):
-                if name not in medians:
-                    raise NoObservationsAnywhere(
-                        f"covariate {name!r} has no observed value for any subject")
-                if policy == ImputePolicy.LOCF:
-                    raise DataError(
-                        f"subject {sub.subject_id}: no observations of {name!r} "
-                        "(use the median-fallback policy)")
-                filled[name] = [medians[name]] * len(values)
-                continue
-            first = next(v for v in values if v is not None)
-            last = first
-            for k, v in enumerate(values):
-                if v is None:
-                    values[k] = last
-                else:
-                    last = v
-        episodes = []
-        for k, ep in enumerate(sub.episodes):
-            tv = {name: filled[name][k] for name in tv_names}
-            if tv != ep.tv:
-                changed = True
-                episodes.append(replace(ep, tv=tv))
+    index, heads = np.arange(ds.n_rows), ds.offsets[:-1]
+    first, end = heads[ds.row_subject], ds.offsets[1:][ds.row_subject]
+    failures, filled = [], {}
+    for j, name in enumerate(ds.schema.time_varying):
+        col = ds.columns[name]
+        seen = ~np.isnan(col)
+        # the last observation at or before each row, else the first after it
+        before = np.maximum.accumulate(np.where(seen, index, -1))
+        after = np.minimum.accumulate(np.where(seen, index, ds.n_rows)[::-1])[::-1]
+        source = np.where(before >= first, before, after)
+        empty = source >= end
+        filled[name] = col[np.minimum(source, ds.n_rows - 1)]
+        if empty.any():
+            s = ds.row_subject[empty.argmax()]
+            first_obs = col[source[heads][~empty[heads]]]
+            if not first_obs.size:
+                failures.append(((s, j), NoObservationsAnywhere(
+                    f"covariate {name!r} has no observed value for any subject")))
+            elif policy == ImputePolicy.LOCF:
+                failures.append(((s, j), DataError(
+                    f"subject {ds.ids[s]}: no observations of {name!r} "
+                    "(use the median-fallback policy)")))
             else:
-                episodes.append(ep)
-        subjects.append(replace(sub, episodes=tuple(episodes)))
-    if not changed:
-        return ds
-    return CountingProcessDataset(tuple(subjects), ds.schema, ds.design)
+                filled[name][empty] = statistics.median(first_obs.tolist())
+    _raise_first(failures)
+    return ds._replace(columns={**ds.columns, **filled})
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +416,45 @@ def impute_tv_covariates(ds: CountingProcessDataset,
 
 _LONG_HEADER = ("id", "tstart", "tstop", "status", "treated")
 _WIDE_HEADER = ("id", "time", "status")
+_STATUS_MESSAGE = "status must be 0, 1 or 2, got {!r}"
 
 
-def _parse_status(raw: str, line: int) -> Status:
+def _parse(raw: str, line: int, parse, message: str):
+    """``parse(raw)``, or a MalformedRow with ``message`` for the field."""
     try:
-        code = int(raw)
-        return Status(code)
-    except (ValueError, KeyError):
-        raise MalformedRow(line, f"status must be 0, 1 or 2, got {raw!r}") from None
-
-
-def _parse_float(raw: str, line: int, what: str) -> float:
-    try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise MalformedRow(line, f"cannot parse {what} {raw!r}") from None
+        raise MalformedRow(line, message.format(raw)) from None
 
 
-def infer_design(subjects) -> DesignFlavor:
-    """Continues-after-treatment if any treated person-time exists, else
-    stops-at-treatment when a treatment start ends follow-up, else (no
-    treatment at all) continues."""
-    any_treated = any(ep.treated for sub in subjects for ep in sub.episodes)
-    if any_treated:
-        return DesignFlavor.CONTINUES_AFTER_TREATMENT
-    any_start = any(ep.status == Status.TREATMENT_START
-                    for sub in subjects for ep in sub.episodes)
-    if any_start:
-        return DesignFlavor.STOPS_AT_TREATMENT
-    return DesignFlavor.CONTINUES_AFTER_TREATMENT
+def _status(raw: str) -> int:
+    return (0, 1, 2).index(int(raw))  # the code itself
+
+
+def _read(path) -> tuple:
+    """Header, wide-format flag, the non-blank rows of a counting-process
+    CSV and their line numbers, and the error of the first row with the
+    wrong number of fields, where reading stops: it is returned, not
+    raised, so the rows before it report their own errors first."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "empty file")
+        header = [h.strip() for h in header]
+        wide = tuple(header[:3]) == _WIDE_HEADER
+        if not wide and tuple(header[:5]) != _LONG_HEADER:
+            raise MalformedRow(1, f"unrecognized header {header!r}")
+        lines, rows = [], []
+        for line, row in enumerate(reader, start=2):
+            if not row or not row[0].strip() and all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                return header, wide, lines, rows, MalformedRow(
+                    line, f"expected {len(header)} fields, got {len(row)}")
+            lines.append(line)
+            rows.append(row)
+    return header, wide, lines, rows, None
 
 
 def ingest_csv(path, schema: CovariateSchema,
@@ -376,106 +463,103 @@ def ingest_csv(path, schema: CovariateSchema,
 
     Long header: ``id,tstart,tstop,status,treated,<covariates...>``; wide
     header: ``id,time,status,<covariates...>`` expands to one episode per
-    subject. Missing time-dependent values are empty fields.
+    subject. Missing time-dependent values are empty fields. Without a
+    ``design``, data with treatment starts but no treated rows stop at
+    treatment and all other data continue.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "empty file") from None
-        header = [h.strip() for h in header]
-        if tuple(header[:5]) == _LONG_HEADER:
-            wide, fixed = False, 5
-        elif tuple(header[:3]) == _WIDE_HEADER:
-            wide, fixed = True, 3
+    header, wide, lines, rows, short_row = _read(path)
+    fixed = 3 if wide else 5
+    cov_cols = header[fixed:]
+    unknown = set(cov_cols) - set(schema.names())
+    if unknown:
+        raise UnknownCovariate(f"columns {sorted(unknown)} not in schema")
+    missing = set(schema.names()) - set(cov_cols)
+    if missing:
+        raise MalformedRow(1, f"schema covariates {sorted(missing)} missing from header")
+    if wide and schema.time_varying:
+        raise MalformedRow(1, "wide format cannot carry time-varying covariates")
+
+    tv_names = set(schema.time_varying)
+    ids, parsed = [], []
+    for line, row in zip(lines, rows):
+        sid = row[0].strip()
+        if not sid:
+            raise MalformedRow(line, "empty subject id")
+        if wide:
+            tstart, tstop = 0.0, _parse(row[1], line, float, "cannot parse time {!r}")
+            code, on = _parse(row[2], line, _status, _STATUS_MESSAGE), 0
         else:
-            raise MalformedRow(1, f"unrecognized header {header!r}")
-        cov_cols = header[fixed:]
-        unknown = set(cov_cols) - set(schema.names())
-        if unknown:
-            raise UnknownCovariate(f"columns {sorted(unknown)} not in schema")
-        missing = set(schema.names()) - set(cov_cols)
-        if missing:
-            raise MalformedRow(1, f"schema covariates {sorted(missing)} missing from header")
-        if wide and schema.time_varying:
-            raise MalformedRow(1, "wide format cannot carry time-varying covariates")
+            tstart = _parse(row[1], line, float, "cannot parse tstart {!r}")
+            tstop = _parse(row[2], line, float, "cannot parse tstop {!r}")
+            code = _parse(row[3], line, _status, _STATUS_MESSAGE)
+            on = _parse(row[4], line, lambda raw: ("0", "1").index(raw.strip()),
+                        "treated must be 0 or 1, got {!r}")
+        if tstart < 0 or tstop < 0:
+            raise NegativeTime(f"line {line}: negative time")
+        if not tstart < tstop:
+            raise MalformedRow(line, f"tstart {tstart} must be below tstop {tstop}")
+        values = [tstart, tstop, code, on]
+        for name, raw in zip(cov_cols, row[fixed:]):
+            raw = raw.strip()
+            if not raw and name not in tv_names:
+                raise MalformedRow(line, f"baseline covariate {name!r} is empty")
+            values.append(schema.encode(name, raw) if raw else math.nan)
+        ids.append(sid)
+        parsed.append(values)
+    if short_row is not None:
+        raise short_row
 
-        rows_by_id: dict = {}
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(line, f"expected {len(header)} fields, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise MalformedRow(line, "empty subject id")
-            if wide:
-                t = _parse_float(row[1], line, "time")
-                status = _parse_status(row[2], line)
-                tstart, tstop, treated = 0.0, t, False
-            else:
-                tstart = _parse_float(row[1], line, "tstart")
-                tstop = _parse_float(row[2], line, "tstop")
-                status = _parse_status(row[3], line)
-                if row[4].strip() not in ("0", "1"):
-                    raise MalformedRow(line, f"treated must be 0 or 1, got {row[4]!r}")
-                treated = row[4].strip() == "1"
-            if tstart < 0 or tstop < 0:
-                raise NegativeTime(f"line {line}: negative time")
-            if not tstart < tstop:
-                raise MalformedRow(line, f"tstart {tstart} must be below tstop {tstop}")
-            baseline, tv = {}, {}
-            for name, raw in zip(cov_cols, row[fixed:]):
-                raw = raw.strip()
-                if name in schema.time_varying:
-                    tv[name] = None if raw == "" else schema.encode(name, raw)
-                else:
-                    if raw == "":
-                        raise MalformedRow(line, f"baseline covariate {name!r} is empty")
-                    baseline[name] = schema.encode(name, raw)
-            rows_by_id.setdefault(sid, []).append(
-                (line, tstart, tstop, status, treated, baseline, tv))
-
-    subjects = []
-    for sid, rows in rows_by_id.items():
-        rows.sort(key=lambda r: r[1])
-        stops = {}
-        for line, _, tstop, status, *_ in rows:
-            if tstop in stops and {stops[tstop], status} == {Status.EVENT, Status.TREATMENT_START}:
-                raise MalformedRow(
-                    line, f"subject {sid}: event and treatment start tied at t={tstop}")
-            stops[tstop] = status
-        base = rows[0][5]
-        for line, *_, b, _tv in rows:
-            if b != base:
-                raise MalformedRow(line, f"subject {sid}: baseline covariates vary across rows")
-        episodes = tuple(Episode(tstart, tstop, status, treated, tv)
-                         for _, tstart, tstop, status, treated, _, tv in rows)
-        subjects.append(SubjectRecord(sid, episodes, base))
-
+    # rows grouped by subject in order of first appearance, then by tstart
+    index = {}
+    subject = np.array([index.setdefault(sid, len(index)) for sid in ids], int)
+    table = np.array(parsed, float).reshape(len(parsed), 4 + len(cov_cols))
+    order = np.lexsort((table[:, 0], subject))
+    table, lines = table[order], np.asarray(lines)[order]
     if design is None:
-        design = infer_design(subjects)
-    return CountingProcessDataset(tuple(subjects), schema, design)
+        only_starts = (table[:, 2] == Status.TREATMENT_START).any() and not table[:, 3].any()
+        design = (DesignFlavor.STOPS_AT_TREATMENT if only_starts
+                  else DesignFlavor.CONTINUES_AFTER_TREATMENT)
+    ds = CountingProcessDataset._of(
+        schema, design, index, np.cumsum([0, *np.bincount(subject, minlength=len(index))]),
+        *table[:, :4].T, dict(zip(cov_cols, table[:, 4:].T)))
+
+    failures, sub, n = [], ds.row_subject, ds.n_rows
+    # an event and a treatment start at the same stop time of one subject
+    by_stop = np.lexsort((np.arange(n), ds.tstop, sub))
+    prev, cur = by_stop[:-1], by_stop[1:]
+    tied = cur[(sub[prev] == sub[cur]) & (ds.tstop[prev] == ds.tstop[cur])
+               & (ds.status[prev] * ds.status[cur] == Status.EVENT * Status.TREATMENT_START)]
+    for r in np.sort(tied)[:1]:
+        failures.append(((sub[r], 0, r), MalformedRow(
+            int(lines[r]), f"subject {ds.ids[sub[r]]}: event and treatment start "
+                           f"tied at t={float(ds.tstop[r])}")))
+    first = ds.offsets[sub]
+    varies = np.zeros(n, bool)
+    for name in schema.baseline:
+        varies |= ds.columns[name] != ds.columns[name][first]
+    varies &= first != np.arange(n)
+    for r in np.flatnonzero(varies)[:1]:
+        failures.append(((sub[r], 1, r), MalformedRow(
+            int(lines[r]), f"subject {ds.ids[sub[r]]}: baseline covariates vary across rows")))
+    _raise_first(failures)
+    _validate(ds)
+    return ds
 
 
 def write_csv(ds: CountingProcessDataset, path):
     """Write the long counting-process format; inverse of ``ingest_csv``."""
     schema = ds.schema
-    header = list(_LONG_HEADER) + list(schema.names())
+    fields = [[ds.ids[s] for s in ds.row_subject.tolist()],
+              map(repr, ds.tstart.tolist()), map(repr, ds.tstop.tolist()),
+              ds.status.tolist(), ds.treated.astype(int).tolist()]
+    for name in schema.names():
+        fields.append(["" if math.isnan(v) and name in schema.time_varying
+                       else _format_value(schema, name, v)
+                       for v in ds.columns[name].tolist()])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for sub in ds.subjects:
-            for ep in sub.episodes:
-                row = [sub.subject_id, repr(float(ep.tstart)), repr(float(ep.tstop)),
-                       int(ep.status), int(ep.treated)]
-                for name in schema.baseline:
-                    row.append(_format_value(schema, name, sub.baseline[name]))
-                for name in schema.time_varying:
-                    v = ep.tv.get(name)
-                    row.append("" if v is None else _format_value(schema, name, v))
-                w.writerow(row)
+        w.writerow(list(_LONG_HEADER) + list(schema.names()))
+        w.writerows(zip(*fields))
 
 
 def _format_value(schema, name, value):
@@ -486,27 +570,17 @@ def _format_value(schema, name, value):
 def infer_schema(path, time_unit: str = "years") -> CovariateSchema:
     """Classify a file's covariate columns: constant within every subject is
     baseline, anything else time-varying."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if tuple(header[:5]) == _LONG_HEADER:
-            fixed = 5
-        elif tuple(header[:3]) == _WIDE_HEADER:
-            return CovariateSchema(baseline=tuple(header[3:]), time_unit=time_unit)
-        else:
-            raise MalformedRow(1, f"unrecognized header {header!r}")
-        cov_cols = header[fixed:]
-        values: dict = {}
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            sid = row[0].strip()
-            for name, raw in zip(cov_cols, row[fixed:]):
-                values.setdefault(name, {}).setdefault(sid, set()).add(raw.strip())
+    header, wide, _, rows, short_row = _read(path)
+    if short_row is not None:
+        raise short_row
+    if wide:
+        return CovariateSchema(baseline=tuple(header[3:]), time_unit=time_unit)
+    ids = [row[0].strip() for row in rows]
+    n_subjects = len(set(ids))
     baseline, tv = [], []
-    for name in cov_cols:
-        per_subject = values.get(name, {})
-        constant = all(len(v) == 1 and "" not in v for v in per_subject.values())
+    for j, name in enumerate(header[5:], start=5):
+        values = [row[j].strip() for row in rows]
+        constant = "" not in values and len(set(zip(ids, values))) == n_subjects
         (baseline if constant else tv).append(name)
     return CovariateSchema(baseline=tuple(baseline), time_varying=tuple(tv),
                            time_unit=time_unit)

@@ -20,6 +20,7 @@ exponentiated cumulative hazard.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -78,8 +79,8 @@ class StrategySpec:
         elif self.hypothetical_method is not None:
             raise DataError("hypothetical_method only applies to the "
                             "hypothetical strategy")
-        if self.t_hor <= 0:
-            raise DataError("t_hor must be positive")
+        if not (math.isfinite(self.t_hor) and self.t_hor > 0):
+            raise DataError(f"t_hor must be positive and finite, got {self.t_hor}")
 
     @property
     def label(self) -> str:
@@ -107,11 +108,7 @@ def _require_continued_follow_up(ds, what):
 
 
 def _check_positivity(ds, t_hor):
-    last_untreated = 0.0
-    for sub in ds.subjects:
-        t = sub.treatment_time
-        last_untreated = max(last_untreated,
-                             t if t is not None else sub.follow_up_end)
+    last_untreated = float(ds.tstop[~ds.treated].max(initial=0.0))
     if last_untreated < t_hor:
         warnings.warn(
             f"no untreated person-time at risk beyond t={last_untreated:g}; "

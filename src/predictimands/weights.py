@@ -44,24 +44,6 @@ class WeightTable:
     diagnostics: dict = field(default_factory=dict)
     truncation: tuple | None = None
 
-    def __post_init__(self):
-        index = {}
-        for row in self.rows:
-            index.setdefault(row.subject_id, []).append(row)
-        compiled = {}
-        for sid, rws in index.items():
-            rws.sort(key=lambda r: r.tstop)
-            compiled[sid] = (np.asarray([r.tstop for r in rws]),
-                            np.asarray([r.weight for r in rws]))
-        object.__setattr__(self, "_index", compiled)
-
-    def lookup(self, subject_id: str, t: float) -> float:
-        """Weight of the subject's episode containing t (tstart < t <= tstop);
-        beyond follow-up the last weight carries forward."""
-        stops, wvals = self._index[subject_id]
-        idx = min(int(np.searchsorted(stops, t, side="left")), stops.size - 1)
-        return float(wvals[idx])
-
     @property
     def values(self) -> np.ndarray:
         return np.asarray([r.weight for r in self.rows])
@@ -122,17 +104,14 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
     if not set(numerator.covariates) <= set(denominator.covariates):
         raise DataError("numerator covariates must be a subset of the "
                         "denominator covariates")
+    if truncation is not None and not (
+            len(truncation) == 2 and 0 <= truncation[0] < truncation[1] <= 100):
+        raise DataError(f"truncation must be two percentiles 0 <= lo < hi <= "
+                        f"100, got {tuple(truncation)}")
     target = split_at_treatment(ds) if mode == WeightMode.IPCW else ds
-    schema = target.schema
-    episodes = list(target.iter_episodes())
-    n = len(episodes)
-    start = np.fromiter((ep.tstart for _, ep in episodes), float, n)
-    stop = np.fromiter((ep.tstop for _, ep in episodes), float, n)
-    columns = {name: np.fromiter(
-        (cox._covariate_value(sub, ep, name, schema) for sub, ep in episodes),
-        float, n) for name in denominator.covariates}
-    sizes = [len(sub.episodes) for sub in target.subjects]
-    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    start, stop, n = target.tstart, target.tstop, target.n_rows
+    columns = {name: target.covariate(name) for name in denominator.covariates}
+    first = target.offsets[target.row_subject]
 
     s_num = _survival_at_episode_ends(numerator, start, stop, columns, first)
     s_den = _survival_at_episode_ends(denominator, start, stop, columns, first)
@@ -140,26 +119,23 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
     # IPTW rows after a treatment start copy its weight and go unchecked
     source = index
     if mode == WeightMode.IPTW:
-        starts = np.fromiter((ep.status == Status.TREATMENT_START
-                              for _, ep in episodes), bool, n)
+        starts = target.status == Status.TREATMENT_START
         latest = np.maximum.accumulate(np.where(starts, index, -1))
         source = np.where(latest >= first, latest, index)
     checked = source == index
     bad = np.flatnonzero(checked & (s_den <= 0.0))
     if bad.size:
-        sub, ep = episodes[bad[0]]
         raise NonPositiveProbability(
-            f"subject {sub.subject_id}: staying-untreated "
-            f"probability underflowed at t={ep.tstop}")
+            f"subject {target.ids[target.row_subject[bad[0]]]}: staying-untreated "
+            f"probability underflowed at t={float(stop[bad[0]])}")
     values = np.divide(s_num, s_den, out=np.zeros(n), where=checked)[source]
 
     bounds = None
     if truncation is not None:
-        lo, hi = truncation
-        bounds = tuple(np.percentile(values, [lo, hi]))
+        bounds = tuple(np.percentile(values, truncation))
         values = np.clip(values, *bounds)
-    rows = tuple(WeightRow(sub.subject_id, ep.tstart, ep.tstop, w)
-                 for (sub, ep), w in zip(episodes, values.tolist()))
+    sids = [target.ids[s] for s in target.row_subject.tolist()]
+    rows = tuple(map(WeightRow, sids, start.tolist(), stop.tolist(), values.tolist()))
     diagnostics = _diagnostics(start, stop, values, denominator)
     return WeightTable(rows, mode, diagnostics, bounds)
 

@@ -69,16 +69,12 @@ def test_criterion_1_cox_correctness(d1, d2):
         assert time.perf_counter() - start < 1.0
 
 
-class _RandomWeights:
-    def __init__(self, rng):
-        self.rng = rng
-        self.cache = {}
-
-    def lookup(self, sid, t):
-        key = (sid, round(t, 9))
-        if key not in self.cache:
-            self.cache[key] = float(self.rng.uniform(0.5, 2.0))
-        return self.cache[key]
+def _random_weights(ds, rng):
+    """One uniform(0.5, 2) weight per row, drawn in row order."""
+    return weights.WeightTable(tuple(
+        weights.WeightRow(sub.subject_id, ep.tstart, ep.tstop,
+                          float(rng.uniform(0.5, 2.0)))
+        for sub in ds.subjects for ep in sub.episodes), weights.WeightMode.IPCW)
 
 
 def test_criterion_2_gradient_and_curvature():
@@ -92,7 +88,8 @@ def test_criterion_2_gradient_and_curvature():
                                 with_ties=bool(k % 3 == 0),
                                 multi_episode=bool(k % 2))
             ties = "efron" if k % 2 else "breslow"
-            wt = _RandomWeights(np.random.default_rng(k)) if k % 4 == 0 else None
+            wt = (_random_weights(ds, np.random.default_rng(k)) if k % 4 == 0
+                  else None)
             spec = cox.CoxSpec(covariates=("x0", "x1"), ties=ties, weights=wt)
             beta = rng.normal(size=2) * 0.6
             an_score = cox.score(ds, spec, beta)

@@ -60,6 +60,33 @@ class TestUsageErrors:
                     "--out", str(tmp_path / "p")])
         assert code == 3
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--tv-cuts", "3,abc"], "cannot parse '3,abc'"),
+        (["--truncate-weights", "abc"], "cannot parse 'abc'"),
+        (["--truncate-weights", "1"], "two percentiles"),
+        (["--truncate-weights", "99,1"], "0 <= lo < hi <= 100"),
+        (["--horizon", "nan"], "positive and finite"),
+    ])
+    def test_malformed_values_exit_3(self, s2_data, tmp_path, capsys, extra, message):
+        capsys.readouterr()
+        code = run(["fit", "--data", str(s2_data), "--strategy", "hypothetical",
+                    "--method", "model-iptw", "--weight-covariates", "z",
+                    "--out", str(tmp_path / "o")] + extra)
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "DataError"
+        assert message in err["message"]
+
+    def test_predict_nan_horizon_exits_3(self, d4_csv, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(d4_csv), "--strategy", "composite",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = run(["predict", "--run", str(out), "--horizon", "nan",
+                    "--out", str(tmp_path / "p")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "DataError"
+        assert not (tmp_path / "p" / "curve.csv").exists()
 
     def test_broken_curve_exits_4(self, tmp_path, d4_csv, capsys):
         out = tmp_path / "fit"

@@ -102,8 +102,8 @@ def _first_times(ds):
     for sub in ds.subjects:
         last = sub.episodes[-1]
         event.append(last.tstop if last.status == Status.EVENT else np.inf)
-        t = sub.treatment_time
-        treat.append(np.inf if t is None else t)
+        treat.append(min((ep.tstop for ep in sub.episodes
+                          if ep.status == Status.TREATMENT_START), default=np.inf))
     return np.asarray(event), np.asarray(treat)
 
 

@@ -14,7 +14,7 @@ from predictimands.data import (
     Status,
     SubjectRecord,
 )
-from predictimands.errors import MonotoneLikelihood, NoEvents, ProfileIncomplete
+from predictimands.errors import DataError, MonotoneLikelihood, NoEvents, ProfileIncomplete
 from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
 from predictimands.weights import WeightMode, WeightRow, WeightTable
@@ -55,18 +55,22 @@ def naive_risk_sets(ds, spec, beta):
     """Independent slow scan: for every event time, the (linear predictor,
     weight) of each episode at risk and of each episode dying there.
 
-    Weights come from ``spec.weights.lookup`` at the episode's stop; a
-    treated episode's step-function coefficient is the one whose segment
-    holds the event time.
+    Weights come from the weight table's row for each episode; a treated
+    episode's step-function coefficient is the one whose segment holds the
+    event time.
     """
     beta = np.asarray(beta, float)
     cuts = spec.treatment.tv_cuts if spec.treatment else ()
+    episodes = [(sub, ep) for sub in ds.subjects for ep in sub.episodes]
+    weight_rows = (spec.weights.rows if spec.weights is not None
+                   else [WeightRow(sub.subject_id, ep.tstart, ep.tstop, 1.0)
+                         for sub, ep in episodes])
     rows = []
-    for sub, ep in ds.iter_episodes():
+    for (sub, ep), wrow in zip(episodes, weight_rows, strict=True):
+        assert (wrow.subject_id, wrow.tstop) == (sub.subject_id, ep.tstop)
         x = [sub.baseline[c] if c in ds.schema.baseline else ep.tv[c]
              for c in spec.covariates]
-        w = (1.0 if spec.weights is None
-             else spec.weights.lookup(sub.subject_id, ep.tstop))
+        w = wrow.weight
         rows.append((ep.tstart, ep.tstop, ep.status == spec.event_code, x,
                      spec.treatment is not None and ep.treated, w))
 
@@ -232,12 +236,13 @@ def zero_weights():
     more than 0 and keeps every risk set positive."""
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, n_max=30, with_ties=True, multi_episode=True)
-    longest = max(ds.subjects, key=lambda sub: sub.follow_up_end).subject_id
+    longest = max(ds.subjects, key=lambda sub: sub.episodes[-1].tstop).subject_id
     rows = []
-    for sub, ep in ds.iter_episodes():
+    for sub in ds.subjects:
         zero = int(sub.subject_id) % 3 == 0 and sub.subject_id != longest
-        rows.append(WeightRow(sub.subject_id, ep.tstart, ep.tstop,
-                              0.0 if zero else float(rng.uniform(0.5, 2.0))))
+        rows += [WeightRow(sub.subject_id, ep.tstart, ep.tstop,
+                           0.0 if zero else float(rng.uniform(0.5, 2.0)))
+                 for ep in sub.episodes]
     table = WeightTable(tuple(rows), WeightMode.IPCW)
     assert 0.0 in table.values
     return ds, {"covariates": ("x0", "x1"), "weights": table}
@@ -380,16 +385,26 @@ class TestFitBehavior:
             cox.fit(ds, cox.CoxSpec())
 
     def test_unit_weights_equal_unweighted_exactly(self, d1):
-        class Ones:
-            def lookup(self, sid, t):
-                return 1.0
-
+        ones = WeightTable(tuple(WeightRow(sub.subject_id, ep.tstart, ep.tstop, 1.0)
+                                 for sub in d1.subjects for ep in sub.episodes),
+                           WeightMode.IPCW)
         plain = cox.fit(d1, cox.CoxSpec(covariates=("x",)))
-        weighted = cox.fit(d1, cox.CoxSpec(covariates=("x",), weights=Ones()))
+        weighted = cox.fit(d1, cox.CoxSpec(covariates=("x",), weights=ones))
         assert weighted.beta[0] == plain.beta[0]
         assert weighted.loglik == plain.loglik
         np.testing.assert_array_equal(weighted.baseline_increments,
                                       plain.baseline_increments)
+
+    def test_weight_table_must_match_the_rows(self, d1, d3):
+        rows = [WeightRow(sub.subject_id, ep.tstart, ep.tstop, 1.0)
+                for sub in d1.subjects for ep in sub.episodes]
+        for table in (rows[:-1], rows[1:] + rows[:1]):
+            spec = cox.CoxSpec(covariates=("x",),
+                               weights=WeightTable(tuple(table), WeightMode.IPCW))
+            with pytest.raises(DataError, match="do not match"):
+                cox.fit(d1, spec)
+        with pytest.raises(DataError, match="3 rows"):
+            cox.fit(d3, cox.CoxSpec(weights=WeightTable(tuple(rows), WeightMode.IPCW)))
 
     def test_covariate_shift_invariance(self, d1):
         spec = cox.CoxSpec(covariates=("x",))
@@ -470,9 +485,9 @@ class TestTreatmentTerm:
 
         def naive_with_segments(beta):
             rows = []
-            for sub, ep in ds.iter_episodes():
-                rows.append((ep.tstart, ep.tstop,
-                             ep.status == Status.EVENT, ep.treated))
+            for sub in ds.subjects:
+                rows += [(ep.tstart, ep.tstop, ep.status == Status.EVENT, ep.treated)
+                         for ep in sub.episodes]
             times = sorted({stop for _, stop, ev, _ in rows if ev})
             ll = 0.0
             for t in times:

@@ -1,8 +1,12 @@
+import statistics
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predictimands import scenarios, simulate
+from predictimands import competing, scenarios, simulate
 from predictimands.data import (
     CountingProcessDataset,
     CovariateSchema,
@@ -22,6 +26,7 @@ from predictimands.errors import (
     DataError,
     MalformedRow,
     NegativeTime,
+    NoEvents,
     NoObservationsAnywhere,
     NonContiguousEpisodes,
     UnknownCovariate,
@@ -71,6 +76,31 @@ class TestIngest:
                      "id,tstart,tstop,status,treated\n1,0,3,2,0\n1,0,3,1,0\n")
         with pytest.raises(MalformedRow, match="tied"):
             ingest_csv(path, CovariateSchema())
+
+    def test_baseline_varying_across_rows_rejected(self, tmp_path):
+        path = write(tmp_path, "id,tstart,tstop,status,treated,age\n"
+                               "1,0,2,0,0,50\n1,2,5,1,0,51\n")
+        with pytest.raises(MalformedRow, match="vary across rows") as err:
+            ingest_csv(path, CovariateSchema(baseline=("age",)))
+        assert err.value.line == 3
+
+    def test_first_failing_line_is_reported(self, tmp_path):
+        # a bad status on line 3 comes before the short row on line 4
+        path = write(tmp_path, "id,tstart,tstop,status,treated\n"
+                               "1,0,2,0,0\n2,0,5,7,0\n3,0\n")
+        with pytest.raises(MalformedRow, match="status") as err:
+            ingest_csv(path, CovariateSchema())
+        assert err.value.line == 3
+
+    def test_subject_checks_run_in_subject_order(self, tmp_path):
+        # subject 1 appears first, so its varying baseline on line 5 is
+        # reported before subject 2's tie on line 4
+        path = write(tmp_path, "id,tstart,tstop,status,treated,age\n"
+                               "1,0,2,0,0,50\n2,0,3,2,0,60\n2,0,3,1,0,60\n"
+                               "1,2,5,1,0,51\n")
+        with pytest.raises(MalformedRow, match="vary across rows") as err:
+            ingest_csv(path, CovariateSchema(baseline=("age",)))
+        assert err.value.line == 5
 
     def test_d1_round_trip_against_hand_built(self, tmp_path, d1):
         text = ("id,tstart,tstop,status,treated,x\n"
@@ -167,7 +197,7 @@ class TestTransforms:
         ds = simulate.simulate(spec, 200, seed=7)
         trajs = simulate.simulate_trajectories(spec, 200, seed=7)
         out = split_at_treatment(ds)
-        assert not any(ep.treated for _, ep in out.iter_episodes())
+        assert not out.treated.any()
         expected = sum(min(tr.latent_death, tr.treat_time, tr.censor_time)
                        for tr in trajs)
         assert out.person_time() == pytest.approx(expected, rel=1e-12)
@@ -187,7 +217,7 @@ class TestTransforms:
 
     def test_compose_d4_event_count(self, d4):
         out = compose_outcome(d4)
-        events = sum(ep.status == Status.EVENT for _, ep in out.iter_episodes())
+        events = sum(ep.status == Status.EVENT for sub in out.subjects for ep in sub.episodes)
         assert events == 3
 
     def test_split_then_compose_equals_compose(self):
@@ -278,3 +308,257 @@ class TestRoundTrip:
         inferred = infer_schema(path)
         assert inferred.time_varying == ("z",)
         assert inferred.baseline == ()
+
+
+# ---------------------------------------------------------------------------
+# record-by-record references for the columnar validation and transforms
+
+
+def reference_validate(subjects, schema, design):
+    """Validate records subject by subject, episode by episode."""
+    seen = set()
+    for sub in subjects:
+        sid = sub.subject_id
+        if sid in seen:
+            raise DataError(f"duplicate subject id {sid!r}")
+        seen.add(sid)
+        if not sub.episodes:
+            raise DataError(f"subject {sid}: no episodes")
+        if sub.episodes[0].tstart != 0.0:
+            raise DataError(f"subject {sid}: first episode must start at time 0")
+        seen_treatment = False
+        for k, ep in enumerate(sub.episodes):
+            if ep.tstart < 0 or ep.tstop < 0:
+                raise NegativeTime(f"subject {sid}: negative time in episode {k}")
+            if not ep.tstart < ep.tstop:
+                raise DataError(f"subject {sid}: episode {k} has tstart >= tstop")
+            if k > 0 and ep.tstart != sub.episodes[k - 1].tstop:
+                raise NonContiguousEpisodes(
+                    f"subject {sid}: episode starting at {ep.tstart} does not "
+                    f"continue from {sub.episodes[k - 1].tstop}")
+            if ep.status == Status.EVENT and k != len(sub.episodes) - 1:
+                raise DataError(f"subject {sid}: event before the final episode")
+            if ep.status == Status.TREATMENT_START:
+                if seen_treatment:
+                    raise DataError(f"subject {sid}: more than one treatment start")
+                if ep.treated:
+                    raise DataError(f"subject {sid}: episode ending at treatment "
+                                    "start must be untreated")
+                seen_treatment = True
+            elif seen_treatment and not ep.treated:
+                raise DataError(
+                    f"subject {sid}: untreated episode after treatment start "
+                    "(treatment indicator must stay on once treatment began)")
+            if ep.treated and not seen_treatment:
+                raise DataError(
+                    f"subject {sid}: treated episode without a prior treatment start")
+            unknown = set(ep.tv) - set(schema.time_varying)
+            if unknown:
+                raise UnknownCovariate(
+                    f"subject {sid}: episode covariates {sorted(unknown)} not in schema")
+        missing = set(schema.baseline) - set(sub.baseline)
+        if missing:
+            raise DataError(f"subject {sid}: missing baseline covariates {sorted(missing)}")
+        unknown = set(sub.baseline) - set(schema.baseline)
+        if unknown:
+            raise UnknownCovariate(
+                f"subject {sid}: baseline covariates {sorted(unknown)} not in schema")
+        if design == DesignFlavor.STOPS_AT_TREATMENT and any(ep.treated for ep in sub.episodes):
+            raise DataError(f"subject {sid}: treated person-time in a "
+                            "stops-at-treatment design")
+
+
+def reference_split(subjects, design):
+    if design == DesignFlavor.STOPS_AT_TREATMENT:
+        return tuple(subjects)
+    out = []
+    for sub in subjects:
+        episodes = []
+        for ep in sub.episodes:
+            episodes.append(ep)
+            if ep.status == Status.TREATMENT_START:
+                break
+        out.append(replace(sub, episodes=tuple(episodes)))
+    return tuple(out)
+
+
+def reference_compose(subjects):
+    out = []
+    for sub in subjects:
+        episodes = []
+        for ep in sub.episodes:
+            if ep.status == Status.TREATMENT_START:
+                episodes.append(replace(ep, status=Status.EVENT))
+                break
+            episodes.append(ep)
+            if ep.status == Status.EVENT:
+                break
+        out.append(replace(sub, episodes=tuple(episodes)))
+    return tuple(out)
+
+
+def reference_impute(subjects, schema, policy):
+    tv_names = schema.time_varying
+    first_obs = {name: [] for name in tv_names}
+    for sub in subjects:
+        for name in tv_names:
+            for ep in sub.episodes:
+                if ep.tv.get(name) is not None:
+                    first_obs[name].append(ep.tv[name])
+                    break
+    medians = {name: statistics.median(v) for name, v in first_obs.items() if v}
+    out = []
+    for sub in subjects:
+        filled = {name: [ep.tv.get(name) for ep in sub.episodes] for name in tv_names}
+        for name in tv_names:
+            values = filled[name]
+            if all(v is None for v in values):
+                if name not in medians:
+                    raise NoObservationsAnywhere(
+                        f"covariate {name!r} has no observed value for any subject")
+                if policy == ImputePolicy.LOCF:
+                    raise DataError(f"subject {sub.subject_id}: no observations of "
+                                    f"{name!r} (use the median-fallback policy)")
+                filled[name] = [medians[name]] * len(values)
+                continue
+            last = next(v for v in values if v is not None)
+            for k, v in enumerate(values):
+                values[k] = last = last if v is None else v
+        out.append(replace(sub, episodes=tuple(
+            replace(ep, tv={name: filled[name][k] for name in tv_names})
+            for k, ep in enumerate(sub.episodes))))
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    """The call's result, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+RECORD_SCHEMA = CovariateSchema(baseline=("x",), time_varying=("z",))
+
+
+@st.composite
+def record_datasets(draw):
+    """1-8 valid subjects of 1-5 episodes on a half-unit grid, in either
+    design, with at most one treatment start and gaps in the covariate z."""
+    design = draw(st.sampled_from(list(DesignFlavor)))
+    subjects = []
+    for i in range(draw(st.integers(1, 8))):
+        ends = sorted(draw(st.sets(st.integers(1, 20), min_size=1, max_size=5)))
+        bounds = [0.0] + [e / 2 for e in ends]
+        k = len(ends)
+        start = draw(st.sampled_from([None, *range(k)]))
+        if design == DesignFlavor.STOPS_AT_TREATMENT and start is not None:
+            k = start + 1
+        final = draw(st.sampled_from([Status.EVENT, Status.CENSORED]))
+        episodes = tuple(
+            Episode(bounds[j], bounds[j + 1],
+                    Status.TREATMENT_START if j == start
+                    else final if j == k - 1 else Status.CENSORED,
+                    treated=start is not None and j > start,
+                    tv={"z": draw(st.sampled_from([None, -1.0, 0.5, 2.0]))})
+            for j in range(k))
+        subjects.append(SubjectRecord(str(i + 1), episodes,
+                                      {"x": draw(st.sampled_from([0.0, 1.0]))}))
+    return tuple(subjects), design
+
+
+def check_against_references(subjects, design):
+    ds = CountingProcessDataset(subjects, RECORD_SCHEMA, design)
+    assert ds.subjects == subjects
+    split = split_at_treatment(ds)
+    assert split.subjects == reference_split(subjects, design)
+    assert split.design == DesignFlavor.STOPS_AT_TREATMENT
+    assert compose_outcome(ds).subjects == reference_compose(subjects)
+    for policy in ImputePolicy:
+        got = outcome(impute_tv_covariates, ds, policy)
+        want = outcome(reference_impute, subjects, RECORD_SCHEMA, policy)
+        assert (got.subjects if isinstance(got, CountingProcessDataset) else got) == want
+    treated_time = sum(ep.tstop - ep.tstart for sub in subjects for ep in sub.episodes
+                       if ep.treated)
+    assert split.person_time() + treated_time == pytest.approx(ds.person_time(), rel=1e-12)
+    try:
+        pair = competing.fit_cause_specific_pair(ds)
+    except NoEvents:
+        return
+    _, f_ev, f_tr, surv = competing.aalen_johansen(pair)
+    assert np.abs(f_ev + f_tr + surv - 1.0).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:hazard increment exceeds:RuntimeWarning")
+class TestColumnarAgainstRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(data=record_datasets())
+    def test_transforms_match_record_references(self, data):
+        check_against_references(*data)
+
+    @pytest.mark.parametrize("case", [
+        "single-subject", "no-treatment-starts", "start-on-last-row", "all-missing-tv"])
+    @pytest.mark.parametrize("design", list(DesignFlavor))
+    def test_adversarial(self, case, design):
+        def sub(sid, statuses, treated=(), z=(1.0, None, 2.0, None)):
+            return SubjectRecord(sid, tuple(
+                Episode(float(j), float(j + 1), s, j in treated, {"z": z[j % len(z)]})
+                for j, s in enumerate(statuses)), {"x": float(sid == "2")})
+
+        C, E, T = Status.CENSORED, Status.EVENT, Status.TREATMENT_START
+        subjects = {
+            "single-subject": (sub("1", (C, T, E), treated={2}),),
+            "no-treatment-starts": (sub("1", (C, E)), sub("2", (C, C, C)), sub("3", (E,))),
+            "start-on-last-row": (sub("1", (C, C, T)), sub("2", (T,)), sub("3", (C, E))),
+            "all-missing-tv": (sub("1", (C, E), z=(None,)), sub("2", (T,), z=(None,))),
+        }[case]
+        if design == DesignFlavor.STOPS_AT_TREATMENT:
+            subjects = reference_split(subjects, DesignFlavor.CONTINUES_AFTER_TREATMENT)
+        check_against_references(subjects, design)
+
+    @pytest.mark.parametrize("rows", [
+        # (tstart, tstop, status, treated, tv) per episode; each case breaks
+        # two checks at once, so the order of the checks decides the error
+        [(0, 1, 2, False, {}), (1, 2, 2, True, {})],
+        [(0, 1, 2, False, {}), (1, 2, 1, False, {}), (2, 3, 0, True, {})],
+        [(0, 1, 0, True, {"w": 1.0}), (1, 2, 1, False, {})],
+        [(0, -1, 1, False, {"w": 1.0})],
+        [(0, 1, 2, True, {}), (2, 3, 1, True, {})],
+        [(0.5, 1, 1, False, {})],
+        [],
+    ])
+    @pytest.mark.parametrize("design", list(DesignFlavor))
+    def test_validation_order_on_double_faults(self, rows, design):
+        subjects = (SubjectRecord("1", (Episode(0.0, 1.0, Status.CENSORED),), {"x": 1.0}),
+                    SubjectRecord("2", tuple(Episode(*row) for row in rows), {}))
+        got = outcome(CountingProcessDataset, subjects, RECORD_SCHEMA, design)
+        want = outcome(reference_validate, subjects, RECORD_SCHEMA, design)
+        assert want is not None
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_validation_matches_record_reference(self, data):
+        """Arbitrary, mostly invalid records raise what the record-by-record
+        validation raises, naming the same subject and episode."""
+        times = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+        def episodes():
+            # mostly contiguous from 0, so the treatment checks are reached
+            bounds = [0.0] + sorted(data.draw(st.lists(times, min_size=0, max_size=4)))
+            if data.draw(st.integers(0, 3)) == 0:
+                bounds[data.draw(st.integers(0, len(bounds) - 1))] = data.draw(times)
+            return tuple(
+                Episode(a, b, data.draw(st.sampled_from(list(Status))),
+                        data.draw(st.booleans()),
+                        data.draw(st.sampled_from([{}, {"z": 1.0}, {"w": 1.0}])))
+                for a, b in zip(bounds[:-1], bounds[1:]))
+
+        subjects = tuple(
+            SubjectRecord(data.draw(st.sampled_from(["1", "2", "3", "4"])), episodes(),
+                          data.draw(st.sampled_from([{"x": 1.0}, {}, {"x": 0.0, "y": 1.0}])))
+            for _ in range(data.draw(st.integers(1, 4))))
+        design = data.draw(st.sampled_from(list(DesignFlavor)))
+        got = outcome(CountingProcessDataset, subjects, RECORD_SCHEMA, design)
+        want = outcome(reference_validate, subjects, RECORD_SCHEMA, design)
+        assert (None if isinstance(got, CountingProcessDataset) else got) == want

@@ -49,7 +49,7 @@ class TestTrajectoryLaw:
     def test_no_treatment_intensity_means_no_starts(self):
         ds = simulate.simulate(no_treatment_spec(), 300, seed=3)
         assert not ds.has_treatment_starts
-        assert not any(ep.treated for _, ep in ds.iter_episodes())
+        assert not ds.treated.any()
 
     def test_counterfactual_consistency(self):
         trajs = simulate_trajectories(no_treatment_spec(), 300, seed=3)
@@ -88,13 +88,13 @@ class TestTrajectoryLaw:
         ds = simulate.simulate(spec, 300, seed=8)
         trajs = simulate_trajectories(spec, 300, seed=8)
         assert ds.design.value == "stops"
-        assert not any(ep.treated for _, ep in ds.iter_episodes())
+        assert not ds.treated.any()
         assert ds.has_treatment_starts
         for sub, tr in zip(ds.subjects, trajs):
-            assert sub.follow_up_end == pytest.approx(
-                min(tr.latent_death, tr.treat_time, tr.censor_time))
+            end = sub.episodes[-1].tstop
+            assert end == pytest.approx(min(tr.latent_death, tr.treat_time, tr.censor_time))
             if sub.episodes[-1].status == Status.TREATMENT_START:
-                assert tr.treat_time == pytest.approx(sub.follow_up_end)
+                assert tr.treat_time == pytest.approx(end)
 
     def test_transition_rates_match_spec(self):
         # occurrence / exposure estimates with 3-sigma Poisson bounds
