@@ -38,6 +38,10 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+class UsageError(Exception):
+    """An option value that argparse cannot check is invalid (exit 2)."""
+
+
 def _csv_list(raw: str | None) -> tuple:
     if not raw:
         return ()
@@ -270,11 +274,17 @@ def cmd_simulate(args) -> int:
 
 def _parse_strategy_tokens(raw: str, args, horizon: float) -> list:
     specs = []
+    strategies = [s.value for s in Strategy]
+    methods = [m.value for m in HypotheticalMethod]
     for token in _csv_list(raw):
-        if ":" in token:
-            name, method = token.split(":", 1)
-        else:
-            name, method = token, "censor"
+        name, colon, method = (part.strip() for part in token.partition(":"))
+        method = method if colon else "censor"
+        if name not in strategies:
+            raise UsageError(f"unknown strategy {name!r} in --strategies; "
+                             f"choose from {strategies}")
+        if method not in methods:
+            raise UsageError(f"unknown method {method!r} in --strategies "
+                             f"token {token!r}; choose from {methods}")
         ns = argparse.Namespace(strategy=name, method=method,
                                 covariates=args.covariates,
                                 tie=args.tie, tv_cuts=args.tv_cuts,
@@ -459,7 +469,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, UsageError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_USAGE
     except DataError as exc:

@@ -7,15 +7,16 @@ are sampled by inverting the piecewise-constant cumulative hazards, so the
 untreated event time exists for every subject and equals the factual event
 time whenever the treatment intensity is zero.
 
-Randomness: subject i uses the i-th spawn of SeedSequence(seed), so output
-depends only on (spec, n, seed) and never on worker scheduling.
+Randomness: subject i draws from its own generator on the i-th spawn of
+SeedSequence(seed), so output depends only on (spec, n, seed). One short
+loop draws each subject's numbers; the covariate paths, the intensities and
+the inversion of the cumulative hazards are array passes over all subjects.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +25,25 @@ from .data import (
     CountingProcessDataset,
     CovariateSchema,
     DesignFlavor,
-    Episode,
     Status,
-    SubjectRecord,
+    _validate,
 )
 from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
+#: subjects per block of the Monte Carlo truth
+TRUTH_BLOCK = 20_000
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a finite float, else a ScenarioError naming ``where``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -64,7 +77,14 @@ class Dist:
         missing = [k for k in required[kind] if k not in d]
         if missing:
             raise ScenarioError(f"{where}: distribution {kind!r} missing {missing}")
-        return cls(kind, {k: float(d[k]) for k in required[kind]})
+        p = {k: _number(d[k], f"{where}.{k}") for k in required[kind]}
+        if kind == "normal" and p["sd"] < 0:
+            raise ScenarioError(f"{where}: sd must be >= 0, got {p['sd']}")
+        if kind == "uniform" and p["low"] > p["high"]:
+            raise ScenarioError(f"{where}: low {p['low']} must not exceed high {p['high']}")
+        if kind == "bernoulli" and not 0.0 <= p["p"] <= 1.0:
+            raise ScenarioError(f"{where}: p must lie in [0, 1], got {p['p']}")
+        return cls(kind, p)
 
     def to_dict(self) -> dict:
         return {"dist": self.kind, **self.params}
@@ -80,20 +100,16 @@ class TVProcess:
     sd: float = 0.0
     drift: float = 0.0
 
-    def path(self, rng, n_points: int) -> np.ndarray:
-        z = np.empty(n_points)
-        z[0] = self.init.draw(rng)
-        for j in range(1, n_points):
-            z[j] = self.drift + self.rho * z[j - 1] + self.sd * rng.normal()
-        return z
-
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "TVProcess":
         if not isinstance(d, dict) or "init" not in d:
             raise ScenarioError(f"{where}: expected an object with an 'init' distribution")
+        rho, sd, drift = (_number(d.get(k, default), f"{where}.{k}")
+                          for k, default in (("rho", 1.0), ("sd", 0.0), ("drift", 0.0)))
+        if sd < 0:
+            raise ScenarioError(f"{where}: sd must be >= 0, got {sd}")
         return cls(init=Dist.from_dict(d["init"], f"{where}.init"),
-                   rho=float(d.get("rho", 1.0)), sd=float(d.get("sd", 0.0)),
-                   drift=float(d.get("drift", 0.0)))
+                   rho=rho, sd=sd, drift=drift)
 
     def to_dict(self) -> dict:
         return {"init": self.init.to_dict(), "rho": self.rho, "sd": self.sd,
@@ -117,6 +133,8 @@ class LogLinearIntensity:
             raise InvalidIntensity("log hazard ratios must be finite")
         cuts = tuple(float(c) for c in self.tst_cuts)
         coefs = tuple(float(c) for c in self.tst_log_hr)
+        if any(not math.isfinite(c) for c in cuts + coefs):
+            raise InvalidIntensity("tst_cuts and tst_log_hr must be finite")
         if cuts and list(cuts) != sorted(set(cuts)):
             raise InvalidIntensity("tst_cuts must be strictly increasing")
         if cuts and len(coefs) != len(cuts) + 1:
@@ -177,12 +195,13 @@ class IntensitySpec:
         object.__setattr__(self, "design", DesignFlavor(self.design))
         if not (self.admin_censor > 0 and math.isfinite(self.admin_censor)):
             raise ScenarioError("admin_censor must be positive and finite")
-        if self.dropout_rate < 0:
-            raise ScenarioError("dropout_rate must be >= 0")
+        if not (math.isfinite(self.dropout_rate) and self.dropout_rate >= 0):
+            raise ScenarioError("dropout_rate must be finite and >= 0")
         if self.tv_covariates and not self.grid_step:
             raise ScenarioError("grid_step is required with time-varying covariates")
-        if self.grid_step is not None and self.grid_step <= 0:
-            raise ScenarioError("grid_step must be positive")
+        if self.grid_step is not None and not (math.isfinite(self.grid_step)
+                                               and self.grid_step > 0):
+            raise ScenarioError("grid_step must be positive and finite")
         known = set(self.baseline_covariates) | set(self.tv_covariates)
         for which in ("treatment", "death_untreated", "death_treated"):
             unknown = getattr(self, which).covariate_names - known
@@ -233,9 +252,10 @@ class IntensitySpec:
             death_treated=LogLinearIntensity.from_dict(
                 d["death_treated"], "death_treated"),
             baseline_covariates=baseline, tv_covariates=tv,
-            admin_censor=float(d.get("admin_censor", 10.0)),
-            dropout_rate=float(d.get("dropout_rate", 0.0)),
-            grid_step=(float(d["grid_step"]) if d.get("grid_step") else None),
+            admin_censor=_number(d.get("admin_censor", 10.0), "admin_censor"),
+            dropout_rate=_number(d.get("dropout_rate", 0.0), "dropout_rate"),
+            grid_step=(_number(d["grid_step"], "grid_step")
+                       if d.get("grid_step") else None),
             design=design, name=str(d.get("name", "scenario")))
 
     def to_dict(self) -> dict:
@@ -254,147 +274,203 @@ class IntensitySpec:
         }
 
 
-@dataclass
-class Trajectory:
-    """One subject's latent and observed path."""
+@dataclass(eq=False)
+class Trajectories:
+    """Latent and factual clocks of n subjects, as columns.
+
+    ``x0`` maps each baseline covariate (and each overridden name) to its
+    (n,) values and ``tv`` each time-varying covariate to its (n, n_seg)
+    values on the grid segments. ``latent_death`` is the untreated event
+    time T0, the counterfactual target; ``treat_time`` is V, inf when never
+    treated; ``death_time`` is the factual event time, on the treated clock
+    when V < T0.
+    """
 
     x0: dict
-    tv_path: dict
-    censor_time: float
-    latent_death: float     # untreated event time T0, the counterfactual target
-    treat_time: float       # V, inf when never treated
-    death_time: float       # factual event time (post-treatment clock if treated)
-    observed_end: float
-    observed_status: Status
-    treatment_observed: bool
+    tv: dict
+    censor_time: np.ndarray
+    latent_death: np.ndarray
+    treat_time: np.ndarray
+    death_time: np.ndarray
+
+    def __len__(self) -> int:
+        return self.censor_time.size
 
 
-def _invert_piecewise(segments, target: float) -> float:
-    """First time the piecewise-constant cumulative hazard reaches target."""
-    acc = 0.0
-    for t0, t1, rate in segments:
-        cap = rate * (t1 - t0)
-        if cap > 0 and acc + cap >= target:
-            return t0 + (target - acc) / rate
-        acc += cap
-    return math.inf
+def _exp(lp):
+    """``math.exp`` of each entry, one column at a time: ``np.exp`` rounds
+    differently on some SIMD paths, which would change the drawn clocks."""
+    if np.ndim(lp) == 0:
+        return math.exp(lp)
+    out = np.empty(lp.shape)
+    for j in range(lp.shape[1]):
+        out[:, j] = np.fromiter(map(math.exp, lp[:, j].tolist()), float, lp.shape[0])
+    return out
 
 
-def _segments(spec: IntensitySpec, intensity, x0, tv_path, start=0.0,
-              treat_time=None):
-    """Hazard segments from `start` to the grid end; rates use the covariate
-    values in force and, for the treated clock, the time since treatment."""
-    grid = spec.grid
-    bounds = [start] + [g for g in grid if g > start]
-    if treat_time is not None and intensity.tst_cuts:
-        extra = [treat_time + c for c in intensity.tst_cuts
-                 if start < treat_time + c < bounds[-1]]
-        bounds = sorted(set(bounds) | set(extra))
-    segs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        j = int(np.searchsorted(grid, a, side="right")) - 1
-        x = dict(x0)
-        for name, path in tv_path.items():
-            x[name] = path[min(j, len(path) - 1)]
-        tst = a - treat_time if treat_time is not None else None
-        segs.append((a, b, intensity.rate(x, tst)))
-    return segs
+def _rates(intensity: LogLinearIntensity, values: dict, tst=None):
+    """``intensity.rate`` on arrays: ``values`` maps each covariate to an
+    array broadcastable to the segments, ``tst`` is the time since treatment
+    at each segment start."""
+    lp = 0.0
+    for name, coef in intensity.log_hr.items():
+        lp = lp + coef * values[name]
+    if intensity.tst_log_hr and tst is not None:
+        steps = np.searchsorted(intensity.tst_cuts, tst, side="right")
+        lp = lp + np.asarray(intensity.tst_log_hr)[steps]
+    return intensity.base * _exp(lp)
 
 
-def _simulate_one(spec: IntensitySpec, rng, x0_override=None) -> Trajectory:
-    x0 = {name: spec.baseline_covariates[name].draw(rng)
-          for name in sorted(spec.baseline_covariates)}
-    if x0_override:
-        x0.update(x0_override)
+def _invert(a, width, rate, target) -> np.ndarray:
+    """Per row, the first time the piecewise-constant cumulative hazard
+    reaches ``target``; segments start at ``a`` and have the given width and
+    rate. Segments of zero width are skipped; inf when the target is never
+    reached."""
+    shape = (target.size, np.shape(width)[-1])
+    a, width, rate = (np.broadcast_to(x, shape) for x in (a, width, rate))
+    cap = np.where(width > 0, rate * width, 0.0)
+    cum = np.cumsum(cap, axis=1)
+    hit = (cap > 0) & (cum >= target[:, None])
+    k = hit.argmax(axis=1)
+    rows = np.flatnonzero(hit[np.arange(target.size), k])
+    k = k[rows]
+    prev = np.where(k > 0, cum[rows, k - 1], 0.0)
+    out = np.full(target.size, np.inf)
+    out[rows] = a[rows, k] + (target[rows] - prev) / rate[rows, k]
+    return out
+
+
+def _draw(spec: IntensitySpec, n: int, root) -> tuple:
+    """The random numbers of n subjects. Subject i draws from its own
+    generator on the next spawn of ``root``: each baseline covariate in name
+    order; per time-varying covariate its initial value and n_seg - 1
+    innovations; the dropout clock; three unit exponentials for T0, V and
+    the treated clock (the last is unused when V >= T0)."""
+    baseline = [spec.baseline_covariates[k] for k in sorted(spec.baseline_covariates)]
+    processes = [spec.tv_covariates[k] for k in sorted(spec.tv_covariates)]
     n_seg = spec.grid.size - 1
-    tv_path = {name: spec.tv_covariates[name].path(rng, n_seg)
-               for name in sorted(spec.tv_covariates)}
-    censor = spec.admin_censor
-    if spec.dropout_rate > 0:
-        censor = min(censor, float(rng.exponential(1.0 / spec.dropout_rate)))
-
-    t0 = _invert_piecewise(
-        _segments(spec, spec.death_untreated, x0, tv_path), rng.exponential())
-    v = _invert_piecewise(
-        _segments(spec, spec.treatment, x0, tv_path), rng.exponential())
-    if v < t0:
-        death = _invert_piecewise(
-            _segments(spec, spec.death_treated, x0, tv_path, start=v,
-                      treat_time=v), rng.exponential())
-    else:
-        death = t0
-
-    if spec.design == DesignFlavor.STOPS_AT_TREATMENT:
-        end = min(t0, v, censor)
-        if end == t0:
-            status = Status.EVENT
-        elif end == v:
-            status = Status.TREATMENT_START
-        else:
-            status = Status.CENSORED
-        treat_obs = False
-    else:
-        end = min(death, censor)
-        status = Status.EVENT if death <= censor else Status.CENSORED
-        treat_obs = v < t0 and v < end
-
-    return Trajectory(x0=x0, tv_path=tv_path, censor_time=censor,
-                      latent_death=t0, treat_time=v, death_time=death,
-                      observed_end=end, observed_status=status,
-                      treatment_observed=treat_obs)
+    x0 = np.empty((len(baseline), n))
+    z0 = np.empty((len(processes), n))
+    noise = np.empty((len(processes), n, n_seg - 1))
+    dropout = np.full(n, np.inf)
+    clocks = np.empty((n, 3))
+    scale = 1.0 / spec.dropout_rate if spec.dropout_rate > 0 else None
+    for i in range(n):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        for k, dist in enumerate(baseline):
+            x0[k, i] = dist.draw(rng)
+        for k, process in enumerate(processes):
+            z0[k, i] = process.init.draw(rng)
+            rng.standard_normal(out=noise[k, i])
+        if scale is not None:
+            dropout[i] = rng.exponential(scale)
+        rng.standard_exponential(out=clocks[i])
+    return x0, z0, noise, dropout, clocks
 
 
-def _episodes(spec: IntensitySpec, traj: Trajectory) -> tuple:
-    grid = spec.grid
-    end = traj.observed_end
-    stops_at_v = (spec.design == DesignFlavor.STOPS_AT_TREATMENT
-                  and traj.observed_status == Status.TREATMENT_START)
-    v = traj.treat_time if (traj.treatment_observed or stops_at_v) else None
-    bounds = {float(g) for g in grid if 0.0 < g < end}
-    if v is not None and v < end:
-        bounds.add(v)
-    bounds = [0.0] + sorted(bounds) + [end]
-    episodes = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b == end:
-            status = traj.observed_status
-        elif v is not None and b == v:
-            status = Status.TREATMENT_START
-        else:
-            status = Status.CENSORED
-        j = int(np.searchsorted(grid, a, side="right")) - 1
-        tv = {name: float(path[min(j, len(path) - 1)])
-              for name, path in traj.tv_path.items()}
-        treated = v is not None and a >= v and not stops_at_v
-        episodes.append(Episode(a, b, status, treated, tv))
-    return tuple(episodes)
-
-
-def simulate_trajectories(spec: IntensitySpec, n: int, seed: int,
-                          x0_override=None, workers: int = 1) -> list:
+def simulate_trajectories(spec: IntensitySpec, n: int, seed,
+                          x0_override=None, workers: int = 1) -> Trajectories:
+    """Latent clocks of n subjects. Subject i draws from the i-th spawn of
+    ``SeedSequence(seed)``; a ``SeedSequence`` given as ``seed`` continues
+    from its next spawn, so consecutive calls extend one stream. Covariates
+    named in ``x0_override`` are fixed at the given values after the draws.
+    ``workers`` is accepted for compatibility and has no effect."""
     if n < 1:
         raise ScenarioError("n must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(n)
+    root = (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))
+    x0_draws, z0, noise, dropout, clocks = _draw(spec, n, root)
+    grid = spec.grid
+    n_seg = grid.size - 1
 
-    def one(child):
-        return _simulate_one(spec, np.random.default_rng(child), x0_override)
+    x0 = dict(zip(sorted(spec.baseline_covariates), x0_draws))
+    x0.update({name: np.full(n, float(value))
+               for name, value in (x0_override or {}).items()})
+    tv = {}
+    for k, name in enumerate(sorted(spec.tv_covariates)):
+        process, z = spec.tv_covariates[name], np.empty((n, n_seg))
+        z[:, 0] = z0[k]
+        for j in range(1, n_seg):
+            z[:, j] = (process.drift + process.rho * z[:, j - 1]
+                       + process.sd * noise[k, :, j - 1])
+        tv[name] = z
+    values = {name: col[:, None] for name, col in x0.items()}
+    values.update(tv)
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, children))
-    return [one(c) for c in children]
+    width = np.diff(grid)
+    t0 = _invert(grid[:-1], width, _rates(spec.death_untreated, values), clocks[:, 0])
+    v = _invert(grid[:-1], width, _rates(spec.treatment, values), clocks[:, 1])
+
+    # the treated clock starts at V, on segments cut at the grid points after
+    # V and at V + tst_cuts inside the grid; padding with the grid end gives
+    # zero-width segments, which the inversion skips
+    death = np.where(v < t0, np.inf, t0)
+    sel = np.flatnonzero((v < t0) & (v < grid[-1]))
+    if sel.size:
+        vs = v[sel, None]
+        after = np.where(grid[1:] > vs, grid[1:], grid[-1])
+        shifted = vs + np.asarray(spec.death_treated.tst_cuts, float)
+        shifted = np.where((vs < shifted) & (shifted < grid[-1]), shifted, grid[-1])
+        bounds = np.sort(np.concatenate([vs, after, shifted], axis=1), axis=1)
+        a = bounds[:, :-1]
+        j = np.minimum(np.searchsorted(grid, a, side="right") - 1, n_seg - 1)
+        treated = {name: col[sel, None] for name, col in x0.items()}
+        treated.update({name: np.take_along_axis(z[sel], j, axis=1)
+                        for name, z in tv.items()})
+        death[sel] = _invert(a, bounds[:, 1:] - a,
+                             _rates(spec.death_treated, treated, a - vs),
+                             clocks[sel, 2])
+
+    censor = np.minimum(spec.admin_censor, dropout)
+    return Trajectories(x0, tv, censor, t0, v, death)
 
 
 def simulate(spec: IntensitySpec, n: int, seed: int,
              workers: int = 1) -> CountingProcessDataset:
-    """Draw n subjects and emit them as a counting-process dataset."""
-    trajectories = simulate_trajectories(spec, n, seed, workers=workers)
+    """Draw n subjects and emit them as a counting-process dataset: rows end
+    at the grid points inside follow-up, at V when it is observed and at the
+    end of follow-up. ``workers`` has no effect."""
+    tr = simulate_trajectories(spec, n, seed)
+    grid = spec.grid
+    t0, v, censor = tr.latent_death, tr.treat_time, tr.censor_time
+    if spec.design == DesignFlavor.STOPS_AT_TREATMENT:
+        end = np.minimum(np.minimum(t0, v), censor)
+        final = np.where(end == t0, Status.EVENT,
+                         np.where(end == v, Status.TREATMENT_START, Status.CENSORED))
+        switch = np.zeros(n, bool)
+    else:
+        end = np.minimum(tr.death_time, censor)
+        final = np.where(tr.death_time <= censor, Status.EVENT, Status.CENSORED)
+        switch = (v < t0) & (v < end)
+
+    inner = np.concatenate([np.where(grid[1:] < end[:, None], grid[1:], np.inf),
+                            np.where(switch, v, np.inf)[:, None]], axis=1)
+    inner.sort(axis=1)
+    keep = inner < np.inf
+    keep[:, 1:] &= inner[:, 1:] != inner[:, :-1]
+    tstop = np.concatenate([inner, end[:, None]], axis=1)[
+        np.concatenate([keep, np.ones((n, 1), bool)], axis=1)]
+    offsets = np.concatenate([[0], np.cumsum(keep.sum(axis=1) + 1)])
+    tstart = np.concatenate([[0.0], tstop[:-1]])
+    tstart[offsets[:-1]] = 0.0
+    sub = np.repeat(np.arange(n), np.diff(offsets))
+    last = np.zeros(tstop.size, bool)
+    last[offsets[1:] - 1] = True
+    status = np.where(last, final[sub],
+                      np.where(switch[sub] & (tstop == v[sub]),
+                               Status.TREATMENT_START, Status.CENSORED))
+    treated = switch[sub] & (tstart >= v[sub])
+
     schema = CovariateSchema(baseline=tuple(sorted(spec.baseline_covariates)),
                              time_varying=tuple(sorted(spec.tv_covariates)))
-    subjects = tuple(
-        SubjectRecord(str(i + 1), _episodes(spec, traj), dict(traj.x0))
-        for i, traj in enumerate(trajectories))
-    return CountingProcessDataset(subjects, schema, spec.design)
+    seg = np.minimum(np.searchsorted(grid, tstart, side="right") - 1, grid.size - 2)
+    columns = {name: tr.x0[name][sub] for name in schema.baseline}
+    columns.update({name: z[sub, seg] for name, z in tr.tv.items()})
+    ds = CountingProcessDataset._of(schema, spec.design,
+                                    [str(i + 1) for i in range(n)], offsets,
+                                    tstart, tstop, status, treated, columns)
+    _validate(ds)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +541,20 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
         return TruthOracle("analytic", risks,
                            {k: 0.0 for k in STRATEGY_KEYS}, t_hor, profile)
 
-    trajs = simulate_trajectories(spec, mc_reps, mc_seed, x0_override=profile)
-    hyp = comp = wu = ign = 0
-    for tr in trajs:
-        hyp += tr.latent_death <= t_hor
-        comp += min(tr.latent_death, tr.treat_time) <= t_hor
-        wu += tr.latent_death <= t_hor and tr.latent_death < tr.treat_time
-        ign += tr.death_time <= t_hor
-    risks = {"hypothetical": hyp / mc_reps, "composite": comp / mc_reps,
-             "while-untreated": wu / mc_reps, "ignore": ign / mc_reps}
+    if mc_reps < 1:
+        raise ScenarioError("mc_reps must be >= 1")
+    # one stream of mc_reps subjects, drawn in blocks to bound the memory
+    root = np.random.SeedSequence(mc_seed)
+    hits = np.zeros(4, np.int64)
+    for start in range(0, mc_reps, TRUTH_BLOCK):
+        tr = simulate_trajectories(spec, min(TRUTH_BLOCK, mc_reps - start),
+                                   root, x0_override=profile)
+        t0, v = tr.latent_death, tr.treat_time
+        hits += [np.count_nonzero(t0 <= t_hor),
+                 np.count_nonzero(np.minimum(t0, v) <= t_hor),
+                 np.count_nonzero((t0 <= t_hor) & (t0 < v)),
+                 np.count_nonzero(tr.death_time <= t_hor)]
+    risks = {key: float(h / mc_reps) for key, h in zip(STRATEGY_KEYS, hits)}
     se = {k: math.sqrt(max(v * (1 - v), 1e-12) / mc_reps)
           for k, v in risks.items()}
     return TruthOracle("monte-carlo", risks, se, t_hor, profile, reps=mc_reps)
@@ -484,9 +565,11 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
              mc_reps: int = 200_000, workers: int = 1) -> dict:
     """Simulate-then-estimate across seeds and compare to the truth oracle.
 
-    Per-strategy entries report bias and RMSE at the horizon plus a pass flag
-    against the declared tolerance; data and numeric errors in estimation are
-    collected per seed rather than raised, anything else propagates.
+    Per-strategy entries report bias and RMSE at the horizon, the Monte Carlo
+    SE of the bias (sd of the estimates / sqrt(seeds), None below two
+    estimates) and a pass flag against the declared tolerance; data and
+    numeric errors in estimation are collected per seed rather than raised,
+    anything else propagates.
     """
     from . import strategies as strat
 
@@ -507,7 +590,7 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     estimates = {s.label: [] for s in strategy_specs}
     errors = {s.label: [] for s in strategy_specs}
     for seed in seeds:
-        ds = simulate(spec, n, seed, workers=workers)
+        ds = simulate(spec, n, seed)
         for sspec in strategy_specs:
             label = sspec.label
             try:
@@ -520,9 +603,13 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     for sspec in strategy_specs:
         label = sspec.label
         truth_key = sspec.strategy.value
+        k = len(estimates[label])
         entry = {
             "truth": truth.risks[truth_key],
             "truth_se": truth.se[truth_key],
+            # Monte Carlo SE of the bias (Morris, White & Crowther 2019)
+            "bias_mcse": (float(np.std(estimates[label], ddof=1) / math.sqrt(k))
+                          if k >= 2 else None),
             "estimates": estimates[label],
             "errors": errors[label],
             "tolerance": tolerance,

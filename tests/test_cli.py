@@ -43,6 +43,40 @@ class TestUsageErrors:
         assert err["error"] == "ScenarioError"
         assert "line" in err["message"]
 
+    @pytest.mark.parametrize("token, message", [
+        ("hypothetical:bogus", "unknown method 'bogus'"),
+        ("bogus", "unknown strategy 'bogus'"),
+        ("composite,hypothetical:", "unknown method ''"),
+    ])
+    def test_unknown_strategy_token_exits_2(self, tmp_path, capsys, token, message):
+        out = tmp_path / "report.json"
+        code = run(["validate", "--scenario", "s1", "--n", "20", "--seeds", "1",
+                    "--strategies", token, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "UsageError"
+        assert message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("baseline, message", [
+        ({"dist": "normal", "mean": 0.0, "sd": -1}, "sd must be >= 0"),
+        ({"dist": "normal", "mean": 0.0, "sd": "nan"}, "must be finite"),
+    ])
+    def test_bad_scenario_parameter_exits_2(self, tmp_path, capsys, baseline, message):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({
+            "baseline_covariates": {"x": baseline},
+            "treatment": {"base": 0.1}, "death_untreated": {"base": 0.2},
+            "death_treated": {"base": 0.05}}))
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--scenario", str(scenario), "--n", "5",
+                    "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ScenarioError"
+        assert message in err["message"]
+        assert not out.exists()
+
     def test_data_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,tstart,tstop,status,treated\n1,0,2,0,0\n1,3,5,1,0\n")

@@ -198,8 +198,8 @@ class TestTransforms:
         trajs = simulate.simulate_trajectories(spec, 200, seed=7)
         out = split_at_treatment(ds)
         assert not out.treated.any()
-        expected = sum(min(tr.latent_death, tr.treat_time, tr.censor_time)
-                       for tr in trajs)
+        expected = np.minimum(np.minimum(trajs.latent_death, trajs.treat_time),
+                              trajs.censor_time).sum()
         assert out.person_time() == pytest.approx(expected, rel=1e-12)
 
     def test_compose_recodes_treatment(self):
