@@ -282,7 +282,9 @@ def _parse_strategy_tokens(raw: str, args, horizon: float) -> list:
         if name not in strategies:
             raise UsageError(f"unknown strategy {name!r} in --strategies; "
                              f"choose from {strategies}")
-        if method not in methods:
+        # only the hypothetical strategy has a method; a suffix on any other
+        # strategy is ignored, as in _strategy_spec
+        if name == Strategy.HYPOTHETICAL.value and method not in methods:
             raise UsageError(f"unknown method {method!r} in --strategies "
                              f"token {token!r}; choose from {methods}")
         ns = argparse.Namespace(strategy=name, method=method,

@@ -369,12 +369,11 @@ def _draw(spec: IntensitySpec, n: int, root) -> tuple:
 
 
 def simulate_trajectories(spec: IntensitySpec, n: int, seed,
-                          x0_override=None, workers: int = 1) -> Trajectories:
+                          x0_override=None) -> Trajectories:
     """Latent clocks of n subjects. Subject i draws from the i-th spawn of
     ``SeedSequence(seed)``; a ``SeedSequence`` given as ``seed`` continues
     from its next spawn, so consecutive calls extend one stream. Covariates
-    named in ``x0_override`` are fixed at the given values after the draws.
-    ``workers`` is accepted for compatibility and has no effect."""
+    named in ``x0_override`` are fixed at the given values after the draws."""
     if n < 1:
         raise ScenarioError("n must be >= 1")
     root = (seed if isinstance(seed, np.random.SeedSequence)

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from predictimands.cli import main
+from predictimands.cli import _parse_strategy_tokens, main
+from predictimands.strategies import Strategy
 
 
 def run(argv):
@@ -57,6 +59,14 @@ class TestUsageErrors:
         assert err["error"] == "UsageError"
         assert message in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["composite:bogus", "composite:censor-ipcw"])
+    def test_method_suffix_ignored_off_hypothetical(self, token):
+        args = argparse.Namespace(covariates="age", tie="breslow", tv_cuts=None,
+                                  weight_covariates=None, truncate_weights=None)
+        (spec,) = _parse_strategy_tokens(token, args, 5.0)
+        assert spec.strategy == Strategy.COMPOSITE
+        assert spec.hypothetical_method is None
 
     @pytest.mark.parametrize("baseline, message", [
         ({"dist": "normal", "mean": 0.0, "sd": -1}, "sd must be >= 0"),
