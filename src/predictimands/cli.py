@@ -86,8 +86,7 @@ def _build_schema(args) -> CovariateSchema:
     inferred = infer_schema(args.data)
     if levels:
         inferred = CovariateSchema(baseline=inferred.baseline,
-                                   time_varying=inferred.time_varying,
-                                   time_unit=inferred.time_unit, levels=levels)
+                                   time_varying=inferred.time_varying, levels=levels)
     return inferred
 
 

@@ -17,7 +17,6 @@ gives the log likelihood, score, information and baseline increments.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +63,6 @@ class TreatmentTerm:
             return ["treated"]
         edges = ["0"] + [repr(c) for c in self.tv_cuts] + ["inf"]
         return [f"treated:({lo},{hi}]" for lo, hi in zip(edges[:-1], edges[1:])]
-
-    def segment_of(self, t: float) -> int:
-        return bisect_left(self.tv_cuts, t)
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
     w = np.ones(ds.n_rows)
     if spec.weights is not None:
         # the weight table's rows must be the dataset's rows
-        if not np.array_equal([r.tstop for r in spec.weights.rows], ds.tstop):
+        if not np.array_equal(spec.weights.rows.tstop, ds.tstop):
             raise DataError(f"the weight table's {len(spec.weights.rows)} rows do not "
                             f"match the dataset's {ds.n_rows} rows")
         w = spec.weights.values
@@ -435,21 +431,18 @@ def _profile_lp(model: CoxModel, profile: dict) -> float:
 
 
 def predict_survival(model: CoxModel, profile: dict,
-                     treatment_path=None) -> SurvivalCurve:
+                     treated: bool = False) -> SurvivalCurve:
     """S(t | profile) = exp(-sum dH0(t_k) exp(lp(t_k))).
 
-    ``treatment_path`` maps t to the treatment indicator (default: never
-    treated); the matching step-function coefficient enters the linear
-    predictor whenever the path is 1.
+    ``treated`` holds the treatment indicator at 1 from time 0 on: at each
+    baseline time t_k the coefficient of the segment holding t_k enters
+    the linear predictor (a model without a treatment term ignores it).
     """
-    lp0 = _profile_lp(model, profile)
-    n_cov = len(model.covariates)
     times = model.baseline_times
-    lp = np.full(times.shape, lp0)
-    if model.treatment is not None and treatment_path is not None:
-        for k, t in enumerate(times):
-            if treatment_path(t):
-                lp[k] += model.beta[n_cov + model.treatment.segment_of(t)]
+    lp = np.full(times.shape, _profile_lp(model, profile))
+    if treated and model.treatment is not None:
+        segment = np.searchsorted(model.treatment.tv_cuts, times, side="left")
+        lp += model.beta[len(model.covariates) + segment]
     haz = model.baseline_increments * np.exp(lp)
     surv = np.exp(-np.cumsum(haz))
     return SurvivalCurve(times, surv)

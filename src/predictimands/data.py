@@ -69,7 +69,6 @@ class CovariateSchema:
 
     baseline: tuple = ()
     time_varying: tuple = ()
-    time_unit: str = "years"
     levels: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -463,7 +462,8 @@ def ingest_csv(path, schema: CovariateSchema,
 
     Long header: ``id,tstart,tstop,status,treated,<covariates...>``; wide
     header: ``id,time,status,<covariates...>`` expands to one episode per
-    subject. Missing time-dependent values are empty fields. Without a
+    subject. Missing time-dependent values are empty fields; a non-finite
+    time or covariate (``nan``, ``inf``) is a MalformedRow. Without a
     ``design``, data with treatment starts but no treated rows stop at
     treatment and all other data continue.
     """
@@ -494,6 +494,9 @@ def ingest_csv(path, schema: CovariateSchema,
             code = _parse(row[3], line, _status, _STATUS_MESSAGE)
             on = _parse(row[4], line, lambda raw: ("0", "1").index(raw.strip()),
                         "treated must be 0 or 1, got {!r}")
+        if not math.isfinite(tstart + tstop):
+            col = 2 if math.isfinite(tstart) and not wide else 1
+            raise MalformedRow(line, f"{header[col]} must be finite, got {row[col]!r}")
         if tstart < 0 or tstop < 0:
             raise NegativeTime(f"line {line}: negative time")
         if not tstart < tstop:
@@ -504,6 +507,8 @@ def ingest_csv(path, schema: CovariateSchema,
             if not raw and name not in tv_names:
                 raise MalformedRow(line, f"baseline covariate {name!r} is empty")
             values.append(schema.encode(name, raw) if raw else math.nan)
+            if raw and not math.isfinite(values[-1]):
+                raise MalformedRow(line, f"covariate {name!r} must be finite, got {raw!r}")
         ids.append(sid)
         parsed.append(values)
     if short_row is not None:
@@ -567,14 +572,14 @@ def _format_value(schema, name, value):
     return decoded if isinstance(decoded, str) else repr(float(decoded))
 
 
-def infer_schema(path, time_unit: str = "years") -> CovariateSchema:
+def infer_schema(path) -> CovariateSchema:
     """Classify a file's covariate columns: constant within every subject is
     baseline, anything else time-varying."""
     header, wide, _, rows, short_row = _read(path)
     if short_row is not None:
         raise short_row
     if wide:
-        return CovariateSchema(baseline=tuple(header[3:]), time_unit=time_unit)
+        return CovariateSchema(baseline=tuple(header[3:]))
     ids = [row[0].strip() for row in rows]
     n_subjects = len(set(ids))
     baseline, tv = [], []
@@ -582,5 +587,4 @@ def infer_schema(path, time_unit: str = "years") -> CovariateSchema:
         values = [row[j].strip() for row in rows]
         constant = "" not in values and len(set(zip(ids, values))) == n_subjects
         (baseline if constant else tv).append(name)
-    return CovariateSchema(baseline=tuple(baseline), time_varying=tuple(tv),
-                           time_unit=time_unit)
+    return CovariateSchema(baseline=tuple(baseline), time_varying=tuple(tv))

@@ -16,7 +16,6 @@ the inversion of the cumulative hazards are array passes over all subjects.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,11 +148,16 @@ class LogLinearIntensity:
     def covariate_names(self) -> set:
         return set(self.log_hr)
 
-    def rate(self, x: dict, tst: float | None = None) -> float:
-        lp = sum(coef * x[name] for name, coef in self.log_hr.items())
+    def rate(self, x: dict, tst=None):
+        """The intensity at covariate values ``x`` (numbers, or arrays that
+        broadcast to the segments) and time since treatment ``tst``."""
+        lp = 0.0
+        for name, coef in self.log_hr.items():
+            lp = lp + coef * x[name]
         if self.tst_log_hr and tst is not None:
-            lp += self.tst_log_hr[bisect_right(self.tst_cuts, tst)]
-        return self.base * math.exp(lp)
+            steps = np.searchsorted(self.tst_cuts, tst, side="right")
+            lp = lp + np.asarray(self.tst_log_hr)[steps]
+        return self.base * _exp(lp)
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "LogLinearIntensity":
@@ -211,6 +215,15 @@ class IntensitySpec:
         if self.death_untreated.tst_log_hr or self.treatment.tst_log_hr:
             raise ScenarioError("time-since-treatment terms only apply to "
                                 "death_treated")
+
+    def rate(self, which: str, x: dict, tst=None):
+        """``LogLinearIntensity.rate`` of the intensity named ``which``; a log
+        intensity beyond the range of exp is an InvalidIntensity naming it."""
+        try:
+            return getattr(self, which).rate(x, tst)
+        except OverflowError:
+            raise InvalidIntensity(f"{which}: log intensity above about 709.78, beyond "
+                                   "the range of exp") from None
 
     @property
     def grid(self) -> np.ndarray:
@@ -308,19 +321,6 @@ def _exp(lp):
     return out
 
 
-def _rates(intensity: LogLinearIntensity, values: dict, tst=None):
-    """``intensity.rate`` on arrays: ``values`` maps each covariate to an
-    array broadcastable to the segments, ``tst`` is the time since treatment
-    at each segment start."""
-    lp = 0.0
-    for name, coef in intensity.log_hr.items():
-        lp = lp + coef * values[name]
-    if intensity.tst_log_hr and tst is not None:
-        steps = np.searchsorted(intensity.tst_cuts, tst, side="right")
-        lp = lp + np.asarray(intensity.tst_log_hr)[steps]
-    return intensity.base * _exp(lp)
-
-
 def _invert(a, width, rate, target) -> np.ndarray:
     """Per row, the first time the piecewise-constant cumulative hazard
     reaches ``target``; segments start at ``a`` and have the given width and
@@ -397,8 +397,8 @@ def simulate_trajectories(spec: IntensitySpec, n: int, seed,
     values.update(tv)
 
     width = np.diff(grid)
-    t0 = _invert(grid[:-1], width, _rates(spec.death_untreated, values), clocks[:, 0])
-    v = _invert(grid[:-1], width, _rates(spec.treatment, values), clocks[:, 1])
+    t0 = _invert(grid[:-1], width, spec.rate("death_untreated", values), clocks[:, 0])
+    v = _invert(grid[:-1], width, spec.rate("treatment", values), clocks[:, 1])
 
     # the treated clock starts at V, on segments cut at the grid points after
     # V and at V + tst_cuts inside the grid; padding with the grid end gives
@@ -417,7 +417,7 @@ def simulate_trajectories(spec: IntensitySpec, n: int, seed,
         treated.update({name: np.take_along_axis(z[sel], j, axis=1)
                         for name, z in tv.items()})
         death[sel] = _invert(a, bounds[:, 1:] - a,
-                             _rates(spec.death_treated, treated, a - vs),
+                             spec.rate("death_treated", treated, a - vs),
                              clocks[sel, 2])
 
     censor = np.minimum(spec.admin_censor, dropout)
@@ -535,8 +535,8 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
                             "(the covariate grid ends there)")
     if _is_constant_given(spec, profile):
         risks = constant_intensity_risks(
-            spec.treatment.rate(profile), spec.death_untreated.rate(profile),
-            spec.death_treated.rate(profile, tst=0.0), t_hor)
+            spec.rate("treatment", profile), spec.rate("death_untreated", profile),
+            spec.rate("death_treated", profile, 0.0), t_hor)
         return TruthOracle("analytic", risks,
                            {k: 0.0 for k in STRATEGY_KEYS}, t_hor, profile)
 

@@ -209,9 +209,7 @@ def predict_risk(fit: StrategyFit, profile: dict | None = None) -> RiskCurve:
     if not model.covariates and model.treatment is None:
         return competing.cuminc(competing.CauseSpecificPair(model, None),
                                 profile, spec.t_hor, label=spec.label)
-    surv = cox.predict_survival(model, profile,
-                                treatment_path=(lambda t: 0)
-                                if model.treatment is not None else None)
+    surv = cox.predict_survival(model, profile)
     return RiskCurve.from_survival(surv, strategy=spec.label, profile=profile,
                                    horizon=spec.t_hor)
 

@@ -8,6 +8,7 @@ model's event-time grid along the subject's own covariate path.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,35 +28,39 @@ class WeightMode(str, Enum):
     IPTW = "iptw"
 
 
-@dataclass(frozen=True)
-class WeightRow:
-    subject_id: str
-    tstart: float
-    tstop: float
-    weight: float
+def weight_rows(ds: CountingProcessDataset, weight) -> np.recarray:
+    """One read-only record per row of ``ds``, in its order: the fields
+    ``subject_id``, ``tstart``, ``tstop`` and ``weight``."""
+    rows = np.rec.fromarrays(
+        [np.array(ds.ids, str)[ds.row_subject], ds.tstart, ds.tstop,
+         np.asarray(weight, float)],
+        names=("subject_id", "tstart", "tstop", "weight"))
+    rows.flags.writeable = False
+    return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Per-episode stabilized weights plus degeneracy diagnostics."""
+    """Per-episode stabilized weights plus degeneracy diagnostics;
+    ``rows`` is a ``weight_rows`` record array."""
 
-    rows: tuple
+    rows: np.recarray
     mode: WeightMode
     diagnostics: dict = field(default_factory=dict)
     truncation: tuple | None = None
 
     @property
     def values(self) -> np.ndarray:
-        return np.asarray([r.weight for r in self.rows])
+        return self.rows.weight
 
     def to_csv(self, path):
-        import csv
+        rows = self.rows
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["id", "tstart", "tstop", "weight"])
-            for r in self.rows:
-                w.writerow([r.subject_id, repr(r.tstart), repr(r.tstop),
-                            repr(r.weight)])
+            w.writerows(zip(rows.subject_id.tolist(), map(repr, rows.tstart.tolist()),
+                            map(repr, rows.tstop.tolist()),
+                            map(repr, rows.weight.tolist())))
 
     def diagnostics_json(self, path):
         with open(path, "w") as fh:
@@ -134,10 +139,8 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
     if truncation is not None:
         bounds = tuple(np.percentile(values, truncation))
         values = np.clip(values, *bounds)
-    sids = [target.ids[s] for s in target.row_subject.tolist()]
-    rows = tuple(map(WeightRow, sids, start.tolist(), stop.tolist(), values.tolist()))
     diagnostics = _diagnostics(start, stop, values, denominator)
-    return WeightTable(rows, mode, diagnostics, bounds)
+    return WeightTable(weight_rows(target, values), mode, diagnostics, bounds)
 
 
 def _diagnostics(start, stop, values, denominator) -> dict:

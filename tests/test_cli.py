@@ -87,6 +87,48 @@ class TestUsageErrors:
         assert message in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--seed", "1"],
+        # a profile that fixes x makes the truth analytic
+        ["validate", "--n", "10", "--seeds", "1", "--profile", "x=800"],
+    ], ids=["simulate", "analytic-truth"])
+    def test_log_intensity_overflow_exits_2(self, tmp_path, capsys, argv):
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps({
+            "baseline_covariates": {"x": {"dist": "constant", "value": 800}},
+            "treatment": {"base": 0.1, "log_hr": {"x": 1.0}},
+            "death_untreated": {"base": 0.2}, "death_treated": {"base": 0.05}}))
+        out = tmp_path / "out"
+        code = run(argv + ["--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "InvalidIntensity"
+        assert err["message"].startswith("treatment: log intensity above")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, extra, message", [
+        ("id,tstart,tstop,status,treated\n"
+         "1,0,1,1,0\n2,0,2,2,0\n3,0,3,1,0\n4,0,inf,0,0\n",
+         ["--horizon", "1.5"], "line 5: tstop must be finite, got 'inf'"),
+        ("id,tstart,tstop,status,treated\n1,0,1,0,0\n1,nan,2,1,0\n",
+         [], "line 3: tstart must be finite, got 'nan'"),
+        ("id,tstart,tstop,status,treated,x\n"
+         "1,0,1,1,0,nan\n2,0,2,2,0,1\n3,0,3,1,0,0\n4,0,4,0,0,1\n",
+         ["--covariates", "x"], "line 2: covariate 'x' must be finite, got 'nan'"),
+        # the empty field on line 2 is a missing value, not an error
+        ("id,tstart,tstop,status,treated,z\n"
+         "1,0,1,0,0,\n1,1,2,1,0,-inf\n2,0,3,1,0,0.5\n",
+         [], "line 3: covariate 'z' must be finite, got '-inf'"),
+    ], ids=["inf-tstop", "nan-tstart", "nan-baseline", "inf-time-varying"])
+    def test_non_finite_field_exits_3(self, tmp_path, capsys, text, extra, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code = run(["fit", "--data", str(data), "--strategy", "composite",
+                    "--out", str(tmp_path / "o")] + extra)
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": "MalformedRow",
+                                                       "message": message}
+
     def test_data_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,tstart,tstop,status,treated\n1,0,2,0,0\n1,3,5,1,0\n")

@@ -17,7 +17,7 @@ from predictimands.data import (
 from predictimands.errors import DataError, MonotoneLikelihood, NoEvents, ProfileIncomplete
 from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
-from predictimands.weights import WeightMode, WeightRow, WeightTable
+from predictimands.weights import WeightMode, WeightTable, weight_rows
 from tests.conftest import one_episode_subject
 
 SQRT2 = math.sqrt(2.0)
@@ -62,15 +62,15 @@ def naive_risk_sets(ds, spec, beta):
     beta = np.asarray(beta, float)
     cuts = spec.treatment.tv_cuts if spec.treatment else ()
     episodes = [(sub, ep) for sub in ds.subjects for ep in sub.episodes]
-    weight_rows = (spec.weights.rows if spec.weights is not None
-                   else [WeightRow(sub.subject_id, ep.tstart, ep.tstop, 1.0)
-                         for sub, ep in episodes])
+    table = (spec.weights.rows if spec.weights is not None
+             else weight_rows(ds, np.ones(ds.n_rows)))
     rows = []
-    for (sub, ep), wrow in zip(episodes, weight_rows, strict=True):
-        assert (wrow.subject_id, wrow.tstop) == (sub.subject_id, ep.tstop)
+    for (sub, ep), sid, tstop, w in zip(episodes, table.subject_id.tolist(),
+                                        table.tstop.tolist(), table.weight.tolist(),
+                                        strict=True):
+        assert (sid, tstop) == (sub.subject_id, ep.tstop)
         x = [sub.baseline[c] if c in ds.schema.baseline else ep.tv[c]
              for c in spec.covariates]
-        w = wrow.weight
         rows.append((ep.tstart, ep.tstop, ep.status == spec.event_code, x,
                      spec.treatment is not None and ep.treated, w))
 
@@ -237,13 +237,12 @@ def zero_weights():
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, n_max=30, with_ties=True, multi_episode=True)
     longest = max(ds.subjects, key=lambda sub: sub.episodes[-1].tstop).subject_id
-    rows = []
+    weight = []
     for sub in ds.subjects:
         zero = int(sub.subject_id) % 3 == 0 and sub.subject_id != longest
-        rows += [WeightRow(sub.subject_id, ep.tstart, ep.tstop,
-                           0.0 if zero else float(rng.uniform(0.5, 2.0)))
-                 for ep in sub.episodes]
-    table = WeightTable(tuple(rows), WeightMode.IPCW)
+        weight += [0.0 if zero else float(rng.uniform(0.5, 2.0))
+                   for _ in sub.episodes]
+    table = WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
     assert 0.0 in table.values
     return ds, {"covariates": ("x0", "x1"), "weights": table}
 
@@ -282,7 +281,7 @@ def small_weighted_datasets(draw):
     """1-6 subjects of 1-3 contiguous episodes on an integer grid (so
     deaths, censorings and episode boundaries tie), one covariate and a
     positive weight per episode."""
-    subjects, rows = [], []
+    subjects, weight = [], []
     for i in range(draw(st.integers(1, 6))):
         ends = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)))
         status = draw(st.sampled_from([Status.EVENT, Status.CENSORED]))
@@ -293,11 +292,10 @@ def small_weighted_datasets(draw):
         sid = str(i + 1)
         x = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
         subjects.append(SubjectRecord(sid, eps, {"x": x}))
-        rows += [WeightRow(sid, ep.tstart, ep.tstop,
-                           draw(st.sampled_from([0.25, 1.0, 3.0]))) for ep in eps]
+        weight += [draw(st.sampled_from([0.25, 1.0, 3.0])) for _ in eps]
     assume(any(ep.status == Status.EVENT for sub in subjects for ep in sub.episodes))
     ds = CountingProcessDataset(tuple(subjects), CovariateSchema(baseline=("x",)))
-    return ds, WeightTable(tuple(rows), WeightMode.IPCW)
+    return ds, WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
 
 
 class TestOracleProperty:
@@ -385,9 +383,7 @@ class TestFitBehavior:
             cox.fit(ds, cox.CoxSpec())
 
     def test_unit_weights_equal_unweighted_exactly(self, d1):
-        ones = WeightTable(tuple(WeightRow(sub.subject_id, ep.tstart, ep.tstop, 1.0)
-                                 for sub in d1.subjects for ep in sub.episodes),
-                           WeightMode.IPCW)
+        ones = WeightTable(weight_rows(d1, np.ones(d1.n_rows)), WeightMode.IPCW)
         plain = cox.fit(d1, cox.CoxSpec(covariates=("x",)))
         weighted = cox.fit(d1, cox.CoxSpec(covariates=("x",), weights=ones))
         assert weighted.beta[0] == plain.beta[0]
@@ -396,15 +392,14 @@ class TestFitBehavior:
                                       plain.baseline_increments)
 
     def test_weight_table_must_match_the_rows(self, d1, d3):
-        rows = [WeightRow(sub.subject_id, ep.tstart, ep.tstop, 1.0)
-                for sub in d1.subjects for ep in sub.episodes]
-        for table in (rows[:-1], rows[1:] + rows[:1]):
+        rows = weight_rows(d1, np.ones(d1.n_rows))
+        for table in (rows[:-1], np.roll(rows, -1)):
             spec = cox.CoxSpec(covariates=("x",),
-                               weights=WeightTable(tuple(table), WeightMode.IPCW))
+                               weights=WeightTable(table, WeightMode.IPCW))
             with pytest.raises(DataError, match="do not match"):
                 cox.fit(d1, spec)
         with pytest.raises(DataError, match="3 rows"):
-            cox.fit(d3, cox.CoxSpec(weights=WeightTable(tuple(rows), WeightMode.IPCW)))
+            cox.fit(d3, cox.CoxSpec(weights=WeightTable(rows, WeightMode.IPCW)))
 
     def test_covariate_shift_invariance(self, d1):
         spec = cox.CoxSpec(covariates=("x",))
@@ -474,8 +469,8 @@ class TestTreatmentTerm:
     def test_protective_treatment_orders_survival(self):
         _, model = self.fit_benefit_model()
         assert model.beta[0] < 0
-        s0 = cox.predict_survival(model, {}, treatment_path=lambda t: 0)
-        s1 = cox.predict_survival(model, {}, treatment_path=lambda t: 1)
+        s0 = cox.predict_survival(model, {}, treated=False)
+        s1 = cox.predict_survival(model, {}, treated=True)
         assert np.all(s1.surv >= s0.surv - 1e-12)
 
     def test_segment_columns_match_naive_scan(self):
@@ -522,10 +517,13 @@ class TestTreatmentTerm:
             one_episode_subject("7", 10.0, Status.CENSORED),
         )
         ds = CountingProcessDataset(subjects, CovariateSchema())
-        model = cox.fit(ds, cox.CoxSpec(treatment=cox.TreatmentTerm((5.0,))))
-        always = cox.predict_survival(model, {}, treatment_path=lambda t: 1)
-        g_early, g_late = model.beta
-        h = model.baseline_increments
-        expected = np.exp(-np.cumsum(
-            h * np.exp(np.where(model.baseline_times <= 5.0, g_early, g_late))))
-        np.testing.assert_allclose(always.surv, expected, rtol=1e-12)
+        # at cut 4.0 a death falls on the cut, in the segment the cut closes
+        for cut, on_death in ((5.0, False), (4.0, True)):
+            model = cox.fit(ds, cox.CoxSpec(treatment=cox.TreatmentTerm((cut,))))
+            assert (cut in model.baseline_times) == on_death
+            always = cox.predict_survival(model, {}, treated=True)
+            g_early, g_late = model.beta
+            h = model.baseline_increments
+            expected = np.exp(-np.cumsum(
+                h * np.exp(np.where(model.baseline_times <= cut, g_early, g_late))))
+            np.testing.assert_allclose(always.surv, expected, rtol=1e-12)

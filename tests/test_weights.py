@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -162,6 +163,57 @@ class TestAgainstReference:
         unfrozen = CountingProcessDataset(subjects + (late,), ds.schema)
         with pytest.raises(NonPositiveProbability, match="subject 4: .* t=6.0"):
             stabilized_weights(unfrozen, num, den, WeightMode.IPTW)
+
+
+def reference_csv(table, path):
+    """The row-by-row export, one record at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "tstart", "tstop", "weight"])
+        for r in table.rows:
+            w.writerow([str(r.subject_id), repr(float(r.tstart)), repr(float(r.tstop)),
+                        repr(float(r.weight))])
+
+
+def single_subject_table():
+    ds = CountingProcessDataset(
+        (two_interval_subject("7", 1.5, 4.0, Status.EVENT, 0.0, 0.0),),
+        CovariateSchema(time_varying=("z",)))
+    num = fit_treatment_hazard(ds, ())
+    den = replace(num, baseline_increments=num.baseline_increments / 3)
+    return stabilized_weights(ds, num, den, WeightMode.IPTW)
+
+
+class TestWeightColumns:
+    @pytest.mark.parametrize("case", ["ipcw", "iptw", "truncated", "single-subject"])
+    def test_csv_matches_row_by_row_export(self, s2_models, tmp_path, case):
+        ds, num, den = s2_models
+        table = {
+            "ipcw": lambda: stabilized_weights(ds, num, den, WeightMode.IPCW),
+            "iptw": lambda: stabilized_weights(ds, num, den, WeightMode.IPTW),
+            "truncated": lambda: stabilized_weights(ds, num, den, WeightMode.IPCW,
+                                                    truncation=(1, 99)),
+            "single-subject": single_subject_table,
+        }[case]()
+        if case == "iptw":
+            # rows after a treatment start carry frozen weights
+            assert len(table.rows) > split_at_treatment(ds).n_rows
+        if case == "single-subject":
+            assert table.values.tolist()[1] == table.values.tolist()[0] != 1.0
+        table.to_csv(tmp_path / "weights.csv")
+        reference_csv(table, tmp_path / "reference.csv")
+        assert ((tmp_path / "weights.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+    def test_rows_are_read_only_dataset_columns(self, s2_models):
+        ds, num, den = s2_models
+        table = stabilized_weights(ds, num, den, WeightMode.IPTW)
+        assert table.rows.subject_id.tolist() == [ds.ids[s] for s in ds.row_subject]
+        np.testing.assert_array_equal(table.rows.tstart, ds.tstart)
+        np.testing.assert_array_equal(table.rows.tstop, ds.tstop)
+        assert np.shares_memory(table.values, table.rows)
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0] = 2.0
 
 
 class TestStabilizedWeights:
