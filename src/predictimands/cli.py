@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import scenarios as scenarios_mod
@@ -77,21 +78,18 @@ def _parse_levels(raw: str | None) -> dict:
     return levels
 
 
-def _build_schema(args) -> CovariateSchema:
-    levels = _parse_levels(getattr(args, "levels", None))
-    if args.baseline_cols or args.tv_cols:
-        return CovariateSchema(baseline=_csv_list(args.baseline_cols),
-                               time_varying=_csv_list(args.tv_cols),
-                               levels=levels)
-    inferred = infer_schema(args.data)
-    if levels:
-        inferred = CovariateSchema(baseline=inferred.baseline,
-                                   time_varying=inferred.time_varying, levels=levels)
-    return inferred
-
-
 def _load_dataset(args):
-    return ingest_csv(args.data, _build_schema(args), design=args.design)
+    """The command's dataset from one read of ``--data``. Only ``--levels``
+    without explicit columns reads it twice: the levels must name
+    covariates of the inferred schema."""
+    levels = _parse_levels(args.levels)
+    if args.baseline_cols or args.tv_cols:
+        schema = CovariateSchema(baseline=_csv_list(args.baseline_cols),
+                                 time_varying=_csv_list(args.tv_cols),
+                                 levels=levels)
+    else:
+        schema = replace(infer_schema(args.data), levels=levels) if levels else None
+    return ingest_csv(args.data, schema, design=args.design)
 
 
 def _load_scenario(ref: str) -> IntensitySpec:
@@ -229,7 +227,7 @@ def cmd_predict(args) -> int:
         if not data_path.exists():
             raise DataError(f"dataset {data_path} from the fit run is needed "
                             "for --all-strategies")
-        ds = ingest_csv(data_path, _schema_from_run(run), design=run.get("design"))
+        ds = _load_dataset(ns)
         results = estimate_all(ds, spec, profile)
         rows = ["strategy,time,risk"]
         for strategy, curve in results.curves.items():
@@ -247,14 +245,6 @@ def cmd_predict(args) -> int:
     _write_json(out / "run.json", _echo(args, "predict", {"horizon": horizon}))
     print(json.dumps({"out": str(out)}, indent=2))
     return EXIT_OK
-
-
-def _schema_from_run(run: dict) -> CovariateSchema:
-    ns = argparse.Namespace(data=run["data"],
-                            baseline_cols=run.get("baseline_cols"),
-                            tv_cols=run.get("tv_cols"),
-                            levels=run.get("levels"))
-    return _build_schema(ns)
 
 
 def cmd_simulate(args) -> int:
@@ -286,11 +276,7 @@ def _parse_strategy_tokens(raw: str, args, horizon: float) -> list:
         if name == Strategy.HYPOTHETICAL.value and method not in methods:
             raise UsageError(f"unknown method {method!r} in --strategies "
                              f"token {token!r}; choose from {methods}")
-        ns = argparse.Namespace(strategy=name, method=method,
-                                covariates=args.covariates,
-                                tie=args.tie, tv_cuts=args.tv_cuts,
-                                weight_covariates=args.weight_covariates,
-                                truncate_weights=args.truncate_weights)
+        ns = argparse.Namespace(**{**vars(args), "strategy": name, "method": method})
         specs.append(_strategy_spec(ns, horizon))
     return specs
 

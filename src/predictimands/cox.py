@@ -353,6 +353,12 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
             raise DataError(
                 f"tv_cuts must lie within the observed follow-up "
                 f"(last cut {spec.treatment.tv_cuts[-1]:g} >= end {last:g})")
+    # r x x' summed over all rows stays finite while |x| is below this
+    limit = np.sqrt(np.finfo(float).max / max(float(design.w.sum()), 1.0))
+    for j in np.flatnonzero(np.abs(design.X).max(axis=0, initial=0.0) > limit)[:1]:
+        raise SingularInformation(
+            f"covariate {design.names[j]!r} is too large for the partial likelihood "
+            f"(|value| up to {np.abs(design.X[:, j]).max():g}, limit {limit:.3g})")
     p = design.X.shape[1]
     beta = np.zeros(p)
     loglik, g, info, _ = _sweep(rs, beta, order=2)

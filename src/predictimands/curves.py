@@ -121,13 +121,3 @@ class RiskCurve:
             "time": [float(t) for t in self.times],
             "risk": [float(r) for r in self.risk],
         }
-
-
-def write_profile_curves(path, curves: dict):
-    """Multi-profile export: one ``profile_id,time,risk`` row per jump."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["profile_id", "time", "risk"])
-        for profile_id, curve in curves.items():
-            for t, r in zip(curve.times, curve.risk):
-                w.writerow([profile_id, repr(float(t)), repr(float(r))])

@@ -456,7 +456,7 @@ def _read(path) -> tuple:
     return header, wide, lines, rows, None
 
 
-def ingest_csv(path, schema: CovariateSchema,
+def ingest_csv(path, schema: CovariateSchema | None = None,
                design: DesignFlavor | None = None) -> CountingProcessDataset:
     """Read a counting-process CSV (long format) or a baseline-only wide file.
 
@@ -464,10 +464,13 @@ def ingest_csv(path, schema: CovariateSchema,
     header: ``id,time,status,<covariates...>`` expands to one episode per
     subject. Missing time-dependent values are empty fields; a non-finite
     time or covariate (``nan``, ``inf``) is a MalformedRow. Without a
-    ``design``, data with treatment starts but no treated rows stop at
-    treatment and all other data continue.
+    ``schema``, the covariates are classified as ``infer_schema`` does, from
+    the same read. Without a ``design``, data with treatment starts but no
+    treated rows stop at treatment and all other data continue.
     """
     header, wide, lines, rows, short_row = _read(path)
+    if schema is None:
+        schema = _classify(header, wide, rows)
     fixed = 3 if wide else 5
     cov_cols = header[fixed:]
     unknown = set(cov_cols) - set(schema.names())
@@ -506,7 +509,10 @@ def ingest_csv(path, schema: CovariateSchema,
             raw = raw.strip()
             if not raw and name not in tv_names:
                 raise MalformedRow(line, f"baseline covariate {name!r} is empty")
-            values.append(schema.encode(name, raw) if raw else math.nan)
+            try:
+                values.append(schema.encode(name, raw) if raw else math.nan)
+            except DataError as exc:
+                raise MalformedRow(line, str(exc)) from None
             if raw and not math.isfinite(values[-1]):
                 raise MalformedRow(line, f"covariate {name!r} must be finite, got {raw!r}")
         ids.append(sid)
@@ -573,11 +579,17 @@ def _format_value(schema, name, value):
 
 
 def infer_schema(path) -> CovariateSchema:
-    """Classify a file's covariate columns: constant within every subject is
-    baseline, anything else time-varying."""
+    """The covariate schema ``ingest_csv`` infers for the file at ``path``."""
     header, wide, _, rows, short_row = _read(path)
     if short_row is not None:
         raise short_row
+    return _classify(header, wide, rows)
+
+
+def _classify(header, wide, rows) -> CovariateSchema:
+    """A covariate column that is never empty and constant within every
+    subject is baseline, any other time-varying; a wide file is all
+    baseline."""
     if wide:
         return CovariateSchema(baseline=tuple(header[3:]))
     ids = [row[0].strip() for row in rows]

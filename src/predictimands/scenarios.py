@@ -57,10 +57,3 @@ def builtin(name: str) -> IntensitySpec:
         raise ScenarioError(
             f"unknown builtin scenario {name!r}; available: {sorted(BUILTIN)}")
     return IntensitySpec.from_dict(BUILTIN[name])
-
-
-def builtin_dict(name: str) -> dict:
-    if name not in BUILTIN:
-        raise ScenarioError(
-            f"unknown builtin scenario {name!r}; available: {sorted(BUILTIN)}")
-    return dict(BUILTIN[name])

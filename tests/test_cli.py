@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from predictimands import data as data_mod
 from predictimands.cli import _parse_strategy_tokens, main
 from predictimands.strategies import Strategy
 
@@ -129,6 +130,36 @@ class TestUsageErrors:
         assert json.loads(capsys.readouterr().out) == {"error": "MalformedRow",
                                                        "message": message}
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,tstart,tstop,status,treated,z\n"
+         "1,0,1,0,0,0.5\n1,1,2,1,0,abc\n2,0,3,1,0,0.5\n",
+         "line 3: cannot parse value 'abc' for covariate 'z'"),
+        # with the schema inferred, the short row on line 4 comes second
+        ("id,tstart,tstop,status,treated,x\n1,0,1,1,0,1\n2,0,2,7,0,0\n3,0,3\n",
+         "line 3: status must be 0, 1 or 2, got '7'"),
+    ], ids=["unparsable-covariate", "bad-status-before-short-row"])
+    def test_malformed_row_names_its_line(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code = run(["fit", "--data", str(data), "--strategy", "composite",
+                    "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": "MalformedRow",
+                                                       "message": message}
+
+    def test_huge_covariate_is_named_before_newton(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("id,tstart,tstop,status,treated,x\n"
+                        "1,0,1,1,0,1e308\n2,0,2,1,0,0\n3,0,3,0,0,1\n4,0,4,1,0,0\n")
+        code = run(["fit", "--data", str(data), "--strategy", "ignore",
+                    "--covariates", "x", "--out", str(tmp_path / "o")])
+        assert code == 4
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)
+        assert err["error"] == "SingularInformation"
+        assert err["message"].startswith("covariate 'x' is too large")
+        assert captured.err == ""
+
     def test_data_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,tstart,tstop,status,treated\n1,0,2,0,0\n1,3,5,1,0\n")
@@ -145,6 +176,8 @@ class TestUsageErrors:
         code = run(["predict", "--run", str(out), "--profile", "x=oops",
                     "--out", str(tmp_path / "p")])
         assert code == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "DataError", "message": "cannot parse value 'oops' for covariate 'x'"}
 
     @pytest.mark.parametrize("extra, message", [
         (["--tv-cuts", "3,abc"], "cannot parse '3,abc'"),
@@ -319,6 +352,36 @@ class TestFitPredict:
             assert 0.0 <= float(r) <= 1.0 and float(t) >= 0.0
 
 
+class TestOneRead:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The paths ``data._read`` is called with."""
+        calls, read = [], data_mod._read
+        monkeypatch.setattr(data_mod, "_read", lambda path: calls.append(path) or read(path))
+        return calls
+
+    @pytest.mark.parametrize("argv, n_reads", [
+        (["fit", "--strategy", "hypothetical", "--method", "censor-ipcw",
+          "--weight-covariates", "z"], 1),
+        (["weights", "--weight-covariates", "z"], 1),
+        # levels must name covariates of the inferred schema
+        (["fit", "--strategy", "ignore", "--levels", "z=lo|hi"], 2),
+    ], ids=["fit", "weights", "fit-levels"])
+    def test_reads_per_command(self, s2_data, tmp_path, reads, argv, n_reads):
+        out = tmp_path / "o"
+        assert run(argv[:1] + ["--data", str(s2_data), "--out", str(out)] + argv[1:]) == 0
+        assert len(reads) == n_reads
+
+    def test_all_strategies_reads_once(self, s2_data, tmp_path, reads):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(s2_data), "--strategy", "composite",
+                    "--out", str(out)]) == 0
+        reads.clear()
+        assert run(["predict", "--run", str(out), "--all-strategies",
+                    "--out", str(tmp_path / "p")]) == 0
+        assert reads == [str(s2_data)]
+
+
 class TestSimulateDeterminism:
     def test_identical_files_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -338,7 +401,7 @@ class TestSimulateDeterminism:
     def test_scenario_file_equals_builtin(self, tmp_path):
         from predictimands import scenarios
         ref = tmp_path / "s1.json"
-        ref.write_text(json.dumps(scenarios.builtin_dict("s1")))
+        ref.write_text(json.dumps(dict(scenarios.BUILTIN["s1"])))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["simulate", "--scenario", "s1", "--n", "50", "--seed", "2",
                     "--out", str(a)]) == 0

@@ -300,6 +300,25 @@ class TestRoundTrip:
         again = ingest_csv(path, ds.schema, design=ds.design)
         assert again == ds
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           name=st.sampled_from(["s1", "s2", "age_gap"]),
+           design=st.sampled_from(["stops", "continues"]))
+    def test_ingest_infers_the_schema_of_infer_schema(self, tmp_path_factory, seed,
+                                                      name, design):
+        spec = simulate.IntensitySpec.from_dict({**scenarios.BUILTIN[name], "design": design})
+        path = tmp_path_factory.mktemp("inf") / "ds.csv"
+        write_csv(simulate.simulate(spec, 25, seed=seed), path)
+        assert ingest_csv(path) == ingest_csv(path, infer_schema(path))
+
+    @pytest.mark.parametrize("text", [
+        "id,time,status,age\n1,5,1,50\n2,3.5,0,61\n",
+        "id,tstart,tstop,status,treated,dialysis\n1,0,5,1,0,PD\n2,0,3,0,0,HD\n",
+    ], ids=["wide", "label-coded"])
+    def test_ingest_infers_the_schema_of_infer_schema_on_files(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert outcome(ingest_csv, path) == outcome(ingest_csv, path, infer_schema(path))
+
     def test_infer_schema(self, tmp_path):
         spec = scenarios.builtin("s2")
         ds = simulate.simulate(spec, 40, seed=11)

@@ -237,10 +237,10 @@ ADVERSARIAL = {
         "death_untreated": {"base": 0.1},
         "death_treated": {"base": 0.2, "tst_cuts": [0.5, 1.5],
                           "tst_log_hr": [0.3, -0.4, 0.2]}},
-    "dropout": {**scenarios.builtin_dict("s1"), "dropout_rate": 0.3},
+    "dropout": {**scenarios.BUILTIN["s1"], "dropout_rate": 0.3},
     "mixed": MIXED,
-    "s2": scenarios.builtin_dict("s2"),
-    "age_gap": scenarios.builtin_dict("age_gap"),
+    "s2": dict(scenarios.BUILTIN["s2"]),
+    "age_gap": dict(scenarios.BUILTIN["age_gap"]),
 }
 
 
@@ -385,7 +385,7 @@ class TestTrajectoryLaw:
             assert len(starts) <= 1
 
     def test_random_dropout_censors_early(self):
-        d = {**scenarios.builtin_dict("s1"), "dropout_rate": 0.3}
+        d = {**scenarios.BUILTIN["s1"], "dropout_rate": 0.3}
         spec = IntensitySpec.from_dict(d)
         tr = simulate_trajectories(spec, 2000, seed=14)
         early = tr.censor_time < spec.admin_censor
@@ -399,7 +399,7 @@ class TestTrajectoryLaw:
         assert ds.n_subjects == 500
 
     def test_stops_design_truncates_at_treatment(self):
-        d = {**scenarios.builtin_dict("s1"), "design": "stops"}
+        d = {**scenarios.BUILTIN["s1"], "design": "stops"}
         spec = IntensitySpec.from_dict(d)
         ds = simulate.simulate(spec, 300, seed=8)
         tr = simulate_trajectories(spec, 300, seed=8)
@@ -466,7 +466,7 @@ class TestTruthOracle:
     def test_monte_carlo_agrees_with_analytic(self):
         # a zero-coefficient covariate forces the Monte Carlo branch while
         # leaving the law identical to s1
-        d = scenarios.builtin_dict("s1")
+        d = dict(scenarios.BUILTIN["s1"])
         d = {**d, "grid_step": 1.0,
              "tv_covariates": {"z": {"init": {"dist": "normal", "mean": 0.0,
                                               "sd": 1.0}}},

@@ -172,20 +172,6 @@ class TestModelIptwGuard:
             estimate(ds, s)
 
 
-class TestMultiProfileExport:
-    def test_profile_id_rows(self, tmp_path):
-        from predictimands.curves import write_profile_curves
-        ds = simulate.simulate(scenarios.builtin("age_gap"), 500, seed=4)
-        s = spec_for(Strategy.WHILE_UNTREATED, t_hor=10.0, covariates=("age",))
-        curves = {f"age{int(a)}": estimate(ds, s, {"age": a})
-                  for a in (50.0, 70.0)}
-        path = tmp_path / "profiles.csv"
-        write_profile_curves(path, curves)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "profile_id,time,risk"
-        assert {line.split(",")[0] for line in lines[1:]} == {"age50", "age70"}
-
-
 class TestPositivity:
     def test_warning_when_no_untreated_person_time_left(self):
         subjects = (
