@@ -99,14 +99,17 @@ def _load_scenario(ref: str) -> IntensitySpec:
     if not path.exists():
         raise ScenarioError(f"scenario {ref!r} is neither a builtin name "
                             f"({sorted(scenarios_mod.BUILTIN)}) nor a file")
+    return IntensitySpec.from_dict(_read_json(path, ScenarioError))
+
+
+def _read_json(path, error):
+    """The JSON value in the file at ``path``; invalid JSON raises ``error``."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from None
-    return IntensitySpec.from_dict(raw)
+        raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                    f"{exc.msg}") from None
 
 
 def _write_json(path, payload):
@@ -117,15 +120,19 @@ def _write_json(path, payload):
 
 
 def _echo(args, command: str, extra=None) -> dict:
-    skip = {"func", "config"}
-    echo = {"command": command}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        echo[key] = value
-    if extra:
-        echo.update(extra)
-    return echo
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+    return {"command": command, **options, **(extra or {})}
+
+
+def _echo_argv(echo: dict, parser) -> list:
+    """``--flag=value`` tokens that give ``parser`` the options of a
+    run.json echo: True gives the bare flag, None and False give nothing,
+    and keys that are not options of ``parser`` are left out."""
+    flags = {a.dest: a.option_strings[-1] for a in parser._actions
+             if a.option_strings and a.dest != "help"}
+    return [flags[key] if value is True else f"{flags[key]}={value}"
+            for key, value in echo.items()
+            if key in flags and value is not None and value is not False]
 
 
 def _strategy_spec(args, horizon: float) -> StrategySpec:
@@ -145,8 +152,9 @@ def _strategy_spec(args, horizon: float) -> StrategySpec:
 
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
+    # end of follow-up; a file without rows takes 1.0 for the fit to reject
     horizon = (args.horizon if args.horizon is not None
-               else float(ds.tstop.max()))
+               else float(ds.tstop.max()) if ds.n_rows else 1.0)
     spec = _strategy_spec(args, horizon)
     fit = fit_strategy_models(ds, spec)
 
@@ -170,30 +178,33 @@ def cmd_fit(args) -> int:
 
 
 def _load_fit(run_dir: Path) -> tuple:
+    """The fit options of a fit output directory, parsed from its run.json
+    by the ``fit`` subparser, and its models."""
     run_file = run_dir / "run.json"
     if not run_file.exists():
         raise DataError(f"{run_file} not found; point --run at a fit output "
                         "directory")
-    with open(run_file) as fh:
-        run = json.load(fh)
-    if run.get("command") != "fit":
-        raise DataError(f"{run_file} did not come from a fit run")
+    run = _read_json(run_file, DataError)
+    if (not isinstance(run, dict) or run.get("command") != "fit"
+            or not isinstance(run.get("models"), dict) or run.get("horizon") is None):
+        raise DataError(f"{run_file} is not the run.json of a fit run")
+    fit_parser = build_parser()[1]["fit"]
+    fit_args = fit_parser.parse_args(_echo_argv(run, fit_parser))
     models = {name: CoxModel.from_json(run_dir / fname)
               for name, fname in run["models"].items()}
-    return run, models
+    return fit_args, models
 
 
 def cmd_predict(args) -> int:
     run_dir = Path(args.run)
-    run, models = _load_fit(run_dir)
-    horizon = args.horizon if args.horizon is not None else run["horizon"]
+    fit_args, models = _load_fit(run_dir)
+    horizon = args.horizon if args.horizon is not None else fit_args.horizon
     levels = next(iter(models.values())).schema_levels
     profile = _parse_profile(args.profile, levels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    ns = argparse.Namespace(**{**run, "horizon": horizon})
-    spec = _strategy_spec(ns, horizon)
+    spec = _strategy_spec(fit_args, horizon)
 
     last_jump = max((float(m.baseline_times[-1]) for m in models.values()
                      if m.baseline_times.size), default=0.0)
@@ -204,10 +215,10 @@ def cmd_predict(args) -> int:
 
     report = {
         "strategy": spec.label,
-        "spec": {"strategy": run["strategy"], "method": run.get("method"),
-                 "covariates": run.get("covariates"),
-                 "weight_covariates": run.get("weight_covariates"),
-                 "tie": run.get("tie"), "tv_cuts": run.get("tv_cuts")},
+        "spec": {"strategy": fit_args.strategy, "method": fit_args.method,
+                 "covariates": fit_args.covariates,
+                 "weight_covariates": fit_args.weight_covariates,
+                 "tie": fit_args.tie, "tv_cuts": fit_args.tv_cuts},
         "profile": profile,
         "horizon": horizon,
         "diagnostics": {
@@ -220,14 +231,13 @@ def cmd_predict(args) -> int:
     }
     weight_diag = run_dir / "weights_diagnostics.json"
     if weight_diag.exists():
-        with open(weight_diag) as fh:
-            report["diagnostics"]["weights"] = json.load(fh)
+        report["diagnostics"]["weights"] = _read_json(weight_diag, DataError)
     if args.all_strategies:
-        data_path = Path(run["data"])
+        data_path = Path(fit_args.data)
         if not data_path.exists():
             raise DataError(f"dataset {data_path} from the fit run is needed "
                             "for --all-strategies")
-        ds = _load_dataset(ns)
+        ds = _load_dataset(fit_args)
         results = estimate_all(ds, spec, profile)
         rows = ["strategy,time,risk"]
         for strategy, curve in results.curves.items():
@@ -438,21 +448,13 @@ def main(argv=None) -> int:
         try:
             with open(argv[idx + 1]) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError, IndexError) as exc:
+            if not isinstance(cfg, dict) or cfg.get("command", argv[0]) != argv[0]:
+                raise ValueError(f"{argv[idx + 1]} is not a run.json echo of {argv[0]!r}")
+        except (OSError, ValueError, IndexError) as exc:
             print(json.dumps({"error": "ConfigError", "message": str(exc)}))
             return EXIT_USAGE
-        command = cfg.pop("command", argv[0])
-        if command != argv[0]:
-            print(json.dumps({"error": "ConfigError",
-                              "message": f"config echo is for {command!r}, "
-                                         f"not {argv[0]!r}"}))
-            return EXIT_USAGE
-        known = {a.dest for a in subparsers[argv[0]]._actions}
-        provided = {k: v for k, v in cfg.items() if k in known}
-        subparsers[argv[0]].set_defaults(**provided)
-        for action in subparsers[argv[0]]._actions:
-            if action.dest in provided:
-                action.required = False
+        # explicit flags come later and win
+        argv[1:1] = _echo_argv(cfg, subparsers[argv[0]])
     args = parser.parse_args(argv)
     try:
         return args.func(args)

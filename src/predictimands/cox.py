@@ -380,7 +380,9 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
         factor = 1.0
         for _ in range(30):
             cand = beta + factor * step
-            cand_ll = _sweep(rs, cand, order=0)[0]
+            # a trial point whose risk sets underflow is rejected, silently
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand_ll = _sweep(rs, cand, order=0)[0]
             if np.isfinite(cand_ll) and cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
                 new_beta, new_ll, accepted = cand, cand_ll, True
                 break

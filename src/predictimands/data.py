@@ -9,14 +9,14 @@ one float column per covariate in ``columns``: a baseline value X(0) repeats
 on each of its subject's rows, a time-dependent X(t) belongs to its row and
 NaN marks a missing one.
 
-Validation runs once, when a dataset is built from records or read from
+Validation runs once, when a dataset is built from columns or read from
 CSV, and names the first failing subject or line. Datasets are immutable;
 the transforms select rows or fill columns without validating again.
 
-Record boundary: ``CountingProcessDataset(subjects, schema, design)`` builds
-a dataset from ``SubjectRecord``s of ``Episode``s, as tests and the
-simulator do. ``ds.subjects`` is a read-only record view derived from the
-columns, for tests and tools; no module of the package reads it.
+Record boundary: datasets are built from columns only, by the
+``CountingProcessDataset`` constructor or ``ingest_csv``. ``ds.subjects`` is
+a read-only view of the columns as ``SubjectRecord``s of ``Episode``s, for
+tests and tools; no module of the package reads it.
 """
 
 from __future__ import annotations
@@ -134,23 +134,35 @@ class SubjectRecord:
 
 
 class CountingProcessDataset:
-    """Immutable counting-process rows plus their covariate schema, built
-    from validated ``SubjectRecord``s; equal when their columns are equal."""
+    """Immutable counting-process rows plus their covariate schema; equal
+    when their columns are equal.
 
-    def __init__(self, subjects=(), schema: CovariateSchema | None = None,
-                 design: DesignFlavor = DesignFlavor.CONTINUES_AFTER_TREATMENT):
-        schema = CovariateSchema() if schema is None else schema
-        subjects = tuple(subjects)
-        rows = [(sub, ep) for sub in subjects for ep in sub.episodes]
-        columns = {name: [sub.baseline.get(name, math.nan) for sub, _ in rows]
-                   for name in schema.baseline}
-        columns.update({name: [math.nan if ep.tv.get(name) is None else ep.tv[name]
-                               for _, ep in rows] for name in schema.time_varying})
-        self._init(schema, design, [sub.subject_id for sub in subjects],
-                   np.cumsum([0] + [len(sub.episodes) for sub in subjects]),
-                   *np.array([(ep.tstart, ep.tstop, ep.status, ep.treated)
-                              for _, ep in rows], float).reshape(-1, 4).T, columns)
-        _validate(self, _record_failures(subjects, schema))
+    Built from the columns described above, ``columns`` mapping each
+    covariate of ``schema`` to its column. Raises a DataError for columns
+    that do not fit together or hold values outside their domain, and for
+    the first violation of the counting-process contract.
+    """
+
+    def __init__(self, schema: CovariateSchema, design: DesignFlavor, ids, offsets,
+                 tstart, tstop, status, treated, columns):
+        if set(columns) != set(schema.names()):
+            raise UnknownCovariate(f"columns {sorted(columns)} are not the schema's "
+                                   f"covariates {sorted(schema.names())}")
+        self._init(schema, design, ids, offsets, tstart, tstop, status, treated, columns)
+        rows = (self.tstart, self.tstop, self.status, self.treated, *self.columns.values())
+        if (self.offsets.shape != (self.n_subjects + 1,) or self.offsets[0] != 0
+                or (np.diff(self.offsets) < 0).any()
+                or any(col.shape != (self.offsets[-1],) for col in rows)):
+            raise DataError(f"{self.n_subjects} subjects need {self.n_subjects + 1} offsets "
+                            "rising from 0 to the length of every column")
+        if not (np.isfinite([self.tstart, self.tstop]).all()
+                and np.isin(self.status, list(Status)).all()):
+            raise DataError("times must be finite and status codes 0, 1 or 2")
+        for name in schema.baseline:
+            col = self.columns[name]
+            if not np.array_equal(col, col[self.offsets[self.row_subject]], equal_nan=True):
+                raise DataError(f"baseline covariate {name!r} varies within a subject")
+        _validate(self)
 
     def _init(self, schema, design, ids, offsets, tstart, tstop, status,
               treated, columns):
@@ -162,7 +174,8 @@ class CountingProcessDataset:
 
     @classmethod
     def _of(cls, *columns) -> "CountingProcessDataset":
-        """A dataset from columns (as ``_init`` takes them) that are valid."""
+        """A dataset from columns, as the constructor takes them, that are
+        known to be valid: nothing is checked."""
         ds = cls.__new__(cls)
         ds._init(*columns)
         return ds
@@ -261,37 +274,14 @@ def _raise_first(failures):
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _record_failures(subjects, schema) -> list:
-    """What only records can get wrong, keyed as in ``_validate``: repeated
-    subject ids and covariates that are missing or outside the schema."""
-    failures, seen, row, tv_names = [], set(), 0, set(schema.time_varying)
-    for s, sub in enumerate(subjects):
-        sid = sub.subject_id
-        if sid in seen:
-            failures.append(((s, 0, 0, 0), DataError(f"duplicate subject id {sid!r}")))
-        seen.add(sid)
-        for ep in sub.episodes:
-            unknown = ep.tv.keys() - tv_names
-            if unknown:
-                failures.append(((s, 1, row, 8), UnknownCovariate(
-                    f"subject {sid}: episode covariates {sorted(unknown)} not in schema")))
-            row += 1
-        missing = set(schema.baseline) - set(sub.baseline)
-        if missing:
-            failures.append(((s, 2, 0, 0), DataError(
-                f"subject {sid}: missing baseline covariates {sorted(missing)}")))
-        unknown = set(sub.baseline) - set(schema.baseline)
-        if unknown:
-            failures.append(((s, 2, 0, 1), UnknownCovariate(
-                f"subject {sid}: baseline covariates {sorted(unknown)} not in schema")))
-    return failures
-
-
-def _validate(ds: CountingProcessDataset, failures=()):
+def _validate(ds: CountingProcessDataset):
     """Check the counting-process contract and raise its first violation:
-    subjects in order; within one, its start, then episode by episode, then
-    its design."""
-    failures = list(failures)
+    subjects in order; within one, its id and start, then episode by
+    episode, then its baseline covariates and design."""
+    failures, first_of = [], {}
+    repeats = [s for s, sid in enumerate(ds.ids) if first_of.setdefault(sid, s) != s]
+    for s in repeats[:1]:
+        failures.append(((s, 0, 0, 0), DataError(f"duplicate subject id {ds.ids[s]!r}")))
     sizes = np.diff(ds.offsets)
     for s in np.flatnonzero(sizes == 0)[:1]:
         failures.append(((s, 0, 0, 1), DataError(f"subject {ds.ids[s]}: no episodes")))
@@ -302,6 +292,9 @@ def _validate(ds: CountingProcessDataset, failures=()):
     starts = ds.status == Status.TREATMENT_START
     seen = _count_before(ds, starts) > 0
     prev_stop = np.concatenate([[math.nan], tstop[:-1]])
+    missing = np.zeros(ds.n_rows, bool)
+    for name in ds.schema.baseline:
+        missing |= np.isnan(ds.columns[name])
 
     def sid(r):
         return ds.ids[ds.row_subject[r]]
@@ -330,6 +323,10 @@ def _validate(ds: CountingProcessDataset, failures=()):
             "(treatment indicator must stay on once treatment began)")),
         (treated & ~seen & ~starts, 1, 7, lambda r: DataError(
             f"subject {sid(r)}: treated episode without a prior treatment start")),
+        # baseline values repeat on their subject's rows: r is its first row
+        (missing, 2, 0, lambda r: DataError(
+            f"subject {sid(r)}: missing baseline covariates "
+            f"{sorted(n for n in ds.schema.baseline if math.isnan(ds.columns[n][r]))}")),
         (treated & (ds.design == DesignFlavor.STOPS_AT_TREATMENT), 2, 2,
          lambda r: DataError(f"subject {sid(r)}: treated person-time in a "
                              "stops-at-treatment design")),

@@ -25,7 +25,6 @@ from .data import (
     CovariateSchema,
     DesignFlavor,
     Status,
-    _validate,
 )
 from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
@@ -465,11 +464,8 @@ def simulate(spec: IntensitySpec, n: int, seed: int,
     seg = np.minimum(np.searchsorted(grid, tstart, side="right") - 1, grid.size - 2)
     columns = {name: tr.x0[name][sub] for name in schema.baseline}
     columns.update({name: z[sub, seg] for name, z in tr.tv.items()})
-    ds = CountingProcessDataset._of(schema, spec.design,
-                                    [str(i + 1) for i in range(n)], offsets,
-                                    tstart, tstop, status, treated, columns)
-    _validate(ds)
-    return ds
+    return CountingProcessDataset(schema, spec.design, [str(i + 1) for i in range(n)],
+                                  offsets, tstart, tstop, status, treated, columns)
 
 
 # ---------------------------------------------------------------------------

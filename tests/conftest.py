@@ -9,13 +9,13 @@ D4: event 1, treatment start 2, event 3, censored 4 (competing structure).
 import pytest
 
 from predictimands.data import (
-    CountingProcessDataset,
     CovariateSchema,
     DesignFlavor,
     Episode,
     Status,
     SubjectRecord,
 )
+from tests.records import dataset
 
 
 def one_episode_subject(sid, time, status, treated=False, **baseline):
@@ -31,7 +31,7 @@ def d1():
         one_episode_subject("3", 3.0, Status.CENSORED, x=1.0),
         one_episode_subject("4", 4.0, Status.EVENT, x=0.0),
     )
-    return CountingProcessDataset(subjects, schema)
+    return dataset(subjects, schema)
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def d2():
         one_episode_subject("2", 1.0, Status.EVENT),
         one_episode_subject("3", 2.0, Status.EVENT),
     )
-    return CountingProcessDataset(subjects, CovariateSchema())
+    return dataset(subjects, CovariateSchema())
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def d3():
         one_episode_subject("2", 2.0, Status.CENSORED),
         one_episode_subject("3", 3.0, Status.EVENT),
     )
-    return CountingProcessDataset(subjects, CovariateSchema())
+    return dataset(subjects, CovariateSchema())
 
 
 @pytest.fixture
@@ -62,5 +62,4 @@ def d4():
         one_episode_subject("3", 3.0, Status.EVENT),
         one_episode_subject("4", 4.0, Status.CENSORED),
     )
-    return CountingProcessDataset(subjects, CovariateSchema(),
-                                  DesignFlavor.STOPS_AT_TREATMENT)
+    return dataset(subjects, CovariateSchema(), DesignFlavor.STOPS_AT_TREATMENT)

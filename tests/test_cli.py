@@ -1,9 +1,17 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predictimands import data as data_mod
+from predictimands import scenarios, simulate
 from predictimands.cli import _parse_strategy_tokens, main
 from predictimands.strategies import Strategy
 
@@ -462,3 +470,165 @@ class TestWeightsCommand:
                    (out / "weights.csv").read_text().splitlines()[1:]]
         diag = json.loads((out / "weights_diagnostics.json").read_text())
         assert diag["max"] == pytest.approx(max(weights))
+
+
+class TestConfigEcho:
+    @pytest.fixture
+    def fit_dir(self, d4_csv, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(d4_csv), "--strategy", "composite",
+                    "--out", str(out)]) == 0
+        return out
+
+    def write_config(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        return cfg
+
+    def test_fit_echo_rewrites_identical_files(self, fit_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes((fit_dir / "run.json").read_bytes())
+        before = {p.name: p.read_bytes() for p in fit_dir.iterdir()}
+        assert run(["fit", "--config", str(cfg)]) == 0
+        assert {p.name: p.read_bytes() for p in fit_dir.iterdir()} == before
+
+    def test_explicit_flags_win(self, fit_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes((fit_dir / "run.json").read_bytes())
+        out = tmp_path / "again"
+        assert run(["fit", "--config", str(cfg), "--tie", "breslow",
+                    "--out", str(out)]) == 0
+        echo = json.loads((out / "run.json").read_text())
+        assert (echo["tie"], echo["out"]) == ("breslow", str(out))
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', '{"command": "predict"}'],
+                             ids=["list", "string", "other-command"])
+    def test_config_that_is_not_an_echo_of_the_command(self, d4_csv, tmp_path, capsys,
+                                                       text):
+        cfg = self.write_config(tmp_path, text)
+        code = run(["fit", "--config", str(cfg), "--data", str(d4_csv),
+                    "--strategy", "composite", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ConfigError",
+            "message": f"{cfg} is not a run.json echo of 'fit'"}
+
+    @pytest.mark.parametrize("echo, option", [
+        ({"strategy": "bogus"}, "--strategy"),
+        ({"strategy": "hypothetical", "method": "bogus"}, "--method"),
+        ({"tie": "foo"}, "--tie"),
+    ], ids=["strategy", "method", "tie"])
+    def test_config_value_is_checked_like_a_flag(self, d4_csv, tmp_path, capsys,
+                                                 echo, option):
+        cfg = self.write_config(tmp_path, json.dumps(echo))
+        argv = ["fit", "--config", str(cfg), "--data", str(d4_csv),
+                "--out", str(tmp_path / "o")]
+        if "strategy" not in echo:
+            argv += ["--strategy", "composite"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid choice" in capsys.readouterr().err
+
+    def test_predict_checks_the_fit_echo_like_fit(self, fit_dir, tmp_path, capsys):
+        echo = json.loads((fit_dir / "run.json").read_text())
+        (fit_dir / "run.json").write_text(json.dumps({**echo, "strategy": "bogus"}))
+        with pytest.raises(SystemExit) as exc:
+            run(["predict", "--run", str(fit_dir), "--out", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        assert "argument --strategy: invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("no-horizon", "is not the run.json of a fit run"),
+        ("no-models", "is not the run.json of a fit run"),
+        ("invalid-json", "invalid JSON at line 1, column 2"),
+        ("list", "is not the run.json of a fit run"),
+    ])
+    def test_predict_on_a_broken_fit_echo_exits_3(self, fit_dir, tmp_path, capsys,
+                                                  case, message):
+        echo = json.loads((fit_dir / "run.json").read_text())
+        (fit_dir / "run.json").write_text({
+            "no-horizon": json.dumps({k: v for k, v in echo.items() if k != "horizon"}),
+            "no-models": json.dumps({k: v for k, v in echo.items() if k != "models"}),
+            "invalid-json": "{bad",
+            "list": "[]",
+        }[case])
+        capsys.readouterr()
+        code = run(["predict", "--run", str(fit_dir), "--out", str(tmp_path / "p")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "DataError"
+        assert message in err["message"]
+
+
+class TestHeaderOnly:
+    @pytest.mark.parametrize("header", ["id,tstart,tstop,status,treated,x",
+                                        "id,time,status,x"], ids=["long", "wide"])
+    @pytest.mark.parametrize("extra", [[], ["--horizon", "5"]], ids=["default", "given"])
+    def test_fit_exits_3_with_no_events(self, tmp_path, capsys, header, extra):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n")
+        code = run(["fit", "--data", str(data), "--strategy", "composite",
+                    "--out", str(tmp_path / "o")] + extra)
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "NoEvents", "message": "no episode carries event code 1"}
+
+
+@functools.cache
+def valid_csv_lines() -> tuple:
+    """A small s2 file, as lines: a header and 25 subjects' rows."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "s2.csv"
+        data_mod.write_csv(simulate.simulate(scenarios.builtin("s2"), 25, seed=9), path)
+        return tuple(path.read_text().splitlines())
+
+
+@st.composite
+def broken_csvs(draw):
+    """The valid file with one to three of: a non-finite token, a bad
+    status, a short row, a blank line, a duplicated row, or no rows."""
+    lines = [line.split(",") for line in valid_csv_lines()]
+    header = lines[0]
+    numeric = [j for j, name in enumerate(header) if name not in ("id", "status", "treated")]
+    for kind in draw(st.lists(st.sampled_from(["non-finite", "status", "short", "blank",
+                                               "duplicate", "header-only"]),
+                              min_size=1, max_size=3)):
+        rows = range(1, len(lines))
+        if kind == "header-only" or not rows:
+            del lines[1:]
+        elif kind in ("non-finite", "status"):
+            row = lines[draw(st.sampled_from(rows))]
+            col, tokens = ((draw(st.sampled_from(numeric)), ["nan", "inf", "-inf", "NaN"])
+                           if kind == "non-finite"
+                           else (header.index("status"), ["3", "-1", "x", "1.5", ""]))
+            if col < len(row):
+                row[col] = draw(st.sampled_from(tokens))
+        elif kind == "short":
+            row = draw(st.sampled_from(rows))
+            lines[row] = lines[row][:draw(st.integers(0, max(len(lines[row]) - 1, 0)))]
+        elif kind == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), [])
+        else:
+            row = draw(st.sampled_from(rows))
+            lines.insert(draw(st.integers(1, len(lines))), list(lines[row]))
+    return "\n".join(",".join(line) for line in lines) + "\n"
+
+
+class TestBrokenCsvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(text=broken_csvs())
+    def test_fit_and_weights_exit_0_or_3(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("fuzz")
+        data = work / "data.csv"
+        data.write_text(text)
+        for argv in (["fit", "--strategy", "hypothetical", "--method", "censor-ipcw",
+                      "--weight-covariates", "z"],
+                     ["weights", "--weight-covariates", "z", "--mode", "iptw"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv + ["--data", str(data), "--out", str(work / argv[0])])
+            assert code in (0, 3), out.getvalue()
+            if code == 3:
+                err = json.loads(out.getvalue().splitlines()[-1])
+                assert set(err) == {"error", "message"}

@@ -3,10 +3,11 @@ import pytest
 
 from predictimands import competing, scenarios, simulate
 from predictimands.curves import StepFunction
-from predictimands.data import CountingProcessDataset, CovariateSchema, Status
+from predictimands.data import CovariateSchema, Status
 from predictimands.errors import NoEvents
 from predictimands.strategies import Strategy, StrategySpec, estimate
 from tests.conftest import one_episode_subject
+from tests.records import dataset
 
 
 def curve_for(ds, strategy, t_hor=10.0, profile=None, **kwargs):
@@ -22,7 +23,7 @@ class TestKaplanMeier:
         assert curve(2.5) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_all_censored_raises(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (one_episode_subject("1", 2.0, Status.CENSORED),), CovariateSchema())
         with pytest.raises(NoEvents):
             curve_for(ds, Strategy.IGNORE_TREATMENT)
@@ -31,7 +32,7 @@ class TestKaplanMeier:
         times = [1.0, 2.5, 4.0, 7.0]
         subjects = tuple(one_episode_subject(str(i), t, Status.EVENT)
                          for i, t in enumerate(times, 1))
-        ds = CountingProcessDataset(subjects, CovariateSchema())
+        ds = dataset(subjects, CovariateSchema())
         curve = curve_for(ds, Strategy.IGNORE_TREATMENT)
         for k, t in enumerate(times, 1):
             assert curve(t) == pytest.approx(k / len(times), abs=1e-12)

@@ -8,7 +8,6 @@ from scipy.optimize import minimize_scalar
 
 from predictimands import cox
 from predictimands.data import (
-    CountingProcessDataset,
     CovariateSchema,
     Episode,
     Status,
@@ -19,6 +18,7 @@ from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
 from predictimands.weights import WeightMode, WeightTable, weight_rows
 from tests.conftest import one_episode_subject
+from tests.records import dataset
 
 SQRT2 = math.sqrt(2.0)
 
@@ -48,7 +48,7 @@ def random_dataset(rng, n_max=30, p=2, with_ties=False, multi_episode=False):
             eps = (Episode(0.0, stop, status),)
         subjects.append(SubjectRecord(str(i + 1), eps, baseline))
     schema = CovariateSchema(baseline=tuple(f"x{j}" for j in range(p)))
-    return CountingProcessDataset(tuple(subjects), schema)
+    return dataset(tuple(subjects), schema)
 
 
 def naive_risk_sets(ds, spec, beta):
@@ -202,12 +202,12 @@ def all_deaths_tied():
                             Status.EVENT if i < 6 else Status.CENSORED,
                             x0=float(rng.normal()), x1=float(rng.normal()))
         for i, stop in enumerate(stops))
-    ds = CountingProcessDataset(subjects, CovariateSchema(baseline=("x0", "x1")))
+    ds = dataset(subjects, CovariateSchema(baseline=("x0", "x1")))
     return ds, {"covariates": ("x0", "x1")}
 
 
 def single_subject():
-    ds = CountingProcessDataset(
+    ds = dataset(
         (one_episode_subject("1", 2.5, Status.EVENT, x0=0.3, x1=-1.2),),
         CovariateSchema(baseline=("x0", "x1")))
     return ds, {"covariates": ("x0", "x1")}
@@ -228,7 +228,7 @@ def late_entry():
                     for lo, hi in zip(bounds[:-1], bounds[1:]))
         subjects.append(SubjectRecord(str(i + 1), eps, {"x0": float(rng.normal())}))
     schema = CovariateSchema(baseline=("x0",), time_varying=("x1",))
-    return CountingProcessDataset(tuple(subjects), schema), {"covariates": ("x0", "x1")}
+    return dataset(tuple(subjects), schema), {"covariates": ("x0", "x1")}
 
 
 def zero_weights():
@@ -294,7 +294,7 @@ def small_weighted_datasets(draw):
         subjects.append(SubjectRecord(sid, eps, {"x": x}))
         weight += [draw(st.sampled_from([0.25, 1.0, 3.0])) for _ in eps]
     assume(any(ep.status == Status.EVENT for sub in subjects for ep in sub.episodes))
-    ds = CountingProcessDataset(tuple(subjects), CovariateSchema(baseline=("x",)))
+    ds = dataset(tuple(subjects), CovariateSchema(baseline=("x",)))
     return ds, WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
 
 
@@ -358,7 +358,7 @@ class TestFitBehavior:
     def test_all_covariates_zero_gives_null_model(self):
         subjects = tuple(one_episode_subject(str(i), float(i), Status.EVENT, x=0.0)
                          for i in range(1, 5))
-        ds = CountingProcessDataset(subjects, CovariateSchema(baseline=("x",)))
+        ds = dataset(subjects, CovariateSchema(baseline=("x",)))
         model = cox.fit(ds, cox.CoxSpec(covariates=("x",)))
         assert model.beta[0] == 0.0
         assert model.degenerate
@@ -372,12 +372,12 @@ class TestFitBehavior:
             one_episode_subject("3", 3.0, Status.CENSORED, x=0.0),
             one_episode_subject("4", 4.0, Status.CENSORED, x=0.0),
         )
-        ds = CountingProcessDataset(subjects, CovariateSchema(baseline=("x",)))
+        ds = dataset(subjects, CovariateSchema(baseline=("x",)))
         with pytest.raises(MonotoneLikelihood, match="x"):
             cox.fit(ds, cox.CoxSpec(covariates=("x",)))
 
     def test_no_events(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (one_episode_subject("1", 1.0, Status.CENSORED),), CovariateSchema())
         with pytest.raises(NoEvents):
             cox.fit(ds, cox.CoxSpec())
@@ -407,7 +407,7 @@ class TestFitBehavior:
         shifted_subjects = tuple(
             SubjectRecord(s.subject_id, s.episodes, {"x": s.baseline["x"] + 3.0})
             for s in d1.subjects)
-        shifted = CountingProcessDataset(shifted_subjects, d1.schema)
+        shifted = dataset(shifted_subjects, d1.schema)
         model2 = cox.fit(shifted, spec)
         assert model2.beta[0] == pytest.approx(model.beta[0], abs=1e-9)
         scale = math.exp(-3.0 * model.beta[0])
@@ -437,7 +437,7 @@ class TestFitBehavior:
             one_episode_subject("3", 2.0, Status.EVENT, x=1.0),
             one_episode_subject("4", 2.0, Status.EVENT, x=-1.0),
         )
-        ds = CountingProcessDataset(subjects, CovariateSchema(baseline=("x",)))
+        ds = dataset(subjects, CovariateSchema(baseline=("x",)))
         model = cox.fit(ds, cox.CoxSpec(covariates=("x",)))
         res = cox.schoenfeld_residuals(model, ds)
         # direct summation oracle: risk-set means are 0 at both event times
@@ -462,7 +462,7 @@ class TestTreatmentTerm:
             one_episode_subject("6", 4.0, Status.EVENT),
             one_episode_subject("7", 10.0, Status.CENSORED),
         )
-        ds = CountingProcessDataset(subjects, CovariateSchema())
+        ds = dataset(subjects, CovariateSchema())
         model = cox.fit(ds, cox.CoxSpec(treatment=cox.TreatmentTerm(cuts)))
         return ds, model
 
@@ -516,7 +516,7 @@ class TestTreatmentTerm:
             one_episode_subject("6", 6.0, Status.EVENT),
             one_episode_subject("7", 10.0, Status.CENSORED),
         )
-        ds = CountingProcessDataset(subjects, CovariateSchema())
+        ds = dataset(subjects, CovariateSchema())
         # at cut 4.0 a death falls on the cut, in the segment the cut closes
         for cut, on_death in ((5.0, False), (4.0, True)):
             model = cox.fit(ds, cox.CoxSpec(treatment=cox.TreatmentTerm((cut,))))

@@ -1,3 +1,4 @@
+import math
 import statistics
 from dataclasses import replace
 
@@ -31,6 +32,8 @@ from predictimands.errors import (
     NonContiguousEpisodes,
     UnknownCovariate,
 )
+from tests.conftest import one_episode_subject
+from tests.records import dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -141,31 +144,89 @@ class TestInvariants:
     def test_event_must_be_final(self):
         eps = (Episode(0.0, 1.0, Status.EVENT), Episode(1.0, 2.0, Status.CENSORED))
         with pytest.raises(DataError, match="event before the final"):
-            CountingProcessDataset((SubjectRecord("1", eps),), CovariateSchema())
+            dataset((SubjectRecord("1", eps),), CovariateSchema())
 
     def test_treated_requires_prior_start(self):
         eps = (Episode(0.0, 1.0, Status.EVENT, treated=True),)
         with pytest.raises(DataError, match="without a prior treatment start"):
-            CountingProcessDataset((SubjectRecord("1", eps),), CovariateSchema())
+            dataset((SubjectRecord("1", eps),), CovariateSchema())
 
     def test_treatment_monotone(self):
         eps = (Episode(0.0, 1.0, Status.TREATMENT_START),
                Episode(1.0, 2.0, Status.CENSORED, treated=True),
                Episode(2.0, 3.0, Status.EVENT, treated=False))
         with pytest.raises(DataError, match="stay on"):
-            CountingProcessDataset((SubjectRecord("1", eps),), CovariateSchema())
+            dataset((SubjectRecord("1", eps),), CovariateSchema())
 
     def test_stops_design_rejects_treated_time(self):
         eps = (Episode(0.0, 1.0, Status.TREATMENT_START),
                Episode(1.0, 2.0, Status.EVENT, treated=True))
         with pytest.raises(DataError, match="stops-at-treatment"):
-            CountingProcessDataset((SubjectRecord("1", eps),), CovariateSchema(),
-                                   DesignFlavor.STOPS_AT_TREATMENT)
+            dataset((SubjectRecord("1", eps),), CovariateSchema(),
+                    DesignFlavor.STOPS_AT_TREATMENT)
 
     def test_first_episode_starts_at_zero(self):
         eps = (Episode(1.0, 2.0, Status.EVENT),)
         with pytest.raises(DataError, match="start at time 0"):
-            CountingProcessDataset((SubjectRecord("1", eps),), CovariateSchema())
+            dataset((SubjectRecord("1", eps),), CovariateSchema())
+
+
+def columnar(**changes):
+    """Two one-row subjects with a baseline covariate x, built by the
+    constructor with ``changes`` to its arguments."""
+    args = dict(schema=CovariateSchema(baseline=("x",)),
+                design=DesignFlavor.CONTINUES_AFTER_TREATMENT, ids=["1", "2"],
+                offsets=[0, 1, 2], tstart=[0.0, 0.0], tstop=[1.0, 2.0], status=[1, 0],
+                treated=[False, False], columns={"x": [0.0, 1.0]})
+    return CountingProcessDataset(**{**args, **changes})
+
+
+class TestColumnarConstructor:
+    def test_builds_what_the_records_give(self):
+        ds = columnar()
+        assert ds == dataset((one_episode_subject("1", 1.0, Status.EVENT, x=0.0),
+                              one_episode_subject("2", 2.0, Status.CENSORED, x=1.0)),
+                             CovariateSchema(baseline=("x",)))
+        assert ds.subjects[1].baseline == {"x": 1.0}
+
+    def test_duplicate_id(self):
+        with pytest.raises(DataError) as exc:
+            columnar(ids=["1", "1"])
+        assert (type(exc.value), str(exc.value)) == (DataError, "duplicate subject id '1'")
+
+    def test_nan_baseline_value(self):
+        with pytest.raises(DataError) as exc:
+            columnar(columns={"x": [math.nan, 1.0]})
+        assert (type(exc.value), str(exc.value)) == (
+            DataError, "subject 1: missing baseline covariates ['x']")
+
+    @pytest.mark.parametrize("columns", [{}, {"x": [0.0, 1.0], "w": [0.0, 0.0]}])
+    def test_columns_other_than_the_schema(self, columns):
+        with pytest.raises(UnknownCovariate, match="are not the schema's covariates"):
+            columnar(columns=columns)
+
+    @pytest.mark.parametrize("changes", [
+        {"tstop": [1.0]}, {"status": [1, 0, 0]}, {"columns": {"x": [0.0]}},
+        {"offsets": [0, 2]}, {"offsets": [0, 2, 1]}, {"offsets": [1, 1, 2]},
+        {"offsets": [[0, 1, 2]]},
+    ])
+    def test_lengths_that_do_not_match_offsets(self, changes):
+        with pytest.raises(DataError, match="offsets rising from 0 to the length"):
+            columnar(**changes)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"tstop": [1.0, math.inf]}, "times must be finite and status codes 0, 1 or 2"),
+        ({"tstart": [math.nan, 0.0]}, "times must be finite and status codes 0, 1 or 2"),
+        ({"status": [1, 7]}, "times must be finite and status codes 0, 1 or 2"),
+        ({"ids": ["1"], "offsets": [0, 2], "columns": {"x": [0.0, 1.0]}},
+         "baseline covariate 'x' varies within a subject"),
+        ({"ids": ["1"], "offsets": [0, 2], "columns": {"x": [0.0, math.nan]}},
+         "baseline covariate 'x' varies within a subject"),
+    ], ids=["inf-tstop", "nan-tstart", "status-7", "varying-baseline", "partly-nan-baseline"])
+    def test_values_outside_their_domain(self, changes, message):
+        with pytest.raises(DataError) as exc:
+            columnar(**changes)
+        assert str(exc.value) == message
 
 
 def continues_subject(sid, v, t, status, **baseline):
@@ -177,14 +238,14 @@ def continues_subject(sid, v, t, status, **baseline):
 class TestTransforms:
     def test_split_truncates_at_treatment(self):
         sub = continues_subject("1", 3.0, 7.0, Status.EVENT)
-        ds = CountingProcessDataset((sub,), CovariateSchema())
+        ds = dataset((sub,), CovariateSchema())
         out = split_at_treatment(ds)
         assert out.design == DesignFlavor.STOPS_AT_TREATMENT
         (eps,) = [s.episodes for s in out.subjects]
         assert eps == (Episode(0.0, 3.0, Status.TREATMENT_START),)
 
     def test_split_idempotent_on_untreated(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (SubjectRecord("1", (Episode(0.0, 5.0, Status.EVENT),)),),
             CovariateSchema())
         assert split_at_treatment(ds).subjects == ds.subjects
@@ -203,14 +264,14 @@ class TestTransforms:
         assert out.person_time() == pytest.approx(expected, rel=1e-12)
 
     def test_compose_recodes_treatment(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (SubjectRecord("1", (Episode(0.0, 3.0, Status.TREATMENT_START),)),),
             CovariateSchema(), DesignFlavor.STOPS_AT_TREATMENT)
         out = compose_outcome(ds)
         assert out.subjects[0].episodes == (Episode(0.0, 3.0, Status.EVENT),)
 
     def test_compose_leaves_untreated_alone(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (SubjectRecord("1", (Episode(0.0, 5.0, Status.CENSORED),)),),
             CovariateSchema())
         assert compose_outcome(ds).subjects == ds.subjects
@@ -247,13 +308,13 @@ class TestImpute:
     schema = CovariateSchema(time_varying=("bmi",))
 
     def test_locf_fills_forward(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (tv_subject("1", [22.0, None, None]),), self.schema)
         out = impute_tv_covariates(ds, ImputePolicy.LOCF)
         assert [ep.tv["bmi"] for ep in out.subjects[0].episodes] == [22.0, 22.0, 22.0]
 
     def test_median_fallback(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (tv_subject("1", [2.0]), tv_subject("2", [2.4]),
              tv_subject("3", [3.0]), tv_subject("4", [None, None])),
             self.schema)
@@ -261,25 +322,25 @@ class TestImpute:
         assert [ep.tv["bmi"] for ep in out.subjects[3].episodes] == [2.4, 2.4]
 
     def test_locf_rejects_fully_missing_subject(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (tv_subject("1", [2.0]), tv_subject("2", [None])), self.schema)
         with pytest.raises(DataError, match="median-fallback"):
             impute_tv_covariates(ds, ImputePolicy.LOCF)
 
     def test_no_observations_anywhere(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (tv_subject("1", [None]), tv_subject("2", [None])), self.schema)
         with pytest.raises(NoObservationsAnywhere):
             impute_tv_covariates(ds, ImputePolicy.MEDIAN_FALLBACK)
 
     def test_fully_observed_is_identity(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (tv_subject("1", [1.0, 2.0]), tv_subject("2", [3.0, 4.0])),
             self.schema)
         assert impute_tv_covariates(ds, ImputePolicy.LOCF) == ds
 
     def test_idempotent(self):
-        ds = CountingProcessDataset(
+        ds = dataset(
             (tv_subject("1", [2.0, None, 4.0, None]), tv_subject("2", [None, 5.0])),
             self.schema)
         once = impute_tv_covariates(ds, ImputePolicy.MEDIAN_FALLBACK)
@@ -487,7 +548,7 @@ def record_datasets(draw):
 
 
 def check_against_references(subjects, design):
-    ds = CountingProcessDataset(subjects, RECORD_SCHEMA, design)
+    ds = dataset(subjects, RECORD_SCHEMA, design)
     assert ds.subjects == subjects
     split = split_at_treatment(ds)
     assert split.subjects == reference_split(subjects, design)
@@ -550,7 +611,7 @@ class TestColumnarAgainstRecords:
     def test_validation_order_on_double_faults(self, rows, design):
         subjects = (SubjectRecord("1", (Episode(0.0, 1.0, Status.CENSORED),), {"x": 1.0}),
                     SubjectRecord("2", tuple(Episode(*row) for row in rows), {}))
-        got = outcome(CountingProcessDataset, subjects, RECORD_SCHEMA, design)
+        got = outcome(dataset, subjects, RECORD_SCHEMA, design)
         want = outcome(reference_validate, subjects, RECORD_SCHEMA, design)
         assert want is not None
         assert got == want
@@ -559,7 +620,8 @@ class TestColumnarAgainstRecords:
     @given(data=st.data())
     def test_validation_matches_record_reference(self, data):
         """Arbitrary, mostly invalid records raise what the record-by-record
-        validation raises, naming the same subject and episode."""
+        validation raises, naming the same subject and episode. Covariate
+        names outside the schema are not drawn: columns cannot carry them."""
         times = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
 
         def episodes():
@@ -570,14 +632,14 @@ class TestColumnarAgainstRecords:
             return tuple(
                 Episode(a, b, data.draw(st.sampled_from(list(Status))),
                         data.draw(st.booleans()),
-                        data.draw(st.sampled_from([{}, {"z": 1.0}, {"w": 1.0}])))
+                        data.draw(st.sampled_from([{}, {"z": 1.0}])))
                 for a, b in zip(bounds[:-1], bounds[1:]))
 
         subjects = tuple(
             SubjectRecord(data.draw(st.sampled_from(["1", "2", "3", "4"])), episodes(),
-                          data.draw(st.sampled_from([{"x": 1.0}, {}, {"x": 0.0, "y": 1.0}])))
+                          data.draw(st.sampled_from([{"x": 1.0}, {}])))
             for _ in range(data.draw(st.integers(1, 4))))
         design = data.draw(st.sampled_from(list(DesignFlavor)))
-        got = outcome(CountingProcessDataset, subjects, RECORD_SCHEMA, design)
+        got = outcome(dataset, subjects, RECORD_SCHEMA, design)
         want = outcome(reference_validate, subjects, RECORD_SCHEMA, design)
         assert (None if isinstance(got, CountingProcessDataset) else got) == want

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from predictimands import scenarios, simulate
 from predictimands.data import (
-    CountingProcessDataset,
     CovariateSchema,
     DesignFlavor,
     Episode,
@@ -29,6 +28,7 @@ from predictimands.simulate import (
     validate,
 )
 from predictimands.strategies import HypotheticalMethod, Strategy, StrategySpec
+from tests.records import dataset
 
 # ---------------------------------------------------------------------------
 # per-subject reference: the simulator written one subject at a time, which
@@ -159,7 +159,7 @@ def reference_simulate(spec, n, seed):
                              time_varying=tuple(sorted(spec.tv_covariates)))
     subjects = tuple(SubjectRecord(str(i + 1), _episodes(spec, tr), dict(tr.x0))
                      for i, tr in enumerate(reference_trajectories(spec, n, seed)))
-    return CountingProcessDataset(subjects, schema, spec.design)
+    return dataset(subjects, schema, spec.design)
 
 
 def reference_risks(spec, profile, t_hor, mc_reps, mc_seed):

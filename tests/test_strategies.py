@@ -3,7 +3,6 @@ import pytest
 
 from predictimands import scenarios, simulate
 from predictimands.data import (
-    CountingProcessDataset,
     CovariateSchema,
     DesignFlavor,
     Episode,
@@ -20,6 +19,7 @@ from predictimands.strategies import (
     estimate,
     estimate_all,
 )
+from tests.records import dataset
 
 
 def spec_for(strategy, method=None, t_hor=5.0, **kw):
@@ -44,8 +44,7 @@ class TestSpecValidation:
 class TestDesignGating:
     @pytest.fixture
     def stops_ds(self):
-        return simulate.simulate(
-            scenarios.builtin("s1"), 150, seed=2).__class__(
+        return dataset(
             split_at_treatment(simulate.simulate(scenarios.builtin("s1"), 150, seed=2)).subjects,
             CovariateSchema(), DesignFlavor.STOPS_AT_TREATMENT)
 
@@ -108,7 +107,7 @@ class TestTrivialEquivalences:
                                         {"c": 1.0}) for e in s.episodes),
                           s.baseline)
             for s in raw.subjects)
-        ds = CountingProcessDataset(
+        ds = dataset(
             subjects, CovariateSchema(time_varying=("c",)), raw.design)
         censor = estimate(ds, spec_for(Strategy.HYPOTHETICAL,
                                        HypotheticalMethod.CENSOR_BASELINE))
@@ -180,7 +179,7 @@ class TestPositivity:
             SubjectRecord("2", (Episode(0.0, 2.0, Status.EVENT),)),
             SubjectRecord("3", (Episode(0.0, 1.5, Status.EVENT),)),
         )
-        ds = CountingProcessDataset(subjects, CovariateSchema())
+        ds = dataset(subjects, CovariateSchema())
         with pytest.warns(PositivityWarning):
             estimate(ds, spec_for(Strategy.HYPOTHETICAL,
                                   HypotheticalMethod.CENSOR_BASELINE, t_hor=8.0))

@@ -4,17 +4,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from predictimands import scenarios, simulate
 from predictimands.data import (
-    CountingProcessDataset,
     CovariateSchema,
     Episode,
     Status,
     SubjectRecord,
     split_at_treatment,
 )
-from predictimands.errors import DataError, NonPositiveProbability, NoTreatmentStarts
+from predictimands.errors import (
+    DataError,
+    NonPositiveProbability,
+    NoTreatmentStarts,
+    NumericError,
+)
 from predictimands.simulate import IntensitySpec
 from predictimands.strategies import (
     HypotheticalMethod,
@@ -23,6 +29,7 @@ from predictimands.strategies import (
     estimate,
 )
 from predictimands.weights import WeightMode, fit_treatment_hazard, stabilized_weights
+from tests.records import dataset
 
 
 def confounded_spec(gamma_treat=0.5, base_treat=0.1):
@@ -152,7 +159,7 @@ class TestAgainstReference:
         subjects = (two_interval_subject("1", 1.0, 6.0, Status.CENSORED, 0.0, 0.0),
                     two_interval_subject("2", 3.0, 6.0, Status.EVENT, 0.0, 0.0),
                     untreated_two_interval("3", 1.0, 2.0, Status.EVENT, 0.0, 0.0))
-        ds = CountingProcessDataset(subjects, CovariateSchema(time_varying=("z",)))
+        ds = dataset(subjects, CovariateSchema(time_varying=("z",)))
         table = stabilized_weights(ds, num, den, WeightMode.IPTW)
         weights_of = {r.subject_id: [] for r in table.rows}
         for r in table.rows:
@@ -160,7 +167,7 @@ class TestAgainstReference:
         assert weights_of["1"][1] == weights_of["1"][0] > 0
         assert weights_of["2"][1] == weights_of["2"][0] > 0
         late = untreated_two_interval("4", 1.0, 6.0, Status.CENSORED, 0.0, 0.0)
-        unfrozen = CountingProcessDataset(subjects + (late,), ds.schema)
+        unfrozen = dataset(subjects + (late,), ds.schema)
         with pytest.raises(NonPositiveProbability, match="subject 4: .* t=6.0"):
             stabilized_weights(unfrozen, num, den, WeightMode.IPTW)
 
@@ -176,7 +183,7 @@ def reference_csv(table, path):
 
 
 def single_subject_table():
-    ds = CountingProcessDataset(
+    ds = dataset(
         (two_interval_subject("7", 1.5, 4.0, Status.EVENT, 0.0, 0.0),),
         CovariateSchema(time_varying=("z",)))
     num = fit_treatment_hazard(ds, ())
@@ -229,7 +236,7 @@ class TestStabilizedWeights:
             untreated_two_interval("3", 2.0, 6.0, Status.TREATMENT_START, 1.0, 1.0),
             untreated_two_interval("4", 1.0, 6.0, Status.CENSORED, 1.0, 1.0),
         )
-        ds = CountingProcessDataset(subjects, CovariateSchema(time_varying=("z",)))
+        ds = dataset(subjects, CovariateSchema(time_varying=("z",)))
         num = fit_treatment_hazard(ds, ())
         den = fit_treatment_hazard(ds, ("z",))
         assert den.degenerate and den.beta[0] == 0.0
@@ -333,3 +340,44 @@ class TestWeightedEstimation:
         assert naive_bias < -0.02
         assert abs(weighted_bias) < abs(naive_bias)
         assert abs(weighted_bias) < 0.02
+
+
+@st.composite
+def treated_datasets(draw):
+    """2-8 subjects of 1-4 episodes on a half-unit grid, followed on after
+    treatment, with a baseline x and a time-dependent z. Subject 1 starts
+    treatment at the end of its first episode and has treated rows after it."""
+    values = st.sampled_from([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+    subjects = []
+    for i in range(draw(st.integers(2, 8))):
+        ends = sorted(draw(st.sets(st.integers(1, 12), min_size=2 if i == 0 else 1,
+                                   max_size=4)))
+        bounds = [0.0] + [e / 2 for e in ends]
+        start = 0 if i == 0 else draw(st.sampled_from([None, *range(len(ends))]))
+        final = draw(st.sampled_from([Status.EVENT, Status.CENSORED]))
+        episodes = tuple(
+            Episode(bounds[j], bounds[j + 1],
+                    Status.TREATMENT_START if j == start
+                    else final if j == len(ends) - 1 else Status.CENSORED,
+                    treated=start is not None and j > start, tv={"z": draw(values)})
+            for j in range(len(ends)))
+        subjects.append(SubjectRecord(str(i + 1), episodes, {"x": draw(values)}))
+    return dataset(subjects, CovariateSchema(baseline=("x",), time_varying=("z",)))
+
+
+class TestUnitWeightsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=treated_datasets(), covariates=st.sampled_from([(), ("x",), ("x", "z")]),
+           mode=st.sampled_from(list(WeightMode)), truncation=st.sampled_from([None, (1, 99)]))
+    def test_identical_models_give_exact_unit_weights(self, ds, covariates, mode,
+                                                      truncation):
+        try:
+            model = fit_treatment_hazard(ds, covariates)
+        except NumericError:
+            assume(False)
+        table = stabilized_weights(ds, model, model, mode, truncation)
+        if mode == WeightMode.IPTW:
+            # the rows after subject 1's treatment start carry a frozen weight
+            assert len(table.rows) > split_at_treatment(ds).n_rows
+        assert table.values.tolist() == [1.0] * len(table.rows)
+        assert table.truncation in (None, (1.0, 1.0))
