@@ -19,7 +19,7 @@ from . import scenarios as scenarios_mod
 from . import simulate as sim
 from . import weights as weights_mod
 from .cox import CoxModel
-from .data import CovariateSchema, infer_schema, ingest_csv, write_csv
+from .data import CovariateSchema, infer_schema, ingest_csv, reading, write_csv, write_rows
 from .errors import DataError, NumericError, ScenarioError
 from .simulate import IntensitySpec
 from .strategies import (
@@ -41,6 +41,10 @@ EXIT_NUMERIC = 4
 
 class UsageError(Exception):
     """An option value that argparse cannot check is invalid (exit 2)."""
+
+
+class ConfigError(UsageError):
+    """A ``--config`` file is unreadable or no run.json echo of the command."""
 
 
 def _csv_list(raw: str | None) -> tuple:
@@ -103,9 +107,9 @@ def _load_scenario(ref: str) -> IntensitySpec:
 
 
 def _read_json(path, error):
-    """The JSON value in the file at ``path``; invalid JSON raises ``error``."""
+    """The JSON value in the file at ``path``; ``error`` if it cannot be read."""
     try:
-        with open(path) as fh:
+        with reading(path, error) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -163,11 +167,11 @@ def cmd_fit(args) -> int:
     model_files = {}
     for name, model in fit.models.items():
         fname = "model.json" if name == "main" else f"model_{name}.json"
-        model.to_json(out / fname)
+        _write_json(out / fname, model.to_dict())
         model_files[name] = fname
     if fit.weight_table is not None:
         fit.weight_table.to_csv(out / "weights.csv")
-        fit.weight_table.diagnostics_json(out / "weights_diagnostics.json")
+        _write_json(out / "weights_diagnostics.json", fit.weight_table.diagnostics)
     _write_json(out / "run.json",
                 _echo(args, "fit", {"horizon": horizon, "models": model_files}))
     summary = {name: {"n_events": m.n_events, "iterations": m.iterations,
@@ -181,17 +185,19 @@ def _load_fit(run_dir: Path) -> tuple:
     """The fit options of a fit output directory, parsed from its run.json
     by the ``fit`` subparser, and its models."""
     run_file = run_dir / "run.json"
-    if not run_file.exists():
-        raise DataError(f"{run_file} not found; point --run at a fit output "
-                        "directory")
     run = _read_json(run_file, DataError)
     if (not isinstance(run, dict) or run.get("command") != "fit"
             or not isinstance(run.get("models"), dict) or run.get("horizon") is None):
         raise DataError(f"{run_file} is not the run.json of a fit run")
     fit_parser = build_parser()[1]["fit"]
     fit_args = fit_parser.parse_args(_echo_argv(run, fit_parser))
-    models = {name: CoxModel.from_json(run_dir / fname)
-              for name, fname in run["models"].items()}
+    models = {}
+    for name, fname in run["models"].items():
+        try:
+            models[name] = CoxModel.from_dict(_read_json(run_dir / fname, DataError))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"model file {fname!r} of {run_file} cannot be read "
+                            f"({type(exc).__name__}: {exc})") from None
     return fit_args, models
 
 
@@ -233,22 +239,17 @@ def cmd_predict(args) -> int:
     if weight_diag.exists():
         report["diagnostics"]["weights"] = _read_json(weight_diag, DataError)
     if args.all_strategies:
-        data_path = Path(fit_args.data)
-        if not data_path.exists():
-            raise DataError(f"dataset {data_path} from the fit run is needed "
-                            "for --all-strategies")
-        ds = _load_dataset(fit_args)
-        results = estimate_all(ds, spec, profile)
-        rows = ["strategy,time,risk"]
-        for strategy, curve in results.curves.items():
-            for t, r in zip(curve.times, curve.risk):
-                rows.append(f"{strategy.value},{float(t)!r},{float(r)!r}")
-        (out / "overlay.csv").write_text("\n".join(rows) + "\n")
+        results = estimate_all(_load_dataset(fit_args), spec, profile)
+        write_rows(out / "overlay.csv", ("strategy", "time", "risk"),
+                   ((strategy.value, repr(t), repr(r))
+                    for strategy, curve in results.curves.items()
+                    for t, r in zip(curve.times.tolist(), curve.risk.tolist())))
         report["curves"] = {s.value: c.to_dict() for s, c in results.curves.items()}
         report["failures"] = {s.value: msg for s, msg in results.failures.items()}
     else:
         curve = predict_risk(StrategyFit(spec, models), profile)
-        curve.to_csv(out / "curve.csv")
+        write_rows(out / "curve.csv", ("time", "risk"),
+                   zip(map(repr, curve.times.tolist()), map(repr, curve.risk.tolist())))
         report["curve"] = curve.to_dict()
         report["risk_at_horizon"] = curve.value_at(horizon)
     _write_json(out / "report.json", report)
@@ -321,7 +322,7 @@ def cmd_weights(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "weights.csv")
-    table.diagnostics_json(out / "weights_diagnostics.json")
+    _write_json(out / "weights_diagnostics.json", table.diagnostics)
     _write_json(out / "run.json", _echo(args, "weights"))
     print(json.dumps({"out": str(out), "diagnostics": table.diagnostics},
                      indent=2))
@@ -440,33 +441,33 @@ def build_parser() -> tuple:
     return parser, subparsers
 
 
+def _config_argv(command, subparser, argv) -> list:
+    """The option tokens of the ``--config`` file among the arguments
+    ``argv`` of ``command``, as its ``subparser`` reads them; [] without one."""
+    pre = argparse.ArgumentParser(prog=subparser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    cfg = _read_json(path, ConfigError)
+    if not isinstance(cfg, dict) or cfg.get("command", command) != command:
+        raise ConfigError(f"{path} is not a run.json echo of {command!r}")
+    return _echo_argv(cfg, subparser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    if argv and argv[0] in subparsers and "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                cfg = json.load(fh)
-            if not isinstance(cfg, dict) or cfg.get("command", argv[0]) != argv[0]:
-                raise ValueError(f"{argv[idx + 1]} is not a run.json echo of {argv[0]!r}")
-        except (OSError, ValueError, IndexError) as exc:
-            print(json.dumps({"error": "ConfigError", "message": str(exc)}))
-            return EXIT_USAGE
-        # explicit flags come later and win
-        argv[1:1] = _echo_argv(cfg, subparsers[argv[0]])
-    args = parser.parse_args(argv)
     try:
+        if argv and argv[0] in subparsers:
+            # explicit flags come later and win
+            argv[1:1] = _config_argv(argv[0], subparsers[argv[0]], argv[1:])
+        args = parser.parse_args(argv)
         return args.func(args)
-    except (ScenarioError, UsageError) as exc:
+    except (ScenarioError, UsageError, DataError, NumericError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_USAGE
-    except DataError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_DATA
-    except NumericError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_NUMERIC
+        return (EXIT_DATA if isinstance(exc, DataError)
+                else EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_USAGE)
 
 
 def entry():

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cox
+from . import cox, weights
 from .curves import RiskCurve
 from .data import CountingProcessDataset, Status, split_at_treatment
-
-EVENT = Status.EVENT
-TREATMENT = Status.TREATMENT_START
 
 
 @dataclass(frozen=True)
@@ -42,14 +39,10 @@ def fit_cause_specific_pair(ds: CountingProcessDataset, covariates=(),
     """Fit both cause-specific models: each cause is the event while the
     other (plus administrative censoring) censors."""
     base = split_at_treatment(ds)
-    model_event = cox.fit(base, cox.CoxSpec(event_code=EVENT,
-                                            covariates=tuple(covariates),
-                                            ties=ties))
-    model_treatment = None
-    if base.has_treatment_starts:
-        model_treatment = cox.fit(base, cox.CoxSpec(event_code=TREATMENT,
-                                                    covariates=tuple(covariates),
-                                                    ties=ties))
+    model_event = cox.fit(base, cox.CoxSpec(event_code=Status.EVENT,
+                                            covariates=tuple(covariates), ties=ties))
+    model_treatment = (weights.fit_treatment_hazard(base, covariates, ties)
+                       if base.has_treatment_starts else None)
     return CauseSpecificPair(model_event, model_treatment)
 
 

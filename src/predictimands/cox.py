@@ -16,7 +16,6 @@ gives the log likelihood, score, information and baseline increments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,10 +280,6 @@ class CoxModel:
             "schema_levels": {k: list(v) for k, v in self.schema_levels.items()},
         }
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
     @classmethod
     def from_dict(cls, d: dict) -> "CoxModel":
         names = tuple(d["coefficients"])
@@ -309,11 +304,6 @@ class CoxModel:
             weighted=d["weighted"],
             schema_levels={k: tuple(v) for k, v in d.get("schema_levels", {}).items()},
         )
-
-    @classmethod
-    def from_json(cls, path) -> "CoxModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _prepared(ds, spec):
@@ -341,7 +331,8 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
 
     Converges when every score component falls below 1e-9 (a stalled log
     likelihood is accepted at 1e-8); a coefficient passing +/-15 while the
-    score has not vanished raises MonotoneLikelihood.
+    score has not vanished, or with a singular information matrix at the
+    end, raises MonotoneLikelihood.
     """
     design, rs = _prepared(ds, spec)
     n_events = int(design.event.sum())
@@ -413,6 +404,11 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     _, _, _, dH = _sweep(rs, beta, order=0, baseline=True)
     eig = np.linalg.eigvalsh(info) if p else np.array([1.0])
     degenerate = bool(eig.min() <= 1e-12 * max(1.0, eig.max()))
+    if degenerate and np.any(np.abs(beta) > BETA_BOUND):
+        j = int(np.abs(beta).argmax())
+        raise MonotoneLikelihood(
+            f"coefficient for {design.names[j]!r} diverges (|beta| > {BETA_BOUND:g} "
+            "with a singular information matrix)")
     return CoxModel(
         names=design.names, beta=beta, info=info, loglik=loglik,
         baseline_times=rs.uft, baseline_increments=dH,

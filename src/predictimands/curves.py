@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,13 +104,6 @@ class RiskCurve:
         return StepFunction(self.times, self.risk, initial=0.0)(t)
 
     __call__ = value_at
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "risk"])
-            for t, r in zip(self.times, self.risk):
-                w.writerow([repr(float(t)), repr(float(r))])
 
     def to_dict(self) -> dict:
         return {

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -74,9 +75,10 @@ class CovariateSchema:
     def __post_init__(self):
         object.__setattr__(self, "baseline", tuple(self.baseline))
         object.__setattr__(self, "time_varying", tuple(self.time_varying))
-        overlap = set(self.baseline) & set(self.time_varying)
-        if overlap:
-            raise DataError(f"covariates declared both baseline and time-varying: {sorted(overlap)}")
+        repeated = sorted({name for name in self.names() if self.names().count(name) > 1})
+        if repeated:
+            raise DataError(f"covariates listed more than once, as baseline or "
+                            f"time-varying: {repeated}")
         for name in self.levels:
             if name not in self.names():
                 raise DataError(f"levels declared for unknown covariate {name!r}")
@@ -427,12 +429,24 @@ def _status(raw: str) -> int:
     return (0, 1, 2).index(int(raw))  # the code itself
 
 
+@contextmanager
+def reading(path, error=DataError):
+    """The UTF-8 text file at ``path``, open for reading; a file that cannot
+    be opened, decoded or split into CSV fields raises ``error`` naming the
+    path."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _read(path) -> tuple:
     """Header, wide-format flag, the non-blank rows of a counting-process
     CSV and their line numbers, and the error of the first row with the
     wrong number of fields, where reading stops: it is returned, not
     raised, so the rows before it report their own errors first."""
-    with open(path, newline="") as fh:
+    with reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -441,6 +455,10 @@ def _read(path) -> tuple:
         wide = tuple(header[:3]) == _WIDE_HEADER
         if not wide and tuple(header[:5]) != _LONG_HEADER:
             raise MalformedRow(1, f"unrecognized header {header!r}")
+        for j, name in enumerate(header):
+            if not name or name in header[:j]:
+                problem = f"repeats the name {name!r}" if name else "has no name"
+                raise MalformedRow(1, f"header column {j + 1} {problem}")
         lines, rows = [], []
         for line, row in enumerate(reader, start=2):
             if not row or not row[0].strip() and all(not c.strip() for c in row):
@@ -564,10 +582,15 @@ def write_csv(ds: CountingProcessDataset, path):
         fields.append(["" if math.isnan(v) and name in schema.time_varying
                        else _format_value(schema, name, v)
                        for v in ds.columns[name].tolist()])
-    with open(path, "w", newline="") as fh:
+    write_rows(path, _LONG_HEADER + schema.names(), zip(*fields))
+
+
+def write_rows(path, header, rows):
+    """Write a UTF-8 CSV file: the ``header`` line, then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(_LONG_HEADER) + list(schema.names()))
-        w.writerows(zip(*fields))
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _format_value(schema, name, value):

@@ -116,15 +116,19 @@ def _check_positivity(ds, t_hor):
             "(consider a shorter horizon)", PositivityWarning, stacklevel=4)
 
 
+def _ties(spec: StrategySpec, treatment=None) -> str:
+    """The spec's ties, except Breslow without covariates or a treatment
+    term: Breslow increments' product-limit transform is exactly the
+    (weighted) Kaplan-Meier curve."""
+    return spec.ties if (spec.covariates or treatment) else "breslow"
+
+
 def _single_fit(ds, spec: StrategySpec, event_code=Status.EVENT,
                 weight_table=None, treatment=None) -> cox.CoxModel:
-    """Cox fit backing one curve. Without covariates or a treatment term the
-    fit is forced to Breslow increments, whose product-limit transform is
-    exactly the (weighted) Kaplan-Meier curve."""
-    ties = spec.ties if (spec.covariates or treatment) else "breslow"
+    """Cox fit backing one curve."""
     return cox.fit(ds, cox.CoxSpec(event_code=event_code,
                                    covariates=spec.covariates,
-                                   treatment=treatment, ties=ties,
+                                   treatment=treatment, ties=_ties(spec, treatment),
                                    weights=weight_table))
 
 
@@ -158,8 +162,7 @@ def fit_strategy_models(ds: CountingProcessDataset,
         return StrategyFit(spec, {"main": _single_fit(compose_outcome(ds), spec)})
 
     if spec.strategy == Strategy.WHILE_UNTREATED:
-        ties = spec.ties if spec.covariates else "breslow"
-        pair = competing.fit_cause_specific_pair(ds, spec.covariates, ties)
+        pair = competing.fit_cause_specific_pair(ds, spec.covariates, _ties(spec))
         models = {"event": pair.model_event}
         if pair.model_treatment is not None:
             models["treatment"] = pair.model_treatment

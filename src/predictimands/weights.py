@@ -8,15 +8,13 @@ model's event-time grid along the subject's own covariate path.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import cox
-from .data import CountingProcessDataset, Status, split_at_treatment
+from .data import CountingProcessDataset, Status, split_at_treatment, write_rows
 from .errors import DataError, NonPositiveProbability, NoTreatmentStarts
 
 
@@ -55,16 +53,9 @@ class WeightTable:
 
     def to_csv(self, path):
         rows = self.rows
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "tstart", "tstop", "weight"])
-            w.writerows(zip(rows.subject_id.tolist(), map(repr, rows.tstart.tolist()),
-                            map(repr, rows.tstop.tolist()),
-                            map(repr, rows.weight.tolist())))
-
-    def diagnostics_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.diagnostics, fh, indent=2)
+        write_rows(path, ("id", "tstart", "tstop", "weight"),
+                   zip(rows.subject_id.tolist(), map(repr, rows.tstart.tolist()),
+                       map(repr, rows.tstop.tolist()), map(repr, rows.weight.tolist())))
 
 
 def fit_treatment_hazard(ds: CountingProcessDataset, covariates=(),

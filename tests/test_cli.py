@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from predictimands import data as data_mod
 from predictimands import scenarios, simulate
-from predictimands.cli import _parse_strategy_tokens, main
+from predictimands.cli import _parse_strategy_tokens, build_parser, main
 from predictimands.strategies import Strategy
 
 
@@ -561,6 +561,88 @@ class TestConfigEcho:
         assert message in err["message"]
 
 
+_FIT = ["fit", "--strategy", "composite", "--out", "o"]
+_WEIGHTS = ["weights", "--weight-covariates", "z", "--out", "o"]
+_PREDICT = ["predict", "--run", "fit", "--out", "p"]
+_SIMULATE = ["simulate", "--scenario", "s1", "--n", "5", "--seed", "1", "--out", "x.csv"]
+_NOT_UTF8 = b"id,tstart,tstop,status,treated,z\n1,0,1,1,0,0\n2,0,2,1,0,caf\xe9\n"
+
+
+class TestUnreadableInputs:
+    """Every file the CLI reads fails through the error contract: one JSON
+    error line on stdout, nothing on stderr. ``files`` maps a path under the
+    working directory, which holds ``d4.csv``, a directory ``adir`` and the
+    composite fit ``fit`` of ``d4.csv``, to new content; None deletes it."""
+
+    @pytest.mark.parametrize("argv, files, code, error", [
+        *(pytest.param(command + ["--data", data], files, 3, "DataError",
+                       id=f"{command[0]}-data-{case}")
+          for command in (_FIT, _WEIGHTS)
+          for case, data, files in [("missing", "missing.csv", {}),
+                                    ("directory", "adir", {}),
+                                    ("not-utf8", "latin1.csv", {"latin1.csv": _NOT_UTF8})]),
+        pytest.param(_PREDICT, {"fit/run.json": None}, 3, "DataError", id="run-json-missing"),
+        pytest.param(_PREDICT, {"fit/model.json": None}, 3, "DataError", id="model-missing"),
+        pytest.param(_PREDICT, {"fit/model.json": b"{"}, 3, "DataError", id="model-invalid"),
+        pytest.param(_PREDICT, {"fit/model.json": b"[]"}, 3, "DataError", id="model-list"),
+        pytest.param(_PREDICT, {"fit/model.json": b"{}"}, 3, "DataError", id="model-empty"),
+        pytest.param(_PREDICT + ["--all-strategies", "--horizon", "3"], {"d4.csv": None}, 3,
+                     "DataError", id="all-strategies-data-missing"),
+        pytest.param(_SIMULATE + ["--config", "missing.json"], {}, 2, "ConfigError",
+                     id="config-missing"),
+        pytest.param(_SIMULATE + ["--config", "adir"], {}, 2, "ConfigError",
+                     id="config-directory"),
+        pytest.param(_SIMULATE + ["--config=missing.json"], {}, 2, "ConfigError",
+                     id="config-equals-form"),
+        pytest.param(_SIMULATE + ["--conf", "missing.json"], {}, 2, "ConfigError",
+                     id="config-abbreviated"),
+        pytest.param(["simulate", "--scenario", "adir", "--n", "5", "--seed", "1",
+                      "--out", "x.csv"], {}, 2, "ScenarioError", id="scenario-directory"),
+    ])
+    def test_one_json_error_line(self, d4_csv, tmp_path, monkeypatch, capsys,
+                                 argv, files, code, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert run(["fit", "--data", "d4.csv", "--strategy", "composite", "--out", "fit"]) == 0
+        for name, content in files.items():
+            if content is None:
+                (tmp_path / name).unlink()
+            else:
+                (tmp_path / name).write_bytes(content)
+        capsys.readouterr()
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        assert json.loads(out)["error"] == error
+
+
+class TestConfigForms:
+    @pytest.mark.parametrize("argv, echo", [
+        (["simulate", "--scenario", "s2", "--n", "50", "--seed", "4", "--out", "out/x.csv"],
+         "out/x.csv.run.json"),
+        (["fit", "--data", "../s2.csv", "--strategy", "hypothetical", "--method",
+          "censor-ipcw", "--weight-covariates", "z", "--out", "out"], "out/run.json"),
+    ], ids=["simulate", "fit"])
+    def test_every_form_writes_the_same_files(self, s2_data, tmp_path, monkeypatch,
+                                              argv, echo):
+        """The explicit flags, then their echo as ``--config FILE``,
+        ``--config=FILE`` and ``--conf FILE``, each run in its own directory
+        next to ``s2.csv``."""
+        config = str(tmp_path / "config.json")
+        written = []
+        for i, form in enumerate([argv, [argv[0], "--config", config],
+                                  [argv[0], f"--config={config}"],
+                                  [argv[0], "--conf", config]]):
+            work = tmp_path / str(i)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert run(form) == 0, form
+            if i == 0:
+                Path(config).write_bytes(Path(echo).read_bytes())
+            written.append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+        assert written[1:] == [written[0]] * 3
+
+
 class TestHeaderOnly:
     @pytest.mark.parametrize("header", ["id,tstart,tstop,status,treated,x",
                                         "id,time,status,x"], ids=["long", "wide"])
@@ -587,15 +669,31 @@ def valid_csv_lines() -> tuple:
 @st.composite
 def broken_csvs(draw):
     """The valid file with one to three of: a non-finite token, a bad
-    status, a short row, a blank line, a duplicated row, or no rows."""
+    status, a short row, a blank line, a duplicated row, no rows, a
+    non-UTF-8 byte or a repeated header name; as bytes, and whether one of
+    the last two, which always fail, was drawn."""
     lines = [line.split(",") for line in valid_csv_lines()]
     header = lines[0]
     numeric = [j for j, name in enumerate(header) if name not in ("id", "status", "treated")]
-    for kind in draw(st.lists(st.sampled_from(["non-finite", "status", "short", "blank",
-                                               "duplicate", "header-only"]),
-                              min_size=1, max_size=3)):
+    kinds = draw(st.lists(st.sampled_from(["non-finite", "status", "short", "blank",
+                                           "duplicate", "header-only", "non-utf8",
+                                           "repeated-name"]),
+                          min_size=1, max_size=3))
+    for kind in kinds:
         rows = range(1, len(lines))
-        if kind == "header-only" or not rows:
+        if kind == "non-utf8":
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+            if line:
+                line[draw(st.integers(0, len(line) - 1))] += "\xe9"
+            else:
+                line.append("\xe9")
+        elif kind == "repeated-name":
+            # a copy of a covariate column under the same name
+            j = draw(st.integers(5, len(header) - 1))
+            for line in lines:
+                if len(line) > j:
+                    line.append(line[j])
+        elif kind == "header-only" or not rows:
             del lines[1:]
         elif kind in ("non-finite", "status"):
             row = lines[draw(st.sampled_from(rows))]
@@ -612,23 +710,116 @@ def broken_csvs(draw):
         else:
             row = draw(st.sampled_from(rows))
             lines.insert(draw(st.integers(1, len(lines))), list(lines[row]))
-    return "\n".join(",".join(line) for line in lines) + "\n"
+    text = "\n".join(",".join(line) for line in lines) + "\n"
+    return text.encode("latin-1"), bool({"non-utf8", "repeated-name"} & set(kinds))
 
 
 class TestBrokenCsvFuzz:
     @settings(max_examples=60, deadline=None)
-    @given(text=broken_csvs())
-    def test_fit_and_weights_exit_0_or_3(self, tmp_path_factory, text):
+    @given(case=broken_csvs())
+    def test_fit_and_weights_exit_0_or_3(self, tmp_path_factory, case):
+        content, must_fail = case
         work = tmp_path_factory.mktemp("fuzz")
         data = work / "data.csv"
-        data.write_text(text)
+        data.write_bytes(content)
         for argv in (["fit", "--strategy", "hypothetical", "--method", "censor-ipcw",
                       "--weight-covariates", "z"],
                      ["weights", "--weight-covariates", "z", "--mode", "iptw"]):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = run(argv + ["--data", str(data), "--out", str(work / argv[0])])
-            assert code in (0, 3), out.getvalue()
+            assert code in ((3,) if must_fail else (0, 3)), out.getvalue()
             if code == 3:
                 err = json.loads(out.getvalue().splitlines()[-1])
                 assert set(err) == {"error", "message"}
+
+
+SUPPRESS = argparse.SUPPRESS
+HELP = (("-h", "--help"), "help", SUPPRESS, None, False)
+CONFIG = (("--config",), "config", None, None, False)
+DATA = [
+    (("--data",), "data", None, None, True),
+    (("--baseline-cols",), "baseline_cols", None, None, False),
+    (("--tv-cols",), "tv_cols", None, None, False),
+    (("--levels",), "levels", None, None, False),
+    (("--design",), "design", None, ("stops", "continues"), False),
+]
+TIE = (("--tie",), "tie", "efron", ("efron", "breslow"), False)
+STRATEGY_OPTIONS = [
+    (("--covariates",), "covariates", None, None, False),
+    TIE,
+    (("--tv-cuts",), "tv_cuts", None, None, False),
+    (("--weight-covariates",), "weight_covariates", None, None, False),
+    (("--truncate-weights",), "truncate_weights", None, None, False),
+]
+#: per subcommand, each option's strings, dest, default, choices and
+#: whether it is required, in parser order
+CLI_CONTRACT = {
+    "fit": [
+        HELP, *DATA,
+        (("--strategy",), "strategy", None,
+         ("ignore", "composite", "while-untreated", "hypothetical"), True),
+        (("--method",), "method", "censor", ("censor", "model", "censor-ipcw", "model-iptw"),
+         False),
+        *STRATEGY_OPTIONS,
+        (("--horizon",), "horizon", None, None, False),
+        (("--out",), "out", None, None, True),
+        CONFIG,
+    ],
+    "predict": [
+        HELP,
+        (("--run",), "run", None, None, True),
+        (("--profile",), "profile", None, None, False),
+        (("--horizon",), "horizon", None, None, False),
+        (("--all-strategies",), "all_strategies", False, None, False),
+        (("--out",), "out", None, None, True),
+        CONFIG,
+    ],
+    "simulate": [
+        HELP,
+        (("--scenario",), "scenario", None, None, True),
+        (("--n",), "n", None, None, True),
+        (("--seed",), "seed", None, None, True),
+        (("--workers",), "workers", 1, None, False),
+        (("--out",), "out", None, None, True),
+        CONFIG,
+    ],
+    "validate": [
+        HELP,
+        (("--scenario",), "scenario", None, None, True),
+        (("--n",), "n", None, None, True),
+        (("--seeds",), "seeds", None, None, True),
+        (("--seed",), "seed", 1, None, False),
+        (("--strategies",), "strategies", "ignore,composite,while-untreated,hypothetical",
+         None, False),
+        *STRATEGY_OPTIONS,
+        (("--profile",), "profile", None, None, False),
+        (("--t-hor",), "t_hor", 5.0, None, False),
+        (("--tolerance",), "tolerance", 0.02, None, False),
+        (("--mc-reps",), "mc_reps", 200_000, None, False),
+        (("--workers",), "workers", 1, None, False),
+        (("--out",), "out", None, None, True),
+        CONFIG,
+    ],
+    "weights": [
+        HELP, *DATA,
+        (("--weight-covariates",), "weight_covariates", None, None, True),
+        (("--numerator-covariates",), "numerator_covariates", None, None, False),
+        (("--mode",), "mode", "ipcw", ("ipcw", "iptw"), False),
+        TIE,
+        (("--truncate-weights",), "truncate_weights", None, None, False),
+        (("--out",), "out", None, None, True),
+        CONFIG,
+    ],
+}
+
+
+def test_cli_contract():
+    """Every knob of every subcommand. A change to this table changes the
+    CLI contract and belongs in CHANGES.md."""
+    _, subparsers = build_parser()
+    actual = {name: [(tuple(a.option_strings), a.dest, a.default,
+                      tuple(a.choices) if a.choices else None, a.required)
+                     for a in p._actions if a.option_strings]
+              for name, p in subparsers.items()}
+    assert actual == CLI_CONTRACT

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from scipy.optimize import minimize_scalar
 
 from predictimands import cox
 from predictimands.data import (
+    CountingProcessDataset,
     CovariateSchema,
+    DesignFlavor,
     Episode,
     Status,
     SubjectRecord,
@@ -376,6 +379,19 @@ class TestFitBehavior:
         with pytest.raises(MonotoneLikelihood, match="x"):
             cox.fit(ds, cox.CoxSpec(covariates=("x",)))
 
+    def test_divergence_along_an_unidentified_direction_detected(self):
+        # one event whose risk set separates on x - z: the score vanishes
+        # before |beta| passes the bound, then a Newton step on the singular
+        # information jumps along x + z
+        schema = CovariateSchema(baseline=("x",), time_varying=("z",))
+        ds = CountingProcessDataset(
+            schema, DesignFlavor.STOPS_AT_TREATMENT, ["1", "2"], [0, 1, 5],
+            [0, 0, 0.5, 1, 1.5], [2, 0.5, 1, 1.5, 2], [2, 0, 0, 0, 0], [0] * 5,
+            {"x": [1, -1.5, -1.5, -1.5, -1.5], "z": [-1.5, -1.5, -1.5, -1.5, 1]})
+        with pytest.raises(MonotoneLikelihood, match="singular information"):
+            cox.fit(ds, cox.CoxSpec(event_code=Status.TREATMENT_START,
+                                    covariates=("x", "z")))
+
     def test_no_events(self):
         ds = dataset(
             (one_episode_subject("1", 1.0, Status.CENSORED),), CovariateSchema())
@@ -423,8 +439,8 @@ class TestFitBehavior:
     def test_model_json_round_trip(self, tmp_path, d1):
         model = cox.fit(d1, cox.CoxSpec(covariates=("x",)))
         path = tmp_path / "model.json"
-        model.to_json(path)
-        again = cox.CoxModel.from_json(path)
+        path.write_text(json.dumps(model.to_dict()))
+        again = cox.CoxModel.from_dict(json.loads(path.read_text()))
         np.testing.assert_array_equal(again.beta, model.beta)
         np.testing.assert_array_equal(again.baseline_increments,
                                       model.baseline_increments)

@@ -87,6 +87,31 @@ class TestIngest:
             ingest_csv(path, CovariateSchema(baseline=("age",)))
         assert err.value.line == 3
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = write(tmp_path, "id,tstart,tstop,status,treated,x,x\n1,0,5,1,0,1,2\n")
+        for read in (ingest_csv, infer_schema):
+            with pytest.raises(MalformedRow, match="column 7 repeats the name 'x'") as err:
+                read(path)
+            assert err.value.line == 1
+
+    def test_empty_column_name_rejected(self, tmp_path):
+        path = write(tmp_path, "id,tstart,tstop,status,treated,,x\n1,0,5,1,0,1,2\n")
+        with pytest.raises(MalformedRow, match="header column 6 has no name") as err:
+            ingest_csv(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("content", [
+        None,
+        b"id,tstart,tstop,status,treated\n\xe9,0,5,1,0\n",
+        b"id,tstart,tstop,status,treated,x\n1,0,5,1,0," + b"1" * 200_000 + b"\n",
+    ], ids=["missing", "not-utf8", "field-over-csv-limit"])
+    def test_unreadable_file_is_a_data_error(self, tmp_path, content):
+        path = tmp_path / "data.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=f"cannot read {path}: "):
+            ingest_csv(path)
+
     def test_first_failing_line_is_reported(self, tmp_path):
         # a bad status on line 3 comes before the short row on line 4
         path = write(tmp_path, "id,tstart,tstop,status,treated\n"
@@ -138,6 +163,15 @@ class TestIngest:
                           "id,tstart,tstop,status,treated\n1,0,3,2,0\n1,3,9,1,1\n",
                           "b.csv")
         assert ingest_csv(continues, CovariateSchema()).design == DesignFlavor.CONTINUES_AFTER_TREATMENT
+
+
+class TestSchema:
+    @pytest.mark.parametrize("kwargs", [{"baseline": ("x", "x")},
+                                        {"time_varying": ("z", "x", "z")}],
+                             ids=["baseline", "time-varying"])
+    def test_name_listed_twice_rejected(self, kwargs):
+        with pytest.raises(DataError, match="listed more than once"):
+            CovariateSchema(**kwargs)
 
 
 class TestInvariants:
