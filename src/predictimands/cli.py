@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -289,10 +290,15 @@ def _parse_strategy_tokens(raw: str, args, horizon: float) -> list:
                              f"token {token!r}; choose from {methods}")
         ns = argparse.Namespace(**{**vars(args), "strategy": name, "method": method})
         specs.append(_strategy_spec(ns, horizon))
+    if not specs:
+        raise UsageError(f"--strategies {raw!r} names no strategy")
     return specs
 
 
 def cmd_validate(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError(f"--tolerance must be finite and nonnegative, "
+                         f"got {args.tolerance}")
     spec = _load_scenario(args.scenario)
     seeds = list(range(args.seed, args.seed + args.seeds))
     strategy_specs = _parse_strategy_tokens(args.strategies, args, args.t_hor)

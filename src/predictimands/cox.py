@@ -77,6 +77,9 @@ class CoxSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
+        twice = sorted({c for c in self.covariates if self.covariates.count(c) > 1})
+        if twice:
+            raise DataError(f"covariates {twice} are listed more than once")
         if self.ties not in ("efron", "breslow"):
             raise DataError(f"unknown tie method {self.ties!r}")
 
@@ -282,9 +285,15 @@ class CoxModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoxModel":
-        names = tuple(d["coefficients"])
+        """The model of a ``to_dict`` mapping; ``coefficients`` must name
+        exactly its terms: the covariates, then the treatment segments."""
         treatment = (TreatmentTerm(tuple(d["treatment_cuts"]))
                      if d.get("treatment_cuts") is not None else None)
+        names = tuple(d["covariates"]) + tuple(
+            treatment.segment_names() if treatment else ())
+        if sorted(d["coefficients"]) != sorted(names):
+            raise ValueError(f"coefficients name {sorted(d['coefficients'])}, "
+                             f"but the model's terms are {list(names)}")
         base = np.asarray(d["baseline_cumhaz"], dtype=float).reshape(-1, 2)
         return cls(
             names=names,

@@ -90,16 +90,6 @@ class RiskCurve:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "risk", np.clip(r, 0.0, 1.0))
 
-    @classmethod
-    def from_survival(cls, curve: SurvivalCurve, strategy="", profile=None,
-                      horizon=None) -> "RiskCurve":
-        times, surv = curve.times, curve.surv
-        if horizon is not None:
-            keep = times <= horizon
-            times, surv = times[keep], surv[keep]
-        return cls(times, 1.0 - surv, strategy=strategy,
-                   profile=dict(profile or {}), horizon=horizon)
-
     def value_at(self, t) -> float:
         return StepFunction(self.times, self.risk, initial=0.0)(t)
 

@@ -564,12 +564,17 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     SE of the bias (sd of the estimates / sqrt(seeds), None below two
     estimates) and a pass flag against the declared tolerance; data and
     numeric errors in estimation are collected per seed rather than raised,
-    anything else propagates.
+    anything else propagates. Every strategy spec must predict to ``t_hor``,
+    the horizon of the truth it is compared with.
     """
     from . import strategies as strat
 
     profile = dict(profile or {})
     seeds = list(seeds)
+    for sspec in strategy_specs:
+        if sspec.t_hor != t_hor:
+            raise DataError(f"strategy {sspec.label} predicts to horizon "
+                            f"{sspec.t_hor:g}, but validate compares at t_hor={t_hor:g}")
     truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
     report = {
         "scenario": spec.name,

@@ -8,9 +8,17 @@ Given a dataset, a strategy spec, a baseline covariate profile and a horizon,
 * composite: risk of event or treatment start, whichever comes first;
 * while-untreated: risk of the event before treatment, via cause-specific
   cumulative incidence;
-* hypothetical: risk had treatment never started, via censoring at treatment
-  (optionally IPC-weighted) or via a treatment term predicted at zero
-  (optionally fitted with IPT weights).
+* hypothetical: risk had treatment never started.
+
+The four hypothetical methods form a 2 x 2. Either censor follow-up at
+treatment start, or model treatment as a time-dependent term predicted at
+zero; and either fit unweighted, or fit with stabilized weights against
+time-varying confounding (IPC weights for censoring, IP treatment weights for
+the marginal structural model)::
+
+                  unweighted   weighted
+    censor        censor       censor-ipcw
+    model         model        model-iptw
 
 Fitting and prediction are split (``fit_strategy_models`` /
 ``predict_risk``) so fitted models can be serialized and reused. Curves with
@@ -30,7 +38,6 @@ from .curves import RiskCurve
 from .data import (
     CountingProcessDataset,
     DesignFlavor,
-    Status,
     compose_outcome,
     split_at_treatment,
 )
@@ -123,11 +130,10 @@ def _ties(spec: StrategySpec, treatment=None) -> str:
     return spec.ties if (spec.covariates or treatment) else "breslow"
 
 
-def _single_fit(ds, spec: StrategySpec, event_code=Status.EVENT,
-                weight_table=None, treatment=None) -> cox.CoxModel:
+def _single_fit(ds, spec: StrategySpec, weight_table=None,
+                treatment=None) -> cox.CoxModel:
     """Cox fit backing one curve."""
-    return cox.fit(ds, cox.CoxSpec(event_code=event_code,
-                                   covariates=spec.covariates,
+    return cox.fit(ds, cox.CoxSpec(covariates=spec.covariates,
                                    treatment=treatment, ties=_ties(spec, treatment),
                                    weights=weight_table))
 
@@ -170,51 +176,43 @@ def fit_strategy_models(ds: CountingProcessDataset,
 
     method = spec.hypothetical_method
     _check_positivity(ds, spec.t_hor)
-
-    if method == HypotheticalMethod.CENSOR_BASELINE:
-        return StrategyFit(spec, {"main": _single_fit(split_at_treatment(ds), spec)})
-
-    if method == HypotheticalMethod.CENSOR_IPCW:
-        base = split_at_treatment(ds)
-        if not base.has_treatment_starts:
-            return StrategyFit(spec, {"main": _single_fit(base, spec)})
-        table = _ipc_weights(base, spec, weights_mod.WeightMode.IPCW)
-        model = _single_fit(base, spec, weight_table=table)
-        return StrategyFit(spec, {"main": model}, weight_table=table)
-
-    _require_continued_follow_up(ds, f"hypothetical method {method.value!r}")
-    table = None
-    if method == HypotheticalMethod.MODEL_IPTW:
-        tv_terms = set(spec.covariates) & set(ds.schema.time_varying)
-        if tv_terms:
-            raise DataError(
-                f"the marginal structural outcome model must not contain "
-                f"time-varying covariates {sorted(tv_terms)}; their values "
-                "are unknown when predicting at baseline (put them in "
-                "weight_covariates instead)")
-        if ds.has_treatment_starts:
-            table = _ipc_weights(ds, spec, weights_mod.WeightMode.IPTW)
-    model = _single_fit(ds, spec, weight_table=table,
-                        treatment=cox.TreatmentTerm(spec.tv_cuts))
+    censor = method in (HypotheticalMethod.CENSOR_BASELINE,
+                        HypotheticalMethod.CENSOR_IPCW)
+    if not censor:
+        _require_continued_follow_up(ds, f"hypothetical method {method.value!r}")
+    tv_terms = set(spec.covariates) & set(ds.schema.time_varying)
+    if method == HypotheticalMethod.MODEL_IPTW and tv_terms:
+        raise DataError(
+            f"the marginal structural outcome model must not contain "
+            f"time-varying covariates {sorted(tv_terms)}; their values "
+            "are unknown when predicting at baseline (put them in "
+            "weight_covariates instead)")
+    data = split_at_treatment(ds) if censor else ds
+    mode = {HypotheticalMethod.CENSOR_IPCW: weights_mod.WeightMode.IPCW,
+            HypotheticalMethod.MODEL_IPTW: weights_mod.WeightMode.IPTW}.get(method)
+    # with no treatment starts every weight is one: fit unweighted
+    table = (_ipc_weights(data, spec, mode)
+             if mode and data.has_treatment_starts else None)
+    model = _single_fit(data, spec, weight_table=table,
+                        treatment=None if censor else cox.TreatmentTerm(spec.tv_cuts))
     return StrategyFit(spec, {"main": model}, weight_table=table)
 
 
 def predict_risk(fit: StrategyFit, profile: dict | None = None) -> RiskCurve:
     """Risk curve for a fitted strategy at one covariate profile, cut at the
-    horizon."""
+    horizon: product-limit for a cause-specific pair or a model with neither
+    covariates nor a treatment term, one minus the Cox survival otherwise."""
     spec = fit.spec
     profile = dict(profile or {})
-    if "event" in fit.models:
-        pair = competing.CauseSpecificPair(fit.models["event"],
+    main = fit.models.get("main")
+    if main is None or (not main.covariates and main.treatment is None):
+        pair = competing.CauseSpecificPair(fit.models.get("event", main),
                                            fit.models.get("treatment"))
         return competing.cuminc(pair, profile, spec.t_hor, label=spec.label)
-    model = fit.models["main"]
-    if not model.covariates and model.treatment is None:
-        return competing.cuminc(competing.CauseSpecificPair(model, None),
-                                profile, spec.t_hor, label=spec.label)
-    surv = cox.predict_survival(model, profile)
-    return RiskCurve.from_survival(surv, strategy=spec.label, profile=profile,
-                                   horizon=spec.t_hor)
+    surv = cox.predict_survival(main, profile)
+    keep = surv.times <= spec.t_hor
+    return RiskCurve(surv.times[keep], 1.0 - surv.surv[keep], strategy=spec.label,
+                     profile=profile, horizon=spec.t_hor)
 
 
 def estimate(ds: CountingProcessDataset, spec: StrategySpec,

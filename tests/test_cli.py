@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from predictimands import data as data_mod
 from predictimands import scenarios, simulate
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
-from predictimands.strategies import Strategy
+from predictimands.strategies import HypotheticalMethod, Strategy
 
 
 def run(argv):
@@ -58,13 +58,17 @@ class TestUsageErrors:
         ("hypothetical:bogus", "unknown method 'bogus'"),
         ("bogus", "unknown strategy 'bogus'"),
         ("composite,hypothetical:", "unknown method ''"),
+        ("", "names no strategy"),
+        (",", "names no strategy"),
     ])
     def test_unknown_strategy_token_exits_2(self, tmp_path, capsys, token, message):
         out = tmp_path / "report.json"
         code = run(["validate", "--scenario", "s1", "--n", "20", "--seeds", "1",
                     "--strategies", token, "--out", str(out)])
         assert code == 2
-        err = json.loads(capsys.readouterr().out)
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        err = json.loads(stdout)
         assert err["error"] == "UsageError"
         assert message in err["message"]
         assert not out.exists()
@@ -451,6 +455,20 @@ class TestValidate:
         assert code == 1
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        report_path = tmp_path / "report.json"
+        code = run(["validate", "--scenario", "s1", "--n", "50", "--seeds", "1",
+                    "--mc-reps", "1000", f"--tolerance={tolerance}",
+                    "--out", str(report_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        assert json.loads(out)["error"] == "UsageError"
+        assert "--tolerance" in json.loads(out)["message"]
+        assert not report_path.exists()
+
+
 class TestWeightsCommand:
     def test_weight_export(self, s2_data, tmp_path):
         out = tmp_path / "w"
@@ -614,6 +632,72 @@ class TestUnreadableInputs:
         out, err = capsys.readouterr()
         assert (len(out.splitlines()), err) == (1, "")
         assert json.loads(out)["error"] == error
+
+
+class TestTermsNamedOnce:
+    """A model's terms are its covariates and its treatment segments, each
+    named once. ``fit`` holds a ``composite --covariates z`` fit of ``s2.csv``
+    whose model.json names the coefficient ``q``."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["predict", "--run", "fit", "--profile", "z=1", "--out", "p"],
+                     "model file 'model.json'", id="coefficient-not-a-term"),
+        pytest.param(["fit", "--data", "s2.csv", "--strategy", "composite",
+                      "--covariates", "z,z", "--out", "o"], "listed more than once",
+                     id="fit-covariate-twice"),
+        pytest.param(["weights", "--data", "s2.csv", "--weight-covariates", "z,z",
+                      "--out", "o"], "listed more than once",
+                     id="weights-covariate-twice"),
+    ])
+    def test_exits_3(self, s2_data, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["fit", "--data", "s2.csv", "--strategy", "composite",
+                    "--covariates", "z", "--out", "fit"]) == 0
+        model = json.loads(Path("fit/model.json").read_text())
+        model["coefficients"] = {"q": model["coefficients"]["z"]}
+        Path("fit/model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        assert message in json.loads(out)["message"]
+
+
+class TestStrictJson:
+    def test_every_json_output_is_strict(self, s2_data, tmp_path, monkeypatch):
+        """A small s2 round of every command that writes JSON: fit and
+        predict for all seven strategies, ``--all-strategies``, weights and
+        validate."""
+        monkeypatch.chdir(tmp_path)
+        fits = {s.value: ["--strategy", s.value] for s in Strategy
+                if s != Strategy.HYPOTHETICAL}
+        fits.update({m.value: ["--strategy", "hypothetical", "--method", m.value,
+                               "--weight-covariates", "z"]
+                     for m in HypotheticalMethod})
+        for name, extra in fits.items():
+            assert run(["fit", "--data", "s2.csv", "--horizon", "5",
+                        "--out", f"fit-{name}"] + extra) == 0, name
+            assert run(["predict", "--run", f"fit-{name}", "--out", f"predict-{name}"]) == 0
+        assert run(["predict", "--run", "fit-censor-ipcw", "--all-strategies",
+                    "--out", "predict-all"]) == 0
+        assert run(["weights", "--data", "s2.csv", "--weight-covariates", "z",
+                    "--out", "weights"]) == 0
+        labels = [s.value for s in Strategy if s != Strategy.HYPOTHETICAL] + [
+            f"hypothetical:{m.value}" for m in HypotheticalMethod]
+        validate = ["validate", "--scenario", "s2", "--n", "300", "--seeds", "1",
+                    "--mc-reps", "1000", "--strategies", ",".join(labels),
+                    "--weight-covariates", "z"]
+        assert run(validate + ["--out", "validate.json"]) in (0, 1)
+        # a report with a NaN tolerance would not be JSON
+        run(validate + ["--tolerance", "nan", "--out", "validate-nan.json"])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        written = sorted(Path(".").rglob("*.json"))
+        for path in written:
+            json.loads(path.read_text(), parse_constant=reject)
+        assert len(written) == 38
 
 
 class TestConfigForms:

@@ -19,7 +19,7 @@ from predictimands.data import (
     SubjectRecord,
     write_csv,
 )
-from predictimands.errors import InvalidIntensity, ScenarioError
+from predictimands.errors import DataError, InvalidIntensity, ScenarioError
 from predictimands.simulate import (
     IntensitySpec,
     constant_intensity_risks,
@@ -634,3 +634,13 @@ class TestValidate:
                           strategy_specs=self.strategy_specs(), t_hor=5.0,
                           tolerance=1e-6)
         assert not report["all_passed"]
+
+
+class TestValidateHorizon:
+    def test_spec_horizon_must_be_the_truth_horizon(self):
+        # the composite risk at 2 against the truth at 5 is no comparison
+        specs = [StrategySpec(Strategy.IGNORE_TREATMENT, t_hor=5.0),
+                 StrategySpec(Strategy.COMPOSITE, t_hor=2.0)]
+        with pytest.raises(DataError, match="strategy composite .* horizon 2"):
+            simulate.validate(scenarios.builtin("s1"), n=200, seeds=[1],
+                              strategy_specs=specs, t_hor=5.0, mc_reps=1000)

@@ -18,7 +18,9 @@ from predictimands.strategies import (
     StrategySpec,
     estimate,
     estimate_all,
+    fit_strategy_models,
 )
+from predictimands.weights import WeightMode
 from tests.records import dataset
 
 
@@ -183,3 +185,49 @@ class TestPositivity:
         with pytest.warns(PositivityWarning):
             estimate(ds, spec_for(Strategy.HYPOTHETICAL,
                                   HypotheticalMethod.CENSOR_BASELINE, t_hor=8.0))
+
+
+#: the hypothetical methods as a 2 x 2: censor at treatment start or not,
+#: and the stabilized weights, if any
+METHOD_TABLE = {
+    HypotheticalMethod.CENSOR_BASELINE: (True, None),
+    HypotheticalMethod.MODEL_BASELINE: (False, None),
+    HypotheticalMethod.CENSOR_IPCW: (True, WeightMode.IPCW),
+    HypotheticalMethod.MODEL_IPTW: (False, WeightMode.IPTW),
+}
+
+
+@pytest.fixture(scope="module")
+def method_table_data():
+    no_starts = IntensitySpec.from_dict({
+        "name": "notx", "admin_censor": 10.0,
+        "treatment": {"base": 0.0},
+        "death_untreated": {"base": 0.2},
+        "death_treated": {"base": 0.05},
+    })
+    return {"s2": simulate.simulate(scenarios.builtin("s2"), 300, seed=4),
+            "no-starts": simulate.simulate(no_starts, 300, seed=4)}
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("data", ["s2", "no-starts"])
+    @pytest.mark.parametrize("method", list(HypotheticalMethod),
+                             ids=lambda m: m.value)
+    def test_fit_follows_the_table(self, method_table_data, method, data):
+        ds = method_table_data[data]
+        assert ds.has_treatment_starts == (data == "s2")
+        censor, mode = METHOD_TABLE[method]
+        fit = fit_strategy_models(ds, spec_for(Strategy.HYPOTHETICAL, method,
+                                               weight_covariates=("z",)))
+        model = fit.models["main"]
+        fitted_on = split_at_treatment(ds) if censor else ds
+        assert (model.treatment is not None) == (not censor)
+        if mode is None or not ds.has_treatment_starts:
+            assert fit.weight_table is None
+        else:
+            assert fit.weight_table.mode == mode
+            np.testing.assert_array_equal(fit.weight_table.rows.tstart,
+                                          fitted_on.tstart)
+            np.testing.assert_array_equal(fit.weight_table.rows.tstop,
+                                          fitted_on.tstop)
+        assert model.n_events == int((fitted_on.status == Status.EVENT).sum())
