@@ -259,7 +259,14 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(args):
+    # SeedSequence takes nonnegative integers only
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+
+
 def cmd_simulate(args) -> int:
+    _check_seed(args)
     spec = _load_scenario(args.scenario)
     ds = sim.simulate(spec, args.n, args.seed, workers=args.workers)
     out = Path(args.out)
@@ -292,6 +299,10 @@ def _parse_strategy_tokens(raw: str, args, horizon: float) -> list:
         specs.append(_strategy_spec(ns, horizon))
     if not specs:
         raise UsageError(f"--strategies {raw!r} names no strategy")
+    labels = [s.label for s in specs]
+    twice = sorted({label for label in labels if labels.count(label) > 1})
+    if twice:
+        raise UsageError(f"--strategies {raw!r} names {twice} more than once")
     return specs
 
 
@@ -299,6 +310,9 @@ def cmd_validate(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise UsageError(f"--tolerance must be finite and nonnegative, "
                          f"got {args.tolerance}")
+    _check_seed(args)
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     spec = _load_scenario(args.scenario)
     seeds = list(range(args.seed, args.seed + args.seeds))
     strategy_specs = _parse_strategy_tokens(args.strategies, args, args.t_hor)

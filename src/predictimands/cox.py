@@ -165,25 +165,24 @@ class _RiskSets:
             self.slot_frac = np.zeros(nuft)
 
 
-def _products(r: np.ndarray, X: np.ndarray, order: int):
-    """Yield the columns r, rX and (order 2) rXX' in row-major order."""
+def _products(r: np.ndarray, X: np.ndarray):
+    """Yield the columns r, rX and rXX' in row-major order."""
     p = X.shape[1]
     yield r
-    for i in range(p if order >= 1 else 0):
+    for i in range(p):
         yield r * X[:, i]
-    for i in range(p if order >= 2 else 0):
+    for i in range(p):
         for j in range(p):
             # one product per pair keeps S2 exactly symmetric
             yield r * X[:, min(i, j)] * X[:, max(i, j)]
 
 
-def _unpack(sums: np.ndarray, p: int, order: int):
-    """Split per-time column sums into S0, S1 and S2 (None beyond order)."""
-    return (sums[:, 0], sums[:, 1:1 + p] if order >= 1 else None,
-            sums[:, 1 + p:].reshape(len(sums), p, p) if order >= 2 else None)
+def _unpack(sums: np.ndarray, p: int):
+    """Split per-time column sums into S0, S1 and S2."""
+    return sums[:, 0], sums[:, 1:1 + p], sums[:, 1 + p:].reshape(len(sums), p, p)
 
 
-def _risk_sums(rs: _RiskSets, r: np.ndarray, order: int):
+def _risk_sums(rs: _RiskSets, r: np.ndarray):
     """S0, S1 and S2 over the risk set at each unique event time: reverse
     cumulative sums of each column binned by entry slot, minus the same
     binned by exit slot."""
@@ -195,45 +194,46 @@ def _risk_sums(rs: _RiskSets, r: np.ndarray, order: int):
         exited = np.bincount(rs.exit, col, n_bins)[::-1].cumsum()[::-1]
         return entered[:-1] - exited[1:]
 
-    sums = [at_risk(col) for col in _products(r[rs.active], X, order)]
-    return _unpack(np.stack(sums, axis=1), X.shape[1], order)
+    sums = [at_risk(col) for col in _products(r[rs.active], X)]
+    return _unpack(np.stack(sums, axis=1), X.shape[1])
 
 
-def _sweep(rs: _RiskSets, beta: np.ndarray, order: int = 2,
-           baseline: bool = False):
+def _risk_weights(design: _Design, beta: np.ndarray):
+    """The linear predictor, its shift and the shifted risk weights
+    r = w exp(lp - shift) of every design row."""
+    lp = design.X @ beta
+    shift = lp.max(initial=0.0)
+    return lp, shift, design.w * np.exp(lp - shift)
+
+
+def _sweep(rs: _RiskSets, beta: np.ndarray):
     """Log likelihood, score, information and baseline increments at beta.
 
-    Returns (loglik, score, info, baseline_increments); entries beyond
-    ``order`` are None. Weighted Efron handling spreads the tied event mass
-    over within-tie reduced denominators.
+    Weighted Efron handling spreads the tied event mass over within-tie
+    reduced denominators.
     """
     d = rs.design
     p = d.X.shape[1]
-    lp = d.X @ beta if p else np.zeros(d.X.shape[0])
-    shift = lp.max(initial=0.0)
-    r = d.w * np.exp(lp - shift)
-    s0, s1, s2 = _risk_sums(rs, r, order)
+    lp, shift, r = _risk_weights(d, beta)
+    s0, s1, s2 = _risk_sums(rs, r)
 
     nuft = rs.uft.size
     dead, t, frac = rs.dead, rs.slot_time, rs.slot_frac
     Xd, wd_rows = d.X[dead], d.w[dead]
     rd, s1d, s2d = _unpack(np.stack(
         [np.bincount(rs.dead_time, col, nuft)
-         for col in _products(r[dead], Xd, order)], axis=1), p, order)
+         for col in _products(r[dead], Xd)], axis=1), p)
     # each slot carries its time's event weight over its number of slots
     c = np.bincount(rs.dead_time, wd_rows, nuft) / rs.n_slots
     den = s0[t] - frac * rd[t]
     loglik = float(wd_rows @ lp[dead]) - float(c[t] @ (np.log(den) + shift))
-    dH = c * np.bincount(t, np.exp(-shift) / den, nuft) if baseline else None
-    score = info = None
-    if order >= 1:
-        u = (s1[t] - frac[:, None] * s1d[t]) / den[:, None]
-        score = wd_rows @ Xd - c[t] @ u
-    if order >= 2:
-        a = np.bincount(t, c[t] / den, nuft)
-        b = np.bincount(t, c[t] * frac / den, nuft)
-        info = (np.tensordot(a, s2, axes=1) - np.tensordot(b, s2d, axes=1)
-                - (u.T * c[t]) @ u)
+    dH = c * np.bincount(t, np.exp(-shift) / den, nuft)
+    u = (s1[t] - frac[:, None] * s1d[t]) / den[:, None]
+    score = wd_rows @ Xd - c[t] @ u
+    a = np.bincount(t, c[t] / den, nuft)
+    b = np.bincount(t, c[t] * frac / den, nuft)
+    info = (np.tensordot(a, s2, axes=1) - np.tensordot(b, s2d, axes=1)
+            - (u.T * c[t]) @ u)
     return loglik, score, info, dH
 
 
@@ -322,26 +322,31 @@ def _prepared(ds, spec):
 
 def partial_loglik(ds, spec: CoxSpec, beta) -> float:
     _, rs = _prepared(ds, spec)
-    return _sweep(rs, np.asarray(beta, float), order=0)[0]
+    return _sweep(rs, np.asarray(beta, float))[0]
 
 
 def score(ds, spec: CoxSpec, beta) -> np.ndarray:
     _, rs = _prepared(ds, spec)
-    return _sweep(rs, np.asarray(beta, float), order=1)[1]
+    return _sweep(rs, np.asarray(beta, float))[1]
 
 
 def information(ds, spec: CoxSpec, beta) -> np.ndarray:
     _, rs = _prepared(ds, spec)
-    return _sweep(rs, np.asarray(beta, float), order=2)[2]
+    return _sweep(rs, np.asarray(beta, float))[2]
 
 
 def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
-    """Newton-Raphson from beta = 0 with step-halving.
+    """Newton-Raphson from beta = 0 with step-halving; one sweep per trial
+    point gives its log likelihood, score, information and baseline.
 
-    Converges when every score component falls below 1e-9 (a stalled log
-    likelihood is accepted at 1e-8); a coefficient passing +/-15 while the
-    score has not vanished, or with a singular information matrix at the
-    end, raises MonotoneLikelihood.
+    Each pass first tests convergence: every score component below 1e-9, or
+    below 1e-8 once the log likelihood has stalled. Then a coefficient past
+    +/-15 while the score is above 1e-8 raises MonotoneLikelihood, and a
+    spent budget of MAX_ITER accepted steps raises ConvergenceFailure. A
+    Newton step that no halving improves ends the fit as converged when the
+    score is below 1e-8 (the stalled attempt counts as an iteration) and
+    raises ConvergenceFailure otherwise. A singular information matrix with
+    a coefficient past +/-15 at the end raises MonotoneLikelihood.
     """
     design, rs = _prepared(ds, spec)
     n_events = int(design.event.sum())
@@ -361,56 +366,43 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
             f"(|value| up to {np.abs(design.X[:, j]).max():g}, limit {limit:.3g})")
     p = design.X.shape[1]
     beta = np.zeros(p)
-    loglik, g, info, _ = _sweep(rs, beta, order=2)
-    iterations = 0
-    converged = False
-    for iterations in range(1, MAX_ITER + 1):
+    loglik, g, info, dH = _sweep(rs, beta)
+    iterations, rel = 0, np.inf
+    while True:
         gmax = float(np.abs(g).max(initial=0.0))
-        if gmax < SCORE_TOL:
-            converged = True
-            iterations -= 1
+        if gmax < SCORE_TOL or (rel < LOGLIK_RTOL and gmax < SCORE_TOL_RELAXED):
             break
+        if np.any(np.abs(beta) > BETA_BOUND) and gmax > SCORE_TOL_RELAXED:
+            j = int(np.abs(beta).argmax())
+            raise MonotoneLikelihood(
+                f"coefficient for {design.names[j]!r} diverges "
+                f"(|beta| > {BETA_BOUND:g} with max |score| = {gmax:.3g})")
+        if iterations == MAX_ITER:
+            raise ConvergenceFailure(
+                f"no convergence in {MAX_ITER} iterations (max |score| = {gmax:.3g})")
+        iterations += 1
         try:
             step = np.linalg.solve(info, g)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(info, g, rcond=None)
         if not np.all(np.isfinite(step)):
             raise SingularInformation("Newton step is not finite")
-        new_beta, new_ll, accepted = beta, loglik, False
-        factor = 1.0
-        for _ in range(30):
-            cand = beta + factor * step
+        for halvings in range(30):
+            cand = beta + 0.5 ** halvings * step
             # a trial point whose risk sets underflow is rejected, silently
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand_ll = _sweep(rs, cand, order=0)[0]
-            if np.isfinite(cand_ll) and cand_ll >= loglik - 1e-12 * (abs(loglik) + 1.0):
-                new_beta, new_ll, accepted = cand, cand_ll, True
+            with np.errstate(all="ignore"):
+                trial = _sweep(rs, cand)
+            if np.isfinite(trial[0]) and trial[0] >= loglik - 1e-12 * (abs(loglik) + 1.0):
                 break
-            factor /= 2.0
-        if not accepted:
+        else:
             if gmax < SCORE_TOL_RELAXED:
-                converged = True
                 break
             raise ConvergenceFailure(
                 f"step-halving stalled with max |score| = {gmax:.3g}")
-        rel = abs(new_ll - loglik) / (abs(loglik) + 1e-10)
-        beta, loglik = new_beta, new_ll
-        _, g, info, _ = _sweep(rs, beta, order=2)
-        gmax = float(np.abs(g).max())
-        if np.any(np.abs(beta) > BETA_BOUND) and gmax > SCORE_TOL_RELAXED:
-            j = int(np.abs(beta).argmax())
-            raise MonotoneLikelihood(
-                f"coefficient for {design.names[j]!r} diverges "
-                f"(|beta| > {BETA_BOUND:g} with max |score| = {gmax:.3g})")
-        if gmax < SCORE_TOL or (rel < LOGLIK_RTOL and gmax < SCORE_TOL_RELAXED):
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceFailure(
-            f"no convergence in {MAX_ITER} iterations "
-            f"(max |score| = {float(np.abs(g).max()):.3g})")
+        rel = abs(trial[0] - loglik) / (abs(loglik) + 1e-10)
+        beta = cand
+        loglik, g, info, dH = trial
 
-    _, _, _, dH = _sweep(rs, beta, order=0, baseline=True)
     eig = np.linalg.eigvalsh(info) if p else np.array([1.0])
     degenerate = bool(eig.min() <= 1e-12 * max(1.0, eig.max()))
     if degenerate and np.any(np.abs(beta) > BETA_BOUND):
@@ -423,7 +415,7 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
         baseline_times=rs.uft, baseline_increments=dH,
         covariates=spec.covariates, treatment=spec.treatment, ties=spec.ties,
         event_code=int(spec.event_code), iterations=iterations,
-        score_norm=float(np.abs(g).max(initial=0.0)), degenerate=degenerate,
+        score_norm=gmax, degenerate=degenerate,
         n_events=n_events, weighted=spec.weights is not None,
         schema_levels=dict(ds.schema.levels))
 
@@ -478,10 +470,7 @@ def schoenfeld_residuals(model: CoxModel, ds: CountingProcessDataset
                    covariates=model.covariates, treatment=model.treatment,
                    ties=model.ties)
     design, rs = _prepared(ds, spec)
-    p = design.X.shape[1]
-    lp = design.X @ model.beta if p else np.zeros(design.X.shape[0])
-    r = design.w * np.exp(lp - lp.max(initial=0.0))
-    s0, s1, _ = _risk_sums(rs, r, order=1)
+    s0, s1, _ = _risk_sums(rs, _risk_weights(design, model.beta)[2])
     xbar = s1 / s0[:, None]
     return SchoenfeldResiduals(
         times=rs.uft[rs.dead_time],

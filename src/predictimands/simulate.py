@@ -31,6 +31,9 @@ from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
 #: subjects per block of the Monte Carlo truth
 TRUTH_BLOCK = 20_000
+#: most points a scenario's covariate grid may have; each simulated subject
+#: carries one value per grid segment (the builtin s2 has 13 points)
+MAX_GRID_POINTS = 10_000
 
 
 def _number(value, where: str) -> float:
@@ -205,6 +208,13 @@ class IntensitySpec:
         if self.grid_step is not None and not (math.isfinite(self.grid_step)
                                                and self.grid_step > 0):
             raise ScenarioError("grid_step must be positive and finite")
+        steps = self.admin_censor / self.grid_step if self.grid_step else 1.0
+        if steps > MAX_GRID_POINTS - 1:
+            points = math.ceil(steps) + 1 if math.isfinite(steps) else steps
+            raise ScenarioError(
+                f"admin_censor {self.admin_censor:g} over grid_step {self.grid_step:g} "
+                f"makes a grid of {points:.6g} points, more than MAX_GRID_POINTS = "
+                f"{MAX_GRID_POINTS}")
         known = set(self.baseline_covariates) | set(self.tv_covariates)
         for which in ("treatment", "death_untreated", "death_treated"):
             unknown = getattr(self, which).covariate_names - known
@@ -565,12 +575,17 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     estimates) and a pass flag against the declared tolerance; data and
     numeric errors in estimation are collected per seed rather than raised,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
-    the horizon of the truth it is compared with.
+    the horizon of the truth it is compared with, and no two may share a
+    label.
     """
     from . import strategies as strat
 
     profile = dict(profile or {})
     seeds = list(seeds)
+    labels = [s.label for s in strategy_specs]
+    twice = sorted({label for label in labels if labels.count(label) > 1})
+    if twice:
+        raise DataError(f"strategy labels {twice} are listed more than once")
     for sspec in strategy_specs:
         if sspec.t_hor != t_hor:
             raise DataError(f"strategy {sspec.label} predicts to horizon "

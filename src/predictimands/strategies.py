@@ -175,7 +175,6 @@ def fit_strategy_models(ds: CountingProcessDataset,
         return StrategyFit(spec, models)
 
     method = spec.hypothetical_method
-    _check_positivity(ds, spec.t_hor)
     censor = method in (HypotheticalMethod.CENSOR_BASELINE,
                         HypotheticalMethod.CENSOR_IPCW)
     if not censor:
@@ -195,6 +194,8 @@ def fit_strategy_models(ds: CountingProcessDataset,
              if mode and data.has_treatment_starts else None)
     model = _single_fit(data, spec, weight_table=table,
                         treatment=None if censor else cox.TreatmentTerm(spec.tv_cuts))
+    # warn about a fit that exists: a failed one raises first
+    _check_positivity(ds, spec.t_hor)
     return StrategyFit(spec, {"main": model}, weight_table=table)
 
 

@@ -4,14 +4,15 @@ import functools
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predictimands import cox, scenarios, simulate
 from predictimands import data as data_mod
-from predictimands import scenarios, simulate
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
 from predictimands.strategies import HypotheticalMethod, Strategy
 
@@ -60,6 +61,11 @@ class TestUsageErrors:
         ("composite,hypothetical:", "unknown method ''"),
         ("", "names no strategy"),
         (",", "names no strategy"),
+        ("composite,composite", "names ['composite'] more than once"),
+        # the default method and an ignored suffix repeat a label too
+        ("ignore,hypothetical,hypothetical:censor",
+         "names ['hypothetical:censor'] more than once"),
+        ("composite,composite:model", "names ['composite'] more than once"),
     ])
     def test_unknown_strategy_token_exits_2(self, tmp_path, capsys, token, message):
         out = tmp_path / "report.json"
@@ -172,6 +178,22 @@ class TestUsageErrors:
         assert err["message"].startswith("covariate 'x' is too large")
         assert captured.err == ""
 
+    def test_spent_newton_budget_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cox, "MAX_ITER", 1)
+        data = tmp_path / "d1.csv"
+        data.write_text("id,tstart,tstop,status,treated,x\n"
+                        "1,0,1,1,0,1\n2,0,2,1,0,0\n3,0,3,0,0,1\n4,0,4,1,0,0\n")
+        out = tmp_path / "o"
+        code = run(["fit", "--data", str(data), "--strategy", "composite",
+                    "--covariates", "x", "--out", str(out)])
+        assert code == 4
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        err = json.loads(stdout)
+        assert err["error"] == "ConvergenceFailure"
+        assert err["message"].startswith("no convergence in 1 iterations")
+        assert not out.exists()
+
     def test_data_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,tstart,tstop,status,treated\n1,0,2,0,0\n1,3,5,1,0\n")
@@ -233,6 +255,50 @@ class TestUsageErrors:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "InvalidCurve"
         assert "[0, 1]" in err["message"]
+
+
+class TestRejectedBeforeRunning:
+    """Inputs that ``validate`` and ``simulate`` reject before they simulate."""
+
+    BASE = {"validate": ["--scenario", "s1", "--n", "20", "--seeds", "1",
+                         "--mc-reps", "1000"],
+            "simulate": ["--scenario", "s1", "--n", "20", "--seed", "1"]}
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("validate", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("validate", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
+        ("validate", ["--seeds", "-3"], "--seeds must be >= 1, got -3"),
+        ("simulate", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["validate-negative-seed", "zero-seeds", "negative-seeds",
+            "simulate-negative-seed"])
+    def test_exits_2(self, tmp_path, capsys, command, extra, message):
+        out = tmp_path / "out"
+        code = run([command] + self.BASE[command] + extra + ["--out", str(out)])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        err = json.loads(stdout)
+        assert err["error"] == "UsageError"
+        assert message in err["message"]
+        assert not out.exists()
+
+    def test_grid_over_the_cap_exits_2(self, tmp_path, capsys):
+        # 10 / 0.001 gives 10,001 points, one over the cap
+        scenario = tmp_path / "fine.json"
+        scenario.write_text(json.dumps({
+            "admin_censor": 10.0, "grid_step": 0.001,
+            "treatment": {"base": 0.1}, "death_untreated": {"base": 0.2},
+            "death_treated": {"base": 0.05}}))
+        out = tmp_path / "out.csv"
+        code = run(["simulate", "--scenario", str(scenario), "--n", "5",
+                    "--seed", "1", "--out", str(out)])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        err = json.loads(stdout)
+        assert err["error"] == "ScenarioError"
+        assert "grid of 10001 points" in err["message"]
+        assert not out.exists()
 
 
 class TestFitPredict:
@@ -739,6 +805,21 @@ class TestHeaderOnly:
         assert code == 3
         assert json.loads(capsys.readouterr().out) == {
             "error": "NoEvents", "message": "no episode carries event code 1"}
+
+
+class TestPositivityAfterFit:
+    def test_failed_fit_gives_no_warning(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("id,tstart,tstop,status,treated\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--data", str(data), "--strategy", "hypothetical",
+                        "--horizon", "5", "--out", str(tmp_path / "o")])
+        assert code == 3
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        assert json.loads(stdout)["error"] == "NoEvents"
+        assert [str(w.message) for w in caught] == []
 
 
 @functools.cache

@@ -16,7 +16,13 @@ from predictimands.data import (
     Status,
     SubjectRecord,
 )
-from predictimands.errors import DataError, MonotoneLikelihood, NoEvents, ProfileIncomplete
+from predictimands.errors import (
+    ConvergenceFailure,
+    DataError,
+    MonotoneLikelihood,
+    NoEvents,
+    ProfileIncomplete,
+)
 from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
 from predictimands.weights import WeightMode, WeightTable, weight_rows
@@ -465,6 +471,42 @@ def treated_subject(sid, v, t, status, treated_after=True):
     eps = (Episode(0.0, v, Status.TREATMENT_START),
            Episode(v, t, status, treated=treated_after))
     return SubjectRecord(sid, eps, {})
+
+
+class TestNewtonExits:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count the sweeps and the Newton steps solved in a fit."""
+        calls = {"sweeps": 0, "steps": 0}
+        sweep, solve = cox._sweep, np.linalg.solve
+
+        def counted_sweep(*args, **kwargs):
+            calls["sweeps"] += 1
+            return sweep(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            calls["steps"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cox, "_sweep", counted_sweep)
+        monkeypatch.setattr(cox.np.linalg, "solve", counted_solve)
+        return calls
+
+    def test_one_sweep_per_accepted_step(self, d1, counted):
+        # no step-halving on D1: the start, then one sweep per Newton step
+        model = cox.fit(d1, cox.CoxSpec(covariates=("x",)))
+        assert model.iterations == counted["steps"] >= 3
+        assert counted["sweeps"] == model.iterations + 1
+
+    def test_intercept_only_fit_takes_no_step(self, d1, counted):
+        model = cox.fit(d1, cox.CoxSpec())
+        assert (model.iterations, counted["steps"], counted["sweeps"]) == (0, 0, 1)
+
+    def test_spent_budget_raises(self, d1, monkeypatch):
+        monkeypatch.setattr(cox, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"^no convergence in 1 iterations \(max \|score\| = "):
+            cox.fit(d1, cox.CoxSpec(covariates=("x",)))
 
 
 class TestTreatmentTerm:

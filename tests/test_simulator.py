@@ -562,6 +562,23 @@ class TestScenarioParsing:
         assert (tr.x0["a"] == 1.0).all() and (tr.x0["b"] == 2.0).all()
         assert (tr.x0["c"] == 1.0).all()
 
+    def test_grid_over_the_cap_rejected_before_any_array(self):
+        # 2e9 points would be 15 GiB; only the spec is built here
+        with pytest.raises(ScenarioError, match=r"grid of 2e\+09 points, more than "
+                                                r"MAX_GRID_POINTS = 10000"):
+            IntensitySpec.from_dict({
+                "admin_censor": 1e9, "grid_step": 0.5,
+                "treatment": {"base": 0.1}, "death_untreated": {"base": 0.2},
+                "death_treated": {"base": 0.05}})
+
+    def test_grid_at_the_cap_accepted(self):
+        d = {"treatment": {"base": 0.1}, "death_untreated": {"base": 0.2},
+             "death_treated": {"base": 0.05}}
+        spec = IntensitySpec.from_dict({**d, "admin_censor": 9999.0, "grid_step": 1.0})
+        assert spec.grid.size == simulate.MAX_GRID_POINTS
+        with pytest.raises(ScenarioError, match="grid of 10001 points"):
+            IntensitySpec.from_dict({**d, "admin_censor": 10000.0, "grid_step": 1.0})
+
     def test_round_trip(self):
         spec = scenarios.builtin("s2")
         assert IntensitySpec.from_dict(spec.to_dict()) == spec
@@ -642,5 +659,14 @@ class TestValidateHorizon:
         specs = [StrategySpec(Strategy.IGNORE_TREATMENT, t_hor=5.0),
                  StrategySpec(Strategy.COMPOSITE, t_hor=2.0)]
         with pytest.raises(DataError, match="strategy composite .* horizon 2"):
+            simulate.validate(scenarios.builtin("s1"), n=200, seeds=[1],
+                              strategy_specs=specs, t_hor=5.0, mc_reps=1000)
+
+    def test_labels_must_differ(self):
+        # two specs of one label would pool their estimates under it
+        specs = [StrategySpec(Strategy.COMPOSITE, t_hor=5.0),
+                 StrategySpec(Strategy.HYPOTHETICAL, t_hor=5.0),
+                 StrategySpec(Strategy.COMPOSITE, t_hor=5.0)]
+        with pytest.raises(DataError, match=r"\['composite'\] are listed more than once"):
             simulate.validate(scenarios.builtin("s1"), n=200, seeds=[1],
                               strategy_specs=specs, t_hor=5.0, mc_reps=1000)
