@@ -13,14 +13,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import scenarios as scenarios_mod
 from . import simulate as sim
 from . import weights as weights_mod
 from .cox import CoxModel
-from .data import CovariateSchema, infer_schema, ingest_csv, reading, write_csv, write_rows
+# infer_schema is unused here but stays importable: perfbench's tracer wraps
+# it in this module
+from .data import (CovariateSchema, infer_schema, ingest_csv,  # noqa: F401
+                   reading, write_csv, write_rows)
 from .errors import DataError, NumericError, ScenarioError
 from .simulate import IntensitySpec
 from .strategies import (
@@ -84,17 +86,14 @@ def _parse_levels(raw: str | None) -> dict:
 
 
 def _load_dataset(args):
-    """The command's dataset from one read of ``--data``. Only ``--levels``
-    without explicit columns reads it twice: the levels must name
-    covariates of the inferred schema."""
+    """The command's dataset from one read of ``--data``."""
     levels = _parse_levels(args.levels)
     if args.baseline_cols or args.tv_cols:
         schema = CovariateSchema(baseline=_csv_list(args.baseline_cols),
                                  time_varying=_csv_list(args.tv_cols),
                                  levels=levels)
-    else:
-        schema = replace(infer_schema(args.data), levels=levels) if levels else None
-    return ingest_csv(args.data, schema, design=args.design)
+        return ingest_csv(args.data, schema, design=args.design)
+    return ingest_csv(args.data, design=args.design, levels=levels)
 
 
 def _load_scenario(ref: str) -> IntensitySpec:

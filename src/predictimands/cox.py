@@ -16,6 +16,7 @@ gives the log likelihood, score, information and baseline increments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class TreatmentTerm:
 
     def __post_init__(self):
         cuts = tuple(float(c) for c in self.tv_cuts)
+        if not all(map(math.isfinite, cuts)):
+            raise DataError(f"tv_cuts must be finite, got {list(cuts)}")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise DataError("tv_cuts must be strictly increasing")
         if any(c <= 0 for c in cuts):

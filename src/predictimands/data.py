@@ -22,12 +22,13 @@ tests and tools; no module of the package reads it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import statistics
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .errors import (
     NonContiguousEpisodes,
     UnknownCovariate,
 )
+
+
+_UNPARSED = "cannot parse value {!r} for covariate {!r}"
 
 
 class Status(IntEnum):
@@ -95,7 +99,7 @@ class CovariateSchema:
         try:
             return float(raw)
         except ValueError:
-            raise DataError(f"cannot parse value {raw!r} for covariate {name!r}") from None
+            raise DataError(_UNPARSED.format(raw, name)) from None
 
     def decode(self, name: str, value: float):
         if name in self.levels:
@@ -414,19 +418,12 @@ def impute_tv_covariates(ds: CountingProcessDataset,
 
 _LONG_HEADER = ("id", "tstart", "tstop", "status", "treated")
 _WIDE_HEADER = ("id", "time", "status")
-_STATUS_MESSAGE = "status must be 0, 1 or 2, got {!r}"
-
-
-def _parse(raw: str, line: int, parse, message: str):
-    """``parse(raw)``, or a MalformedRow with ``message`` for the field."""
-    try:
-        return parse(raw)
-    except ValueError:
-        raise MalformedRow(line, message.format(raw)) from None
-
-
-def _status(raw: str) -> int:
-    return (0, 1, 2).index(int(raw))  # the code itself
+#: the rule a status or treated token must pass, and the message if it
+#: fails; times are read by float()
+_CODES = {
+    "status": (lambda raw: Status(int(raw)), "status must be 0, 1 or 2, got {!r}"),
+    "treated": (lambda raw: ("0", "1").index(raw.strip()), "treated must be 0 or 1, got {!r}"),
+}
 
 
 @contextmanager
@@ -442,10 +439,10 @@ def reading(path, error=DataError):
 
 
 def _read(path) -> tuple:
-    """Header, wide-format flag, the non-blank rows of a counting-process
-    CSV and their line numbers, and the error of the first row with the
-    wrong number of fields, where reading stops: it is returned, not
-    raised, so the rows before it report their own errors first."""
+    """Header, wide-format flag, line numbers and fields as columns (id and
+    covariates stripped) of the non-blank rows of a counting-process CSV,
+    and the error of the first row with the wrong number of fields, where
+    the rows end: returned, so the rows before it report theirs first."""
     with reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -459,20 +456,50 @@ def _read(path) -> tuple:
             if not name or name in header[:j]:
                 problem = f"repeats the name {name!r}" if name else "has no name"
                 raise MalformedRow(1, f"header column {j + 1} {problem}")
-        lines, rows = [], []
-        for line, row in enumerate(reader, start=2):
-            if not row or not row[0].strip() and all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                return header, wide, lines, rows, MalformedRow(
-                    line, f"expected {len(header)} fields, got {len(row)}")
-            lines.append(line)
-            rows.append(row)
-    return header, wide, lines, rows, None
+        rows, fault = [], None
+        try:
+            rows.extend(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            fault = exc  # unless a row of the wrong length ends the rows first
+        width, short_row, lines = len(header), None, np.arange(2, len(rows) + 2)
+        if set(map(len, rows)) - {width}:
+            end = next((k for k, row in enumerate(rows)
+                        if len(row) != width and any(map(str.strip, row))), len(rows))
+            if end < len(rows):
+                short_row = MalformedRow(end + 2, f"expected {width} fields, got {len(rows[end])}")
+            lines = lines[[k for k in range(end) if len(rows[k]) == width]]
+            rows = [rows[k - 2] for k in lines.tolist()]
+        if fault is not None and short_row is None:
+            raise fault
+    fixed = 3 if wide else 5
+    columns = [list(map(str.strip, col)) if j == 0 or j >= fixed else col
+               for j, col in enumerate(list(zip(*rows)) or [()] * width)]
+    if "" in columns[0]:  # blank rows of the right length
+        keep = [k for k, sid in enumerate(columns[0])
+                if sid or any(col[k].strip() for col in columns)]
+        columns, lines = [[col[k] for k in keep] for col in columns], lines[keep]
+    return header, wide, lines, columns, short_row
+
+
+def _column(tokens, parse) -> tuple:
+    """``parse`` of each token as floats, NaN where it raises a ValueError or
+    DataError, and the mask of those tokens. ``float`` parses the column in
+    one pass, another rule each distinct token once."""
+    if parse is float:
+        with suppress(ValueError):
+            return np.fromiter(map(float, tokens), float, len(tokens)), np.zeros(len(tokens), bool)
+    values = dict.fromkeys(tokens)
+    for token in values:
+        with suppress(ValueError, DataError):
+            values[token] = parse(token)
+    rejected = {token for token, value in values.items() if value is None}
+    return (np.array(list(map(values.get, tokens)), float),
+            np.fromiter(map(rejected.__contains__, tokens), bool, len(tokens)))
 
 
 def ingest_csv(path, schema: CovariateSchema | None = None,
-               design: DesignFlavor | None = None) -> CountingProcessDataset:
+               design: DesignFlavor | None = None,
+               levels: dict | None = None) -> CountingProcessDataset:
     """Read a counting-process CSV (long format) or a baseline-only wide file.
 
     Long header: ``id,tstart,tstop,status,treated,<covariates...>``; wide
@@ -480,12 +507,15 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     subject. Missing time-dependent values are empty fields; a non-finite
     time or covariate (``nan``, ``inf``) is a MalformedRow. Without a
     ``schema``, the covariates are classified as ``infer_schema`` does, from
-    the same read. Without a ``design``, data with treatment starts but no
-    treated rows stop at treatment and all other data continue.
+    the same read; ``levels`` replaces the schema's category labels. Without
+    a ``design``, data with treatment starts but no treated rows stop at
+    treatment, and all other data continue.
     """
-    header, wide, lines, rows, short_row = _read(path)
+    header, wide, lines, columns, short_row = _read(path)
     if schema is None:
-        schema = _classify(header, wide, rows)
+        schema = _classify(header, wide, columns)
+    if levels:
+        schema = replace(schema, levels=levels)
     fixed = 3 if wide else 5
     cov_cols = header[fixed:]
     unknown = set(cov_cols) - set(schema.names())
@@ -497,57 +527,59 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     if wide and schema.time_varying:
         raise MalformedRow(1, "wide format cannot carry time-varying covariates")
 
-    tv_names = set(schema.time_varying)
-    ids, parsed = [], []
-    for line, row in zip(lines, rows):
-        sid = row[0].strip()
-        if not sid:
-            raise MalformedRow(line, "empty subject id")
-        if wide:
-            tstart, tstop = 0.0, _parse(row[1], line, float, "cannot parse time {!r}")
-            code, on = _parse(row[2], line, _status, _STATUS_MESSAGE), 0
-        else:
-            tstart = _parse(row[1], line, float, "cannot parse tstart {!r}")
-            tstop = _parse(row[2], line, float, "cannot parse tstop {!r}")
-            code = _parse(row[3], line, _status, _STATUS_MESSAGE)
-            on = _parse(row[4], line, lambda raw: ("0", "1").index(raw.strip()),
-                        "treated must be 0 or 1, got {!r}")
-        if not math.isfinite(tstart + tstop):
-            col = 2 if math.isfinite(tstart) and not wide else 1
-            raise MalformedRow(line, f"{header[col]} must be finite, got {row[col]!r}")
-        if tstart < 0 or tstop < 0:
-            raise NegativeTime(f"line {line}: negative time")
-        if not tstart < tstop:
-            raise MalformedRow(line, f"tstart {tstart} must be below tstop {tstop}")
-        values = [tstart, tstop, code, on]
-        for name, raw in zip(cov_cols, row[fixed:]):
-            raw = raw.strip()
-            if not raw and name not in tv_names:
-                raise MalformedRow(line, f"baseline covariate {name!r} is empty")
-            try:
-                values.append(schema.encode(name, raw) if raw else math.nan)
-            except DataError as exc:
-                raise MalformedRow(line, str(exc)) from None
-            if raw and not math.isfinite(values[-1]):
-                raise MalformedRow(line, f"covariate {name!r} must be finite, got {raw!r}")
-        ids.append(sid)
-        parsed.append(values)
+    # each check is a mask over the rows, noted in the order a row is
+    # checked: the first failing row reports its first failing check
+    failures, checks, n = [], itertools.count(), lines.size
+
+    def fail(mask, message, error=MalformedRow):
+        check = next(checks)
+        if mask.any():
+            r = int(mask.argmax())
+            failures.append(((r, check), error(int(lines[r]), message(r))))
+
+    ids, parsed = columns[0], {}
+    fail(~np.fromiter(map(bool, ids), bool, n), lambda r: "empty subject id")
+    for name, raw in zip(header[1:fixed], columns[1:fixed]):
+        parse, message = _CODES.get(name, (float, f"cannot parse {name} {{!r}}"))
+        parsed[name], rejected = _column(raw, parse)
+        fail(rejected, lambda r: message.format(raw[r]))
+    tstart, treated = parsed.get("tstart", np.zeros(n)), parsed.get("treated", np.zeros(n))
+    tstop = parsed.get("tstop", parsed.get("time"))
+    col = np.where(np.isfinite(tstart) & (not wide), 2, 1)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, and not finite
+        fail(~np.isfinite(tstart + tstop),
+             lambda r: f"{header[col[r]]} must be finite, got {columns[col[r]][r]!r}")
+    fail((tstart < 0) | (tstop < 0), lambda r: "negative time",
+         lambda line, message: NegativeTime(f"line {line}: {message}"))
+    fail(~(tstart < tstop),
+         lambda r: f"tstart {float(tstart[r])} must be below tstop {float(tstop[r])}")
+    covariates = {}
+    for name, raw in zip(cov_cols, columns[fixed:]):
+        empty = ~np.fromiter(map(bool, raw), bool, n)
+        if name in schema.baseline:
+            fail(empty, lambda r: f"baseline covariate {name!r} is empty")
+        covariates[name], rejected = _column(
+            raw, partial(schema.encode, name) if name in schema.levels else float)
+        fail(rejected & ~empty, lambda r: _UNPARSED.format(raw[r], name))
+        fail(~empty & ~np.isfinite(covariates[name]),
+             lambda r: f"covariate {name!r} must be finite, got {raw[r]!r}")
+    _raise_first(failures)
     if short_row is not None:
         raise short_row
 
     # rows grouped by subject in order of first appearance, then by tstart
-    index = {}
-    subject = np.array([index.setdefault(sid, len(index)) for sid in ids], int)
-    table = np.array(parsed, float).reshape(len(parsed), 4 + len(cov_cols))
-    order = np.lexsort((table[:, 0], subject))
-    table, lines = table[order], np.asarray(lines)[order]
+    index = dict(zip(dict.fromkeys(ids), itertools.count()))
+    subject = np.fromiter(map(index.__getitem__, ids), int, n)
+    order = np.lexsort((tstart, subject))
+    lines, status, treated = lines[order], parsed["status"][order], treated[order]
     if design is None:
-        only_starts = (table[:, 2] == Status.TREATMENT_START).any() and not table[:, 3].any()
+        only_starts = (status == Status.TREATMENT_START).any() and not treated.any()
         design = (DesignFlavor.STOPS_AT_TREATMENT if only_starts
                   else DesignFlavor.CONTINUES_AFTER_TREATMENT)
     ds = CountingProcessDataset._of(
         schema, design, index, np.cumsum([0, *np.bincount(subject, minlength=len(index))]),
-        *table[:, :4].T, dict(zip(cov_cols, table[:, 4:].T)))
+        tstart[order], tstop[order], status, treated,
+        {name: col[order] for name, col in covariates.items()})
 
     failures, sub, n = [], ds.row_subject, ds.n_rows
     # an event and a treatment start at the same stop time of one subject
@@ -600,23 +632,21 @@ def _format_value(schema, name, value):
 
 def infer_schema(path) -> CovariateSchema:
     """The covariate schema ``ingest_csv`` infers for the file at ``path``."""
-    header, wide, _, rows, short_row = _read(path)
+    header, wide, _, columns, short_row = _read(path)
     if short_row is not None:
         raise short_row
-    return _classify(header, wide, rows)
+    return _classify(header, wide, columns)
 
 
-def _classify(header, wide, rows) -> CovariateSchema:
+def _classify(header, wide, columns) -> CovariateSchema:
     """A covariate column that is never empty and constant within every
     subject is baseline, any other time-varying; a wide file is all
-    baseline."""
+    baseline. Values are compared as the stripped strings of the file."""
     if wide:
         return CovariateSchema(baseline=tuple(header[3:]))
-    ids = [row[0].strip() for row in rows]
-    n_subjects = len(set(ids))
-    baseline, tv = [], []
-    for j, name in enumerate(header[5:], start=5):
-        values = [row[j].strip() for row in rows]
-        constant = "" not in values and len(set(zip(ids, values))) == n_subjects
+    ids, baseline, tv = columns[0], [], []
+    for name, values in zip(header[5:], columns[5:]):
+        last = dict(zip(ids, values))  # each subject's last value
+        constant = "" not in values and list(map(last.get, ids)) == values
         (baseline if constant else tv).append(name)
     return CovariateSchema(baseline=tuple(baseline), time_varying=tuple(tv))

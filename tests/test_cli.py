@@ -230,6 +230,17 @@ class TestUsageErrors:
         assert err["error"] == "DataError"
         assert message in err["message"]
 
+    @pytest.mark.parametrize("cuts", ["nan", "inf", "2,inf", "nan,2"])
+    def test_non_finite_tv_cuts_exit_3(self, s2_data, tmp_path, capsys, cuts):
+        capsys.readouterr()
+        code = run(["fit", "--data", str(s2_data), "--strategy", "hypothetical",
+                    "--method", "model", "--tv-cuts", cuts, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "DataError"
+        assert err["message"].startswith("tv_cuts must be finite")
+        assert not (tmp_path / "o" / "model.json").exists()
+
     def test_predict_nan_horizon_exits_3(self, d4_csv, tmp_path, capsys):
         out = tmp_path / "fit"
         assert run(["fit", "--data", str(d4_csv), "--strategy", "composite",
@@ -442,13 +453,21 @@ class TestOneRead:
         (["fit", "--strategy", "hypothetical", "--method", "censor-ipcw",
           "--weight-covariates", "z"], 1),
         (["weights", "--weight-covariates", "z"], 1),
-        # levels must name covariates of the inferred schema
-        (["fit", "--strategy", "ignore", "--levels", "z=lo|hi"], 2),
+        (["fit", "--strategy", "ignore", "--levels", "z=lo|hi"], 1),
     ], ids=["fit", "weights", "fit-levels"])
     def test_reads_per_command(self, s2_data, tmp_path, reads, argv, n_reads):
         out = tmp_path / "o"
         assert run(argv[:1] + ["--data", str(s2_data), "--out", str(out)] + argv[1:]) == 0
         assert len(reads) == n_reads
+
+    def test_unknown_level_name_exits_3_after_one_read(self, s2_data, tmp_path, reads,
+                                                        capsys):
+        capsys.readouterr()
+        assert run(["fit", "--data", str(s2_data), "--strategy", "ignore", "--levels",
+                    "q=lo|hi", "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "DataError", "message": "levels declared for unknown covariate 'q'"}
+        assert reads == [str(s2_data)]
 
     def test_all_strategies_reads_once(self, s2_data, tmp_path, reads):
         out = tmp_path / "fit"

@@ -22,8 +22,8 @@ def test_small_round_writes_every_output(tmp_path):
     assert set(codes[:-1]) == {0} and codes[-1] in (0, 1)
     fits = ["ignore", "composite", "while-untreated", "censor", "model",
             "censor-ipcw", "model-iptw", "model-tv-cuts", "ignore-breslow",
-            "censor-ipcw-truncated", "age_gap"]
-    expected = ([f"{s}.csv" for s in ("s1", "s2", "age_gap")]
+            "censor-ipcw-truncated", "age_gap", "wide", "labelled"]
+    expected = ([f"{s}.csv" for s in ("s1", "s2", "age_gap", "wide", "labelled")]
                 + [f"{s}.csv.run.json" for s in ("s1", "s2", "age_gap")]
                 + [f"fit-{f}/run.json" for f in fits]
                 + [f"predict-{f}/{name}" for f in fits

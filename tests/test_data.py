@@ -1,3 +1,4 @@
+import csv
 import math
 import statistics
 from dataclasses import replace
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predictimands import competing, scenarios, simulate
+from predictimands import data as data_mod
 from predictimands.data import (
     CountingProcessDataset,
     CovariateSchema,
@@ -677,3 +679,304 @@ class TestColumnarAgainstRecords:
         got = outcome(dataset, subjects, RECORD_SCHEMA, design)
         want = outcome(reference_validate, subjects, RECORD_SCHEMA, design)
         assert (None if isinstance(got, CountingProcessDataset) else got) == want
+
+
+# ---------------------------------------------------------------------------
+# a row-by-row reference for the columnar CSV reader
+
+
+def reference_read(path):
+    """Header, wide flag, line numbers and fields of the non-blank rows up to
+    the first row with the wrong number of fields, and that row's error."""
+    with data_mod.reading(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "empty file")
+        header = [h.strip() for h in header]
+        wide = tuple(header[:3]) == ("id", "time", "status")
+        if not wide and tuple(header[:5]) != ("id", "tstart", "tstop", "status", "treated"):
+            raise MalformedRow(1, f"unrecognized header {header!r}")
+        for j, name in enumerate(header):
+            if not name or name in header[:j]:
+                problem = f"repeats the name {name!r}" if name else "has no name"
+                raise MalformedRow(1, f"header column {j + 1} {problem}")
+        lines, rows = [], []
+        for line, row in enumerate(reader, start=2):
+            if all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                return header, wide, lines, rows, MalformedRow(
+                    line, f"expected {len(header)} fields, got {len(row)}")
+            lines.append(line)
+            rows.append(row)
+    return header, wide, lines, rows, None
+
+
+def reference_classify(header, wide, rows):
+    if wide:
+        return CovariateSchema(baseline=tuple(header[3:]))
+    ids = [row[0].strip() for row in rows]
+    baseline, tv = [], []
+    for j, name in enumerate(header[5:], start=5):
+        values = [row[j].strip() for row in rows]
+        constant = "" not in values and len(set(zip(ids, values))) == len(set(ids))
+        (baseline if constant else tv).append(name)
+    return CovariateSchema(baseline=tuple(baseline), time_varying=tuple(tv))
+
+
+def reference_ingest(path, schema=None, design=None, levels=None):
+    """``ingest_csv`` one row at a time: each row parsed and checked field by
+    field, raising at the first failure."""
+    header, wide, lines, rows, short_row = reference_read(path)
+    if schema is None:
+        schema = reference_classify(header, wide, rows)
+    if levels:
+        schema = replace(schema, levels=levels)
+    fixed = 3 if wide else 5
+    cov_cols = header[fixed:]
+    unknown = set(cov_cols) - set(schema.names())
+    if unknown:
+        raise UnknownCovariate(f"columns {sorted(unknown)} not in schema")
+    missing = set(schema.names()) - set(cov_cols)
+    if missing:
+        raise MalformedRow(1, f"schema covariates {sorted(missing)} missing from header")
+    if wide and schema.time_varying:
+        raise MalformedRow(1, "wide format cannot carry time-varying covariates")
+
+    def parse(raw, line, rule, message):
+        try:
+            return rule(raw)
+        except ValueError:
+            raise MalformedRow(line, message.format(raw)) from None
+
+    status_message = "status must be 0, 1 or 2, got {!r}"
+    ids, parsed = [], []
+    for line, row in zip(lines, rows):
+        sid = row[0].strip()
+        if not sid:
+            raise MalformedRow(line, "empty subject id")
+        if wide:
+            tstart, tstop = 0.0, parse(row[1], line, float, "cannot parse time {!r}")
+            code = parse(row[2], line, lambda raw: (0, 1, 2).index(int(raw)), status_message)
+            on = 0
+        else:
+            tstart = parse(row[1], line, float, "cannot parse tstart {!r}")
+            tstop = parse(row[2], line, float, "cannot parse tstop {!r}")
+            code = parse(row[3], line, lambda raw: (0, 1, 2).index(int(raw)), status_message)
+            on = parse(row[4], line, lambda raw: ("0", "1").index(raw.strip()),
+                       "treated must be 0 or 1, got {!r}")
+        if not math.isfinite(tstart + tstop):
+            col = 2 if math.isfinite(tstart) and not wide else 1
+            raise MalformedRow(line, f"{header[col]} must be finite, got {row[col]!r}")
+        if tstart < 0 or tstop < 0:
+            raise NegativeTime(f"line {line}: negative time")
+        if not tstart < tstop:
+            raise MalformedRow(line, f"tstart {tstart} must be below tstop {tstop}")
+        values = [tstart, tstop, code, on]
+        for name, raw in zip(cov_cols, row[fixed:]):
+            raw = raw.strip()
+            if not raw and name not in schema.time_varying:
+                raise MalformedRow(line, f"baseline covariate {name!r} is empty")
+            try:
+                values.append(schema.encode(name, raw) if raw else math.nan)
+            except DataError as exc:
+                raise MalformedRow(line, str(exc)) from None
+            if raw and not math.isfinite(values[-1]):
+                raise MalformedRow(line, f"covariate {name!r} must be finite, got {raw!r}")
+        ids.append(sid)
+        parsed.append(values)
+    if short_row is not None:
+        raise short_row
+
+    index = {}
+    subject = np.array([index.setdefault(sid, len(index)) for sid in ids], int)
+    table = np.array(parsed, float).reshape(len(parsed), 4 + len(cov_cols))
+    order = np.lexsort((table[:, 0], subject))
+    table, lines = table[order], np.asarray(lines)[order]
+    if design is None:
+        only_starts = (table[:, 2] == Status.TREATMENT_START).any() and not table[:, 3].any()
+        design = (DesignFlavor.STOPS_AT_TREATMENT if only_starts
+                  else DesignFlavor.CONTINUES_AFTER_TREATMENT)
+    ds = CountingProcessDataset._of(
+        schema, design, index, np.cumsum([0, *np.bincount(subject, minlength=len(index))]),
+        *table[:, :4].T, dict(zip(cov_cols, table[:, 4:].T)))
+    # subject by subject: a tie of an event and a treatment start, then a
+    # baseline value that varies, each at its subject's first such row
+    sub = ds.row_subject
+    for s in range(ds.n_subjects):
+        rows_of = range(ds.offsets[s], ds.offsets[s + 1])
+        by_stop = sorted(rows_of, key=lambda r: (ds.tstop[r], r))
+        tied = [b for a, b in zip(by_stop, by_stop[1:])
+                if ds.tstop[a] == ds.tstop[b] and {ds.status[a], ds.status[b]} == {1, 2}]
+        if tied:
+            r = min(tied)
+            raise MalformedRow(int(lines[r]), f"subject {ds.ids[s]}: event and treatment "
+                                              f"start tied at t={float(ds.tstop[r])}")
+        for r in rows_of:
+            if any(ds.columns[name][r] != ds.columns[name][ds.offsets[s]]
+                   for name in schema.baseline):
+                raise MalformedRow(int(lines[r]), f"subject {ds.ids[sub[r]]}: baseline "
+                                                  "covariates vary across rows")
+    data_mod._validate(ds)
+    return ds
+
+
+#: tokens planted in a field: spellings that float(), int() and the 0/1 rule
+#: read differently (a NUL that numpy's string cast drops), non-finite
+#: values, labels and junk; and values planted in a time field
+TOKENS = ["", " ", "x", "0", "1", "2", "3", "-1", "0.5", "1.0", "01", "+1", " 1 ", "1_0",
+          "1_000", "１", "1\x00", "nan", "NaN", "inf", "-inf", "1e400", "a", "b"]
+TIMES = ["", "x", "-1", "-0.5", "-2", "0", "0.5", "9", "nan", "-inf", "1e308"]
+
+
+@st.composite
+def csv_files(draw):
+    """The text of a small long or wide CSV with up to three planted faults,
+    and the schema, design and levels to read it with."""
+    wide = draw(st.integers(0, 3)) == 0
+    header = ["id", "time", "status", "x", "arm"] if wide else \
+        ["id", "tstart", "tstop", "status", "treated", "x", "z", "arm"]
+    lines = [header]
+    for i in range(draw(st.integers(1, 5))):
+        x, arm = draw(st.sampled_from(["0", "1", "2.5", "-1"])), draw(st.sampled_from("ab"))
+        if wide:
+            lines.append([str(i + 1), draw(st.sampled_from(["0.5", "1", "2", "3.5"])),
+                          draw(st.sampled_from("012")), x, arm])
+            continue
+        ends = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)))
+        start = draw(st.sampled_from([None, *range(len(ends))]))
+        for k, (a, b) in enumerate(zip([0, *ends], ends)):
+            status = "2" if k == start else draw(st.sampled_from("01")) \
+                if k == len(ends) - 1 else "0"
+            treated = "1" if start is not None and k > start else "0"
+            z = draw(st.sampled_from(["", "0.5", "1", "-2"]))
+            lines.append([str(i + 1), str(a / 2), str(b / 2), status, treated, x, z, arm])
+    for fault in draw(st.lists(st.sampled_from(
+            ["token", "time", "short", "blank", "tie", "vary", "respell", "move"]), max_size=3)):
+        k = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else None
+        row = lines[k] if k is not None and lines[k] else None
+        if fault == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(
+                [[], [""] * len(header), ["  "] * len(header), [" "], [""] * 3])))
+        elif row is None or len(row) != len(header):
+            continue
+        elif fault == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(TOKENS))
+        elif fault == "time":
+            row[draw(st.sampled_from([1] if wide else [1, 2]))] = draw(st.sampled_from(TIMES))
+        elif fault == "short":
+            lines[k] = row[:draw(st.integers(0, len(row) - 1))] + \
+                draw(st.sampled_from([[], ["1"]]))
+        elif fault == "tie" and not wide and row[3] in "12":
+            lines.insert(k, [*row[:3], "2" if row[3] == "1" else "1", *row[4:]])
+        elif fault in ("vary", "respell"):
+            j = header.index("x")
+            respelt = {"0": "0.0", "1": "1.0", "2.5": "2.50", "-1": "-1.0"}.get(row[j], row[j])
+            row[j] = "7" if fault == "vary" else respelt
+        elif fault == "move":
+            lines.insert(draw(st.integers(1, len(lines) - 1)), lines.pop(k))
+    text = "".join(",".join(line) + "\n" for line in lines)
+    schema = draw(st.sampled_from([
+        None,
+        CovariateSchema(baseline=("x", "arm"), time_varying=() if wide else ("z",),
+                        levels={"arm": ("a", "b")}),
+        CovariateSchema(baseline=("x", "arm") if wide else ("x",),
+                        time_varying=() if wide else ("z", "arm"),
+                        levels={"arm": ("b", "a")}),
+    ]))
+    design = draw(st.sampled_from([None, None, DesignFlavor.STOPS_AT_TREATMENT]))
+    levels = draw(st.sampled_from([{"arm": ("a", "b")}, {"arm": ("b", "a")}, None]))
+    return text, schema, design, levels
+
+
+class TestReaderAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_files())
+    def test_same_dataset_or_first_error(self, tmp_path_factory, case):
+        text, schema, design, levels = case
+        path = tmp_path_factory.mktemp("ref") / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(ingest_csv, path, schema, design, levels) == \
+            outcome(reference_ingest, path, schema, design, levels)
+
+    @pytest.mark.parametrize("text, expected", [
+        # a bad status on line 3 comes before the short row on line 4 and
+        # the field over the csv module's limit after it
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n2,0,5,7,0\n3,0\n4,0,1,0,0,"
+         + "1" * 200_000 + "\n", (MalformedRow, "line 3: status must be 0, 1 or 2, got '7'")),
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n3,0\n4,0,1,0,0,"
+         + "1" * 200_000 + "\n", (MalformedRow, "line 3: expected 5 fields, got 2")),
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n,,,\n4,0,1,0,"
+         + "1" * 200_000 + "\n", DataError),
+        # the first failing row, with its first failing check
+        ("id,tstart,tstop,status,treated,x\n1,0,2,0,0,1\n ,0,2,0,0,1\n3,0,x,0,0,1\n",
+         (MalformedRow, "line 3: empty subject id")),
+        ("id,tstart,tstop,status,treated,x\n1,0,2,0,2,1\n2,x,2,0,0,1\n",
+         (MalformedRow, "line 2: treated must be 0 or 1, got '2'")),
+        ("id,tstart,tstop,status,treated\n1,0,-1,1,0\n", (NegativeTime, "line 2: negative time")),
+        ("id,tstart,tstop,status,treated,x\n1,0,1e308,0,0,1\n1,1e308,1e308,0,0,1\n",
+         (MalformedRow, "line 3: tstop must be finite, got '1e308'")),
+        ("id,tstart,tstop,status,treated,x\n1,0,1_000,+1,0,１\n", None),
+        # float() rejects a NUL that numpy's string cast would drop
+        ("id,tstart,tstop,status,treated\n1,0,1\x00,1,0\n",
+         (MalformedRow, "line 2: cannot parse tstop '1\\x00'")),
+        ("id,time,status,x\n1,nan,1,1\n", (MalformedRow, "line 2: time must be finite, got 'nan'")),
+    ], ids=["bad-row-first", "short-row-first", "csv-limit-first", "empty-id", "treated",
+            "negative-and-reversed", "overflowing-sum", "underscores-and-full-width",
+            "nul-in-time", "wide-nan"])
+    def test_files(self, tmp_path, text, expected):
+        path = write(tmp_path, text)
+        got = outcome(ingest_csv, path)
+        assert got == outcome(reference_ingest, path)
+        if expected is DataError:
+            assert got[0] is DataError and got[1].startswith(f"cannot read {path}")
+        elif expected is not None:
+            assert got == expected
+
+    def test_classifies_strings_not_values(self, tmp_path):
+        # "1" and "1.0" are one value but two strings: time-varying
+        path = write(tmp_path, "id,tstart,tstop,status,treated,x\n1,0,1,0,0,1\n1,1,2,1,0,1.0\n")
+        assert ingest_csv(path).schema.time_varying == ("x",)
+
+
+def _shuffled(lines, draw):
+    """The rows of ``lines`` (one subject's rows per id) shuffled within
+    each subject and interleaved, each id first appearing in its old order."""
+    by_id = {}
+    for line in lines:
+        by_id.setdefault(line.split(",")[0], []).append(line)
+    pending = [draw(st.permutations(rows)) for rows in by_id.values()]
+    started, out = [], []
+    while pending or any(started):
+        open_ = [rows for rows in started if rows]
+        if pending and (not open_ or draw(st.booleans())):
+            started.append(list(pending.pop(0)))
+            out.append(started[-1].pop(0))
+        else:
+            out.append(draw(st.sampled_from(open_)).pop(0))
+    return out
+
+
+class TestRowOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), name=st.sampled_from(["s1", "s2", "age_gap"]),
+           data=st.data())
+    def test_row_order_and_id_labels_do_not_matter(self, tmp_path_factory, seed, name,
+                                                   data):
+        ds = simulate.simulate(scenarios.builtin(name), 12, seed=seed)
+        work = tmp_path_factory.mktemp("order")
+        write_csv(ds, work / "ds.csv")
+        header, *lines = (work / "ds.csv").read_text().splitlines()
+        shuffled = _shuffled(lines, data.draw)
+        (work / "shuffled.csv").write_text("\n".join([header, *shuffled]) + "\n")
+        assert ingest_csv(work / "shuffled.csv") == ingest_csv(work / "ds.csv")
+        relabel = {sid: f"p{len(ds.ids) - k}" for k, sid in enumerate(ds.ids)}
+        (work / "relabelled.csv").write_text("\n".join(
+            [header, *(relabel[sid] + "," + rest for sid, _, rest in
+                       (line.partition(",") for line in shuffled))]) + "\n")
+        again = ingest_csv(work / "relabelled.csv")
+        assert again.ids == tuple(relabel[sid] for sid in ds.ids)
+        assert again == CountingProcessDataset._of(
+            ds.schema, ds.design, again.ids, ds.offsets, ds.tstart, ds.tstop, ds.status,
+            ds.treated, ds.columns)

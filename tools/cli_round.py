@@ -8,8 +8,11 @@ on s2, fit and predict each of the seven strategies, ``--all-strategies``,
 fits with ``--covariates z --tv-cuts 2``, ``--tie breslow`` and
 ``--truncate-weights 1,99`` (predicted at ``--profile z=0``), and
 ``weights`` in both modes; an age_gap fit and predict at ``--profile
-age=50``; and a small validate of all seven labels. ``N`` (default 5000)
-is the size of the three simulated datasets; the validate run is fixed. ``round.log`` records each command's argv, exit
+age=50``; a fit and predict of two small fixed files, one in the wide
+format and one with a label-coded covariate read with ``--levels``; and a
+small validate of all seven labels. ``N`` (default 5000) is the size of
+the three simulated datasets; the fixed files and the validate run do not
+depend on it. ``round.log`` records each command's argv, exit
 code, standard output and standard error, warnings as their category and
 message. Run it from two checkouts and ``diff -r`` the two directories:
 no output means the CLI wrote the same bytes.
@@ -33,6 +36,26 @@ LABELS = (("ignore", []), ("composite", []), ("while-untreated", []),
           ("hypothetical:censor", []), ("hypothetical:model", []),
           ("hypothetical:censor-ipcw", ["--weight-covariates", "z"]),
           ("hypothetical:model-iptw", ["--weight-covariates", "z"]))
+
+
+def fixed_files() -> dict:
+    """Name and text of the two small fixed data files of the round: 40
+    subjects in the wide format (``id,time,status,age``), and 40 in the
+    long format with a ``dialysis`` covariate coded HD or PD, every fourth
+    starting treatment and followed on."""
+    wide = ["id,time,status,age"]
+    long = ["id,tstart,tstop,status,treated,dialysis"]
+    for i in range(1, 41):
+        wide.append(f"{i},{0.5 + i * 7 % 19 / 2},{(0, 1, 1, 2)[i % 4]},{40 + i * 13 % 30}")
+        arm = "PD" if i % 3 == 0 else "HD"
+        stop = 1 + i * 7 % 11 / 2
+        if i % 4 == 0:
+            start = 1 + i % 5
+            long += [f"{i},0,{start},2,0,{arm}",
+                     f"{i},{start},{start + 1 + i % 3},{i % 8 // 4},1,{arm}"]
+        else:
+            long.append(f"{i},0,{stop},{int(i % 5 > 1)},0,{arm}")
+    return {"wide.csv": "\n".join(wide) + "\n", "labelled.csv": "\n".join(long) + "\n"}
 
 
 def commands(n: int) -> list:
@@ -68,6 +91,14 @@ def commands(n: int) -> list:
               "--covariates", "age", "--horizon", "10", "--out", "fit-age_gap"],
              ["predict", "--run", "fit-age_gap", "--profile", "age=50",
               "--out", "predict-age_gap"]]
+    cmds += [["fit", "--data", "wide.csv", "--strategy", "composite", "--covariates", "age",
+              "--out", "fit-wide"],
+             ["predict", "--run", "fit-wide", "--profile", "age=50", "--horizon", "5",
+              "--out", "predict-wide"],
+             ["fit", "--data", "labelled.csv", "--levels", "dialysis=HD|PD", "--strategy",
+              "hypothetical", "--covariates", "dialysis", "--out", "fit-labelled"],
+             ["predict", "--run", "fit-labelled", "--profile", "dialysis=PD", "--out",
+              "predict-labelled"]]
     cmds.append(["validate", "--scenario", "s2", "--n", "300", "--seeds", "2",
                  "--mc-reps", "2000", "--strategies", ",".join(l for l, _ in LABELS),
                  "--weight-covariates", "z", "--out", "validate.json"])
@@ -87,6 +118,8 @@ def run_round(out, n: int = 5000) -> list:
     cwd = os.getcwd()
     os.chdir(out)
     try:
+        for name, text in fixed_files().items():
+            Path(name).write_text(text)
         for argv in commands(n):
             stdout, stderr = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
