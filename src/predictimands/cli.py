@@ -267,7 +267,7 @@ def _check_seed(args):
 def cmd_simulate(args) -> int:
     _check_seed(args)
     spec = _load_scenario(args.scenario)
-    ds = sim.simulate(spec, args.n, args.seed, workers=args.workers)
+    ds = sim.simulate(spec, args.n, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(ds, out)
@@ -319,7 +319,7 @@ def cmd_validate(args) -> int:
     report = sim.validate(spec, n=args.n, seeds=seeds,
                           strategy_specs=strategy_specs, profile=profile,
                           t_hor=args.t_hor, tolerance=args.tolerance,
-                          mc_reps=args.mc_reps, workers=args.workers)
+                          mc_reps=args.mc_reps)
     _write_json(args.out, report)
     _write_json(str(Path(args.out)) + ".run.json", _echo(args, "validate"))
     summary = {label: {"bias": entry.get("bias"), "passed": entry["passed"]}
@@ -415,7 +415,8 @@ def build_parser() -> tuple:
                         f"({sorted(scenarios_mod.BUILTIN)})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
     subparsers["simulate"] = p
@@ -436,7 +437,8 @@ def build_parser() -> tuple:
     p.add_argument("--t-hor", type=float, default=5.0)
     p.add_argument("--tolerance", type=float, default=0.02)
     p.add_argument("--mc-reps", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_validate)
     subparsers["validate"] = p

@@ -12,7 +12,6 @@ treatment term is computed this way.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +20,19 @@ from .curves import RiskCurve
 from .data import CountingProcessDataset, Status, split_at_treatment
 
 
-@dataclass(frozen=True)
-class CauseSpecificPair:
-    """Cause-specific Cox models for the event of interest and for treatment
-    start, fitted on the same censored-at-first-transition data.
-
-    ``model_treatment`` is None when the data carry no treatment starts; the
-    treatment hazard is then identically zero.
-    """
-
-    model_event: cox.CoxModel
-    model_treatment: cox.CoxModel | None
-
-
 def fit_cause_specific_pair(ds: CountingProcessDataset, covariates=(),
-                            ties: str = "efron") -> CauseSpecificPair:
+                            ties: str = "efron") -> dict:
     """Fit both cause-specific models: each cause is the event while the
-    other (plus administrative censoring) censors."""
+    other (plus administrative censoring) censors. Returns ``{"event": ...,
+    "treatment": ...}``, without the ``"treatment"`` key when the data carry
+    no treatment starts; the treatment hazard is then identically zero."""
     base = split_at_treatment(ds)
-    model_event = cox.fit(base, cox.CoxSpec(event_code=Status.EVENT,
-                                            covariates=tuple(covariates), ties=ties))
-    model_treatment = (weights.fit_treatment_hazard(base, covariates, ties)
-                       if base.has_treatment_starts else None)
-    return CauseSpecificPair(model_event, model_treatment)
+    models = {"event": cox.fit(base, cox.CoxSpec(event_code=Status.EVENT,
+                                                 covariates=tuple(covariates),
+                                                 ties=ties))}
+    if base.has_treatment_starts:
+        models["treatment"] = weights.fit_treatment_hazard(base, covariates, ties)
+    return models
 
 
 def _hazard_increments(model, profile, times):
@@ -60,21 +49,22 @@ def _hazard_increments(model, profile, times):
     return out
 
 
-def aalen_johansen(pair: CauseSpecificPair, profile=None, t_hor=None):
-    """Times plus (F_event, F_treatment, S_overall) from the plug-in.
+def aalen_johansen(models: dict, profile=None, t_hor=None):
+    """Times plus (F_event, F_treatment, S_overall) from the plug-in on the
+    cause-specific ``models`` of ``fit_cause_specific_pair``.
 
     S is carried as 1 - F_event - F_treatment so the three add to one
     exactly; a hazard increment overshooting the remaining mass is clipped
     with a warning.
     """
     profile = dict(profile or {})
-    times = np.union1d(pair.model_event.baseline_times,
-                       pair.model_treatment.baseline_times
-                       if pair.model_treatment is not None else [])
+    treatment = models.get("treatment")
+    times = np.union1d(models["event"].baseline_times,
+                       treatment.baseline_times if treatment is not None else [])
     if t_hor is not None:
         times = times[times <= t_hor]
-    dh_ev = _hazard_increments(pair.model_event, profile, times)
-    dh_tr = _hazard_increments(pair.model_treatment, profile, times)
+    dh_ev = _hazard_increments(models["event"], profile, times)
+    dh_tr = _hazard_increments(treatment, profile, times)
     total = dh_ev + dh_tr
     over = total > 1.0
     if over.any():
@@ -90,11 +80,11 @@ def aalen_johansen(pair: CauseSpecificPair, profile=None, t_hor=None):
     return times, f_ev, f_tr, 1.0 - f_ev - f_tr
 
 
-def cuminc(pair: CauseSpecificPair, profile=None, t_hor=None,
+def cuminc(models: dict, profile=None, t_hor=None,
            label: str = "while-untreated") -> RiskCurve:
     """Cumulative incidence of the event of interest before treatment; with
     no treatment model, one minus the product-limit survival of the event
     model."""
-    times, f_ev, _, _ = aalen_johansen(pair, profile, t_hor)
+    times, f_ev, _, _ = aalen_johansen(models, profile, t_hor)
     return RiskCurve(times, f_ev, strategy=label,
                      profile=dict(profile or {}), horizon=t_hor)

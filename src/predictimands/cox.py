@@ -289,7 +289,8 @@ class CoxModel:
     @classmethod
     def from_dict(cls, d: dict) -> "CoxModel":
         """The model of a ``to_dict`` mapping; ``coefficients`` must name
-        exactly its terms: the covariates, then the treatment segments."""
+        exactly its terms: the covariates, then the treatment segments.
+        Coefficients, information and baseline hazard must be finite."""
         treatment = (TreatmentTerm(tuple(d["treatment_cuts"]))
                      if d.get("treatment_cuts") is not None else None)
         names = tuple(d["covariates"]) + tuple(
@@ -297,11 +298,17 @@ class CoxModel:
         if sorted(d["coefficients"]) != sorted(names):
             raise ValueError(f"coefficients name {sorted(d['coefficients'])}, "
                              f"but the model's terms are {list(names)}")
+        beta = np.asarray([d["coefficients"][n] for n in names], float)
+        info = np.asarray(d["information"], float).reshape(len(names), len(names))
         base = np.asarray(d["baseline_cumhaz"], dtype=float).reshape(-1, 2)
+        for key, values in (("coefficients", beta), ("information", info),
+                            ("baseline_cumhaz", base)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{key} must hold finite numbers")
         return cls(
             names=names,
-            beta=np.asarray([d["coefficients"][n] for n in names], float),
-            info=np.asarray(d["information"], float).reshape(len(names), len(names)),
+            beta=beta,
+            info=info,
             loglik=d["loglik"],
             baseline_times=base[:, 0],
             baseline_increments=base[:, 1],
@@ -434,7 +441,10 @@ def _profile_lp(model: CoxModel, profile: dict) -> float:
     for j, name in enumerate(model.covariates):
         if name not in profile:
             raise ProfileIncomplete(f"profile misses covariate {name!r}")
-        lp += model.beta[j] * float(profile[name])
+        value = float(profile[name])
+        if not math.isfinite(value):
+            raise DataError(f"profile value {value} for covariate {name!r} is not finite")
+        lp += model.beta[j] * value
     return lp
 
 

@@ -25,6 +25,7 @@ from .data import (
     CovariateSchema,
     DesignFlavor,
     Status,
+    split_at_treatment,
 )
 from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
@@ -433,23 +434,16 @@ def simulate_trajectories(spec: IntensitySpec, n: int, seed,
     return Trajectories(x0, tv, censor, t0, v, death)
 
 
-def simulate(spec: IntensitySpec, n: int, seed: int,
-             workers: int = 1) -> CountingProcessDataset:
+def simulate(spec: IntensitySpec, n: int, seed: int) -> CountingProcessDataset:
     """Draw n subjects and emit them as a counting-process dataset: rows end
     at the grid points inside follow-up, at V when it is observed and at the
-    end of follow-up. ``workers`` has no effect."""
+    end of follow-up. A stops-at-treatment scenario gives that follow-up
+    split at treatment start."""
     tr = simulate_trajectories(spec, n, seed)
-    grid = spec.grid
-    t0, v, censor = tr.latent_death, tr.treat_time, tr.censor_time
-    if spec.design == DesignFlavor.STOPS_AT_TREATMENT:
-        end = np.minimum(np.minimum(t0, v), censor)
-        final = np.where(end == t0, Status.EVENT,
-                         np.where(end == v, Status.TREATMENT_START, Status.CENSORED))
-        switch = np.zeros(n, bool)
-    else:
-        end = np.minimum(tr.death_time, censor)
-        final = np.where(tr.death_time <= censor, Status.EVENT, Status.CENSORED)
-        switch = (v < t0) & (v < end)
+    grid, v = spec.grid, tr.treat_time
+    end = np.minimum(tr.death_time, tr.censor_time)
+    final = np.where(tr.death_time <= tr.censor_time, Status.EVENT, Status.CENSORED)
+    switch = (v < tr.latent_death) & (v < end)
 
     inner = np.concatenate([np.where(grid[1:] < end[:, None], grid[1:], np.inf),
                             np.where(switch, v, np.inf)[:, None]], axis=1)
@@ -474,8 +468,10 @@ def simulate(spec: IntensitySpec, n: int, seed: int,
     seg = np.minimum(np.searchsorted(grid, tstart, side="right") - 1, grid.size - 2)
     columns = {name: tr.x0[name][sub] for name in schema.baseline}
     columns.update({name: z[sub, seg] for name, z in tr.tv.items()})
-    return CountingProcessDataset(schema, spec.design, [str(i + 1) for i in range(n)],
-                                  offsets, tstart, tstop, status, treated, columns)
+    ds = CountingProcessDataset(schema, DesignFlavor.CONTINUES_AFTER_TREATMENT,
+                                [str(i + 1) for i in range(n)], offsets, tstart, tstop,
+                                status, treated, columns)
+    return split_at_treatment(ds) if spec.design == DesignFlavor.STOPS_AT_TREATMENT else ds
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +531,17 @@ def constant_intensity_risks(l_treat: float, l_death: float,
 
 def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
                mc_reps: int = 200_000, mc_seed: int = 977_001) -> TruthOracle:
+    """True risks at ``t_hor`` given the baseline covariates in ``profile``,
+    each of which must be a baseline covariate of the scenario with a
+    finite value."""
     profile = dict(profile or {})
+    unknown = sorted(set(profile) - set(spec.baseline_covariates))
+    if unknown:
+        raise ScenarioError(f"profile names {unknown}, which are not baseline "
+                            f"covariates of the scenario "
+                            f"{sorted(spec.baseline_covariates)}")
+    for name, value in profile.items():
+        _number(value, f"profile.{name}")
     if t_hor > spec.admin_censor:
         raise ScenarioError("t_hor must not exceed the scenario's admin_censor "
                             "(the covariate grid ends there)")
@@ -567,7 +573,7 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
 
 def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
              profile=None, t_hor: float = 5.0, tolerance: float = 0.02,
-             mc_reps: int = 200_000, workers: int = 1) -> dict:
+             mc_reps: int = 200_000) -> dict:
     """Simulate-then-estimate across seeds and compare to the truth oracle.
 
     Per-strategy entries report bias and RMSE at the horizon, the Monte Carlo

@@ -168,11 +168,8 @@ def fit_strategy_models(ds: CountingProcessDataset,
         return StrategyFit(spec, {"main": _single_fit(compose_outcome(ds), spec)})
 
     if spec.strategy == Strategy.WHILE_UNTREATED:
-        pair = competing.fit_cause_specific_pair(ds, spec.covariates, _ties(spec))
-        models = {"event": pair.model_event}
-        if pair.model_treatment is not None:
-            models["treatment"] = pair.model_treatment
-        return StrategyFit(spec, models)
+        return StrategyFit(spec, competing.fit_cause_specific_pair(
+            ds, spec.covariates, _ties(spec)))
 
     method = spec.hypothetical_method
     censor = method in (HypotheticalMethod.CENSOR_BASELINE,
@@ -207,9 +204,8 @@ def predict_risk(fit: StrategyFit, profile: dict | None = None) -> RiskCurve:
     profile = dict(profile or {})
     main = fit.models.get("main")
     if main is None or (not main.covariates and main.treatment is None):
-        pair = competing.CauseSpecificPair(fit.models.get("event", main),
-                                           fit.models.get("treatment"))
-        return competing.cuminc(pair, profile, spec.t_hor, label=spec.label)
+        models = fit.models if main is None else {"event": main}
+        return competing.cuminc(models, profile, spec.t_hor, label=spec.label)
     surv = cox.predict_survival(main, profile)
     keep = surv.times <= spec.t_hor
     return RiskCurve(surv.times[keep], 1.0 - surv.surv[keep], strategy=spec.label,

@@ -5,7 +5,6 @@ per criterion. Tolerances are frozen here; the heavy criteria also assert
 their stated runtime budgets.
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -15,7 +14,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from predictimands import competing, cox, scenarios, simulate, weights
-from predictimands.data import write_csv
+from predictimands.cli import main
 from predictimands.simulate import IntensitySpec, validate
 from predictimands.strategies import (
     HypotheticalMethod,
@@ -116,9 +115,7 @@ def test_criterion_3_competing_risks_conservation():
                 t_hor = spec.admin_censor
                 wu = fit_strategy_models(
                     ds, StrategySpec(Strategy.WHILE_UNTREATED, t_hor=t_hor))
-                pair = competing.CauseSpecificPair(wu.models["event"],
-                                                   wu.models.get("treatment"))
-                times, f_ev, f_tr, s = competing.aalen_johansen(pair, {}, t_hor)
+                times, f_ev, f_tr, s = competing.aalen_johansen(wu.models, {}, t_hor)
                 assert np.abs(f_ev + f_tr + s - 1.0).max() <= 1e-12
                 comp = estimate(ds, StrategySpec(Strategy.COMPOSITE, t_hor=t_hor))
                 np.testing.assert_array_equal(comp.times, times)
@@ -223,23 +220,23 @@ def test_criterion_6_trivial_equivalences():
 
 def test_criterion_7_determinism(tmp_path):
     with criterion(7, "simulate/validate outputs byte-identical across runs "
-                      "and thread counts"):
-        spec = scenarios.builtin("s2")
-        paths = []
+                      "and --workers values"):
+        csvs = []
         for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
-            ds = simulate.simulate(spec, 150, seed=11, workers=workers)
             p = tmp_path / f"{tag}.csv"
-            write_csv(ds, p)
-            paths.append(p)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert paths[0].read_bytes() == paths[2].read_bytes()
+            assert main(["simulate", "--scenario", "s2", "--n", "150", "--seed", "11",
+                         "--workers", str(workers), "--out", str(p)]) == 0
+            csvs.append(p.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
 
         reports = []
         for workers in (1, 3):
-            report = validate(scenarios.builtin("s1"), n=300, seeds=[1, 2],
-                              strategy_specs=[spec_for(Strategy.COMPOSITE)],
-                              t_hor=5.0, tolerance=0.1, workers=workers)
-            reports.append(json.dumps(report, sort_keys=True))
+            p = tmp_path / f"validate-{workers}.json"
+            assert main(["validate", "--scenario", "s1", "--n", "300", "--seeds", "2",
+                         "--strategies", "composite", "--t-hor", "5",
+                         "--tolerance", "0.1", "--workers", str(workers),
+                         "--out", str(p)]) == 0
+            reports.append(p.read_bytes())
         assert reports[0] == reports[1]
 
 

@@ -3,6 +3,8 @@ import contextlib
 import functools
 import io
 import json
+import math
+import operator
 import tempfile
 import warnings
 from pathlib import Path
@@ -266,6 +268,60 @@ class TestUsageErrors:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "InvalidCurve"
         assert "[0, 1]" in err["message"]
+
+
+_AGE_CSV = ("id,tstart,tstop,status,treated,age\n1,0,1,1,0,50\n2,0,2,1,0,62\n"
+            "3,0,3,0,0,55\n4,0,4,1,0,70\n5,0,5,1,0,45\n")
+
+
+class TestNonFiniteModelInputs:
+    """A non-finite number in a model file or a profile is a data error:
+    exit 3 with one JSON line and no curve."""
+
+    @pytest.fixture
+    def fit_dir(self, tmp_path):
+        data = tmp_path / "age.csv"
+        data.write_text(_AGE_CSV)
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(data), "--strategy", "hypothetical",
+                    "--covariates", "age", "--out", str(out)]) == 0
+        return out
+
+    def assert_exits_3(self, argv, tmp_path, capsys, message):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "p")]) == 3
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        err = json.loads(out)
+        assert err["error"] == "DataError"
+        assert message in err["message"]
+        assert not (tmp_path / "p" / "curve.csv").exists()
+
+    @pytest.mark.parametrize("where, value, message", [
+        pytest.param(("baseline_cumhaz", 0, 1), math.nan, "baseline_cumhaz",
+                     id="nan-increment"),
+        pytest.param(("coefficients", "age"), math.nan, "coefficients",
+                     id="nan-coefficient"),
+        pytest.param(("baseline_cumhaz", 0, 0), math.nan, "baseline_cumhaz",
+                     id="nan-baseline-time"),
+        pytest.param(("coefficients", "age"), math.inf, "coefficients",
+                     id="inf-coefficient"),
+        pytest.param(("information", 0, 0), math.nan, "information",
+                     id="nan-information"),
+    ])
+    def test_non_finite_model_file_exits_3(self, fit_dir, tmp_path, capsys,
+                                           where, value, message):
+        model = json.loads((fit_dir / "model.json").read_text())
+        *keys, last = where
+        functools.reduce(operator.getitem, keys, model)[last] = value
+        (fit_dir / "model.json").write_text(json.dumps(model))
+        self.assert_exits_3(["predict", "--run", str(fit_dir), "--profile", "age=50"],
+                            tmp_path, capsys, f"{message} must hold finite numbers")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_profile_exits_3(self, fit_dir, tmp_path, capsys, value):
+        self.assert_exits_3(["predict", "--run", str(fit_dir), "--profile", f"age={value}"],
+                            tmp_path, capsys, "covariate 'age' is not finite")
 
 
 class TestRejectedBeforeRunning:
@@ -539,6 +595,19 @@ class TestValidate:
                     "--out", str(report_path)])
         assert code == 1
 
+
+    @pytest.mark.parametrize("profile", ["z=3", "bogus=3"])
+    def test_profile_outside_the_baseline_covariates_exits_2(self, tmp_path, capsys,
+                                                             profile):
+        capsys.readouterr()
+        code = run(["validate", "--scenario", "s2", "--n", "50", "--seeds", "1",
+                    "--profile", profile, "--mc-reps", "100",
+                    "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ScenarioError"
+        assert "not baseline covariates" in err["message"]
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.01"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, tolerance):

@@ -40,8 +40,8 @@ class TestKaplanMeier:
 
 class TestAalenJohansen:
     def test_d4_hand_computation(self, d4):
-        pair = competing.fit_cause_specific_pair(d4, ties="breslow")
-        times, f_ev, f_tr, s = competing.aalen_johansen(pair, {})
+        models = competing.fit_cause_specific_pair(d4, ties="breslow")
+        times, f_ev, f_tr, s = competing.aalen_johansen(models, {})
         assert list(times) == [1.0, 2.0, 3.0]
         # F_event(4) = 1/4 + (1/2)(1/2), F_treatment(4) = (3/4)(1/3)
         assert f_ev[-1] == pytest.approx(0.50, abs=1e-12)
@@ -52,14 +52,14 @@ class TestAalenJohansen:
         spec = scenarios.builtin("s1")
         for seed in (1, 2, 3):
             ds = simulate.simulate(spec, 300, seed=seed)
-            pair = competing.fit_cause_specific_pair(ds, ties="breslow")
-            _, f_ev, f_tr, s = competing.aalen_johansen(pair, {})
+            models = competing.fit_cause_specific_pair(ds, ties="breslow")
+            _, f_ev, f_tr, s = competing.aalen_johansen(models, {})
             np.testing.assert_allclose(f_ev + f_tr + s, 1.0, atol=1e-12)
 
     def test_cuminc_equals_km_when_no_treatment(self, d3):
-        pair = competing.fit_cause_specific_pair(d3, ties="breslow")
-        assert pair.model_treatment is None
-        curve = competing.cuminc(pair, {})
+        models = competing.fit_cause_specific_pair(d3, ties="breslow")
+        assert list(models) == ["event"]
+        curve = competing.cuminc(models, {})
         np.testing.assert_allclose(curve.times, [1.0, 3.0])
         np.testing.assert_allclose(curve.risk, [1 / 3, 1.0], atol=1e-14)
         km = curve_for(d3, Strategy.IGNORE_TREATMENT)
@@ -71,16 +71,16 @@ class TestComposite:
     def test_d4_additivity(self, d4):
         comp = curve_for(d4, Strategy.COMPOSITE)
         assert comp.value_at(4.0) == pytest.approx(0.75, abs=1e-12)
-        pair = competing.fit_cause_specific_pair(d4, ties="breslow")
-        _, f_ev, f_tr, _ = competing.aalen_johansen(pair, {})
+        models = competing.fit_cause_specific_pair(d4, ties="breslow")
+        _, f_ev, f_tr, _ = competing.aalen_johansen(models, {})
         assert comp.value_at(4.0) == pytest.approx(f_ev[-1] + f_tr[-1], abs=1e-12)
 
     def test_additivity_everywhere_on_simulated_data(self):
         spec = scenarios.builtin("s1")
         ds = simulate.simulate(spec, 250, seed=9)
         comp = curve_for(ds, Strategy.COMPOSITE, t_hor=spec.admin_censor)
-        pair = competing.fit_cause_specific_pair(ds, ties="breslow")
-        times, f_ev, f_tr, _ = competing.aalen_johansen(pair, {})
+        models = competing.fit_cause_specific_pair(ds, ties="breslow")
+        times, f_ev, f_tr, _ = competing.aalen_johansen(models, {})
         np.testing.assert_allclose(comp.times, times)
         np.testing.assert_allclose(comp.risk, f_ev + f_tr, atol=1e-12)
 

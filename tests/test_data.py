@@ -598,10 +598,10 @@ def check_against_references(subjects, design):
                        if ep.treated)
     assert split.person_time() + treated_time == pytest.approx(ds.person_time(), rel=1e-12)
     try:
-        pair = competing.fit_cause_specific_pair(ds)
+        models = competing.fit_cause_specific_pair(ds)
     except NoEvents:
         return
-    _, f_ev, f_tr, surv = competing.aalen_johansen(pair)
+    _, f_ev, f_tr, surv = competing.aalen_johansen(models)
     assert np.abs(f_ev + f_tr + surv - 1.0).max() <= 1e-12
 
 

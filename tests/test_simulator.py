@@ -17,6 +17,7 @@ from predictimands.data import (
     Episode,
     Status,
     SubjectRecord,
+    split_at_treatment,
     write_csv,
 )
 from predictimands.errors import DataError, InvalidIntensity, ScenarioError
@@ -111,7 +112,9 @@ def _simulate_one(spec, rng, x0_override=None):
         end = min(t0, v, censor)
         if end == t0:
             status = Status.EVENT
-        elif end == v:
+        # a treatment start at the end of follow-up is not recorded: the
+        # continued follow-up, split at treatment start, censors there
+        elif end == v < censor:
             status = Status.TREATMENT_START
         else:
             status = Status.CENSORED
@@ -190,16 +193,6 @@ class TestDeterminism:
         b = simulate.simulate(spec, 60, seed=5)
         assert a == b
         assert simulate.simulate(spec, 60, seed=6) != a
-
-    def test_workers_do_not_change_output(self, tmp_path):
-        spec = scenarios.builtin("s2")
-        serial = simulate.simulate(spec, 80, seed=9, workers=1)
-        threaded = simulate.simulate(spec, 80, seed=9, workers=4)
-        assert serial == threaded
-        p1, p4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        write_csv(serial, p1)
-        write_csv(threaded, p4)
-        assert p1.read_bytes() == p4.read_bytes()
 
 
 # z = -1000 on the first grid segment and 0 after it: exp(-1000) underflows,
@@ -413,6 +406,15 @@ class TestTrajectoryLaw:
         starts = ds.status[last] == Status.TREATMENT_START
         assert tr.treat_time[starts] == pytest.approx(end[starts])
 
+    @pytest.mark.parametrize("name", ["s1", "s2", "age_gap", "mixed"])
+    def test_stops_design_is_continued_follow_up_split(self, name):
+        d = {**scenarios.BUILTIN, "mixed": MIXED}[name]
+        stops = IntensitySpec.from_dict({**d, "design": "stops"})
+        continues = IntensitySpec.from_dict({**d, "design": "continues"})
+        for seed in (1, 2, 3):
+            assert (simulate.simulate(stops, 300, seed)
+                    == split_at_treatment(simulate.simulate(continues, 300, seed)))
+
     def test_transition_rates_match_spec(self):
         # occurrence / exposure estimates with 3-sigma Poisson bounds
         spec = scenarios.builtin("s1")
@@ -481,6 +483,20 @@ class TestTruthOracle:
     def test_horizon_beyond_grid_rejected(self):
         with pytest.raises(ScenarioError):
             true_risks(scenarios.builtin("s1"), {}, t_hor=11.0)
+
+    @pytest.mark.parametrize("name, profile, message", [
+        pytest.param("s2", {"z": 3.0}, "not baseline covariates", id="s2-time-varying"),
+        pytest.param("s2", {"bogus": 3.0}, "not baseline covariates", id="s2-unknown"),
+        pytest.param("age_gap", {"age": 60.0, "z": 0.0}, "not baseline covariates",
+                     id="age_gap-extra"),
+        pytest.param("age_gap", {"age": math.nan}, "profile.age: must be finite",
+                     id="age_gap-nan"),
+        pytest.param("age_gap", {"age": math.inf}, "profile.age: must be finite",
+                     id="age_gap-inf"),
+    ])
+    def test_profile_the_truth_would_ignore_rejected(self, name, profile, message):
+        with pytest.raises(ScenarioError, match=message):
+            true_risks(scenarios.builtin(name), profile, t_hor=5.0, mc_reps=100)
 
 
 class TestScenarioParsing:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from predictimands import scenarios, simulate
 from predictimands.data import (
+    CountingProcessDataset,
     CovariateSchema,
     DesignFlavor,
     Episode,
@@ -231,3 +234,39 @@ class TestMethodTable:
             np.testing.assert_array_equal(fit.weight_table.rows.tstop,
                                           fitted_on.tstop)
         assert model.n_events == int((fitted_on.status == Status.EVENT).sum())
+
+
+def doubled_times(ds):
+    """``ds`` with every time multiplied by 2, which is exact in binary
+    floating point."""
+    return CountingProcessDataset(ds.schema, ds.design, ds.ids, ds.offsets,
+                                  2 * ds.tstart, 2 * ds.tstop, ds.status, ds.treated,
+                                  ds.columns)
+
+
+ALL_METHODS = ([(s, None) for s in Strategy if s != Strategy.HYPOTHETICAL]
+               + [(Strategy.HYPOTHETICAL, m) for m in HypotheticalMethod])
+
+
+class TestTimeDoubling:
+    """Doubling every time, the treatment cuts and the horizon changes no
+    risk by a bit and doubles every curve time exactly: partial likelihoods,
+    baseline increments and weights depend on the order of the times only."""
+
+    @pytest.mark.parametrize("name, n, profile, options", [
+        ("s2", 800, {}, dict(t_hor=5.0, tv_cuts=(1.5,), weight_covariates=("z",))),
+        ("age_gap", 300, {"age": 55.0}, dict(t_hor=10.0, tv_cuts=(4.0,),
+                                             covariates=("age",),
+                                             weight_covariates=("age",))),
+    ])
+    def test_risks_identical_and_times_doubled(self, name, n, profile, options):
+        ds = simulate.simulate(scenarios.builtin(name), n, seed=4)
+        twice = doubled_times(ds)
+        for strategy, method in ALL_METHODS:
+            spec = spec_for(strategy, method, **options)
+            spec2 = replace(spec, t_hor=2 * spec.t_hor,
+                            tv_cuts=tuple(2 * c for c in spec.tv_cuts))
+            curve, curve2 = estimate(ds, spec, profile), estimate(twice, spec2, profile)
+            assert curve.times.size > 10, spec.label
+            assert np.array_equal(curve2.risk, curve.risk), spec.label
+            assert np.array_equal(curve2.times, 2 * curve.times), spec.label

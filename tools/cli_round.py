@@ -3,17 +3,19 @@
     python tools/cli_round.py OUT [--n N]
 
 Runs every command in ``OUT`` (created if missing) with relative paths,
-from the ``src`` tree next to this script: simulate s1, s2 and age_gap;
-on s2, fit and predict each of the seven strategies, ``--all-strategies``,
-fits with ``--covariates z --tv-cuts 2``, ``--tie breslow`` and
-``--truncate-weights 1,99`` (predicted at ``--profile z=0``), and
-``weights`` in both modes; an age_gap fit and predict at ``--profile
-age=50``; a fit and predict of two small fixed files, one in the wide
-format and one with a label-coded covariate read with ``--levels``; and a
-small validate of all seven labels. ``N`` (default 5000) is the size of
-the three simulated datasets; the fixed files and the validate run do not
-depend on it. ``round.log`` records each command's argv, exit
-code, standard output and standard error, warnings as their category and
+from the ``src`` tree next to this script: simulate s1, s2, age_gap and
+``s2_stops.json`` (s2 observed until treatment start); on s2, fit and
+predict each of the seven strategies, ``--all-strategies``, fits with
+``--covariates z --tv-cuts 2``, ``--tie breslow`` and ``--truncate-weights
+1,99`` (predicted at ``--profile z=0``), and ``weights`` in both modes; an
+age_gap fit and predict at ``--profile age=50``; on the stops-at-treatment
+data, fit and predict composite, while-untreated and ``hypothetical
+--method censor``; a fit and predict of two small fixed files, one in the
+wide format and one with a label-coded covariate read with ``--levels``;
+and a small validate of all seven labels. ``N`` (default 5000) is the size
+of the four simulated datasets; the fixed files and the validate run do
+not depend on it. ``round.log`` records each command's argv, exit code,
+standard output and standard error, warnings as their category and
 message. Run it from two checkouts and ``diff -r`` the two directories:
 no output means the CLI wrote the same bytes.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 import warnings
@@ -31,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from predictimands.cli import main as cli_main  # noqa: E402
+from predictimands.scenarios import BUILTIN  # noqa: E402
 
 LABELS = (("ignore", []), ("composite", []), ("while-untreated", []),
           ("hypothetical:censor", []), ("hypothetical:model", []),
@@ -39,10 +43,11 @@ LABELS = (("ignore", []), ("composite", []), ("while-untreated", []),
 
 
 def fixed_files() -> dict:
-    """Name and text of the two small fixed data files of the round: 40
-    subjects in the wide format (``id,time,status,age``), and 40 in the
-    long format with a ``dialysis`` covariate coded HD or PD, every fourth
-    starting treatment and followed on."""
+    """Name and text of the fixed input files of the round: 40 subjects in
+    the wide format (``id,time,status,age``); 40 in the long format with a
+    ``dialysis`` covariate coded HD or PD, every fourth starting treatment
+    and followed on; and ``s2_stops.json``, the s2 scenario observed until
+    treatment start with a dropout rate of 0.05."""
     wide = ["id,time,status,age"]
     long = ["id,tstart,tstop,status,treated,dialysis"]
     for i in range(1, 41):
@@ -55,13 +60,17 @@ def fixed_files() -> dict:
                      f"{i},{start},{start + 1 + i % 3},{i % 8 // 4},1,{arm}"]
         else:
             long.append(f"{i},0,{stop},{int(i % 5 > 1)},0,{arm}")
-    return {"wide.csv": "\n".join(wide) + "\n", "labelled.csv": "\n".join(long) + "\n"}
+    stops = {**BUILTIN["s2"], "name": "s2_stops", "design": "stops", "dropout_rate": 0.05}
+    return {"wide.csv": "\n".join(wide) + "\n", "labelled.csv": "\n".join(long) + "\n",
+            "s2_stops.json": json.dumps(stops, indent=2) + "\n"}
 
 
 def commands(n: int) -> list:
     """The round's argv lists, in the order they run."""
-    cmds = [["simulate", "--scenario", name, "--n", str(n), "--seed", "1",
-             "--out", f"{name}.csv"] for name in ("s1", "s2", "age_gap")]
+    cmds = [["simulate", "--scenario", scenario, "--n", str(n), "--seed", "1",
+             "--out", f"{name}.csv"]
+            for name, scenario in (("s1", "s1"), ("s2", "s2"), ("age_gap", "age_gap"),
+                                   ("s2_stops", "s2_stops.json"))]
     fits = {}
     for label, extra in LABELS:
         strategy, _, method = label.partition(":")
@@ -91,6 +100,12 @@ def commands(n: int) -> list:
               "--covariates", "age", "--horizon", "10", "--out", "fit-age_gap"],
              ["predict", "--run", "fit-age_gap", "--profile", "age=50",
               "--out", "predict-age_gap"]]
+    for name, extra in (("composite", ["--strategy", "composite"]),
+                        ("while-untreated", ["--strategy", "while-untreated"]),
+                        ("censor", ["--strategy", "hypothetical", "--method", "censor"])):
+        cmds += [["fit", "--data", "s2_stops.csv", "--horizon", "5",
+                  "--out", f"fit-stops-{name}"] + extra,
+                 ["predict", "--run", f"fit-stops-{name}", "--out", f"predict-stops-{name}"]]
     cmds += [["fit", "--data", "wide.csv", "--strategy", "composite", "--covariates", "age",
               "--out", "fit-wide"],
              ["predict", "--run", "fit-wide", "--profile", "age=50", "--horizon", "5",
