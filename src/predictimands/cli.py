@@ -191,6 +191,12 @@ def _load_fit(run_dir: Path) -> tuple:
         raise DataError(f"{run_file} is not the run.json of a fit run")
     fit_parser = build_parser()[1]["fit"]
     fit_args = fit_parser.parse_args(_echo_argv(run, fit_parser))
+    names = sorted(run["models"])
+    expected = ([["event"], ["event", "treatment"]]
+                if fit_args.strategy == Strategy.WHILE_UNTREATED.value else [["main"]])
+    if names not in expected:
+        raise DataError(f"{run_file} lists models {names}; a {fit_args.strategy} fit "
+                        f"has {' or '.join(map(str, expected))}")
     models = {}
     for name, fname in run["models"].items():
         try:

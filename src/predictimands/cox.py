@@ -436,15 +436,24 @@ def baseline_cumhaz(model: CoxModel) -> StepFunction:
                         np.cumsum(model.baseline_increments), initial=0.0)
 
 
-def _profile_lp(model: CoxModel, profile: dict) -> float:
-    lp = 0.0
-    for j, name in enumerate(model.covariates):
+def profile_values(covariates, profile: dict) -> list:
+    """The profile's value of each covariate, in order: ProfileIncomplete for
+    the first one it misses, DataError for the first one not finite."""
+    values = []
+    for name in covariates:
         if name not in profile:
             raise ProfileIncomplete(f"profile misses covariate {name!r}")
         value = float(profile[name])
         if not math.isfinite(value):
             raise DataError(f"profile value {value} for covariate {name!r} is not finite")
-        lp += model.beta[j] * value
+        values.append(value)
+    return values
+
+
+def _profile_lp(model: CoxModel, profile: dict) -> float:
+    lp = 0.0
+    for coef, value in zip(model.beta, profile_values(model.covariates, profile)):
+        lp += coef * value
     return lp
 
 

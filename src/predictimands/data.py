@@ -22,6 +22,7 @@ tests and tools; no module of the package reads it.
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import math
 import statistics
@@ -438,6 +439,21 @@ def reading(path, error=DataError):
         raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+@contextmanager
+def _collector_off():
+    """The cyclic garbage collector off, then back in its previous state. A
+    large file's row lists, which hold only strings, would otherwise set off
+    repeated full collections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_off()
 def _read(path) -> tuple:
     """Header, wide-format flag, line numbers and fields as columns (id and
     covariates stripped) of the non-blank rows of a counting-process CSV,

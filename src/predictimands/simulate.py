@@ -7,10 +7,15 @@ are sampled by inverting the piecewise-constant cumulative hazards, so the
 untreated event time exists for every subject and equals the factual event
 time whenever the treatment intensity is zero.
 
-Randomness: subject i draws from its own generator on the i-th spawn of
-SeedSequence(seed), so output depends only on (spec, n, seed). One short
-loop draws each subject's numbers; the covariate paths, the intensities and
-the inversion of the cumulative hazards are array passes over all subjects.
+Randomness: subject i draws from ``default_rng`` of the i-th spawn of
+SeedSequence(seed), so output depends only on (spec, n, seed). A
+SeedSequence passed as the seed is read, not advanced: subject i takes its
+child ``n_children_spawned + i``. The children's PCG64 states come from one
+array pass, a port of numpy's SeedSequence and PCG64 seeding that each call
+checks against numpy on its first child. One short loop sets one generator
+to each subject's state and draws its numbers; the covariate paths, the
+intensities and the inversion of the cumulative hazards are array passes
+over all subjects.
 """
 
 from __future__ import annotations
@@ -350,12 +355,111 @@ def _invert(a, width, rate, target) -> np.ndarray:
     return out
 
 
-def _draw(spec: IntensitySpec, n: int, root) -> tuple:
-    """The random numbers of n subjects. Subject i draws from its own
-    generator on the next spawn of ``root``: each baseline covariate in name
-    order; per time-varying covariate its initial value and n_seg - 1
-    innovations; the dropout clock; three unit exponentials for T0, V and
-    the treated clock (the last is unused when V >= T0)."""
+# numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of uint32 words mixed by
+# hashmix and mix) and its seeding of PCG64 (pcg_setseq_128_srandom_r; O'Neill
+# 2014, HMC-CS-2014-0905), ported to array passes over many children at once
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(entropy) -> list:
+    """The little-endian 32-bit words of an int, or of each int of a
+    sequence in turn, as SeedSequence assembles its entropy."""
+    if isinstance(entropy, (int, np.integer)):
+        value, words = int(entropy), []
+        while True:
+            words.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                return words
+    return [word for item in entropy for word in _words(item)]
+
+
+def _seed_words(entropy: list, pool_size: int) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of m seed sequences at
+    once, as an (m, 4) array: entry k of ``entropy`` is the (m,) uint32
+    column of their k-th assembled entropy word. A spawned child's entropy
+    is padded to at least ``pool_size`` words. uint32 array arithmetic wraps
+    modulo 2**32, as the C code does."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ (out >> 16)
+
+    pool = [hashmix(entropy[k]) for k in range(pool_size)]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(pool_size, len(entropy)):
+        for dst in range(pool_size):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    state, hash_const = [], _INIT_B
+    for k in range(8):
+        value = pool[k % pool_size] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append(value ^ (value >> 16))
+    return np.stack(state, axis=1).astype("<u4").view("<u8")
+
+
+def _pcg64_state(words) -> tuple:
+    """PCG64's (state, inc) seeded from ``generate_state(4, np.uint64)``."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    return ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
+def _child_states(root: np.random.SeedSequence, first: int, n: int):
+    """Yield the PCG64 (state, inc) of children first, ..., first + n - 1 of
+    ``root``, child i being ``SeedSequence(root.entropy, spawn_key=
+    root.spawn_key + (i,))`` as ``root.spawn`` makes it. The first is checked
+    against numpy's own seeding; the states become Python ints a few
+    thousand at a time, which keeps the peak memory down."""
+    run = _words(root.entropy)
+    prefix = run + [0] * (root.pool_size - len(run)) + _words(root.spawn_key)
+    blocks, lo, end = [], first, first + n
+    while lo < end:
+        # up to the next multiple of 2**32, the children's indices share
+        # their upper words, and so their number of words
+        hi = min(end, ((lo >> 32) + 1) << 32)
+        low = np.arange(lo & _MASK32, (lo & _MASK32) + hi - lo).astype(np.uint32)
+        upper = _words(lo >> 32) if lo >> 32 else []
+        blocks.append(_seed_words(
+            [np.full(hi - lo, word, np.uint32) for word in prefix] + [low]
+            + [np.full(hi - lo, word, np.uint32) for word in upper], root.pool_size))
+        lo = hi
+    words = np.concatenate(blocks)
+    numpy_state = np.random.PCG64(np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (first,),
+        pool_size=root.pool_size)).state["state"]
+    if (numpy_state["state"], numpy_state["inc"]) != _pcg64_state(words[0].tolist()):
+        raise RuntimeError(f"numpy {np.__version__} seeds PCG64 from SeedSequence "
+                           "children differently from predictimands.simulate, "
+                           "which would change every simulated stream")
+    for start in range(0, n, 4096):
+        yield from map(_pcg64_state, words[start:start + 4096].tolist())
+
+
+def _draw(spec: IntensitySpec, n: int, root: np.random.SeedSequence) -> tuple:
+    """The random numbers of n subjects. Subject i draws from child
+    ``root.n_children_spawned + i`` of ``root``, through one generator whose
+    state is set per subject: each baseline covariate in name order; per
+    time-varying covariate its initial value and n_seg - 1 innovations; the
+    dropout clock; three unit exponentials for T0, V and the treated clock
+    (the last is unused when V >= T0)."""
     baseline = [spec.baseline_covariates[k] for k in sorted(spec.baseline_covariates)]
     processes = [spec.tv_covariates[k] for k in sorted(spec.tv_covariates)]
     n_seg = spec.grid.size - 1
@@ -365,8 +469,11 @@ def _draw(spec: IntensitySpec, n: int, root) -> tuple:
     dropout = np.full(n, np.inf)
     clocks = np.empty((n, 3))
     scale = 1.0 / spec.dropout_rate if spec.dropout_rate > 0 else None
-    for i in range(n):
-        rng = np.random.default_rng(root.spawn(1)[0])
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for i, (state, inc) in enumerate(_child_states(root, root.n_children_spawned, n)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
         for k, dist in enumerate(baseline):
             x0[k, i] = dist.draw(rng)
         for k, process in enumerate(processes):
@@ -380,10 +487,12 @@ def _draw(spec: IntensitySpec, n: int, root) -> tuple:
 
 def simulate_trajectories(spec: IntensitySpec, n: int, seed,
                           x0_override=None) -> Trajectories:
-    """Latent clocks of n subjects. Subject i draws from the i-th spawn of
-    ``SeedSequence(seed)``; a ``SeedSequence`` given as ``seed`` continues
-    from its next spawn, so consecutive calls extend one stream. Covariates
-    named in ``x0_override`` are fixed at the given values after the draws."""
+    """Latent clocks of n subjects. Subject i draws from the i-th child of
+    ``SeedSequence(seed)``, the one ``spawn`` makes i-th. A ``SeedSequence``
+    given as ``seed`` is read, not advanced: subject i takes its child
+    ``seed.n_children_spawned + i``, so a stream continues from a root built
+    with ``n_children_spawned``. Covariates named in ``x0_override`` are
+    fixed at the given values after the draws."""
     if n < 1:
         raise ScenarioError("n must be >= 1")
     root = (seed if isinstance(seed, np.random.SeedSequence)
@@ -555,9 +664,9 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
     if mc_reps < 1:
         raise ScenarioError("mc_reps must be >= 1")
     # one stream of mc_reps subjects, drawn in blocks to bound the memory
-    root = np.random.SeedSequence(mc_seed)
     hits = np.zeros(4, np.int64)
     for start in range(0, mc_reps, TRUTH_BLOCK):
+        root = np.random.SeedSequence(mc_seed, n_children_spawned=start)
         tr = simulate_trajectories(spec, min(TRUTH_BLOCK, mc_reps - start),
                                    root, x0_override=profile)
         t0, v = tr.latent_death, tr.treat_time

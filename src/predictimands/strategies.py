@@ -231,8 +231,11 @@ def estimate_all(ds: CountingProcessDataset, spec: StrategySpec,
     """Run all four strategies with shared options for side-by-side export.
 
     Per-strategy errors are collected rather than raised, so a design that
-    cannot support a strategy still yields the others.
+    cannot support a strategy still yields the others. Every strategy's
+    outcome model has the spec's covariates, so a profile that misses one or
+    gives it a non-finite value is raised before any fit.
     """
+    cox.profile_values(spec.covariates, dict(profile or {}))
     curves, failures = {}, {}
     for strategy in Strategy:
         one = replace(spec, strategy=strategy,

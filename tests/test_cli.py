@@ -17,6 +17,7 @@ from predictimands import cox, scenarios, simulate
 from predictimands import data as data_mod
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
 from predictimands.strategies import HypotheticalMethod, Strategy
+from tests.test_simulator import reference_risks, reference_simulate
 
 
 def run(argv):
@@ -497,6 +498,44 @@ class TestFitPredict:
             assert 0.0 <= float(r) <= 1.0 and float(t) >= 0.0
 
 
+    @pytest.mark.parametrize("strategy, models", [
+        ("composite", {"other": "model.json"}),
+        ("composite", {"main": "model.json", "event": "model.json"}),
+        ("while-untreated", {"main": "model_event.json"}),
+        ("while-untreated", {"treatment": "model_treatment.json"}),
+    ], ids=["composite-other", "composite-extra", "wu-main", "wu-no-event"])
+    def test_predict_unexpected_model_names_exit_3(self, d4_csv, tmp_path, capsys,
+                                                   strategy, models):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(d4_csv), "--strategy", strategy,
+                    "--out", str(out)]) == 0
+        echo = json.loads((out / "run.json").read_text())
+        (out / "run.json").write_text(json.dumps({**echo, "models": models}))
+        capsys.readouterr()
+        assert run(["predict", "--run", str(out), "--out", str(tmp_path / "p")]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "DataError"
+        assert f"lists models {sorted(models)}" in err["message"]
+
+    @pytest.mark.parametrize("profile, error", [
+        ("x=nan", "DataError"), ("x=inf", "DataError"), ("other=1", "ProfileIncomplete")])
+    def test_all_strategies_unusable_profile_exits_3(self, tmp_path, capsys, profile,
+                                                     error):
+        data = tmp_path / "d1.csv"
+        data.write_text("id,tstart,tstop,status,treated,x\n"
+                        "1,0,1,1,0,1\n2,0,2,1,0,0\n3,0,3,0,0,1\n4,0,4,1,0,0\n")
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(data), "--strategy", "hypothetical",
+                    "--covariates", "x", "--out", str(out)]) == 0
+        for extra in ([], ["--all-strategies"]):
+            pred = tmp_path / f"pred{len(extra)}"
+            capsys.readouterr()
+            assert run(["predict", "--run", str(out), "--profile", profile,
+                        "--out", str(pred)] + extra) == 3
+            assert json.loads(capsys.readouterr().out)["error"] == error
+            assert not (pred / "overlay.csv").exists()
+
+
 class TestOneRead:
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -533,6 +572,37 @@ class TestOneRead:
         assert run(["predict", "--run", str(out), "--all-strategies",
                     "--out", str(tmp_path / "p")]) == 0
         assert reads == [str(s2_data)]
+
+
+class TestSeedValues:
+    """``--seed`` values on both sides of the 32-, 64- and 128-bit word
+    boundaries of SeedSequence's entropy give the per-subject reference
+    simulator's output; a negative seed is a usage error (TestUsageErrors)."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, 2**130])
+    def test_simulate(self, tmp_path, capsys, seed):
+        out, ref = tmp_path / "s.csv", tmp_path / "ref.csv"
+        assert run(["simulate", "--scenario", "s2", "--n", "25", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        data_mod.write_csv(reference_simulate(scenarios.builtin("s2"), 25, seed), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, 2**130])
+    def test_validate(self, tmp_path, monkeypatch, seed):
+        argv = ["validate", "--scenario", "s2", "--n", "40", "--seeds", "1",
+                "--seed", str(seed), "--mc-reps", "30", "--tolerance", "1",
+                "--strategies", "composite,ignore"]
+        ours, theirs = tmp_path / "ours.json", tmp_path / "ref.json"
+        assert run(argv + ["--out", str(ours)]) == 0
+        truth = reference_risks(scenarios.builtin("s2"), {}, 5.0, 30, 977_001)
+        report = json.loads(ours.read_text())
+        assert report["seeds"] == [seed]
+        assert {label: entry["truth"] for label, entry in report["strategies"].items()} == {
+            "composite": truth["composite"], "ignore": truth["ignore"]}
+        monkeypatch.setattr(simulate, "simulate", reference_simulate)
+        assert run(argv + ["--out", str(theirs)]) == 0
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestSimulateDeterminism:

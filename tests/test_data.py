@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 import statistics
 from dataclasses import replace
@@ -45,6 +46,26 @@ def write(tmp_path, text, name="data.csv"):
 
 
 class TestIngest:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_off_while_reading_then_restored(self, tmp_path, monkeypatch,
+                                                       enabled):
+        seen, reader = [], csv.reader
+        monkeypatch.setattr(data_mod.csv, "reader",
+                            lambda fh: seen.append(gc.isenabled()) or reader(fh))
+        good = write(tmp_path, "id,tstart,tstop,status,treated\n1,0,5,1,0\n")
+        bad = write(tmp_path, "id,tstart,tstop,status,treated\n1,0,5\n", "bad.csv")
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            ingest_csv(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MalformedRow):
+                ingest_csv(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+
     def test_single_row(self, tmp_path):
         path = write(tmp_path, "id,tstart,tstop,status,treated,age\n1,0,5,1,0,50\n")
         ds = ingest_csv(path, CovariateSchema(baseline=("age",)))

@@ -356,6 +356,64 @@ class TestArrayPassesMatchReference:
             reference_trajectories(spec, n, seed, x0_override=profile))
 
 
+def numpy_states(root, first, n):
+    """numpy's own PCG64 (state, inc) of children first, ..., first + n - 1
+    of ``root``. numpy keeps ``n_children_spawned`` in 32 bits, so ``spawn``
+    cannot reach a child at 2**32 or above; those are built as ``spawn``
+    builds them."""
+    if first + n < 2**32:
+        children = np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size,
+            n_children_spawned=first).spawn(n)
+    else:
+        children = [np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
+                                           pool_size=root.pool_size)
+                    for i in range(first, first + n)]
+    states = [np.random.PCG64(child).state["state"] for child in children]
+    return [(state["state"], state["inc"]) for state in states]
+
+
+_ENTROPY = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5, 2**130, 2**200 + 3]),
+    st.integers(0, 2**140),
+    st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)), max_size=7))
+
+# first child indices on both sides of 2**32 and of 2**64
+_FIRST = st.one_of(st.integers(0, 40), st.integers(2**32 - 12, 2**32 + 12),
+                   st.integers(2**64 - 12, 2**64 + 12), st.just(2**70))
+
+
+class TestSeedStreamPort:
+    """The array port of SeedSequence and of PCG64's seeding gives numpy's
+    own generator state to every child."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(entropy=_ENTROPY,
+           spawn_key=st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+           pool_size=st.sampled_from([4, 4, 5, 8]), first=_FIRST, n=st.integers(1, 16))
+    def test_port_matches_numpy(self, entropy, spawn_key, pool_size, first, n):
+        root = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        assert list(simulate._child_states(root, first, n)) == numpy_states(root, first, n)
+
+    def test_seed_sequence_is_read_not_advanced(self):
+        spec = IntensitySpec.from_dict(MIXED)
+        for first in (5, 2**32 - 2):
+            root = np.random.SeedSequence(13, n_children_spawned=first)
+            tr = simulate_trajectories(spec, 4, root)
+            assert root.n_children_spawned == first
+            ref = [_simulate_one(spec, np.random.default_rng(
+                np.random.SeedSequence(13, spawn_key=(i,)))) for i in range(first, first + 4)]
+            assert_same_trajectories(tr, ref)
+        assert_same_trajectories(
+            simulate_trajectories(spec, 4, np.random.SeedSequence(13, n_children_spawned=5)),
+            reference_trajectories(spec, 9, 13)[5:])
+
+    def test_numpy_that_seeds_otherwise_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 2)
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
+            simulate.simulate(scenarios.builtin("s2"), 3, seed=1)
+
+
 class TestTrajectoryLaw:
     def test_no_treatment_intensity_means_no_starts(self):
         ds = simulate.simulate(no_treatment_spec(), 300, seed=3)
