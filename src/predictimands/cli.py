@@ -163,7 +163,6 @@ def cmd_fit(args) -> int:
     fit = fit_strategy_models(ds, spec)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model_files = {}
     for name, model in fit.models.items():
         fname = "model.json" if name == "main" else f"model_{name}.json"
@@ -190,6 +189,12 @@ def _load_fit(run_dir: Path) -> tuple:
             or not isinstance(run.get("models"), dict) or run.get("horizon") is None):
         raise DataError(f"{run_file} is not the run.json of a fit run")
     fit_parser = build_parser()[1]["fit"]
+
+    def reject(message):
+        raise DataError(f"{run_file} holds options the fit command rejects: {message}")
+
+    # an echo the fit parser rejects is a broken file, not a usage error
+    fit_parser.error = reject
     fit_args = fit_parser.parse_args(_echo_argv(run, fit_parser))
     names = sorted(run["models"])
     expected = ([["event"], ["event", "treatment"]]
@@ -201,7 +206,7 @@ def _load_fit(run_dir: Path) -> tuple:
     for name, fname in run["models"].items():
         try:
             models[name] = CoxModel.from_dict(_read_json(run_dir / fname, DataError))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"model file {fname!r} of {run_file} cannot be read "
                             f"({type(exc).__name__}: {exc})") from None
     return fit_args, models
@@ -214,8 +219,6 @@ def cmd_predict(args) -> int:
     levels = next(iter(models.values())).schema_levels
     profile = _parse_profile(args.profile, levels)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     spec = _strategy_spec(fit_args, horizon)
 
     last_jump = max((float(m.baseline_times[-1]) for m in models.values()
@@ -243,11 +246,16 @@ def cmd_predict(args) -> int:
     }
     weight_diag = run_dir / "weights_diagnostics.json"
     if weight_diag.exists():
-        report["diagnostics"]["weights"] = _read_json(weight_diag, DataError)
+        diagnostics = _read_json(weight_diag, DataError)
+        if not (isinstance(diagnostics, dict) and all(
+                type(v) is int or type(v) is float and math.isfinite(v)
+                for v in diagnostics.values())):
+            raise DataError(f"{weight_diag} must map each diagnostic to a finite number")
+        report["diagnostics"]["weights"] = diagnostics
     if args.all_strategies:
         results = estimate_all(_load_dataset(fit_args), spec, profile)
         write_rows(out / "overlay.csv", ("strategy", "time", "risk"),
-                   ((strategy.value, repr(t), repr(r))
+                   ((strategy.value, t, r)
                     for strategy, curve in results.curves.items()
                     for t, r in zip(curve.times.tolist(), curve.risk.tolist())))
         report["curves"] = {s.value: c.to_dict() for s, c in results.curves.items()}
@@ -255,7 +263,7 @@ def cmd_predict(args) -> int:
     else:
         curve = predict_risk(StrategyFit(spec, models), profile)
         write_rows(out / "curve.csv", ("time", "risk"),
-                   zip(map(repr, curve.times.tolist()), map(repr, curve.risk.tolist())))
+                   zip(curve.times.tolist(), curve.risk.tolist()))
         report["curve"] = curve.to_dict()
         report["risk_at_horizon"] = curve.value_at(horizon)
     _write_json(out / "report.json", report)
@@ -275,7 +283,6 @@ def cmd_simulate(args) -> int:
     spec = _load_scenario(args.scenario)
     ds = sim.simulate(spec, args.n, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(ds, out)
     _write_json(str(out) + ".run.json",
                 _echo(args, "simulate", {"scenario_spec": spec.to_dict()}))
@@ -345,7 +352,6 @@ def cmd_weights(args) -> int:
         ds, numerator, denominator, mode=weights_mod.WeightMode(args.mode),
         truncation=_float_list(args.truncate_weights) or None)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "weights.csv")
     _write_json(out / "weights_diagnostics.json", table.diagnostics)
     _write_json(out / "run.json", _echo(args, "weights"))
@@ -491,10 +497,14 @@ def main(argv=None) -> int:
             argv[1:1] = _config_argv(argv[0], subparsers[argv[0]], argv[1:])
         args = parser.parse_args(argv)
         return args.func(args)
+    except OSError as exc:
+        # every read goes through data.reading, so this is an output path
+        error = UsageError(f"cannot write {exc.filename}: {exc.strerror or exc}")
     except (ScenarioError, UsageError, DataError, NumericError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return (EXIT_DATA if isinstance(exc, DataError)
-                else EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_USAGE)
+        error = exc
+    print(json.dumps({"error": type(error).__name__, "message": str(error)}))
+    return (EXIT_DATA if isinstance(error, DataError)
+            else EXIT_NUMERIC if isinstance(error, NumericError) else EXIT_USAGE)
 
 
 def entry():

@@ -264,7 +264,7 @@ class CoxModel:
 
     @property
     def coefficients(self) -> dict:
-        return dict(zip(self.names, (float(b) for b in self.beta)))
+        return dict(zip(self.names, self.beta.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -273,16 +273,16 @@ class CoxModel:
             "treatment_cuts": (list(self.treatment.tv_cuts)
                                if self.treatment else None),
             "ties": self.ties,
-            "event_code": int(self.event_code),
-            "baseline_cumhaz": [[float(t), float(h)] for t, h in
-                                zip(self.baseline_times, self.baseline_increments)],
-            "loglik": float(self.loglik),
+            "event_code": self.event_code,
+            "baseline_cumhaz": np.column_stack(
+                [self.baseline_times, self.baseline_increments]).tolist(),
+            "loglik": self.loglik,
             "iterations": self.iterations,
-            "score_norm": float(self.score_norm),
+            "score_norm": self.score_norm,
             "degenerate": self.degenerate,
             "n_events": self.n_events,
             "weighted": self.weighted,
-            "information": [[float(v) for v in row] for row in self.info],
+            "information": self.info.tolist(),
             "schema_levels": {k: list(v) for k, v in self.schema_levels.items()},
         }
 
@@ -290,7 +290,9 @@ class CoxModel:
     def from_dict(cls, d: dict) -> "CoxModel":
         """The model of a ``to_dict`` mapping; ``coefficients`` must name
         exactly its terms: the covariates, then the treatment segments.
-        Coefficients, information and baseline hazard must be finite."""
+        Coefficients, information, baseline hazard, log likelihood and score
+        norm must be finite, the counts nonnegative integers and the flags
+        booleans."""
         treatment = (TreatmentTerm(tuple(d["treatment_cuts"]))
                      if d.get("treatment_cuts") is not None else None)
         names = tuple(d["covariates"]) + tuple(
@@ -305,6 +307,15 @@ class CoxModel:
                             ("baseline_cumhaz", base)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{key} must hold finite numbers")
+        for keys, kind, valid in (
+                (("loglik", "score_norm"), "a finite number",
+                 lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+                (("iterations", "n_events"), "a nonnegative integer",
+                 lambda v: type(v) is int and v >= 0),
+                (("degenerate", "weighted"), "true or false", lambda v: type(v) is bool)):
+            for key in keys:
+                if not valid(d[key]):
+                    raise ValueError(f"{key} must be {kind}, got {d[key]!r}")
         return cls(
             names=names,
             beta=beta,

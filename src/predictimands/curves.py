@@ -100,6 +100,6 @@ class RiskCurve:
             "strategy": self.strategy,
             "profile": self.profile,
             "horizon": self.horizon,
-            "time": [float(t) for t in self.times],
-            "risk": [float(r) for r in self.risk],
+            "time": self.times.tolist(),
+            "risk": self.risk.tolist(),
         }

@@ -30,6 +30,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -623,27 +624,24 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
 def write_csv(ds: CountingProcessDataset, path):
     """Write the long counting-process format; inverse of ``ingest_csv``."""
     schema = ds.schema
-    fields = [[ds.ids[s] for s in ds.row_subject.tolist()],
-              map(repr, ds.tstart.tolist()), map(repr, ds.tstop.tolist()),
-              ds.status.tolist(), ds.treated.astype(int).tolist()]
+    fields = [[ds.ids[s] for s in ds.row_subject.tolist()], ds.tstart.tolist(),
+              ds.tstop.tolist(), ds.status.tolist(), ds.treated.astype(int).tolist()]
     for name in schema.names():
-        fields.append(["" if math.isnan(v) and name in schema.time_varying
-                       else _format_value(schema, name, v)
+        # a missing time-dependent value is an empty field
+        fields.append(["" if math.isnan(v) else schema.decode(name, v)
                        for v in ds.columns[name].tolist()])
     write_rows(path, _LONG_HEADER + schema.names(), zip(*fields))
 
 
 def write_rows(path, header, rows):
-    """Write a UTF-8 CSV file: the ``header`` line, then ``rows``."""
+    """Write a UTF-8 CSV file, creating its directory if missing: the
+    ``header`` line, then ``rows`` of strings, ints and floats, each float
+    as its ``repr``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _format_value(schema, name, value):
-    decoded = schema.decode(name, value)
-    return decoded if isinstance(decoded, str) else repr(float(decoded))
 
 
 def infer_schema(path) -> CovariateSchema:

@@ -37,6 +37,9 @@ from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
 #: subjects per block of the Monte Carlo truth
 TRUTH_BLOCK = 20_000
+#: most Monte Carlo reps of the truth: numpy keeps a SeedSequence's
+#: ``n_children_spawned`` in 32 bits, so every block root must start below 2**32
+MAX_MC_REPS = 2**32
 #: most points a scenario's covariate grid may have; each simulated subject
 #: carries one value per grid segment (the builtin s2 has 13 points)
 MAX_GRID_POINTS = 10_000
@@ -661,8 +664,8 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
         return TruthOracle("analytic", risks,
                            {k: 0.0 for k in STRATEGY_KEYS}, t_hor, profile)
 
-    if mc_reps < 1:
-        raise ScenarioError("mc_reps must be >= 1")
+    if not 1 <= mc_reps <= MAX_MC_REPS:
+        raise ScenarioError(f"mc_reps must be between 1 and 2**32, got {mc_reps}")
     # one stream of mc_reps subjects, drawn in blocks to bound the memory
     hits = np.zeros(4, np.int64)
     for start in range(0, mc_reps, TRUTH_BLOCK):

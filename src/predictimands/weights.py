@@ -54,8 +54,8 @@ class WeightTable:
     def to_csv(self, path):
         rows = self.rows
         write_rows(path, ("id", "tstart", "tstop", "weight"),
-                   zip(rows.subject_id.tolist(), map(repr, rows.tstart.tolist()),
-                       map(repr, rows.tstop.tolist()), map(repr, rows.weight.tolist())))
+                   zip(rows.subject_id.tolist(), rows.tstart.tolist(),
+                       rows.tstop.tolist(), rows.weight.tolist()))
 
 
 def fit_treatment_hazard(ds: CountingProcessDataset, covariates=(),

@@ -368,6 +368,22 @@ class TestRejectedBeforeRunning:
         assert "grid of 10001 points" in err["message"]
         assert not out.exists()
 
+    def test_mc_reps_over_the_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        # s2's truth is Monte Carlo; past 2**32 reps a block root would overflow
+        blocks = []
+        monkeypatch.setattr(simulate, "simulate_trajectories",
+                            lambda *args, **kwargs: blocks.append(args) or 1 / 0)
+        out = tmp_path / "out.json"
+        code = run(["validate", "--scenario", "s2", "--n", "20", "--seeds", "1",
+                    "--mc-reps", "5000000000", "--out", str(out)])
+        assert (code, blocks) == (2, [])
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        assert json.loads(stdout) == {
+            "error": "ScenarioError",
+            "message": "mc_reps must be between 1 and 2**32, got 5000000000"}
+        assert not out.exists()
+
 
 class TestFitPredict:
     def test_while_untreated_writes_both_models(self, d4_csv, tmp_path):
@@ -773,12 +789,15 @@ class TestConfigEcho:
         assert f"argument {option}: invalid choice" in capsys.readouterr().err
 
     def test_predict_checks_the_fit_echo_like_fit(self, fit_dir, tmp_path, capsys):
+        # the fit parser's verdict on a file under --run is a data error
         echo = json.loads((fit_dir / "run.json").read_text())
         (fit_dir / "run.json").write_text(json.dumps({**echo, "strategy": "bogus"}))
-        with pytest.raises(SystemExit) as exc:
-            run(["predict", "--run", str(fit_dir), "--out", str(tmp_path / "p")])
-        assert exc.value.code == 2
-        assert "argument --strategy: invalid choice" in capsys.readouterr().err
+        capsys.readouterr()
+        assert run(["predict", "--run", str(fit_dir), "--out", str(tmp_path / "p")]) == 3
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        assert json.loads(out)["error"] == "DataError"
+        assert "argument --strategy: invalid choice" in json.loads(out)["message"]
 
     @pytest.mark.parametrize("case, message", [
         ("no-horizon", "is not the run.json of a fit run"),
@@ -856,6 +875,79 @@ class TestUnreadableInputs:
         out, err = capsys.readouterr()
         assert (len(out.splitlines()), err) == (1, "")
         assert json.loads(out)["error"] == error
+
+
+class TestUnwritableOutput:
+    """An output below a regular file ``F`` cannot be written: exit 2 with
+    one UsageError line naming the path, nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--data", "s2.csv", "--strategy", "composite", "--out", "F"],
+                     id="fit"),
+        pytest.param(["predict", "--run", "fit", "--horizon", "5", "--out", "F"],
+                     id="predict"),
+        pytest.param(["simulate", "--scenario", "s1", "--n", "5", "--seed", "1",
+                      "--out", "F/x.csv"], id="simulate"),
+        pytest.param(["validate", "--scenario", "s1", "--n", "50", "--seeds", "1",
+                      "--strategies", "composite", "--out", "F/r.json"], id="validate"),
+        pytest.param(["weights", "--data", "s2.csv", "--weight-covariates", "z",
+                      "--out", "F"], id="weights"),
+    ])
+    def test_exits_2(self, s2_data, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(["fit", "--data", "s2.csv", "--strategy", "composite",
+                    "--horizon", "5", "--out", "fit"]) == 0
+        Path("F").write_text("a file\n")
+        capsys.readouterr()
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        error = json.loads(out)
+        assert error["error"] == "UsageError"
+        assert error["message"].startswith("cannot write F: ")
+        assert Path("F").read_text() == "a file\n"
+
+
+class TestTamperedRun:
+    """A file under ``--run`` that the fit would not have written is a data
+    error: exit 3 with one strict JSON line, nothing on stderr and no
+    report. ``fit`` holds a ``censor-ipcw`` fit of ``s2.csv``."""
+
+    def reject(self, constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    @pytest.mark.parametrize("name, change, message", [
+        pytest.param("run.json", {"tie": "bogus"}, "argument --tie: invalid choice",
+                     id="run-tie"),
+        pytest.param("run.json", {"horizon": "abc"}, "argument --horizon: invalid float",
+                     id="run-horizon"),
+        pytest.param("run.json", {"data": None}, "arguments are required: --data",
+                     id="run-no-data"),
+        pytest.param("model.json", {"score_norm": math.nan}, "score_norm must be a finite",
+                     id="model-score-norm"),
+        pytest.param("model.json", {"iterations": "many"}, "iterations must be a nonnegative",
+                     id="model-iterations"),
+        pytest.param("model.json", {"information": [[10**400]]},
+                     "OverflowError: int too large", id="model-huge-int"),
+        pytest.param("weights_diagnostics.json", {"ess": math.nan},
+                     "must map each diagnostic to a finite number", id="weights-diagnostics"),
+    ])
+    def test_exits_3(self, s2_data, tmp_path, monkeypatch, capsys, name, change, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["fit", "--data", "s2.csv", "--strategy", "hypothetical", "--method",
+                    "censor-ipcw", "--weight-covariates", "z", "--horizon", "5",
+                    "--out", "fit"]) == 0
+        path = Path("fit") / name
+        content = {**json.loads(path.read_text()), **change}
+        path.write_text(json.dumps({k: v for k, v in content.items() if v is not None}))
+        capsys.readouterr()
+        assert run(["predict", "--run", "fit", "--out", "p"]) == 3
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        error = json.loads(out, parse_constant=self.reject)
+        assert error["error"] == "DataError"
+        assert message in error["message"]
+        assert not Path("p").exists()
 
 
 class TestTermsNamedOnce:

@@ -22,13 +22,16 @@ def test_small_round_writes_every_output(tmp_path):
     assert set(codes[:-1]) == {0} and codes[-1] in (0, 1)
     fits = ["ignore", "composite", "while-untreated", "censor", "model",
             "censor-ipcw", "model-iptw", "model-tv-cuts", "ignore-breslow",
-            "censor-ipcw-truncated", "age_gap", "stops-composite",
-            "stops-while-untreated", "stops-censor", "wide", "labelled"]
-    expected = ([f"{s}.csv" for s in ("s1", "s2", "age_gap", "s2_stops", "wide",
-                                      "labelled")]
-                + [f"{s}.csv.run.json" for s in ("s1", "s2", "age_gap", "s2_stops")]
-                + [f"fit-{f}/run.json" for f in fits]
-                + [f"predict-{f}/{name}" for f in fits
+            "censor-ipcw-truncated", "stops-composite", "stops-while-untreated",
+            "stops-censor", "wide", "labelled"]
+    # the outputs under nested/ go to directories that did not exist
+    fit_dirs = [f"fit-{f}" for f in fits] + ["nested/fit/age_gap"]
+    predict_dirs = [f"predict-{f}" for f in fits] + ["nested/predict/age_gap"]
+    expected = ([f"{s}.csv" for s in ("s2", "age_gap", "s2_stops", "wide", "labelled")]
+                + [f"{s}.csv.run.json" for s in ("s2", "age_gap", "s2_stops")]
+                + ["nested/sim/s1.csv", "nested/sim/s1.csv.run.json"]
+                + [f"{d}/run.json" for d in fit_dirs]
+                + [f"{d}/{name}" for d in predict_dirs
                    for name in ("curve.csv", "report.json", "run.json")]
                 + ["fit-while-untreated/model_event.json",
                    "fit-stops-while-untreated/model_treatment.json",

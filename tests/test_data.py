@@ -437,6 +437,19 @@ class TestRoundTrip:
         path = write(tmp_path, text)
         assert outcome(ingest_csv, path) == outcome(ingest_csv, path, infer_schema(path))
 
+    def test_write_rows_writes_each_float_as_its_repr(self, tmp_path):
+        values = [5e-324, 1e-320, 2.5e-07, 1e16, 1e22, -0.0,
+                  1.7976931348623157e308, math.inf]
+        path = tmp_path / "floats.csv"
+        data_mod.write_rows(path, ("label", "value"), (("x", v) for v in values))
+        assert path.read_text().splitlines() == (
+            ["label,value"] + [f"x,{v!r}" for v in values])
+
+    def test_write_rows_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "rows.csv"
+        data_mod.write_rows(path, ("a", "b"), [(1, 0.5), ("", 2.0)])
+        assert path.read_text() == "a,b\n1,0.5\n,2.0\n"
+
     def test_infer_schema(self, tmp_path):
         spec = scenarios.builtin("s2")
         ds = simulate.simulate(spec, 40, seed=11)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predictimands import scenarios, simulate
 from predictimands.data import (
@@ -270,3 +272,100 @@ class TestTimeDoubling:
             assert curve.times.size > 10, spec.label
             assert np.array_equal(curve2.risk, curve.risk), spec.label
             assert np.array_equal(curve2.times, 2 * curve.times), spec.label
+
+
+#: each dataset of the relations below, its profile and its spec options; on
+#: age_gap the weight models share the outcome covariate, so every weight is 1
+RELATION_CASES = [
+    ("s2", {}, dict(t_hor=5.0, tv_cuts=(1.5,), weight_covariates=("z",))),
+    ("age_gap", {"age": 55.0}, dict(t_hor=10.0, tv_cuts=(4.0,), covariates=("age",),
+                                    weight_covariates=("age",))),
+]
+WEIGHTED = (HypotheticalMethod.CENSOR_IPCW, HypotheticalMethod.MODEL_IPTW)
+
+
+def assert_same_curves(ds, other, profile, options, weights_move=False):
+    """Every method gives ``other`` the curve times of ``ds`` and risks equal
+    to 1e-12 relative; with ``weights_move``, the weighted methods' risks
+    differ instead."""
+    for strategy, method in ALL_METHODS:
+        spec = spec_for(strategy, method, **options)
+        curve, curve2 = estimate(ds, spec, profile), estimate(other, spec, profile)
+        assert curve.times.size > 10, spec.label
+        assert np.array_equal(curve2.times, curve.times), spec.label
+        if weights_move and method in WEIGHTED:
+            assert np.abs(curve2.risk - curve.risk).max() > 1e-6, spec.label
+        else:
+            np.testing.assert_allclose(curve2.risk, curve.risk, rtol=1e-12, atol=0,
+                                       err_msg=spec.label)
+
+
+def split_rows(ds, at):
+    """``ds`` with each row r split at ``at[r]`` unless that is NaN: the
+    first piece ends there censored, the second keeps the row's status, and
+    both keep its treatment indicator and covariates."""
+    cut = ~np.isnan(at)
+    row = np.repeat(np.arange(ds.n_rows), 1 + cut)
+    second = np.concatenate([[False], row[1:] == row[:-1]])
+    first = cut[row] & ~second
+    tstart, tstop, status = ds.tstart[row], ds.tstop[row], ds.status[row]
+    tstart[second], tstop[first] = at[row[second]], at[row[first]]
+    status[first] = Status.CENSORED
+    counts = np.bincount(ds.row_subject[row], minlength=ds.n_subjects)
+    return CountingProcessDataset(ds.schema, ds.design, ds.ids,
+                                  np.concatenate([[0], np.cumsum(counts)]), tstart, tstop,
+                                  status, ds.treated[row],
+                                  {name: col[row] for name, col in ds.columns.items()})
+
+
+class TestRowSplitting:
+    """Splitting rows at interior times leaves every risk set as it was, so
+    the unweighted curves keep their times and risks. The weights are read
+    at each row's end, so the weighted curves change. Splits at other
+    subjects' event and treatment-start times put a row boundary on the
+    risk sets' time grid, where a fault in the at-risk comparisons shows."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("where", ["between-event-times", "at-event-times"])
+    @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
+    def test_unweighted_curves_unchanged(self, name, profile, options, where, seed):
+        ds = simulate.simulate(scenarios.builtin(name), 300, seed=seed)
+        rng = np.random.default_rng(seed)
+        grid = np.unique(ds.tstop[ds.status != Status.CENSORED])
+        if where == "at-event-times":
+            lo = np.searchsorted(grid, ds.tstart, side="right")
+            hi = np.searchsorted(grid, ds.tstop, side="left")
+            pick = lo + (rng.random(ds.n_rows) * (hi - lo)).astype(int)
+            at = np.where(hi > lo, grid[np.minimum(pick, grid.size - 1)], np.nan)
+        else:
+            at = ds.tstart + rng.uniform(0.05, 0.95, ds.n_rows) * (ds.tstop - ds.tstart)
+            at[np.isin(at, grid)] = np.nan
+        at[rng.random(ds.n_rows) < 0.5] = np.nan
+        split = split_rows(ds, at)
+        assert split.n_rows > ds.n_rows + 50
+        assert_same_curves(ds, split, profile, options, weights_move=name == "s2")
+
+
+class TestEarlyDropout:
+    """A subject censored before the first event or treatment start of any
+    kind is in no risk set and has weight 1, so adding one, anywhere in the
+    subject order, changes no curve."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           fraction=st.floats(min_value=0.01, max_value=0.99),
+           place=st.floats(min_value=0.0, max_value=1.0))
+    @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
+    def test_no_curve_changes(self, name, profile, options, seed, fraction, place):
+        ds = simulate.simulate(scenarios.builtin(name), 300, seed=seed)
+        s = int(place * ds.n_subjects)
+        r, donor_row = ds.offsets[s], ds.offsets[seed % ds.n_subjects]
+        first_time = ds.tstop[ds.status != Status.CENSORED].min()
+        added = CountingProcessDataset(
+            ds.schema, ds.design, ds.ids[:s] + ("added",) + ds.ids[s:],
+            np.concatenate([ds.offsets[:s + 1], ds.offsets[s:] + 1]),
+            np.insert(ds.tstart, r, 0.0), np.insert(ds.tstop, r, fraction * first_time),
+            np.insert(ds.status, r, Status.CENSORED), np.insert(ds.treated, r, False),
+            {name: np.insert(col, r, col[donor_row]) for name, col in ds.columns.items()})
+        assert_same_curves(ds, added, profile, options)

@@ -12,7 +12,9 @@ age_gap fit and predict at ``--profile age=50``; on the stops-at-treatment
 data, fit and predict composite, while-untreated and ``hypothetical
 --method censor``; a fit and predict of two small fixed files, one in the
 wide format and one with a label-coded covariate read with ``--levels``;
-and a small validate of all seven labels. ``N`` (default 5000) is the size
+and a small validate of all seven labels. The s1 data and the age_gap fit
+and predict go to ``nested/sim``, ``nested/fit`` and ``nested/predict``,
+directories that the writers create. ``N`` (default 5000) is the size
 of the four simulated datasets; the fixed files and the validate run do
 not depend on it. ``round.log`` records each command's argv, exit code,
 standard output and standard error, warnings as their category and
@@ -68,9 +70,10 @@ def fixed_files() -> dict:
 def commands(n: int) -> list:
     """The round's argv lists, in the order they run."""
     cmds = [["simulate", "--scenario", scenario, "--n", str(n), "--seed", "1",
-             "--out", f"{name}.csv"]
-            for name, scenario in (("s1", "s1"), ("s2", "s2"), ("age_gap", "age_gap"),
-                                   ("s2_stops", "s2_stops.json"))]
+             "--out", path]
+            for path, scenario in (("nested/sim/s1.csv", "s1"), ("s2.csv", "s2"),
+                                   ("age_gap.csv", "age_gap"),
+                                   ("s2_stops.csv", "s2_stops.json"))]
     fits = {}
     for label, extra in LABELS:
         strategy, _, method = label.partition(":")
@@ -97,9 +100,9 @@ def commands(n: int) -> list:
     cmds += [["weights", "--data", "s2.csv", "--weight-covariates", "z",
               "--mode", mode, "--out", f"weights-{mode}"] for mode in ("ipcw", "iptw")]
     cmds += [["fit", "--data", "age_gap.csv", "--strategy", "hypothetical",
-              "--covariates", "age", "--horizon", "10", "--out", "fit-age_gap"],
-             ["predict", "--run", "fit-age_gap", "--profile", "age=50",
-              "--out", "predict-age_gap"]]
+              "--covariates", "age", "--horizon", "10", "--out", "nested/fit/age_gap"],
+             ["predict", "--run", "nested/fit/age_gap", "--profile", "age=50",
+              "--out", "nested/predict/age_gap"]]
     for name, extra in (("composite", ["--strategy", "composite"]),
                         ("while-untreated", ["--strategy", "while-untreated"]),
                         ("censor", ["--strategy", "hypothetical", "--method", "censor"])):
