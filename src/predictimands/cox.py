@@ -292,7 +292,14 @@ class CoxModel:
         exactly its terms: the covariates, then the treatment segments.
         Coefficients, information, baseline hazard, log likelihood and score
         norm must be finite, the counts nonnegative integers and the flags
-        booleans."""
+        booleans; ``ties`` is a tie method and ``event_code`` the code of an
+        event or of a treatment start."""
+        if d["ties"] not in ("efron", "breslow"):
+            raise ValueError(f"ties must be 'efron' or 'breslow', got {d['ties']!r}")
+        codes = (int(Status.EVENT), int(Status.TREATMENT_START))
+        if type(d["event_code"]) is not int or d["event_code"] not in codes:
+            raise ValueError(f"event_code must be one of {list(codes)}, "
+                             f"got {d['event_code']!r}")
         treatment = (TreatmentTerm(tuple(d["treatment_cuts"]))
                      if d.get("treatment_cuts") is not None else None)
         names = tuple(d["covariates"]) + tuple(

@@ -12,10 +12,11 @@ SeedSequence(seed), so output depends only on (spec, n, seed). A
 SeedSequence passed as the seed is read, not advanced: subject i takes its
 child ``n_children_spawned + i``. The children's PCG64 states come from one
 array pass, a port of numpy's SeedSequence and PCG64 seeding that each call
-checks against numpy on its first child. One short loop sets one generator
-to each subject's state and draws its numbers; the covariate paths, the
-intensities and the inversion of the cumulative hazards are array passes
-over all subjects.
+checks against numpy on its first child. All subjects draw their numbers in
+array passes, a port of PCG64 and of the one-word fast paths of numpy's
+ziggurat on its tables (``ziggurat``); a subject with a word off a fast path
+is drawn again by numpy. The covariate paths, the intensities and the
+inversion of the cumulative hazards are array passes over all subjects.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .data import (
     Status,
     split_at_treatment,
 )
+from . import ziggurat
 from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
@@ -63,14 +65,16 @@ class Dist:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def draw(self, rng) -> float:
+    def draw(self, rng):
+        """One value from a numpy ``Generator``, or one per subject from
+        ``_Streams``."""
         p = self.params
         if self.kind == "normal":
-            return float(rng.normal(p["mean"], p["sd"]))
+            return rng.normal(p["mean"], p["sd"])
         if self.kind == "uniform":
-            return float(rng.uniform(p["low"], p["high"]))
+            return rng.uniform(p["low"], p["high"])
         if self.kind == "bernoulli":
-            return float(rng.random() < p["p"])
+            return 1.0 * (rng.random() < p["p"])
         if self.kind == "constant":
             return float(p["value"])
         raise ScenarioError(f"unknown distribution {self.kind!r}")
@@ -359,14 +363,18 @@ def _invert(a, width, rate, target) -> np.ndarray:
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of uint32 words mixed by
-# hashmix and mix) and its seeding of PCG64 (pcg_setseq_128_srandom_r; O'Neill
-# 2014, HMC-CS-2014-0905), ported to array passes over many children at once
+# hashmix and mix), its seeding of PCG64 (pcg_setseq_128_srandom_r), PCG64's
+# step and XSL-RR output (O'Neill 2014, HMC-CS-2014-0905) and the one-word
+# paths of numpy's draws, ported to array passes over many subjects at once
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFF_FFFF
 _PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_LOW32 = np.uint64(_MASK32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFF_FFFF_FFFF_FFFF)
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _LOW32, _MULT_LO >> np.uint64(32)
+_R52 = np.uint64((1 << 52) - 1)
 
 
 def _words(entropy) -> list:
@@ -418,19 +426,58 @@ def _seed_words(entropy: list, pool_size: int) -> np.ndarray:
     return np.stack(state, axis=1).astype("<u4").view("<u8")
 
 
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple:
+    """PCG64's next state, ``state * _PCG_MULT + inc`` modulo 2**128, of
+    128-bit values held as (hi, lo) uint64 limb arrays. uint64 arithmetic
+    wraps modulo 2**64; the high word of ``lo * _MULT_LO`` is summed from
+    32-bit limb products, which cannot overflow. Updates in place keep the
+    temporaries few."""
+    lo0, lo1 = lo & _LOW32, lo >> 32
+    cross0, cross1 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    # the sum of the products' bits 32-63, whose overflow carries into the high word
+    mid = lo0
+    mid *= _MULT_LO0
+    mid >>= 32
+    mid += cross0 & _LOW32
+    mid += cross1 & _LOW32
+    mid >>= 32
+    high = lo1  # the high word of lo * _MULT_LO
+    high *= _MULT_LO1
+    high += cross0 >> 32
+    high += cross1 >> 32
+    high += mid
+    new_hi = hi * _MULT_LO
+    new_hi += high
+    new_hi += lo * _MULT_HI
+    new_hi += inc_hi
+    new_lo = lo * _MULT_LO
+    new_lo += inc_lo
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
 def _pcg64_state(words) -> tuple:
-    """PCG64's (state, inc) seeded from ``generate_state(4, np.uint64)``."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    return ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+    """PCG64's (state_hi, state_lo, inc_hi, inc_lo) limb arrays seeded from
+    the (m, 4) ``generate_state(4, np.uint64)`` words of m seed sequences:
+    inc = seq << 1 | 1, state = (seed + inc) * _PCG_MULT + inc."""
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = s_lo + inc_lo
+    return (*_pcg64_step(s_hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo),
+            inc_hi, inc_lo)
 
 
-def _child_states(root: np.random.SeedSequence, first: int, n: int):
-    """Yield the PCG64 (state, inc) of children first, ..., first + n - 1 of
-    ``root``, child i being ``SeedSequence(root.entropy, spawn_key=
-    root.spawn_key + (i,))`` as ``root.spawn`` makes it. The first is checked
-    against numpy's own seeding; the states become Python ints a few
-    thousand at a time, which keeps the peak memory down."""
+def _joined(hi, lo) -> int:
+    """The 128-bit int of a (hi, lo) limb pair."""
+    return int(hi) << 64 | int(lo)
+
+
+def _child_states(root: np.random.SeedSequence, first: int, n: int) -> tuple:
+    """The PCG64 state and increment of children first, ..., first + n - 1
+    of ``root``, child i being ``SeedSequence(root.entropy, spawn_key=
+    root.spawn_key + (i,))`` as ``root.spawn`` makes it, as four (n,) uint64
+    arrays: the high and low 64-bit limbs of the state, then of the
+    increment. The first is checked against numpy's own seeding."""
     run = _words(root.entropy)
     prefix = run + [0] * (root.pool_size - len(run)) + _words(root.spawn_key)
     blocks, lo, end = [], first, first + n
@@ -444,47 +491,134 @@ def _child_states(root: np.random.SeedSequence, first: int, n: int):
             [np.full(hi - lo, word, np.uint32) for word in prefix] + [low]
             + [np.full(hi - lo, word, np.uint32) for word in upper], root.pool_size))
         lo = hi
-    words = np.concatenate(blocks)
+    limbs = _pcg64_state(np.concatenate(blocks))
     numpy_state = np.random.PCG64(np.random.SeedSequence(
         root.entropy, spawn_key=root.spawn_key + (first,),
         pool_size=root.pool_size)).state["state"]
-    if (numpy_state["state"], numpy_state["inc"]) != _pcg64_state(words[0].tolist()):
+    if (numpy_state["state"], numpy_state["inc"]) != (
+            _joined(limbs[0][0], limbs[1][0]), _joined(limbs[2][0], limbs[3][0])):
         raise RuntimeError(f"numpy {np.__version__} seeds PCG64 from SeedSequence "
                            "children differently from predictimands.simulate, "
                            "which would change every simulated stream")
-    for start in range(0, n, 4096):
-        yield from map(_pcg64_state, words[start:start + 4096].tolist())
+    return limbs
+
+
+class _Streams:
+    """The PCG64 streams of n subjects, stepped together, with the draws of
+    a numpy ``Generator`` that take one output word: ``random``, ``uniform``
+    and the fast paths of the ziggurat ``standard_normal`` / ``normal`` and
+    ``standard_exponential`` / ``exponential`` (Marsaglia & Tsang 2000), on
+    numpy's tables (``predictimands.ziggurat``). A draw returns one number
+    per subject; ``out`` takes one column per draw. ``slow`` marks the
+    subjects that drew a word off a fast path: from that draw on, their
+    numbers are not numpy's."""
+
+    def __init__(self, state_hi, state_lo, inc_hi, inc_lo):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = state_hi, state_lo, inc_hi, inc_lo
+        self.slow = np.zeros(state_hi.size, bool)
+
+    def _next(self) -> np.ndarray:
+        """Each stream's next output word: step, then XSL-RR of the new state."""
+        self.hi, self.lo = _pcg64_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+        rot, word = self.hi >> 58, self.hi ^ self.lo
+        return word >> rot | word << ((64 - rot) & 63)
+
+    def _fill(self, draw, out):
+        for j in range(out.shape[1]):
+            out[:, j] = draw()
+        return out
+
+    def random(self) -> np.ndarray:
+        return (self._next() >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float) -> np.ndarray:
+        return low + (high - low) * self.random()
+
+    def standard_normal(self, out=None) -> np.ndarray:
+        if out is not None:
+            return self._fill(self.standard_normal, out)
+        # 8 bits of layer, a sign bit, 52 bits of r
+        word = self._next()
+        layer, r = word & 0xFF, word >> 9 & _R52
+        x = r * ziggurat.WI.take(layer)
+        # r * w >= 0, so setting the sign bit negates it
+        x.view(np.uint64)[...] |= (word & 0x100) << 55
+        self.slow |= r >= ziggurat.KI.take(layer)
+        return x
+
+    def normal(self, loc: float, scale: float) -> np.ndarray:
+        return loc + scale * self.standard_normal()
+
+    def standard_exponential(self, out=None) -> np.ndarray:
+        if out is not None:
+            return self._fill(self.standard_exponential, out)
+        # 3 unused bits, 8 bits of layer, 53 bits of r
+        word = self._next()
+        layer, r = word >> 3 & 0xFF, word >> 11
+        self.slow |= r >= ziggurat.KE.take(layer)
+        return r * ziggurat.WE.take(layer)
+
+    def exponential(self, scale: float) -> np.ndarray:
+        return scale * self.standard_exponential()
 
 
 def _draw(spec: IntensitySpec, n: int, root: np.random.SeedSequence) -> tuple:
-    """The random numbers of n subjects. Subject i draws from child
-    ``root.n_children_spawned + i`` of ``root``, through one generator whose
-    state is set per subject: each baseline covariate in name order; per
+    """The random numbers of n subjects, subject i drawing from the PCG64 of
+    child ``root.n_children_spawned + i`` of ``root`` as a numpy
+    ``Generator`` would: each baseline covariate in name order; per
     time-varying covariate its initial value and n_seg - 1 innovations; the
     dropout clock; three unit exponentials for T0, V and the treated clock
-    (the last is unused when V >= T0)."""
+    (the last is unused when V >= T0). All subjects draw in array passes
+    (``_Streams``). A subject with a word off a ziggurat fast path is drawn
+    again, from its first state, by a numpy ``Generator``, and so is the
+    first subject on the fast paths, whose numbers must not change."""
     baseline = [spec.baseline_covariates[k] for k in sorted(spec.baseline_covariates)]
-    processes = [spec.tv_covariates[k] for k in sorted(spec.tv_covariates)]
-    n_seg = spec.grid.size - 1
+    inits = [spec.tv_covariates[k].init for k in sorted(spec.tv_covariates)]
+    scale = 1.0 / spec.dropout_rate if spec.dropout_rate > 0 else None
     x0 = np.empty((len(baseline), n))
-    z0 = np.empty((len(processes), n))
-    noise = np.empty((len(processes), n, n_seg - 1))
+    z0 = np.empty((len(inits), n))
+    noise = np.empty((len(inits), n, spec.grid.size - 2))
     dropout = np.full(n, np.inf)
     clocks = np.empty((n, 3))
-    scale = 1.0 / spec.dropout_rate if spec.dropout_rate > 0 else None
+
+    def draw_into(rng, x0, z0, noise, dropout, clocks):
+        # ``rng`` is the _Streams of all subjects, given the whole arrays, or
+        # one subject's numpy Generator, given views of its entries
+        for k, dist in enumerate(baseline):
+            x0[k] = dist.draw(rng)
+        for k, init in enumerate(inits):
+            z0[k] = init.draw(rng)
+            rng.standard_normal(out=noise[k])
+        if scale is not None:
+            dropout[...] = rng.exponential(scale)
+        rng.standard_exponential(out=clocks)
+
+    limbs = _child_states(root, root.n_children_spawned, n)
+    streams = _Streams(*limbs)
+    draw_into(streams, x0, z0, noise, dropout, clocks)
+
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for i, (state, inc) in enumerate(_child_states(root, root.n_children_spawned, n)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        for k, dist in enumerate(baseline):
-            x0[k, i] = dist.draw(rng)
-        for k, process in enumerate(processes):
-            z0[k, i] = process.init.draw(rng)
-            rng.standard_normal(out=noise[k, i])
-        if scale is not None:
-            dropout[i] = rng.exponential(scale)
-        rng.standard_exponential(out=clocks[i])
+
+    def subject(i):
+        return x0[:, i], z0[:, i], noise[:, i], dropout[i:i + 1], clocks[i]
+
+    def redraw(rows):
+        for i, s_hi, s_lo, i_hi, i_lo in zip(rows.tolist(),
+                                             *(limb[rows].tolist() for limb in limbs)):
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+            draw_into(rng, *subject(i))
+
+    fast = np.flatnonzero(~streams.slow)
+    if fast.size:
+        ported = [a.copy() for a in subject(fast[0])]
+        redraw(fast[:1])
+        if any(a.tobytes() != b.tobytes() for a, b in zip(ported, subject(fast[0]))):
+            raise RuntimeError(f"numpy {np.__version__} draws differently from the "
+                               "PCG64 and ziggurat port of predictimands.simulate, "
+                               "which would change every simulated stream")
+    redraw(np.flatnonzero(streams.slow))
     return x0, z0, noise, dropout, clocks
 
 

@@ -319,6 +319,20 @@ class TestNonFiniteModelInputs:
         self.assert_exits_3(["predict", "--run", str(fit_dir), "--profile", "age=50"],
                             tmp_path, capsys, f"{message} must hold finite numbers")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("ties", "bogus", "ties must be 'efron' or 'breslow', got 'bogus'"),
+        ("event_code", "x", "event_code must be one of [1, 2], got 'x'"),
+        ("event_code", 0, "event_code must be one of [1, 2], got 0"),
+        ("event_code", 1.0, "event_code must be one of [1, 2], got 1.0"),
+    ], ids=["bogus-ties", "text-event-code", "censored-event-code", "float-event-code"])
+    def test_unknown_ties_or_event_code_exits_3(self, fit_dir, tmp_path, capsys,
+                                                key, value, message):
+        model = json.loads((fit_dir / "model.json").read_text())
+        model[key] = value
+        (fit_dir / "model.json").write_text(json.dumps(model))
+        self.assert_exits_3(["predict", "--run", str(fit_dir), "--profile", "age=50"],
+                            tmp_path, capsys, message)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_profile_exits_3(self, fit_dir, tmp_path, capsys, value):
         self.assert_exits_3(["predict", "--run", str(fit_dir), "--profile", f"age={value}"],

@@ -27,7 +27,8 @@ def test_small_round_writes_every_output(tmp_path):
     # the outputs under nested/ go to directories that did not exist
     fit_dirs = [f"fit-{f}" for f in fits] + ["nested/fit/age_gap"]
     predict_dirs = [f"predict-{f}" for f in fits] + ["nested/predict/age_gap"]
-    expected = ([f"{s}.csv" for s in ("s2", "age_gap", "s2_stops", "wide", "labelled")]
+    expected = ([f"{s}.csv" for s in ("s2", "age_gap", "s2_stops", "draws", "wide",
+                                      "labelled")]
                 + [f"{s}.csv.run.json" for s in ("s2", "age_gap", "s2_stops")]
                 + ["nested/sim/s1.csv", "nested/sim/s1.csv.run.json"]
                 + [f"{d}/run.json" for d in fit_dirs]
@@ -37,7 +38,8 @@ def test_small_round_writes_every_output(tmp_path):
                    "fit-stops-while-untreated/model_treatment.json",
                    "fit-censor-ipcw/weights.csv", "fit-model-iptw/weights.csv",
                    "predict-all/overlay.csv", "weights-ipcw/weights.csv",
-                   "weights-iptw/weights.csv", "validate.json", "round.log"])
+                   "weights-iptw/weights.csv", "validate.json", "validate-s2.json",
+                   "validate-age_gap.json", "round.log"])
     missing = [name for name in expected if not (out / name).is_file()]
     assert missing == []
     log = (out / "round.log").read_text()

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predictimands import scenarios, simulate
+from predictimands import scenarios, simulate, ziggurat
 from predictimands.data import (
     CovariateSchema,
     DesignFlavor,
@@ -373,6 +374,12 @@ def numpy_states(root, first, n):
     return [(state["state"], state["inc"]) for state in states]
 
 
+def state_pairs(limbs):
+    """The (state, inc) ints of ``_child_states``' four limb arrays."""
+    s_hi, s_lo, i_hi, i_lo = (limb.tolist() for limb in limbs)
+    return [(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo)]
+
+
 _ENTROPY = st.one_of(
     st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5, 2**130, 2**200 + 3]),
     st.integers(0, 2**140),
@@ -393,7 +400,7 @@ class TestSeedStreamPort:
            pool_size=st.sampled_from([4, 4, 5, 8]), first=_FIRST, n=st.integers(1, 16))
     def test_port_matches_numpy(self, entropy, spawn_key, pool_size, first, n):
         root = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
-        assert list(simulate._child_states(root, first, n)) == numpy_states(root, first, n)
+        assert state_pairs(simulate._child_states(root, first, n)) == numpy_states(root, first, n)
 
     def test_seed_sequence_is_read_not_advanced(self):
         spec = IntensitySpec.from_dict(MIXED)
@@ -410,6 +417,139 @@ class TestSeedStreamPort:
 
     def test_numpy_that_seeds_otherwise_raises(self, monkeypatch):
         monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 2)
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
+            simulate.simulate(scenarios.builtin("s2"), 3, seed=1)
+
+
+MASK64 = 2**64 - 1
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """tools/ziggurat_tables.py, which recovers the tables from numpy."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "ziggurat_tables.py"
+    spec = importlib.util.spec_from_file_location("ziggurat_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def limbs_of(pairs):
+    """``_Streams``' four limb arrays of (state, inc) ints."""
+    return [np.array([value >> shift & MASK64 for value in values], np.uint64)
+            for values in zip(*pairs) for shift in (64, 0)]
+
+
+def generator_at(state, inc):
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+def same_bits(ours, theirs):
+    return np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+
+# 128-bit values whose low limb is often near 0 or 2**64, where the
+# multiply-add carries into the high limb or does not
+_U128 = st.tuples(
+    st.integers(0, MASK64),
+    st.one_of(st.integers(0, MASK64), st.integers(0, 8), st.integers(MASK64 - 8, MASK64)),
+).map(lambda limbs: limbs[0] << 64 | limbs[1])
+
+
+class TestDrawPort:
+    """The array PCG64 and the one-word draws of ``_Streams`` give numpy's
+    words and numbers, on the ziggurat tables recovered from numpy."""
+
+    def test_tables_are_numpy_s(self, probe):
+        for name, values in probe.tables().items():
+            assert getattr(ziggurat, name).tolist() == values, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(_U128, _U128), min_size=1, max_size=6),
+           m=st.integers(1, 20))
+    def test_pcg64_matches_random_raw(self, pairs, m):
+        streams = simulate._Streams(*limbs_of(pairs))
+        words = np.stack([streams._next() for _ in range(m)], axis=1)
+        for row, (state, inc) in zip(words, pairs):
+            bitgen = generator_at(state, inc).bit_generator
+            assert row.tolist() == bitgen.random_raw(m).tolist()
+
+    @pytest.mark.parametrize("kind, layout, bound", [
+        ("standard_normal", "NORMAL", "KI"), ("standard_exponential", "EXPONENTIAL", "KE")])
+    def test_crafted_words(self, probe, kind, layout, bound):
+        layout, k = getattr(probe, layout), getattr(ziggurat, bound)
+        unused = int(np.flatnonzero(k == 0)[0])
+        assert unused > 0 and k[0] > 0
+        # r just below and at each layer's bound: on the tail layer 0, on a
+        # layer that is never fast, on two ordinary layers; and both ends of r
+        cases = [(layer, r) for layer in (0, unused, 7, 255)
+                 for r in (max(int(k[layer]) - 1, 0), int(k[layer]))]
+        cases += [(7, 0), (7, 1), (255, 2**layout["r_bits"] - 1)]
+        words = [probe.word_of(layer, r, layout) for layer, r in cases]
+        streams = simulate._Streams(*limbs_of(
+            [(probe.crafted_state(word), probe.INC) for word in words]))
+        values = getattr(streams, kind)()
+        for j, (word, (layer, r)) in enumerate(zip(words, cases)):
+            value, steps = probe.draw(word, kind)
+            assert streams.slow[j] == (steps > 1) == (r >= k[layer]), (layer, r)
+            assert steps > 1 or same_bits(values[j], value), (layer, r)
+
+    @pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (-0.0, 1.0), (0.0, 0.0),
+                                          (-0.0, 0.0), (2.5, 0.0), (-1.0, 2.0)])
+    def test_signed_zero_and_zero_sd(self, probe, mean, sd):
+        # r = 0 with the sign bit set: standard_normal draws -0.0
+        words = [probe.word_of(7, 0, probe.NORMAL) | 0x100,
+                 probe.word_of(7, 0, probe.NORMAL),
+                 probe.word_of(200, 12345, probe.NORMAL) | 0x100]
+        pairs = [(probe.crafted_state(word), probe.INC) for word in words]
+        standard = simulate._Streams(*limbs_of(pairs)).standard_normal()
+        assert standard[0] == 0.0 and np.signbit(standard[0])
+        dist = simulate.Dist("normal", {"mean": mean, "sd": sd})
+        streams = simulate._Streams(*limbs_of(pairs))
+        values = dist.draw(streams)
+        assert not streams.slow.any()
+        for j, pair in enumerate(pairs):
+            assert same_bits(standard[j], generator_at(*pair).standard_normal())
+            assert same_bits(values[j], dist.draw(generator_at(*pair)))
+
+    @pytest.mark.parametrize("dist", [
+        {"dist": "uniform", "low": -1.0, "high": 2.0},
+        {"dist": "uniform", "low": 3.0, "high": 3.0},
+        {"dist": "bernoulli", "p": 0.5}, {"dist": "bernoulli", "p": 0.0},
+        {"dist": "bernoulli", "p": 1.0}])
+    def test_one_word_draws(self, probe, dist):
+        dist = simulate.Dist.from_dict(dist, "x")
+        # 2**63 gives random() = 0.5 exactly
+        words = [0, 1, 2**11, 2**63, 2**63 - 1, MASK64, 0x9E3779B97F4A7C15]
+        pairs = [(probe.crafted_state(word, salt), probe.INC)
+                 for salt, word in enumerate(words)]
+        values = dist.draw(simulate._Streams(*limbs_of(pairs)))
+        for j, pair in enumerate(pairs):
+            assert same_bits(values[j], dist.draw(generator_at(*pair)))
+
+    def test_exponential_scale(self, probe):
+        words = [probe.word_of(layer, r, probe.EXPONENTIAL) for layer, r in
+                 ((3, 1), (100, 2**40 + 7), (255, 0))]
+        pairs = [(probe.crafted_state(word), probe.INC) for word in words]
+        values = simulate._Streams(*limbs_of(pairs)).exponential(1 / 0.15)
+        for j, pair in enumerate(pairs):
+            assert same_bits(values[j], generator_at(*pair).exponential(1 / 0.15))
+
+    def test_table_numpy_does_not_use_raises(self, monkeypatch):
+        # subject 0 of seed 1 draws every s2 number on the fast paths, so
+        # the guard compares it; its first word is its initial z
+        limbs = simulate._child_states(np.random.SeedSequence(1), 0, 1)
+        layer = int(simulate._Streams(*limbs)._next()[0] & 0xFF)
+        streams = simulate._Streams(*limbs)
+        streams.standard_normal(out=np.empty((1, 12)))
+        streams.standard_exponential(out=np.empty((1, 3)))
+        assert not streams.slow[0]
+        table = ziggurat.WI.copy()
+        table[layer] = np.nextafter(table[layer], 1.0)
+        monkeypatch.setattr(ziggurat, "WI", table)
         with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
             simulate.simulate(scenarios.builtin("s2"), 3, seed=1)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from predictimands import scenarios, simulate
+from predictimands import cox, scenarios, simulate
 from predictimands.data import (
     CovariateSchema,
     Episode,
@@ -221,6 +221,45 @@ class TestWeightColumns:
         assert np.shares_memory(table.values, table.rows)
         with pytest.raises(ValueError, match="read-only"):
             table.values[0] = 2.0
+
+
+def hand_model(increments, beta=None):
+    """A treatment model with baseline hazard jumps at t = 1, 2, 3."""
+    beta = beta or {}
+    return cox.CoxModel(
+        names=tuple(beta), beta=np.array(list(beta.values()), float),
+        info=np.eye(len(beta)), loglik=0.0, baseline_times=np.array([1.0, 2.0, 3.0]),
+        baseline_increments=np.array(increments), covariates=tuple(beta), treatment=None,
+        ties="efron", event_code=int(Status.TREATMENT_START), iterations=0,
+        score_norm=0.0, degenerate=False, n_events=3, weighted=False)
+
+
+class TestHandComputedWeights:
+    """Episodes that end exactly on the treatment models' event times: the
+    hazard jump at an episode's end belongs to that episode, the one at its
+    start to the episode before."""
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_episode_ends_on_event_times(self, mode):
+        schema = CovariateSchema(time_varying=("x",))
+        ds = dataset([
+            SubjectRecord("a", (Episode(0.0, 1.0, Status.CENSORED, False, {"x": 0.0}),
+                                Episode(1.0, 2.0, Status.CENSORED, False, {"x": 1.0}),
+                                Episode(2.0, 2.5, Status.EVENT, False, {"x": 1.0})), {}),
+            SubjectRecord("b", (Episode(0.0, 3.0, Status.CENSORED, False, {"x": 2.0}),), {}),
+            SubjectRecord("c", (Episode(0.0, 2.0, Status.TREATMENT_START, False, {"x": 0.0}),
+                                Episode(2.0, 4.0, Status.EVENT, True, {"x": 0.0})), {}),
+        ], schema)
+        numerator = hand_model([0.1, 0.2, 0.3])
+        denominator = hand_model([0.05, 0.1, 0.2], {"x": 0.5})
+        table = stabilized_weights(ds, numerator, denominator, mode)
+        # log S_num - log S_den, episode by episode
+        expected = [-0.1 + 0.05, -0.3 + 0.05 + 0.1 * math.exp(0.5),
+                    -0.3 + 0.05 + 0.1 * math.exp(0.5), -0.6 + 0.35 * math.exp(1.0),
+                    -0.3 + 0.15]
+        # IPTW keeps c's treated row with the weight frozen at its start
+        expected += [-0.3 + 0.15] if mode == WeightMode.IPTW else []
+        assert table.values.tolist() == pytest.approx(np.exp(expected), rel=1e-12)
 
 
 class TestStabilizedWeights:

@@ -12,10 +12,13 @@ age_gap fit and predict at ``--profile age=50``; on the stops-at-treatment
 data, fit and predict composite, while-untreated and ``hypothetical
 --method censor``; a fit and predict of two small fixed files, one in the
 wide format and one with a label-coded covariate read with ``--levels``;
+a simulate of ``draws.json``, which draws every kind of baseline
+covariate and a dropout clock; a validate of s2 on 45,000 Monte Carlo
+reps, past two truth blocks; an age_gap validate at ``--profile age=50``;
 and a small validate of all seven labels. The s1 data and the age_gap fit
 and predict go to ``nested/sim``, ``nested/fit`` and ``nested/predict``,
 directories that the writers create. ``N`` (default 5000) is the size
-of the four simulated datasets; the fixed files and the validate run do
+of the five simulated datasets; the fixed files and the validate runs do
 not depend on it. ``round.log`` records each command's argv, exit code,
 standard output and standard error, warnings as their category and
 message. Run it from two checkouts and ``diff -r`` the two directories:
@@ -48,8 +51,9 @@ def fixed_files() -> dict:
     """Name and text of the fixed input files of the round: 40 subjects in
     the wide format (``id,time,status,age``); 40 in the long format with a
     ``dialysis`` covariate coded HD or PD, every fourth starting treatment
-    and followed on; and ``s2_stops.json``, the s2 scenario observed until
-    treatment start with a dropout rate of 0.05."""
+    and followed on; ``s2_stops.json``, the s2 scenario observed until
+    treatment start with a dropout rate of 0.05; and ``draws.json``, whose
+    baseline covariates are normal, uniform, Bernoulli and constant."""
     wide = ["id,time,status,age"]
     long = ["id,tstart,tstop,status,treated,dialysis"]
     for i in range(1, 41):
@@ -63,8 +67,17 @@ def fixed_files() -> dict:
         else:
             long.append(f"{i},0,{stop},{int(i % 5 > 1)},0,{arm}")
     stops = {**BUILTIN["s2"], "name": "s2_stops", "design": "stops", "dropout_rate": 0.05}
+    draws = {**BUILTIN["s2"], "name": "draws", "dropout_rate": 0.1,
+             "baseline_covariates": {
+                 "x": {"dist": "normal", "mean": 1.5, "sd": 2.0},
+                 "u": {"dist": "uniform", "low": -1.0, "high": 2.0},
+                 "b": {"dist": "bernoulli", "p": 0.3},
+                 "c": {"dist": "constant", "value": 0.5}},
+             "treatment": {"base": 0.1, "log_hr": {"z": 1.2, "b": 0.5, "c": 1.0}},
+             "death_untreated": {"base": 0.12, "log_hr": {"z": 0.8, "x": 0.1, "u": 0.3}}}
     return {"wide.csv": "\n".join(wide) + "\n", "labelled.csv": "\n".join(long) + "\n",
-            "s2_stops.json": json.dumps(stops, indent=2) + "\n"}
+            **{f"{name}.json": json.dumps(scenario, indent=2) + "\n"
+               for name, scenario in (("s2_stops", stops), ("draws", draws))}}
 
 
 def commands(n: int) -> list:
@@ -73,7 +86,8 @@ def commands(n: int) -> list:
              "--out", path]
             for path, scenario in (("nested/sim/s1.csv", "s1"), ("s2.csv", "s2"),
                                    ("age_gap.csv", "age_gap"),
-                                   ("s2_stops.csv", "s2_stops.json"))]
+                                   ("s2_stops.csv", "s2_stops.json"),
+                                   ("draws.csv", "draws.json"))]
     fits = {}
     for label, extra in LABELS:
         strategy, _, method = label.partition(":")
@@ -117,6 +131,12 @@ def commands(n: int) -> list:
               "hypothetical", "--covariates", "dialysis", "--out", "fit-labelled"],
              ["predict", "--run", "fit-labelled", "--profile", "dialysis=PD", "--out",
               "predict-labelled"]]
+    cmds += [["validate", "--scenario", "s2", "--n", "300", "--seeds", "1",
+              "--mc-reps", "45000", "--strategies", "composite,ignore,while-untreated",
+              "--tolerance", "1", "--out", "validate-s2.json"],
+             ["validate", "--scenario", "age_gap", "--n", "300", "--seeds", "1",
+              "--profile", "age=50", "--covariates", "age", "--strategies",
+              "composite,hypothetical", "--tolerance", "1", "--out", "validate-age_gap.json"]]
     cmds.append(["validate", "--scenario", "s2", "--n", "300", "--seeds", "2",
                  "--mc-reps", "2000", "--strategies", ",".join(l for l, _ in LABELS),
                  "--weight-covariates", "z", "--out", "validate.json"])
