@@ -11,12 +11,13 @@ Randomness: subject i draws from ``default_rng`` of the i-th spawn of
 SeedSequence(seed), so output depends only on (spec, n, seed). A
 SeedSequence passed as the seed is read, not advanced: subject i takes its
 child ``n_children_spawned + i``. The children's PCG64 states come from one
-array pass, a port of numpy's SeedSequence and PCG64 seeding that each call
-checks against numpy on its first child. All subjects draw their numbers in
-array passes, a port of PCG64 and of the one-word fast paths of numpy's
-ziggurat on its tables (``ziggurat``); a subject with a word off a fast path
-is drawn again by numpy. The covariate paths, the intensities and the
-inversion of the cumulative hazards are array passes over all subjects.
+array pass, a port of numpy's SeedSequence and PCG64 seeding. All subjects
+draw their numbers in array passes, a port of PCG64 and of the one-word fast
+paths of numpy's ziggurat on its tables (``ziggurat``); a subject with a word
+off a fast path is drawn again by numpy. Each call checks one subject's
+numbers against numpy's own seeding and draws. The covariate paths, the
+intensities and the inversion of the cumulative hazards are array passes
+over all subjects.
 """
 
 from __future__ import annotations
@@ -58,12 +59,32 @@ def _number(value, where: str) -> float:
     return number
 
 
+#: the parameters of each kind of baseline distribution
+_DIST_PARAMS = {"normal": ("mean", "sd"), "uniform": ("low", "high"),
+                "bernoulli": ("p",), "constant": ("value",)}
+
+
 @dataclass(frozen=True)
 class Dist:
     """Baseline covariate distribution: normal, uniform, bernoulli or constant."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _DIST_PARAMS:
+            raise ScenarioError(f"unknown distribution {self.kind!r}")
+        missing = [k for k in _DIST_PARAMS[self.kind] if k not in self.params]
+        if missing:
+            raise ScenarioError(f"distribution {self.kind!r} missing {missing}")
+        p = {k: _number(self.params[k], k) for k in _DIST_PARAMS[self.kind]}
+        if self.kind == "normal" and p["sd"] < 0:
+            raise ScenarioError(f"sd must be >= 0, got {p['sd']}")
+        if self.kind == "uniform" and p["low"] > p["high"]:
+            raise ScenarioError(f"low {p['low']} must not exceed high {p['high']}")
+        if self.kind == "bernoulli" and not 0.0 <= p["p"] <= 1.0:
+            raise ScenarioError(f"p must lie in [0, 1], got {p['p']}")
+        object.__setattr__(self, "params", p)
 
     def draw(self, rng):
         """One value from a numpy ``Generator``, or one per subject from
@@ -75,30 +96,18 @@ class Dist:
             return rng.uniform(p["low"], p["high"])
         if self.kind == "bernoulli":
             return 1.0 * (rng.random() < p["p"])
-        if self.kind == "constant":
-            return float(p["value"])
-        raise ScenarioError(f"unknown distribution {self.kind!r}")
+        return p["value"]
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "Dist":
         if not isinstance(d, dict) or "dist" not in d:
             raise ScenarioError(f"{where}: expected a distribution object with a 'dist' key")
-        kind = d["dist"]
-        required = {"normal": ("mean", "sd"), "uniform": ("low", "high"),
-                    "bernoulli": ("p",), "constant": ("value",)}
-        if kind not in required:
-            raise ScenarioError(f"{where}: unknown distribution {kind!r}")
-        missing = [k for k in required[kind] if k not in d]
-        if missing:
-            raise ScenarioError(f"{where}: distribution {kind!r} missing {missing}")
-        p = {k: _number(d[k], f"{where}.{k}") for k in required[kind]}
-        if kind == "normal" and p["sd"] < 0:
-            raise ScenarioError(f"{where}: sd must be >= 0, got {p['sd']}")
-        if kind == "uniform" and p["low"] > p["high"]:
-            raise ScenarioError(f"{where}: low {p['low']} must not exceed high {p['high']}")
-        if kind == "bernoulli" and not 0.0 <= p["p"] <= 1.0:
-            raise ScenarioError(f"{where}: p must lie in [0, 1], got {p['p']}")
-        return cls(kind, p)
+        names = _DIST_PARAMS.get(d["dist"], ()) if isinstance(d["dist"], str) else ()
+        params = {k: _number(d[k], f"{where}.{k}") for k in names if k in d}
+        try:
+            return cls(d["dist"], params)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"dist": self.kind, **self.params}
@@ -114,16 +123,21 @@ class TVProcess:
     sd: float = 0.0
     drift: float = 0.0
 
+    def __post_init__(self):
+        if not self.sd >= 0:
+            raise ScenarioError(f"sd must be >= 0, got {self.sd}")
+
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "TVProcess":
         if not isinstance(d, dict) or "init" not in d:
             raise ScenarioError(f"{where}: expected an object with an 'init' distribution")
         rho, sd, drift = (_number(d.get(k, default), f"{where}.{k}")
                           for k, default in (("rho", 1.0), ("sd", 0.0), ("drift", 0.0)))
-        if sd < 0:
-            raise ScenarioError(f"{where}: sd must be >= 0, got {sd}")
-        return cls(init=Dist.from_dict(d["init"], f"{where}.init"),
-                   rho=rho, sd=sd, drift=drift)
+        init = Dist.from_dict(d["init"], f"{where}.init")
+        try:
+            return cls(init=init, rho=rho, sd=sd, drift=drift)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"init": self.init.to_dict(), "rho": self.rho, "sd": self.sd,
@@ -467,17 +481,12 @@ def _pcg64_state(words) -> tuple:
             inc_hi, inc_lo)
 
 
-def _joined(hi, lo) -> int:
-    """The 128-bit int of a (hi, lo) limb pair."""
-    return int(hi) << 64 | int(lo)
-
-
 def _child_states(root: np.random.SeedSequence, first: int, n: int) -> tuple:
     """The PCG64 state and increment of children first, ..., first + n - 1
     of ``root``, child i being ``SeedSequence(root.entropy, spawn_key=
     root.spawn_key + (i,))`` as ``root.spawn`` makes it, as four (n,) uint64
     arrays: the high and low 64-bit limbs of the state, then of the
-    increment. The first is checked against numpy's own seeding."""
+    increment."""
     run = _words(root.entropy)
     prefix = run + [0] * (root.pool_size - len(run)) + _words(root.spawn_key)
     blocks, lo, end = [], first, first + n
@@ -491,16 +500,7 @@ def _child_states(root: np.random.SeedSequence, first: int, n: int) -> tuple:
             [np.full(hi - lo, word, np.uint32) for word in prefix] + [low]
             + [np.full(hi - lo, word, np.uint32) for word in upper], root.pool_size))
         lo = hi
-    limbs = _pcg64_state(np.concatenate(blocks))
-    numpy_state = np.random.PCG64(np.random.SeedSequence(
-        root.entropy, spawn_key=root.spawn_key + (first,),
-        pool_size=root.pool_size)).state["state"]
-    if (numpy_state["state"], numpy_state["inc"]) != (
-            _joined(limbs[0][0], limbs[1][0]), _joined(limbs[2][0], limbs[3][0])):
-        raise RuntimeError(f"numpy {np.__version__} seeds PCG64 from SeedSequence "
-                           "children differently from predictimands.simulate, "
-                           "which would change every simulated stream")
-    return limbs
+    return _pcg64_state(np.concatenate(blocks))
 
 
 class _Streams:
@@ -570,8 +570,10 @@ def _draw(spec: IntensitySpec, n: int, root: np.random.SeedSequence) -> tuple:
     dropout clock; three unit exponentials for T0, V and the treated clock
     (the last is unused when V >= T0). All subjects draw in array passes
     (``_Streams``). A subject with a word off a ziggurat fast path is drawn
-    again, from its first state, by a numpy ``Generator``, and so is the
-    first subject on the fast paths, whose numbers must not change."""
+    again, from its first state, by a numpy ``Generator``. Then one subject,
+    the first on the fast paths or else the first, is drawn by
+    ``default_rng`` of its own ``SeedSequence``: its numbers must not
+    change."""
     baseline = [spec.baseline_covariates[k] for k in sorted(spec.baseline_covariates)]
     inits = [spec.tv_covariates[k].init for k in sorted(spec.tv_covariates)]
     scale = 1.0 / spec.dropout_rate if spec.dropout_rate > 0 else None
@@ -597,28 +599,29 @@ def _draw(spec: IntensitySpec, n: int, root: np.random.SeedSequence) -> tuple:
     streams = _Streams(*limbs)
     draw_into(streams, x0, z0, noise, dropout, clocks)
 
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-
     def subject(i):
         return x0[:, i], z0[:, i], noise[:, i], dropout[i:i + 1], clocks[i]
 
-    def redraw(rows):
-        for i, s_hi, s_lo, i_hi, i_lo in zip(rows.tolist(),
-                                             *(limb[rows].tolist() for limb in limbs)):
-            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
-            draw_into(rng, *subject(i))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    slow = np.flatnonzero(streams.slow)
+    for i, s_hi, s_lo, i_hi, i_lo in zip(slow.tolist(),
+                                         *(limb[slow].tolist() for limb in limbs)):
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+        draw_into(rng, *subject(i))
 
-    fast = np.flatnonzero(~streams.slow)
-    if fast.size:
-        ported = [a.copy() for a in subject(fast[0])]
-        redraw(fast[:1])
-        if any(a.tobytes() != b.tobytes() for a, b in zip(ported, subject(fast[0]))):
-            raise RuntimeError(f"numpy {np.__version__} draws differently from the "
-                               "PCG64 and ziggurat port of predictimands.simulate, "
-                               "which would change every simulated stream")
-    redraw(np.flatnonzero(streams.slow))
+    # the first subject on the fast paths, or subject 0 when none is
+    k = int(np.argmin(streams.slow))
+    theirs = [a.copy() for a in subject(k)]
+    draw_into(np.random.default_rng(np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (root.n_children_spawned + k,),
+        pool_size=root.pool_size)), *theirs)
+    if any(a.tobytes() != b.tobytes() for a, b in zip(theirs, subject(k))):
+        raise RuntimeError(f"numpy {np.__version__} seeds or draws differently from the "
+                           "SeedSequence, PCG64 and ziggurat port of "
+                           "predictimands.simulate, which would change every "
+                           "simulated stream")
     return x0, z0, noise, dropout, clocks
 
 

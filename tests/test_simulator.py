@@ -416,9 +416,20 @@ class TestSeedStreamPort:
             reference_trajectories(spec, 9, 13)[5:])
 
     def test_numpy_that_seeds_otherwise_raises(self, monkeypatch):
+        spec = scenarios.builtin("s2")
+        unpatched = simulate.simulate(spec, 3, seed=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 2)
+            with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
+                simulate.simulate(spec, 3, seed=1)
+        # zero bounds put every word off the fast paths: numpy draws every
+        # subject from the port's states, and subject 0 is the one checked
+        monkeypatch.setattr(ziggurat, "KI", np.zeros_like(ziggurat.KI))
+        monkeypatch.setattr(ziggurat, "KE", np.zeros_like(ziggurat.KE))
+        assert simulate.simulate(spec, 3, seed=1) == unpatched
         monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 2)
         with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
-            simulate.simulate(scenarios.builtin("s2"), 3, seed=1)
+            simulate.simulate(spec, 3, seed=1)
 
 
 MASK64 = 2**64 - 1
@@ -809,6 +820,27 @@ class TestScenarioParsing:
                               "tst_log_hr": [0.0, 1.0]}})
         assert spec.death_treated.rate({}, tst=0.5) == pytest.approx(0.05)
         assert spec.death_treated.rate({}, tst=1.5) == pytest.approx(0.05 * math.e)
+
+
+class TestScenarioObjects:
+    """Distributions and covariate processes built directly, not parsed,
+    reject bad parameters when built, before numpy sees them."""
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("normal", {"mean": 0, "sd": -1}, "sd must be >= 0"),
+        ("uniform", {"low": 2, "high": 1}, "low 2.0 must not exceed high 1.0"),
+        ("bernoulli", {"p": 1.5}, "p must lie in [0, 1]"),
+        ("normal", {"mean": 0}, "distribution 'normal' missing ['sd']"),
+        ("normal", {"mean": 0, "sd": math.inf}, "sd: must be finite"),
+        ("poisson", {"lam": 1}, "unknown distribution 'poisson'"),
+    ])
+    def test_bad_dist_rejected_when_built(self, kind, params, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            simulate.Dist(kind, params)
+
+    def test_negative_process_sd_rejected_when_built(self):
+        with pytest.raises(ScenarioError, match="sd must be >= 0, got -0.5"):
+            simulate.TVProcess(simulate.Dist("constant", {"value": 0}), sd=-0.5)
 
 
 class TestValidate:

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predictimands import scenarios, simulate
@@ -15,7 +15,7 @@ from predictimands.data import (
     SubjectRecord,
     split_at_treatment,
 )
-from predictimands.errors import DataError, DesignMismatch, PositivityWarning
+from predictimands.errors import DataError, DesignMismatch, NumericError, PositivityWarning
 from predictimands.simulate import IntensitySpec
 from predictimands.strategies import (
     HypotheticalMethod,
@@ -284,13 +284,25 @@ RELATION_CASES = [
 WEIGHTED = (HypotheticalMethod.CENSOR_IPCW, HypotheticalMethod.MODEL_IPTW)
 
 
+def outcome(ds, spec, profile):
+    """``estimate``'s curve, or the data or numeric error it raises."""
+    try:
+        return estimate(ds, spec, profile)
+    except (DataError, NumericError) as exc:
+        return exc
+
+
 def assert_same_curves(ds, other, profile, options, weights_move=False):
     """Every method gives ``other`` the curve times of ``ds`` and risks equal
-    to 1e-12 relative; with ``weights_move``, the weighted methods' risks
-    differ instead."""
+    to 1e-12 relative, or raises the same error with the same message on
+    both; with ``weights_move``, the weighted methods' risks differ
+    instead."""
     for strategy, method in ALL_METHODS:
         spec = spec_for(strategy, method, **options)
-        curve, curve2 = estimate(ds, spec, profile), estimate(other, spec, profile)
+        curve, curve2 = outcome(ds, spec, profile), outcome(other, spec, profile)
+        if isinstance(curve, Exception) or isinstance(curve2, Exception):
+            assert (type(curve2), str(curve2)) == (type(curve), str(curve)), spec.label
+            continue
         assert curve.times.size > 10, spec.label
         assert np.array_equal(curve2.times, curve.times), spec.label
         if weights_move and method in WEIGHTED:
@@ -327,6 +339,9 @@ class TestRowSplitting:
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    # age_gap seeds on which the model fits raise MonotoneLikelihood
+    @example(seed=493)
+    @example(seed=8575)
     @pytest.mark.parametrize("where", ["between-event-times", "at-event-times"])
     @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
     def test_unweighted_curves_unchanged(self, name, profile, options, where, seed):
@@ -356,6 +371,8 @@ class TestEarlyDropout:
     @given(seed=st.integers(min_value=0, max_value=10_000),
            fraction=st.floats(min_value=0.01, max_value=0.99),
            place=st.floats(min_value=0.0, max_value=1.0))
+    @example(seed=493, fraction=0.5, place=0.5)
+    @example(seed=8575, fraction=0.5, place=0.5)
     @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
     def test_no_curve_changes(self, name, profile, options, seed, fraction, place):
         ds = simulate.simulate(scenarios.builtin(name), 300, seed=seed)
@@ -369,3 +386,21 @@ class TestEarlyDropout:
             np.insert(ds.status, r, Status.CENSORED), np.insert(ds.treated, r, False),
             {name: np.insert(col, r, col[donor_row]) for name, col in ds.columns.items()})
         assert_same_curves(ds, added, profile, options)
+
+
+class TestSubjectOrder:
+    """Risk sets, tie groups and weights depend on neither the order of the
+    subjects nor their ids, so reversing the one and renaming the other
+    changes no curve."""
+
+    @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
+    def test_reversed_and_renamed(self, name, profile, options):
+        ds = simulate.simulate(scenarios.builtin(name), 300, seed=6)
+        # the last subject's rows first, each subject's rows in their order
+        row = np.argsort(-ds.row_subject, kind="stable")
+        reversed_ds = CountingProcessDataset(
+            ds.schema, ds.design, [f"r{s}" for s in range(ds.n_subjects)],
+            np.concatenate([[0], np.cumsum(np.diff(ds.offsets)[::-1])]),
+            ds.tstart[row], ds.tstop[row], ds.status[row], ds.treated[row],
+            {name: col[row] for name, col in ds.columns.items()})
+        assert_same_curves(ds, reversed_ds, profile, options)
