@@ -25,6 +25,7 @@ import csv
 import gc
 import itertools
 import math
+import operator
 import statistics
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
@@ -94,14 +95,7 @@ class CovariateSchema:
 
     def encode(self, name: str, raw: str) -> float:
         """Parse a covariate value, mapping declared labels to their index."""
-        if name in self.levels:
-            labels = list(self.levels[name])
-            if raw in labels:
-                return float(labels.index(raw))
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataError(_UNPARSED.format(raw, name)) from None
+        return _encode(self.levels.get(name, ()), name, raw)
 
     def decode(self, name: str, value: float):
         if name in self.levels:
@@ -110,6 +104,18 @@ class CovariateSchema:
             if 0 <= idx < len(labels) and idx == value:
                 return labels[idx]
         return value
+
+
+def _encode(labels, name: str, raw: str) -> float:
+    """``raw`` as the index of its label in ``labels``, else as a float; a
+    DataError naming the covariate ``name`` if it is neither."""
+    labels = list(labels)
+    if raw in labels:
+        return float(labels.index(raw))
+    try:
+        return float(raw)
+    except ValueError:
+        raise DataError(_UNPARSED.format(raw, name)) from None
 
 
 @dataclass(frozen=True)
@@ -428,13 +434,18 @@ _CODES = {
 }
 
 
+#: rows read and parsed at a time: beyond the dataset's arrays, a read holds
+#: the strings of one block
+_BLOCK = 2048
+
+
 @contextmanager
 def reading(path, error=DataError):
-    """The UTF-8 text file at ``path``, open for reading; a file that cannot
-    be opened, decoded or split into CSV fields raises ``error`` naming the
-    path."""
+    """The UTF-8 text file at ``path``, open for reading after any leading
+    byte-order mark; a file that cannot be opened, decoded or split into CSV
+    fields raises ``error`` naming the path."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
@@ -443,8 +454,8 @@ def reading(path, error=DataError):
 @contextmanager
 def _collector_off():
     """The cyclic garbage collector off, then back in its previous state. A
-    large file's row lists, which hold only strings, would otherwise set off
-    repeated full collections."""
+    block's row lists, which hold only strings, would otherwise set off
+    collections that find nothing to free."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -454,64 +465,173 @@ def _collector_off():
             gc.enable()
 
 
-@_collector_off()
-def _read(path) -> tuple:
-    """Header, wide-format flag, line numbers and fields as columns (id and
-    covariates stripped) of the non-blank rows of a counting-process CSV,
-    and the error of the first row with the wrong number of fields, where
-    the rows end: returned, so the rows before it report theirs first."""
-    with reading(path) as fh:
-        reader = csv.reader(fh)
+@contextmanager
+def _read(path):
+    """The rows of the counting-process CSV at ``path``, as ``_Rows`` to be
+    iterated while the file is open, with the garbage collector off."""
+    with _collector_off(), reading(path) as fh:
+        yield _Rows(csv.reader(fh))
+
+
+class _Rows:
+    """The rows of a counting-process CSV below its header, iterated once in
+    blocks of up to ``_BLOCK`` rows: per block, the line numbers, subject
+    codes and fields as columns (id and covariates stripped) of its
+    non-blank rows.
+
+    The rows end at the first non-blank row with the wrong number of fields;
+    its error is then ``short_row``, kept so that the rows before it report
+    theirs first. A fault in reading the file before that row is raised.
+    ``index`` maps each subject id to its code, in order of first appearance.
+    """
+
+    def __init__(self, reader):
         header = next(reader, None)
         if header is None:
             raise MalformedRow(1, "empty file")
         header = [h.strip() for h in header]
-        wide = tuple(header[:3]) == _WIDE_HEADER
-        if not wide and tuple(header[:5]) != _LONG_HEADER:
+        self.wide = tuple(header[:3]) == _WIDE_HEADER
+        if not self.wide and tuple(header[:5]) != _LONG_HEADER:
             raise MalformedRow(1, f"unrecognized header {header!r}")
         for j, name in enumerate(header):
             if not name or name in header[:j]:
                 problem = f"repeats the name {name!r}" if name else "has no name"
                 raise MalformedRow(1, f"header column {j + 1} {problem}")
-        rows, fault = [], None
-        try:
-            rows.extend(reader)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            fault = exc  # unless a row of the wrong length ends the rows first
-        width, short_row, lines = len(header), None, np.arange(2, len(rows) + 2)
-        if set(map(len, rows)) - {width}:
-            end = next((k for k, row in enumerate(rows)
-                        if len(row) != width and any(map(str.strip, row))), len(rows))
-            if end < len(rows):
-                short_row = MalformedRow(end + 2, f"expected {width} fields, got {len(rows[end])}")
-            lines = lines[[k for k in range(end) if len(rows[k]) == width]]
-            rows = [rows[k - 2] for k in lines.tolist()]
-        if fault is not None and short_row is None:
-            raise fault
-    fixed = 3 if wide else 5
-    columns = [list(map(str.strip, col)) if j == 0 or j >= fixed else col
-               for j, col in enumerate(list(zip(*rows)) or [()] * width)]
-    if "" in columns[0]:  # blank rows of the right length
-        keep = [k for k, sid in enumerate(columns[0])
-                if sid or any(col[k].strip() for col in columns)]
-        columns, lines = [[col[k] for k in keep] for col in columns], lines[keep]
-    return header, wide, lines, columns, short_row
+        self._reader, self.header, self.fixed = reader, header, 3 if self.wide else 5
+        self.index, self.short_row = {}, None
+        # per covariate not yet seen to vary or be empty, each subject's first value
+        self._firsts = {} if self.wide else {name: {} for name in header[5:]}
+
+    def __iter__(self):
+        width, line = len(self.header), 2
+        while True:
+            rows, fault = [], None
+            try:
+                rows.extend(itertools.islice(self._reader, _BLOCK))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                fault = exc  # unless a row of the wrong length ends the rows first
+            full, lines = len(rows) == _BLOCK, np.arange(line, line + len(rows))
+            line += len(rows)
+            if set(map(len, rows)) - {width}:
+                end = next((k for k, row in enumerate(rows)
+                            if len(row) != width and any(map(str.strip, row))), len(rows))
+                if end < len(rows):
+                    self.short_row = MalformedRow(int(lines[end]),
+                                                  f"expected {width} fields, got {len(rows[end])}")
+                keep = [k for k in range(end) if len(rows[k]) == width]
+                lines, rows = lines[keep], [rows[k] for k in keep]
+            if fault is not None and self.short_row is None:
+                raise fault
+            columns = [list(map(str.strip, col)) if j == 0 or j >= self.fixed else col
+                       for j, col in enumerate(list(zip(*rows)) or [()] * width)]
+            if "" in columns[0]:  # blank rows of the right length
+                keep = [k for k, sid in enumerate(columns[0])
+                        if sid or any(col[k].strip() for col in columns)]
+                columns, lines = [[col[k] for k in keep] for col in columns], lines[keep]
+            subject = self._codes(columns[0])
+            self._classify(subject, columns)
+            yield lines, subject, columns
+            if self.short_row is not None or not full:
+                return
+
+    def _codes(self, ids) -> np.ndarray:
+        """The subject code of each id, coding ids not seen before."""
+        for sid in dict.fromkeys(ids):
+            self.index.setdefault(sid, len(self.index))
+        return np.fromiter(map(self.index.__getitem__, ids), int, len(ids))
+
+    def _classify(self, subject, columns):
+        """Drop from ``_firsts`` each covariate that is empty in this block
+        or differs from its subject's first value, as stripped strings."""
+        codes = subject.tolist() if self._firsts else ()
+        for name, values in zip(self.header[self.fixed:], columns[self.fixed:]):
+            firsts = self._firsts.get(name)
+            if firsts is not None and (
+                    "" in values or list(map(firsts.setdefault, codes, values)) != values):
+                del self._firsts[name]
+
+    def schema(self) -> CovariateSchema:
+        """The covariate schema of the rows iterated: a covariate never empty
+        and constant within every subject is baseline, any other
+        time-varying; a wide file is all baseline."""
+        names = self.header[self.fixed:]
+        if self.wide:
+            return CovariateSchema(baseline=tuple(names))
+        return CovariateSchema(baseline=tuple(n for n in names if n in self._firsts),
+                               time_varying=tuple(n for n in names if n not in self._firsts))
 
 
 def _column(tokens, parse) -> tuple:
     """``parse`` of each token as floats, NaN where it raises a ValueError or
     DataError, and the mask of those tokens. ``float`` parses the column in
     one pass, another rule each distinct token once."""
+    n = len(tokens)
     if parse is float:
         with suppress(ValueError):
-            return np.fromiter(map(float, tokens), float, len(tokens)), np.zeros(len(tokens), bool)
-    values = dict.fromkeys(tokens)
+            return np.fromiter(map(float, tokens), float, n), np.zeros(n, bool)
+    values, rejected = dict.fromkeys(tokens, math.nan), set()
     for token in values:
-        with suppress(ValueError, DataError):
+        try:
             values[token] = parse(token)
-    rejected = {token for token, value in values.items() if value is None}
-    return (np.array(list(map(values.get, tokens)), float),
-            np.fromiter(map(rejected.__contains__, tokens), bool, len(tokens)))
+        except (ValueError, DataError):
+            rejected.add(token)
+    return (np.fromiter(map(values.__getitem__, tokens), float, n),
+            np.fromiter(map(rejected.__contains__, tokens), bool, n) if rejected
+            else np.zeros(n, bool))
+
+
+def _empty(tokens) -> np.ndarray:
+    """Which of ``tokens`` are empty strings."""
+    if "" not in tokens:
+        return np.zeros(len(tokens), bool)
+    return np.fromiter(map(operator.not_, tokens), bool, len(tokens))
+
+
+def _parse(rows: _Rows, lines, columns, labelled: dict, baseline) -> tuple:
+    """A block of ``rows`` parsed: each field column but the id as floats,
+    in header order, and the error of the block's first failing row at its
+    first failing check, or None. Covariates named in ``labelled`` map its labels
+    to their index; those in ``baseline``, and all of a wide file's, must not
+    be empty."""
+    header, fixed = rows.header, rows.fixed
+    # each check is a mask over the rows, noted in the order a row is
+    # checked: the first failing row reports its first failing check
+    failures, checks, n = [], itertools.count(), lines.size
+
+    def fail(mask, message, error=MalformedRow):
+        check = next(checks)
+        if mask.any():
+            r = int(mask.argmax())
+            failures.append(((r, check), error(int(lines[r]), message(r))))
+
+    parsed = {}
+    fail(_empty(columns[0]), lambda r: "empty subject id")
+    for name, raw in zip(header[1:fixed], columns[1:fixed]):
+        parse, message = _CODES.get(name, (float, f"cannot parse {name} {{!r}}"))
+        parsed[name], rejected = _column(raw, parse)
+        fail(rejected, lambda r: message.format(raw[r]))
+    tstart, tstop = parsed.get("tstart", np.zeros(n)), parsed.get("tstop", parsed.get("time"))
+    col = np.where(np.isfinite(tstart) & (not rows.wide), 2, 1)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, and not finite
+        fail(~np.isfinite(tstart + tstop),
+             lambda r: f"{header[col[r]]} must be finite, got {columns[col[r]][r]!r}")
+    fail((tstart < 0) | (tstop < 0), lambda r: "negative time",
+         lambda line, message: NegativeTime(f"line {line}: {message}"))
+    fail(~(tstart < tstop),
+         lambda r: f"tstart {float(tstart[r])} must be below tstop {float(tstop[r])}")
+    covariates = []
+    for name, raw in zip(header[fixed:], columns[fixed:]):
+        empty = _empty(raw)
+        if rows.wide or name in baseline:
+            fail(empty, lambda r: f"baseline covariate {name!r} is empty")
+        values, rejected = _column(
+            raw, partial(_encode, labelled[name], name) if name in labelled else float)
+        covariates.append(values)
+        fail(rejected & ~empty, lambda r: _UNPARSED.format(raw[r], name))
+        fail(~empty & ~np.isfinite(values),
+             lambda r: f"covariate {name!r} must be finite, got {raw[r]!r}")
+    return ([*parsed.values(), *covariates],
+            min(failures, key=lambda f: f[0], default=(None, None))[1])
 
 
 def ingest_csv(path, schema: CovariateSchema | None = None,
@@ -528,75 +648,52 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     a ``design``, data with treatment starts but no treated rows stop at
     treatment, and all other data continue.
     """
-    header, wide, lines, columns, short_row = _read(path)
+    # the schema's rules that the rows need, known before the read: an
+    # inferred schema has no labels and, in a long file, no empty baseline
+    # covariate (``_parse`` takes every covariate of a wide file as baseline)
+    labelled = levels or (schema.levels if schema is not None else {})
+    baseline = schema.baseline if schema is not None else ()
+    arrays, first_error = [], None
+    with _read(path) as rows:
+        for lines, subject, columns in rows:
+            fields, error = _parse(rows, lines, columns, labelled, baseline)
+            arrays.append([lines, subject, *fields])
+            first_error = first_error or error  # blocks come in row order
     if schema is None:
-        schema = _classify(header, wide, columns)
+        schema = rows.schema()
     if levels:
         schema = replace(schema, levels=levels)
-    fixed = 3 if wide else 5
-    cov_cols = header[fixed:]
+    cov_cols = rows.header[rows.fixed:]
     unknown = set(cov_cols) - set(schema.names())
     if unknown:
         raise UnknownCovariate(f"columns {sorted(unknown)} not in schema")
     missing = set(schema.names()) - set(cov_cols)
     if missing:
         raise MalformedRow(1, f"schema covariates {sorted(missing)} missing from header")
-    if wide and schema.time_varying:
+    if rows.wide and schema.time_varying:
         raise MalformedRow(1, "wide format cannot carry time-varying covariates")
+    if first_error is not None:
+        raise first_error
+    if rows.short_row is not None:
+        raise rows.short_row
 
-    # each check is a mask over the rows, noted in the order a row is
-    # checked: the first failing row reports its first failing check
-    failures, checks, n = [], itertools.count(), lines.size
-
-    def fail(mask, message, error=MalformedRow):
-        check = next(checks)
-        if mask.any():
-            r = int(mask.argmax())
-            failures.append(((r, check), error(int(lines[r]), message(r))))
-
-    ids, parsed = columns[0], {}
-    fail(~np.fromiter(map(bool, ids), bool, n), lambda r: "empty subject id")
-    for name, raw in zip(header[1:fixed], columns[1:fixed]):
-        parse, message = _CODES.get(name, (float, f"cannot parse {name} {{!r}}"))
-        parsed[name], rejected = _column(raw, parse)
-        fail(rejected, lambda r: message.format(raw[r]))
-    tstart, treated = parsed.get("tstart", np.zeros(n)), parsed.get("treated", np.zeros(n))
-    tstop = parsed.get("tstop", parsed.get("time"))
-    col = np.where(np.isfinite(tstart) & (not wide), 2, 1)
-    with np.errstate(over="ignore"):  # a sum past the float range is inf, and not finite
-        fail(~np.isfinite(tstart + tstop),
-             lambda r: f"{header[col[r]]} must be finite, got {columns[col[r]][r]!r}")
-    fail((tstart < 0) | (tstop < 0), lambda r: "negative time",
-         lambda line, message: NegativeTime(f"line {line}: {message}"))
-    fail(~(tstart < tstop),
-         lambda r: f"tstart {float(tstart[r])} must be below tstop {float(tstop[r])}")
-    covariates = {}
-    for name, raw in zip(cov_cols, columns[fixed:]):
-        empty = ~np.fromiter(map(bool, raw), bool, n)
-        if name in schema.baseline:
-            fail(empty, lambda r: f"baseline covariate {name!r} is empty")
-        covariates[name], rejected = _column(
-            raw, partial(schema.encode, name) if name in schema.levels else float)
-        fail(rejected & ~empty, lambda r: _UNPARSED.format(raw[r], name))
-        fail(~empty & ~np.isfinite(covariates[name]),
-             lambda r: f"covariate {name!r} must be finite, got {raw[r]!r}")
-    _raise_first(failures)
-    if short_row is not None:
-        raise short_row
-
-    # rows grouped by subject in order of first appearance, then by tstart
-    index = dict(zip(dict.fromkeys(ids), itertools.count()))
-    subject = np.fromiter(map(index.__getitem__, ids), int, n)
-    order = np.lexsort((tstart, subject))
-    lines, status, treated = lines[order], parsed["status"][order], treated[order]
+    # each column joined, then put in dataset order: rows grouped by subject
+    # in order of first appearance, then by tstart
+    lines, subject, *fields = map(np.concatenate, zip(*arrays))
+    del arrays
+    if rows.wide:  # one untreated episode per subject, from time 0
+        zeros = np.zeros(lines.size)
+        fields = [zeros, *fields[:2], zeros, *fields[2:]]
+    index, order = rows.index, np.lexsort((fields[0], subject))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(subject, minlength=len(index)))])
+    lines, fields = lines[order], [values[order] for values in fields]
     if design is None:
-        only_starts = (status == Status.TREATMENT_START).any() and not treated.any()
+        only_starts = (fields[2] == Status.TREATMENT_START).any() and not fields[3].any()
         design = (DesignFlavor.STOPS_AT_TREATMENT if only_starts
                   else DesignFlavor.CONTINUES_AFTER_TREATMENT)
-    ds = CountingProcessDataset._of(
-        schema, design, index, np.cumsum([0, *np.bincount(subject, minlength=len(index))]),
-        tstart[order], tstop[order], status, treated,
-        {name: col[order] for name, col in covariates.items()})
+    ds = CountingProcessDataset._of(schema, design, index, offsets, *fields[:4],
+                                    dict(zip(cov_cols, fields[4:])))
+    del subject, order, fields  # the dataset holds copies
 
     failures, sub, n = [], ds.row_subject, ds.n_rows
     # an event and a treatment start at the same stop time of one subject
@@ -646,21 +743,9 @@ def write_rows(path, header, rows):
 
 def infer_schema(path) -> CovariateSchema:
     """The covariate schema ``ingest_csv`` infers for the file at ``path``."""
-    header, wide, _, columns, short_row = _read(path)
-    if short_row is not None:
-        raise short_row
-    return _classify(header, wide, columns)
-
-
-def _classify(header, wide, columns) -> CovariateSchema:
-    """A covariate column that is never empty and constant within every
-    subject is baseline, any other time-varying; a wide file is all
-    baseline. Values are compared as the stripped strings of the file."""
-    if wide:
-        return CovariateSchema(baseline=tuple(header[3:]))
-    ids, baseline, tv = columns[0], [], []
-    for name, values in zip(header[5:], columns[5:]):
-        last = dict(zip(ids, values))  # each subject's last value
-        constant = "" not in values and list(map(last.get, ids)) == values
-        (baseline if constant else tv).append(name)
-    return CovariateSchema(baseline=tuple(baseline), time_varying=tuple(tv))
+    with _read(path) as rows:
+        for _ in rows:
+            pass
+    if rows.short_row is not None:
+        raise rows.short_row
+    return rows.schema()

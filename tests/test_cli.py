@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import functools
 import io
@@ -602,6 +603,27 @@ class TestOneRead:
         assert run(["predict", "--run", str(out), "--all-strategies",
                     "--out", str(tmp_path / "p")]) == 0
         assert reads == [str(s2_data)]
+
+
+class TestByteOrderMark:
+    def test_marked_file_reads_as_the_unmarked_one(self, s2_data, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark, as spreadsheets save
+        "CSV UTF-8", gives the same dataset, schema and fit as without it."""
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + s2_data.read_bytes())
+        assert data_mod.ingest_csv(marked) == data_mod.ingest_csv(s2_data)
+        assert data_mod.infer_schema(marked) == data_mod.infer_schema(s2_data)
+
+        def fit(path):
+            out = tmp_path / f"fit-{path.stem}"
+            assert run(["fit", "--data", str(path), "--strategy", "hypothetical",
+                        "--method", "censor-ipcw", "--weight-covariates", "z",
+                        "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            echo = json.loads(files.pop("run.json"))
+            return files, {k: v for k, v in echo.items() if k not in ("data", "out")}
+
+        assert fit(marked) == fit(s2_data)
 
 
 class TestSeedValues:

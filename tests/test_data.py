@@ -2,6 +2,7 @@ import csv
 import gc
 import math
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -956,11 +957,38 @@ class TestReaderAgainstReference:
         ("id,tstart,tstop,status,treated\n1,0,1\x00,1,0\n",
          (MalformedRow, "line 2: cannot parse tstop '1\\x00'")),
         ("id,time,status,x\n1,nan,1,1\n", (MalformedRow, "line 2: time must be finite, got 'nan'")),
+        # a wide file's covariates are baseline, so never empty, and may take
+        # the names of the long format's fields
+        ("id,time,status,x\n1,5,1,\n", (MalformedRow, "line 2: baseline covariate 'x' is empty")),
+        ("id,time,status,tstart,treated\n1,5,1,50,1\n2,3.5,0,61,0\n", None),
+        # read a few rows at a time (TestReaderInSmallBlocks), these put a
+        # row error, and then another, a short row or a read fault, in
+        # different blocks: the first row error wins over a later one and
+        # over a short row, a read fault over every row error
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n2,0,5,7,0\n3,0,1,0,0\n4,0,x,0,0\n",
+         (MalformedRow, "line 3: status must be 0, 1 or 2, got '7'")),
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n2,0,5,7,0\n3,0,1,0,0\n4,0,1,0,0\n5,0\n",
+         (MalformedRow, "line 3: status must be 0, 1 or 2, got '7'")),
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n2,0,5,7,0\n3,0,1,0,0\n4,0,1,0,"
+         + "1" * 200_000 + "\n", DataError),
+        # past the first 8 kB the text stream decodes
+        (b"id,tstart,tstop,status,treated\n1,0,2,0,0\n2,0,5,7,0\n"
+         + b"".join(b"%d,0,1,0,0\n" % i for i in range(3, 1003)) + b"\xe9,0,5,1,0\n",
+         DataError),
+        # ... one subject's rows in several blocks, its x respelt in a later one
+        ("id,tstart,tstop,status,treated,x,z,w\n1,0,1,0,0,5,0.5,1\n2,0,2,2,0,3,1,2\n"
+         "1,1,2,0,0,5,,1\n2,2,4,1,1,3,2,2\n1,2,3,1,0,5,1.5,1.0\n", None),
+        # ... and blank rows of every shape on both sides of a block boundary
+        ("id,tstart,tstop,status,treated\n1,0,2,0,0\n\n,,,,\n  ,  ,,,\n \n2,0,3,1,0\n"
+         ",,,,\n\n3,0,x,0,0\n", (MalformedRow, "line 10: cannot parse tstop 'x'")),
     ], ids=["bad-row-first", "short-row-first", "csv-limit-first", "empty-id", "treated",
             "negative-and-reversed", "overflowing-sum", "underscores-and-full-width",
-            "nul-in-time", "wide-nan"])
+            "nul-in-time", "wide-nan", "wide-empty", "wide-long-names", "row-errors-apart", "row-error-then-short-row",
+            "row-error-then-csv-limit", "row-error-then-not-utf8", "subject-across-blocks",
+            "blank-rows-across-blocks"])
     def test_files(self, tmp_path, text, expected):
-        path = write(tmp_path, text)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         got = outcome(ingest_csv, path)
         assert got == outcome(reference_ingest, path)
         if expected is DataError:
@@ -972,6 +1000,36 @@ class TestReaderAgainstReference:
         # "1" and "1.0" are one value but two strings: time-varying
         path = write(tmp_path, "id,tstart,tstop,status,treated,x\n1,0,1,0,0,1\n1,1,2,1,0,1.0\n")
         assert ingest_csv(path).schema.time_varying == ("x",)
+
+
+class TestReaderInSmallBlocks(TestReaderAgainstReference):
+    """The reader's tests with the file read one, two or three rows at a
+    time, so that errors, faults, blank rows and a subject's rows fall in
+    different blocks."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 2, 3])
+    def block(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", request.param)
+            yield
+
+
+class TestReadMemory:
+    def test_traced_peak_is_the_arrays_and_a_block(self, tmp_path):
+        """Reading s2 at n = 5000 (45k rows) holds the dataset's arrays and
+        the strings of one block, never the whole file's rows."""
+        path = tmp_path / "s2.csv"
+        write_csv(simulate.simulate(scenarios.builtin("s2"), 5000, seed=1), path)
+        ds = ingest_csv(path)  # anything loaded on a first call, loaded untraced
+        tracemalloc.start()
+        try:
+            ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in (ds.offsets, ds.tstart, ds.tstop, ds.status,
+                                        ds.treated, *ds.columns.values()))
+        assert peak < 4 * nbytes + 2**20
 
 
 def _shuffled(lines, draw):
