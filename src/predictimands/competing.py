@@ -36,16 +36,14 @@ def fit_cause_specific_pair(ds: CountingProcessDataset, covariates=(),
 
 
 def _hazard_increments(model, profile, times):
-    """dH(t | profile) of one cause-specific model on a shared time grid;
-    model jump times beyond the grid (past the horizon) are dropped."""
+    """dH(t | profile) of one cause-specific model on a shared time grid that
+    holds its jump times up to the horizon; later jump times are dropped."""
     out = np.zeros(times.size)
     if model is None:
         return out
-    lp = cox._profile_lp(model, profile)
     idx = np.searchsorted(times, model.baseline_times)
     valid = idx < times.size
-    valid[valid] &= times[idx[valid]] == model.baseline_times[valid]
-    out[idx[valid]] = model.baseline_increments[valid] * np.exp(lp)
+    out[idx[valid]] = cox._hazard(model, profile)[valid]
     return out
 
 

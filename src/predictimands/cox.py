@@ -468,29 +468,25 @@ def profile_values(covariates, profile: dict) -> list:
     return values
 
 
-def _profile_lp(model: CoxModel, profile: dict) -> float:
-    lp = 0.0
-    for coef, value in zip(model.beta, profile_values(model.covariates, profile)):
-        lp += coef * value
-    return lp
-
-
-def predict_survival(model: CoxModel, profile: dict,
-                     treated: bool = False) -> SurvivalCurve:
-    """S(t | profile) = exp(-sum dH0(t_k) exp(lp(t_k))).
+def _hazard(model: CoxModel, profile: dict, treated: bool = False) -> np.ndarray:
+    """dH(t_k | profile) = dH0(t_k) exp(lp(t_k)) at each baseline time t_k.
 
     ``treated`` holds the treatment indicator at 1 from time 0 on: at each
     baseline time t_k the coefficient of the segment holding t_k enters
     the linear predictor (a model without a treatment term ignores it).
     """
-    times = model.baseline_times
-    lp = np.full(times.shape, _profile_lp(model, profile))
+    lp = sum(b * v for b, v in zip(model.beta, profile_values(model.covariates, profile)))
     if treated and model.treatment is not None:
-        segment = np.searchsorted(model.treatment.tv_cuts, times, side="left")
-        lp += model.beta[len(model.covariates) + segment]
-    haz = model.baseline_increments * np.exp(lp)
-    surv = np.exp(-np.cumsum(haz))
-    return SurvivalCurve(times, surv)
+        segment = np.searchsorted(model.treatment.tv_cuts, model.baseline_times, side="left")
+        lp = lp + model.beta[len(model.covariates) + segment]
+    return model.baseline_increments * np.exp(lp)
+
+
+def predict_survival(model: CoxModel, profile: dict,
+                     treated: bool = False) -> SurvivalCurve:
+    """S(t | profile) = exp(-sum dH(t_k | profile)), dH as in ``_hazard``."""
+    return SurvivalCurve(model.baseline_times,
+                         np.exp(-np.cumsum(_hazard(model, profile, treated))))
 
 
 @dataclass(frozen=True)

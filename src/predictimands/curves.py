@@ -47,10 +47,8 @@ class SurvivalCurve:
     surv: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.surv, dtype=float)
-        if t.size and np.any(np.diff(t) <= 0):
-            raise InvalidCurve("jump times must be strictly increasing")
+        step = StepFunction(self.times, self.surv)
+        t, s = step.times, step.values
         if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
             raise InvalidCurve("survival probabilities must lie in [0, 1]")
         if s.size and np.any(np.diff(s) > 1e-12):
@@ -77,10 +75,8 @@ class RiskCurve:
     horizon: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        r = np.asarray(self.risk, dtype=float)
-        if t.size and np.any(np.diff(t) <= 0):
-            raise InvalidCurve("jump times must be strictly increasing")
+        step = StepFunction(self.times, self.risk)
+        t, r = step.times, step.values
         if t.size and t[0] <= 0:
             raise InvalidCurve("risk jumps must occur at positive times")
         if np.any(r < -1e-12) or np.any(r > 1 + 1e-12):

@@ -48,15 +48,35 @@ MAX_MC_REPS = 2**32
 MAX_GRID_POINTS = 10_000
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a finite float, else a ScenarioError naming ``where``."""
+def _float(value, where: str) -> float:
+    """``value`` as a float, else a ScenarioError naming ``where``."""
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a finite float, else a ScenarioError naming ``where``."""
+    number = _float(value, where)
     if not math.isfinite(number):
         raise ScenarioError(f"{where}: must be finite, got {value!r}")
     return number
+
+
+def _mapping(d: dict, key: str, where: str) -> dict:
+    """``d[key]``, empty when absent, which must be a JSON object."""
+    value = d.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _known_keys(d: dict, allowed, where: str) -> None:
+    """A ScenarioError naming ``where`` if ``d`` has a key not in ``allowed``."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown}")
 
 
 #: the parameters of each kind of baseline distribution
@@ -105,9 +125,11 @@ class Dist:
         names = _DIST_PARAMS.get(d["dist"], ()) if isinstance(d["dist"], str) else ()
         params = {k: _number(d[k], f"{where}.{k}") for k in names if k in d}
         try:
-            return cls(d["dist"], params)
+            dist = cls(d["dist"], params)
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
+        _known_keys(d, ("dist", *names), where)
+        return dist
 
     def to_dict(self) -> dict:
         return {"dist": self.kind, **self.params}
@@ -124,6 +146,8 @@ class TVProcess:
     drift: float = 0.0
 
     def __post_init__(self):
+        for name in ("rho", "sd", "drift"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not self.sd >= 0:
             raise ScenarioError(f"sd must be >= 0, got {self.sd}")
 
@@ -135,9 +159,11 @@ class TVProcess:
                           for k, default in (("rho", 1.0), ("sd", 0.0), ("drift", 0.0)))
         init = Dist.from_dict(d["init"], f"{where}.init")
         try:
-            return cls(init=init, rho=rho, sd=sd, drift=drift)
+            process = cls(init=init, rho=rho, sd=sd, drift=drift)
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
+        _known_keys(d, ("init", "rho", "sd", "drift"), where)
+        return process
 
     def to_dict(self) -> dict:
         return {"init": self.init.to_dict(), "rho": self.rho, "sd": self.sd,
@@ -155,12 +181,16 @@ class LogLinearIntensity:
     tst_log_hr: tuple = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.base) or self.base < 0:
-            raise InvalidIntensity(f"base intensity must be finite and >= 0, got {self.base}")
-        if any(not math.isfinite(v) for v in self.log_hr.values()):
+        if not isinstance(self.log_hr, dict):
+            raise ScenarioError(f"log_hr must map covariates to numbers, got {self.log_hr!r}")
+        base = _float(self.base, "base")
+        log_hr = {k: _float(v, f"log_hr.{k}") for k, v in self.log_hr.items()}
+        cuts = tuple(_float(c, "tst_cuts") for c in self.tst_cuts)
+        coefs = tuple(_float(c, "tst_log_hr") for c in self.tst_log_hr)
+        if not math.isfinite(base) or base < 0:
+            raise InvalidIntensity(f"base intensity must be finite and >= 0, got {base}")
+        if any(not math.isfinite(v) for v in log_hr.values()):
             raise InvalidIntensity("log hazard ratios must be finite")
-        cuts = tuple(float(c) for c in self.tst_cuts)
-        coefs = tuple(float(c) for c in self.tst_log_hr)
         if any(not math.isfinite(c) for c in cuts + coefs):
             raise InvalidIntensity("tst_cuts and tst_log_hr must be finite")
         if cuts and list(cuts) != sorted(set(cuts)):
@@ -170,6 +200,8 @@ class LogLinearIntensity:
                                    "(len(tst_cuts) + 1)")
         if coefs and not cuts and len(coefs) != 1:
             raise InvalidIntensity("tst_log_hr without cuts must have one entry")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "log_hr", log_hr)
         object.__setattr__(self, "tst_cuts", cuts)
         object.__setattr__(self, "tst_log_hr", coefs)
 
@@ -193,12 +225,15 @@ class LogLinearIntensity:
         if not isinstance(d, dict) or "base" not in d:
             raise ScenarioError(f"{where}: expected an object with a 'base' rate")
         try:
-            return cls(base=float(d["base"]),
-                       log_hr={k: float(v) for k, v in d.get("log_hr", {}).items()},
-                       tst_cuts=tuple(d.get("tst_cuts", ())),
-                       tst_log_hr=tuple(d.get("tst_log_hr", ())))
+            intensity = cls(base=float(d["base"]),
+                            log_hr={k: float(v) for k, v in
+                                    _mapping(d, "log_hr", f"{where}.log_hr").items()},
+                            tst_cuts=tuple(float(c) for c in d.get("tst_cuts", ())),
+                            tst_log_hr=tuple(float(c) for c in d.get("tst_log_hr", ())))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: {exc}") from None
+        _known_keys(d, ("base", "log_hr", "tst_cuts", "tst_log_hr"), where)
+        return intensity
 
     def to_dict(self) -> dict:
         out = {"base": self.base, "log_hr": dict(self.log_hr)}
@@ -285,10 +320,10 @@ class IntensitySpec:
         unknown = set(d) - allowed
         if unknown:
             raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
-        baseline = {name: Dist.from_dict(v, f"baseline_covariates.{name}")
-                    for name, v in d.get("baseline_covariates", {}).items()}
+        baseline = {name: Dist.from_dict(v, f"baseline_covariates.{name}") for name, v
+                    in _mapping(d, "baseline_covariates", "baseline_covariates").items()}
         tv = {name: TVProcess.from_dict(v, f"tv_covariates.{name}")
-              for name, v in d.get("tv_covariates", {}).items()}
+              for name, v in _mapping(d, "tv_covariates", "tv_covariates").items()}
         try:
             design = DesignFlavor(d.get("design", "continues"))
         except ValueError:
@@ -782,7 +817,8 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
                mc_reps: int = 200_000, mc_seed: int = 977_001) -> TruthOracle:
     """True risks at ``t_hor`` given the baseline covariates in ``profile``,
     each of which must be a baseline covariate of the scenario with a
-    finite value."""
+    finite value; ``t_hor`` must be positive and at most the scenario's
+    ``admin_censor``."""
     profile = dict(profile or {})
     unknown = sorted(set(profile) - set(spec.baseline_covariates))
     if unknown:
@@ -794,6 +830,8 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
     if t_hor > spec.admin_censor:
         raise ScenarioError("t_hor must not exceed the scenario's admin_censor "
                             "(the covariate grid ends there)")
+    if not 0 < t_hor < math.inf:
+        raise ScenarioError(f"t_hor must be positive and finite, got {t_hor}")
     if _is_constant_given(spec, profile):
         risks = constant_intensity_risks(
             spec.rate("treatment", profile), spec.rate("death_untreated", profile),

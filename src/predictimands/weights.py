@@ -77,10 +77,9 @@ def _survival_at_episode_ends(model: cox.CoxModel, start: np.ndarray,
     cumulative baseline hazard over each episode, times exp(x'beta),
     summed along each subject's episodes (``first`` holds each episode's
     subject's first row)."""
-    H = np.concatenate([[0.0], np.cumsum(model.baseline_increments)])
-    lo, hi = np.searchsorted(model.baseline_times, [start, stop], side="right")
+    H = cox.baseline_cumhaz(model)
     lp = sum(b * columns[name] for b, name in zip(model.beta, model.covariates))
-    inc = (H[hi] - H[lo]) * np.exp(lp)
+    inc = (H(stop) - H(start)) * np.exp(lp)
     cum = np.concatenate([[0.0], np.cumsum(inc)])
     return np.exp(-(cum[1:] - cum[first]))
 

@@ -94,6 +94,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("baseline, message", [
         ({"dist": "normal", "mean": 0.0, "sd": -1}, "sd must be >= 0"),
         ({"dist": "normal", "mean": 0.0, "sd": "nan"}, "must be finite"),
+        ({"dist": "normal", "mean": 0.0, "sd": 1.0, "sdd": 2.0},
+         "baseline_covariates.x: unknown keys ['sdd']"),
     ])
     def test_bad_scenario_parameter_exits_2(self, tmp_path, capsys, baseline, message):
         scenario = tmp_path / "bad.json"

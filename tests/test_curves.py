@@ -15,6 +15,8 @@ def test_curves_without_jumps_return_their_initial_value():
 @pytest.mark.parametrize("build, message", [
     (lambda: StepFunction([1.0, 2.0], [0.1]), "equal length"),
     (lambda: StepFunction([[1.0, 2.0]], [[0.1, 0.2]]), "equal length"),
+    (lambda: RiskCurve([1.0, 2.0], [0.1]), "1-d arrays of equal length"),
+    (lambda: SurvivalCurve([[1.0, 2.0]], [[0.9, 0.8]]), "1-d arrays of equal length"),
     (lambda: StepFunction([2.0, 1.0], [0.1, 0.2]), "strictly increasing"),
     (lambda: SurvivalCurve([1.0, 1.0], [0.9, 0.8]), "strictly increasing"),
     (lambda: SurvivalCurve([1.0, 2.0], [0.9, 1.2]), r"\[0, 1\]"),

@@ -693,6 +693,17 @@ class TestTruthOracle:
         with pytest.raises(ScenarioError):
             true_risks(scenarios.builtin("s1"), {}, t_hor=11.0)
 
+    @pytest.mark.parametrize("t_hor", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("name", ["s1", "s2"])
+    def test_horizon_not_positive_and_finite_rejected(self, monkeypatch, name, t_hor):
+        # s1's truth is analytic, s2's Monte Carlo; neither may draw a block
+        blocks = []
+        monkeypatch.setattr(simulate, "simulate_trajectories",
+                            lambda *args, **kwargs: blocks.append(args) or 1 / 0)
+        with pytest.raises(ScenarioError, match="t_hor must be positive and finite"):
+            true_risks(scenarios.builtin(name), {}, t_hor=t_hor, mc_reps=100)
+        assert blocks == []
+
     @pytest.mark.parametrize("name, profile, message", [
         pytest.param("s2", {"z": 3.0}, "not baseline covariates", id="s2-time-varying"),
         pytest.param("s2", {"bogus": 3.0}, "not baseline covariates", id="s2-unknown"),
@@ -706,6 +717,23 @@ class TestTruthOracle:
     def test_profile_the_truth_would_ignore_rejected(self, name, profile, message):
         with pytest.raises(ScenarioError, match=message):
             true_risks(scenarios.builtin(name), profile, t_hor=5.0, mc_reps=100)
+
+
+#: a scenario that sets every key a scenario file may hold
+EVERY_KEY = {
+    "name": "every-key", "design": "stops", "admin_censor": 8.0, "dropout_rate": 0.05,
+    "grid_step": 1.0,
+    "baseline_covariates": {"a": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                            "b": {"dist": "uniform", "low": 0.0, "high": 1.0},
+                            "c": {"dist": "bernoulli", "p": 0.3},
+                            "d": {"dist": "constant", "value": 2.0}},
+    "tv_covariates": {"z": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                            "rho": 0.9, "sd": 0.2, "drift": 0.1}},
+    "treatment": {"base": 0.1, "log_hr": {"a": 0.5, "z": 1.0}},
+    "death_untreated": {"base": 0.2, "log_hr": {"b": 0.3}},
+    "death_treated": {"base": 0.05, "log_hr": {"c": -0.2},
+                      "tst_cuts": [1.0], "tst_log_hr": [0.0, 0.5]},
+}
 
 
 class TestScenarioParsing:
@@ -808,6 +836,33 @@ class TestScenarioParsing:
         spec = scenarios.builtin("s2")
         assert IntensitySpec.from_dict(spec.to_dict()) == spec
 
+    def test_every_builtin_and_key_round_trips(self):
+        for d in (*scenarios.BUILTIN.values(), EVERY_KEY):
+            spec = IntensitySpec.from_dict(d)
+            assert IntensitySpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("treatment",), {"base": 0.1, "log_hrs": {"z": 1.0}},
+         "treatment: unknown keys ['log_hrs']"),
+        (("death_treated", "tst_cut"), [1.0], "death_treated: unknown keys ['tst_cut']"),
+        (("tv_covariates", "z", "rh0"), 0.5, "tv_covariates.z: unknown keys ['rh0']"),
+        (("tv_covariates", "z", "init", "sdd"), 2.0,
+         "tv_covariates.z.init: unknown keys ['sdd']"),
+        (("baseline_covariates", "b", "value"), 1.0,
+         "baseline_covariates.b: unknown keys ['value']"),
+        (("treatment", "log_hr"), [1.0], "treatment.log_hr: expected an object, got [1.0]"),
+        (("baseline_covariates",), [], "baseline_covariates: expected an object, got []"),
+        (("tv_covariates",), 3, "tv_covariates: expected an object, got 3"),
+    ])
+    def test_unknown_or_misshapen_nested_key_rejected(self, path, value, message):
+        d = json.loads(json.dumps(EVERY_KEY))
+        inner = d
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            IntensitySpec.from_dict(d)
+
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError, match="unknown builtin"):
             scenarios.builtin("nope")
@@ -841,6 +896,23 @@ class TestScenarioObjects:
     def test_negative_process_sd_rejected_when_built(self):
         with pytest.raises(ScenarioError, match="sd must be >= 0, got -0.5"):
             simulate.TVProcess(simulate.Dist("constant", {"value": 0}), sd=-0.5)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: simulate.TVProcess(simulate.Dist("constant", {"value": 0}), rho=math.nan),
+         "rho: must be finite"),
+        (lambda: simulate.TVProcess(simulate.Dist("constant", {"value": 0}), drift="abc"),
+         "drift: expected a number"),
+        (lambda: simulate.LogLinearIntensity(0.1, {"z": "abc"}),
+         "log_hr.z: expected a number, got 'abc'"),
+        (lambda: simulate.LogLinearIntensity("abc"), "base: expected a number"),
+        (lambda: simulate.LogLinearIntensity(0.1, [("z", 1.0)]),
+         "log_hr must map covariates to numbers"),
+        (lambda: simulate.LogLinearIntensity(0.1, tst_cuts=[None], tst_log_hr=[0, 1]),
+         "tst_cuts: expected a number"),
+    ])
+    def test_non_number_rejected_when_built(self, build, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            build()
 
 
 class TestValidate:
