@@ -162,7 +162,8 @@ class CountingProcessDataset:
         if set(columns) != set(schema.names()):
             raise UnknownCovariate(f"columns {sorted(columns)} are not the schema's "
                                    f"covariates {sorted(schema.names())}")
-        self._init(schema, design, ids, offsets, tstart, tstop, status, treated, columns)
+        self._init(schema, design, ids, offsets, tstart, tstop, status, treated, columns,
+                   copy=True)
         rows = (self.tstart, self.tstop, self.status, self.treated, *self.columns.values())
         if (self.offsets.shape != (self.n_subjects + 1,) or self.offsets[0] != 0
                 or (np.diff(self.offsets) < 0).any()
@@ -179,19 +180,21 @@ class CountingProcessDataset:
         _validate(self)
 
     def _init(self, schema, design, ids, offsets, tstart, tstop, status,
-              treated, columns):
+              treated, columns, copy):
         self.schema, self.design, self.ids = schema, DesignFlavor(design), tuple(ids)
-        self.offsets = _frozen(offsets, int)
-        self.tstart, self.tstop = _frozen(tstart, float), _frozen(tstop, float)
-        self.status, self.treated = _frozen(status, int), _frozen(treated, bool)
-        self.columns = {name: _frozen(columns[name], float) for name in schema.names()}
+        self.offsets = _frozen(offsets, int, copy)
+        self.tstart, self.tstop = _frozen(tstart, float, copy), _frozen(tstop, float, copy)
+        self.status, self.treated = _frozen(status, int, copy), _frozen(treated, bool, copy)
+        self.columns = {name: _frozen(columns[name], float, copy) for name in schema.names()}
 
     @classmethod
     def _of(cls, *columns) -> "CountingProcessDataset":
         """A dataset from columns, as the constructor takes them, that are
-        known to be valid: nothing is checked."""
+        known to be valid: nothing is checked. An array of the right dtype
+        is adopted, not copied, and made read-only: no caller writes to it
+        after handing it over."""
         ds = cls.__new__(cls)
-        ds._init(*columns)
+        ds._init(*columns, copy=False)
         return ds
 
     def _replace(self, keep=slice(None), status=None, design=None,
@@ -228,7 +231,8 @@ class CountingProcessDataset:
     @cached_property
     def row_subject(self) -> np.ndarray:
         """Index of each row's subject."""
-        return _frozen(np.repeat(np.arange(self.n_subjects), np.diff(self.offsets)), int)
+        return _frozen(np.repeat(np.arange(self.n_subjects), np.diff(self.offsets)), int,
+                       copy=False)
 
     @property
     def has_treatment_starts(self) -> bool:
@@ -270,8 +274,10 @@ class CountingProcessDataset:
             for sid, lo, hi in zip(self.ids, self.offsets.tolist(), self.offsets[1:].tolist()))
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(values, dtype, copy=True) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: a copy, or with
+    ``copy=False`` the array itself when it already has that dtype."""
+    out = np.array(values, dtype=dtype, copy=copy or None)
     out.flags.writeable = False
     return out
 
@@ -693,7 +699,7 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
                   else DesignFlavor.CONTINUES_AFTER_TREATMENT)
     ds = CountingProcessDataset._of(schema, design, index, offsets, *fields[:4],
                                     dict(zip(cov_cols, fields[4:])))
-    del subject, order, fields  # the dataset holds copies
+    del subject, order, fields  # the dataset adopted the float columns
 
     failures, sub, n = [], ds.row_subject, ds.n_rows
     # an event and a treatment start at the same stop time of one subject

@@ -1031,6 +1031,45 @@ class TestReadMemory:
                                         ds.treated, *ds.columns.values()))
         assert peak < 4 * nbytes + 2**20
 
+    def test_read_columns_are_adopted_not_copied(self, tmp_path, monkeypatch):
+        """The ``_of`` call in ``ingest_csv`` keeps the float columns it is
+        handed: on s2 at n = 5000 it allocates the int status and bool
+        treated columns, not a second copy of all the columns."""
+        path = tmp_path / "s2.csv"
+        write_csv(simulate.simulate(scenarios.builtin("s2"), 5000, seed=1), path)
+        of, added = CountingProcessDataset._of.__func__, []
+
+        def measured(cls, *columns):
+            before = tracemalloc.get_traced_memory()[0]
+            ds = of(cls, *columns)
+            added.append(tracemalloc.get_traced_memory()[0] - before)
+            return ds
+
+        monkeypatch.setattr(CountingProcessDataset, "_of", classmethod(measured))
+        ingest_csv(path)  # anything loaded on a first call, loaded untraced
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(path)
+        finally:
+            tracemalloc.stop()
+        copies = sum(a.nbytes for a in (ds.offsets, ds.tstart, ds.tstop, ds.status,
+                                        ds.treated, *ds.columns.values()))
+        converted = ds.status.nbytes + ds.treated.nbytes
+        assert copies > 1.4e6
+        assert added[-1] < converted + 2**16
+
+    def test_adopted_columns_are_read_only(self):
+        tstart = np.array([0.0, 1.0])
+        ds = CountingProcessDataset._of(
+            CovariateSchema(), DesignFlavor.CONTINUES_AFTER_TREATMENT, ["1"], [0, 2],
+            tstart, np.array([1.0, 2.0]), [0, 1], [False, False], {})
+        assert ds.tstart is tstart and not tstart.flags.writeable
+        copied = np.array([0.0, 1.0])
+        built = CountingProcessDataset(
+            CovariateSchema(), DesignFlavor.CONTINUES_AFTER_TREATMENT, ["1"], [0, 2],
+            copied, np.array([1.0, 2.0]), [0, 1], [False, False], {})
+        assert built.tstart is not copied and copied.flags.writeable
+
 
 def _shuffled(lines, draw):
     """The rows of ``lines`` (one subject's rows per id) shuffled within

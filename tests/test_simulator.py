@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -422,14 +423,15 @@ class TestSeedStreamPort:
             patch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 2)
             with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
                 simulate.simulate(spec, 3, seed=1)
-        # zero bounds put every word off the fast paths: numpy draws every
-        # subject from the port's states, and subject 0 is the one checked
+        # zero bounds send every word down the slow paths, which numpy takes
+        # only past its own bounds: every subject leaves a fast path, so
+        # subject 0 is the one checked, and its numbers differ
         monkeypatch.setattr(ziggurat, "KI", np.zeros_like(ziggurat.KI))
         monkeypatch.setattr(ziggurat, "KE", np.zeros_like(ziggurat.KE))
-        assert simulate.simulate(spec, 3, seed=1) == unpatched
-        monkeypatch.setattr(simulate, "_MULT_B", simulate._MULT_B ^ 2)
         with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
             simulate.simulate(spec, 3, seed=1)
+        monkeypatch.undo()
+        assert simulate.simulate(spec, 3, seed=1) == unpatched
 
 
 MASK64 = 2**64 - 1
@@ -437,7 +439,8 @@ MASK64 = 2**64 - 1
 
 @pytest.fixture(scope="module")
 def probe():
-    """tools/ziggurat_tables.py, which recovers the tables from numpy."""
+    """tools/ziggurat_tables.py, which reads the tables from numpy and
+    confirms them against its draws."""
     path = Path(__file__).resolve().parent.parent / "tools" / "ziggurat_tables.py"
     spec = importlib.util.spec_from_file_location("ziggurat_tables", path)
     module = importlib.util.module_from_spec(spec)
@@ -471,12 +474,16 @@ _U128 = st.tuples(
 
 
 class TestDrawPort:
-    """The array PCG64 and the one-word draws of ``_Streams`` give numpy's
-    words and numbers, on the ziggurat tables recovered from numpy."""
+    """The array PCG64 and the draws of ``_Streams`` give numpy's words and
+    numbers, on the ziggurat tables read from numpy."""
 
     def test_tables_are_numpy_s(self, probe):
-        for name, values in probe.tables().items():
-            assert getattr(ziggurat, name).tolist() == values, name
+        """Every table entry and constant, read again from numpy's library
+        and confirmed against its draws on chosen words."""
+        found = probe.tables()
+        assert sorted(found) == sorted(module_tables())
+        for name, values in found.items():
+            assert np.asarray(getattr(ziggurat, name)).tolist() == values, name
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(_U128, _U128), min_size=1, max_size=6),
@@ -505,8 +512,31 @@ class TestDrawPort:
         values = getattr(streams, kind)()
         for j, (word, (layer, r)) in enumerate(zip(words, cases)):
             value, steps = probe.draw(word, kind)
-            assert streams.slow[j] == (steps > 1) == (r >= k[layer]), (layer, r)
-            assert steps > 1 or same_bits(values[j], value), (layer, r)
+            assert (steps > 1) == (r >= k[layer]), (layer, r)
+            assert same_bits(values[j], value), (layer, r)
+        assert streams.first_slow == min(j for j, (layer, r) in enumerate(cases)
+                                         if r >= k[layer])
+
+    def test_first_slow_is_the_lowest_subject(self, probe):
+        # subject 0 leaves the fast path on the first draw only, subject 1
+        # on the second only
+        slow = probe.word_of(7, int(ziggurat.KI[7]), probe.NORMAL)
+        fast = probe.word_of(7, 1, probe.NORMAL)
+        pairs = [(probe.crafted_state(slow), probe.INC), probe.crafted_pair(fast, slow)]
+        words_per_draw = []
+        for pair in pairs:
+            stream, taken = probe._counted(probe.words(*pair))
+            counts = []
+            for _ in range(2):
+                probe.reference("standard_normal", stream, module_tables())
+                counts.append(taken[0] - sum(counts))
+            words_per_draw.append(counts)
+        assert words_per_draw[0][0] > 1 == words_per_draw[0][1]
+        assert words_per_draw[1][0] == 1 < words_per_draw[1][1]
+        streams = simulate._Streams(*limbs_of(pairs))
+        streams.standard_normal()
+        streams.standard_normal()
+        assert streams.first_slow == 0
 
     @pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (-0.0, 1.0), (0.0, 0.0),
                                           (-0.0, 0.0), (2.5, 0.0), (-1.0, 2.0)])
@@ -521,7 +551,7 @@ class TestDrawPort:
         dist = simulate.Dist("normal", {"mean": mean, "sd": sd})
         streams = simulate._Streams(*limbs_of(pairs))
         values = dist.draw(streams)
-        assert not streams.slow.any()
+        assert streams.first_slow is None
         for j, pair in enumerate(pairs):
             assert same_bits(standard[j], generator_at(*pair).standard_normal())
             assert same_bits(values[j], dist.draw(generator_at(*pair)))
@@ -550,19 +580,174 @@ class TestDrawPort:
             assert same_bits(values[j], generator_at(*pair).exponential(1 / 0.15))
 
     def test_table_numpy_does_not_use_raises(self, monkeypatch):
-        # subject 0 of seed 1 draws every s2 number on the fast paths, so
-        # the guard compares it; its first word is its initial z
-        limbs = simulate._child_states(np.random.SeedSequence(1), 0, 1)
+        # none of seed 1's first three subjects leaves a fast path on s2's
+        # draws, so the check compares subject 0; its first word is its
+        # initial z
+        limbs = simulate._child_states(np.random.SeedSequence(1), 0, 3)
         layer = int(simulate._Streams(*limbs)._next()[0] & 0xFF)
         streams = simulate._Streams(*limbs)
-        streams.standard_normal(out=np.empty((1, 12)))
-        streams.standard_exponential(out=np.empty((1, 3)))
-        assert not streams.slow[0]
+        streams.standard_normal(out=np.empty((3, 12)))
+        streams.standard_exponential(out=np.empty((3, 3)))
+        assert streams.first_slow is None
         table = ziggurat.WI.copy()
         table[layer] = np.nextafter(table[layer], 1.0)
         monkeypatch.setattr(ziggurat, "WI", table)
         with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
             simulate.simulate(scenarios.builtin("s2"), 3, seed=1)
+
+    def test_check_is_on_the_first_slow_subject(self, probe, monkeypatch):
+        # numpy's own draws of s2's numbers: a subject that takes more words
+        # than it draws numbers has a word off a fast path
+        spec, n = scenarios.builtin("s2"), 40
+        took = []
+        for child in np.random.SeedSequence(1).spawn(n):
+            bitgen = np.random.PCG64(child)
+            state, inc = bitgen.state["state"]["state"], bitgen.state["state"]["inc"]
+            rng = np.random.Generator(bitgen)
+            rng.normal(0.0, 1.0), rng.standard_normal(11), rng.standard_exponential(3)
+            end, words = bitgen.state["state"]["state"], 0
+            while state != end:
+                state, words = (state * probe.MULT + inc) & probe.MASK128, words + 1
+            took.append(words)
+        first = next(i for i, words in enumerate(took) if words > 15)
+        assert first > 0
+        checked, default_rng = [], np.random.default_rng
+
+        def spy(seed):
+            checked.append(seed.spawn_key[-1])
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        simulate.simulate(spec, n, seed=1)
+        assert checked == [first]
+
+
+def module_tables() -> dict:
+    """The tables and constants of ``predictimands.ziggurat`` as the lists
+    and floats of tools/ziggurat_tables.py."""
+    return {name: np.asarray(getattr(ziggurat, name)).tolist()
+            for name in ("WI", "KI", "FI", "WE", "KE", "FE",
+                         "NORMAL_R", "NORMAL_INV_R", "EXPONENTIAL_R")}
+
+
+KINDS = ("standard_normal", "standard_exponential")
+
+
+def differing_subjects(pairs, first) -> list:
+    """The subjects, PCG64 (state, inc) pairs, whose numbers from
+    ``_Streams`` differ from those of their own numpy ``Generator``, bit for
+    bit, or who end in another state: 50 draws of kind ``first``, 50 of the
+    other kind, then a ``normal``, an ``exponential`` and a ``random``."""
+    second = KINDS[1 - KINDS.index(first)]
+    streams = simulate._Streams(*limbs_of(pairs))
+    ours = np.column_stack([getattr(streams, first)(out=np.empty((len(pairs), 50))),
+                            getattr(streams, second)(out=np.empty((len(pairs), 50))),
+                            streams.normal(1.0, 2.0), streams.exponential(3.0),
+                            streams.random()])
+    after = streams._next().tolist()
+    differ = []
+    for i, pair in enumerate(pairs):
+        rng = generator_at(*pair)
+        theirs = np.concatenate([getattr(rng, first)(50), getattr(rng, second)(50),
+                                 [rng.normal(1.0, 2.0), rng.exponential(3.0), rng.random()]])
+        if (ours[i].tobytes() != theirs.tobytes()
+                or after[i] != int(rng.bit_generator.random_raw())):
+            differ.append(i)
+    return differ
+
+
+class TestSlowPaths:
+    """The ziggurat's tail and wedge paths of ``_Streams`` give numpy's
+    numbers, bit for bit, and consume numpy's words."""
+
+    @pytest.mark.parametrize("first", KINDS)
+    def test_streams_match_numpy_generators(self, probe, first):
+        # every chosen word of the tool: both sides of each fast-path bound,
+        # both sides of each wedge test, and tails on chosen uniforms
+        chosen = [(state, inc) for kind, state, inc in probe.cases(module_tables())
+                  if kind == first]
+        paths = set()
+        for state, inc in chosen:
+            word = next(probe.words(state, inc)) >> (0 if first == KINDS[0] else 3)
+            steps = probe.numpy_draw(state, inc, first)[1]
+            paths.add("tail" if word & 0xFF == 0 and steps > 1 else
+                      "wedge accept" if steps == 2 else "restart" if steps > 2 else "fast")
+            if word & 0xFF == 0 and steps > 3:
+                paths.add("tail again")
+        assert paths == {"fast", "tail", "wedge accept", "restart"} | (
+            {"tail again"} if first == "standard_normal" else set())
+        words = np.random.default_rng(7).integers(0, 2**64, (2000, 4), np.uint64).tolist()
+        drawn = [(a << 64 | b, c << 64 | d | 1) for a, b, c, d in words]
+        assert len(chosen) + len(drawn) > 3000
+        assert differing_subjects(chosen + drawn, first) == []
+
+    @pytest.mark.parametrize("name, entry, direction", [
+        ("FI", 0, -1), ("FI", 1, 1), ("FI", 100, -1), ("FI", 100, 1), ("FI", 255, 1),
+        ("FE", 0, -1), ("FE", 255, -1)])
+    def test_one_ulp_in_a_density_entry_is_caught(self, probe, monkeypatch, name, entry,
+                                                  direction):
+        """A planted change of one ULP in one ``FI`` / ``FE`` entry fails
+        test_streams_match_numpy_generators and test_tables_are_numpy_s."""
+        table = getattr(ziggurat, name).copy()
+        table[entry] = np.nextafter(table[entry], direction * np.inf)
+        monkeypatch.setattr(ziggurat, name, table)
+        kind = KINDS[name == "FE"]
+        chosen = [(state, inc) for k, state, inc in probe.cases(module_tables())
+                  if k == kind]
+        assert differing_subjects(chosen, kind)
+        assert module_tables()[name] != probe.tables()[name]
+
+
+class TestExp:
+    """``_exp`` is ``math.exp``, bit for bit, in array passes."""
+
+    def test_matches_math_exp_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, 400_000, np.uint64).view(np.float64)
+        edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+                 709.0, np.nextafter(709.0, np.inf), np.nextafter(709.0, 0.0), 709.78,
+                 -745.0, np.nextafter(-745.0, -np.inf), -745.1332191019412, -746.0,
+                 -1e300]
+        values = np.concatenate([
+            edges,
+            rng.uniform(-745.2, 709.78, 400_000),  # the whole range of finite results
+            rng.normal(0.0, 3.0, 200_000),  # where log intensities lie
+            rng.uniform(-745.2, -708.3, 100_000),  # subnormal results
+            rng.uniform(709.0, 709.78, 100_000),  # where cexp scales by exp(709)
+            bits[np.abs(bits) < 709.78]])  # every exponent down to subnormal arguments
+        values = values[:values.size - values.size % 4]
+        assert values.size > 1_000_000
+        theirs = np.fromiter(map(math.exp, values.tolist()), float, values.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = simulate._exp(values.reshape(-1, 4))
+        assert ours.tobytes() == theirs.reshape(-1, 4).tobytes()
+        assert simulate._exp(0.5) == math.exp(0.5)
+
+    def test_overflow_is_the_same_invalid_intensity(self):
+        spec = scenarios.builtin("s2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidIntensity, match=re.escape(
+                    "treatment: log intensity above about 709.78, beyond the range of exp")):
+                spec.rate("treatment", {"z": np.array([[0.0, 600.0], [1.0, 2.0]])})
+            rates = spec.rate("treatment", {"z": np.array([[591.0, -640.0]])})
+        assert rates.tolist() == [[0.1 * math.exp(1.2 * 591.0), 0.1 * math.exp(-1.2 * 640.0)]]
+
+    def test_import_check_raises_on_a_mismatch(self, monkeypatch):
+        simulate._check_exp()
+        exact = simulate._exp
+        monkeypatch.setattr(simulate, "_exp", lambda lp: np.nextafter(exact(lp), np.inf))
+        with pytest.raises(RuntimeError, match="complex exp is not the C library's exp"):
+            simulate._check_exp()
+        # the probe holds arguments where numpy's real exp misses libm's, on
+        # processors where it misses at all
+        probe = simulate._EXP_PROBE
+        misses = np.exp(probe).tobytes() != simulate._libm(math.exp, probe).tobytes()
+        monkeypatch.setattr(simulate, "_exp", np.exp)
+        if misses:
+            with pytest.raises(RuntimeError):
+                simulate._check_exp()
 
 
 class TestTrajectoryLaw:
@@ -862,6 +1047,32 @@ class TestScenarioParsing:
         inner[path[-1]] = value
         with pytest.raises(ScenarioError, match=re.escape(message)):
             IntensitySpec.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("tst_cuts", "12"), ("tst_cuts", "2"), ("tst_cuts", 2.0),
+        ("tst_log_hr", "0.5"), ("tst_log_hr", {"a": 1.0})])
+    def test_tst_fields_must_be_lists(self, key, value):
+        treated = {"base": 0.05, "tst_cuts": [1.0], "tst_log_hr": [0.0, 1.0], key: value}
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"death_treated.{key}: expected a list, got {value!r}")):
+            IntensitySpec.from_dict({"treatment": {"base": 0.1},
+                                     "death_untreated": {"base": 0.2},
+                                     "death_treated": treated})
+
+    @pytest.mark.parametrize("tv", [False, True])
+    @pytest.mark.parametrize("step", [0, 0.0, -0.5])
+    def test_grid_step_zero_or_negative_rejected(self, tv, step):
+        d = {"treatment": {"base": 0.1}, "death_untreated": {"base": 0.2},
+             "death_treated": {"base": 0.05}, "grid_step": step}
+        if tv:
+            d["tv_covariates"] = {"z": {"init": {"dist": "normal", "mean": 0, "sd": 1}}}
+        with pytest.raises(ScenarioError, match="^grid_step must be positive and finite$"):
+            IntensitySpec.from_dict(d)
+
+    def test_grid_step_null_is_absent(self):
+        spec = scenarios.builtin("s1")
+        assert spec.to_dict()["grid_step"] is None
+        assert IntensitySpec.from_dict(spec.to_dict()).grid_step is None
 
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError, match="unknown builtin"):
