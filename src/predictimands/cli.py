@@ -117,10 +117,46 @@ def _read_json(path, error):
 
 
 def _write_json(path, payload):
+    """Write ``payload`` to ``path`` as ``json.dump(payload, fh, indent=2)``
+    does, then a newline, creating the file's directory if missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(_indented(payload, "\n"))
         fh.write("\n")
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` encodes it, laid out for
+    a place whose lines begin with ``newline`` (a newline and the place's
+    indentation). Each list of ints and floats is encoded by the C encoder,
+    which ``indent`` would turn off, with the layout's newlines as its
+    separator; anything but a dict with string keys or a list is encoded
+    whole, by ``json.dumps``, and indented to fit."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        return ("{" + inner + ("," + inner).join(
+            f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in value.items())
+            + newline + "}")
+    if isinstance(value, (list, tuple)) and value:
+        if _numbers(value):
+            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        elif all(isinstance(item, (list, tuple)) and item and _numbers(item) for item in value):
+            # a table of numbers in one compact C call: the only commas and
+            # brackets in it are its separators, laid out by two replaces
+            row = inner + "  "
+            body = ("[" + row + json.dumps(value, separators=(",", ":"))[2:-2]
+                    .replace(",", "," + row)
+                    .replace("]," + row + "[", inner + "]," + inner + "[" + row)
+                    + inner + "]")
+        else:
+            body = ("," + inner).join(_indented(item, inner) for item in value)
+        return "[" + inner + body + newline + "]"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
+def _numbers(items) -> bool:
+    """Whether every item is an int or a float (not a bool)."""
+    return set(map(type, items)) <= {int, float}
 
 
 def _echo(args, command: str, extra=None) -> dict:

@@ -17,15 +17,25 @@ Record boundary: datasets are built from columns only, by the
 ``CountingProcessDataset`` constructor or ``ingest_csv``. ``ds.subjects`` is
 a read-only view of the columns as ``SubjectRecord``s of ``Episode``s, for
 tests and tools; no module of the package reads it.
+
+CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv`` gives
+each plain block of lines (no ``"``, one row to a line, every token spelt as
+the csv path would read it, no row in error) to numpy's C reader, and every
+other block to the csv module and ``_parse``, which alone reports errors;
+from the first ``"`` on, the csv module reads the rest of the file.
+``write_rows`` and ``write_csv`` format a block column by column and join
+its rows, with the bytes ``csv.writer`` writes.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import io
 import itertools
 import math
 import operator
+import re
 import statistics
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
@@ -474,16 +484,31 @@ def _collector_off():
 @contextmanager
 def _read(path):
     """The rows of the counting-process CSV at ``path``, as ``_Rows`` to be
-    iterated while the file is open, with the garbage collector off."""
+    read while the file is open, with the garbage collector off."""
     with _collector_off(), reading(path) as fh:
-        yield _Rows(csv.reader(fh))
+        yield _Rows(fh)
+
+
+def _raising(exc):
+    """An iterator that raises ``exc`` when first asked for an item."""
+    raise exc
+    yield  # noqa: unreachable; makes this a generator
+
+
+#: characters of the widest id, or labelled or baseline covariate token, that
+#: numpy's reader takes from a plain block; a longer one hands its block over
+_TOKEN_WIDTH = 32
 
 
 class _Rows:
-    """The rows of a counting-process CSV below its header, iterated once in
-    blocks of up to ``_BLOCK`` rows: per block, the line numbers, subject
-    codes and fields as columns (id and covariates stripped) of its
-    non-blank rows.
+    """The rows of a counting-process CSV below its header, read once by
+    ``blocks`` in blocks of up to ``_BLOCK`` rows.
+
+    Until a ``"`` is seen, the file is taken in blocks of ``_BLOCK`` lines,
+    and a block that ``_plain`` can take is parsed by numpy's C reader. Any
+    other block, and every row from the block with the first ``"`` on (a
+    quoted field may span lines), is split by the csv module and parsed by
+    ``_parse``, the only code that reports an error.
 
     The rows end at the first non-blank row with the wrong number of fields;
     its error is then ``short_row``, kept so that the rows before it report
@@ -491,8 +516,8 @@ class _Rows:
     ``index`` maps each subject id to its code, in order of first appearance.
     """
 
-    def __init__(self, reader):
-        header = next(reader, None)
+    def __init__(self, fh):
+        header = next(csv.reader(fh), None)
         if header is None:
             raise MalformedRow(1, "empty file")
         header = [h.strip() for h in header]
@@ -503,17 +528,43 @@ class _Rows:
             if not name or name in header[:j]:
                 problem = f"repeats the name {name!r}" if name else "has no name"
                 raise MalformedRow(1, f"header column {j + 1} {problem}")
-        self._reader, self.header, self.fixed = reader, header, 3 if self.wide else 5
+        self.header, self.fixed = header, 3 if self.wide else 5
+        self._fh, self._reader = fh, None  # the csv reader, once a '"' is seen
         self.index, self.short_row = {}, None
         # per covariate not yet seen to vary or be empty, each subject's first value
         self._firsts = {} if self.wide else {name: {} for name in header[5:]}
 
-    def __iter__(self):
-        width, line = len(self.header), 2
+    def blocks(self, labelled=None, baseline=()):
+        """Per block, the line numbers, subject codes and parsed fields of
+        its non-blank rows, and the error of its first failing row or None,
+        as ``_parse`` gives them with ``labelled`` and ``baseline``."""
+        width, line, labelled = len(self.header), 2, labelled or {}
         while True:
+            if self._reader is None:
+                texts, fault = [], None
+                try:
+                    texts.extend(itertools.islice(self._fh, _BLOCK))
+                except UnicodeDecodeError as exc:
+                    fault = exc
+                text = "".join(texts)
+                block = None if fault else self._plain(texts, text, line, labelled)
+                if block is not None:
+                    yield block
+                    line += len(texts)
+                    if len(texts) < _BLOCK:
+                        return
+                    continue
+                records = csv.reader(texts)
+                if fault is not None or '"' in text:
+                    # the csv module reads on from this block's first line, and
+                    # meets a fault where it would have met it in the file
+                    self._reader = csv.reader(itertools.chain(
+                        texts, _raising(fault) if fault else self._fh))
+            if self._reader is not None:
+                records = itertools.islice(self._reader, _BLOCK)
             rows, fault = [], None
             try:
-                rows.extend(itertools.islice(self._reader, _BLOCK))
+                rows.extend(records)
             except (csv.Error, UnicodeDecodeError) as exc:
                 fault = exc  # unless a row of the wrong length ends the rows first
             full, lines = len(rows) == _BLOCK, np.arange(line, line + len(rows))
@@ -535,10 +586,83 @@ class _Rows:
                         if sid or any(col[k].strip() for col in columns)]
                 columns, lines = [[col[k] for k in keep] for col in columns], lines[keep]
             subject = self._codes(columns[0])
-            self._classify(subject, columns)
-            yield lines, subject, columns
+            self._classify(subject, dict(zip(self.header[self.fixed:], columns[self.fixed:])))
+            yield (lines, subject, *_parse(self, lines, columns, labelled, baseline))
             if self.short_row is not None or not full:
                 return
+
+    def _plain(self, texts, text, line, labelled):
+        """The block of ``texts``, the lines joined in ``text`` from ``line``
+        on, read by one ``np.loadtxt`` call as ``blocks`` yields it with
+        ``labelled``; None to hand it to the csv module.
+
+        A block is taken only if its rows are one to a line and pass every
+        check of ``_parse``, and only from tokens that numpy reads as the
+        csv path does: each id and each covariate that is labelled or may
+        still be baseline as a stripped, nonempty string shorter than
+        ``_TOKEN_WIDTH``, each status and treated as the exact token of its
+        code, and the other fields as finite floats, which numpy reads from
+        ASCII tokens as ``float`` does and refuses in any other spelling.
+        """
+        header, fixed, width = self.header, self.fixed, len(self.header)
+        if not texts:  # the end of the file
+            return np.arange(line, line), np.zeros(0, int), [np.zeros(0) for _ in header[1:]], None
+        limit = csv.field_size_limit()  # the csv module's, which a longer field breaks
+        if ('"' in text or "\x00" in text
+                # no blank line, which numpy would skip and the csv path would count
+                or text.count(",") != (width - 1) * len(texts)
+                or len(text) > limit and max(map(len, texts)) > limit):
+            return None
+        strings = {j for j, name in enumerate(header)
+                   if j == 0 or j >= fixed and (name in self._firsts or name in labelled)}
+        codes = {j: len(Status) if name == "status" else 2
+                 for j, name in enumerate(header[:fixed]) if name in _CODES}
+        dtype = [(f"f{j}", f"U{_TOKEN_WIDTH}" if j in strings else "U2" if j in codes
+                  else float) for j in range(width)]
+        try:
+            block = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+        # the string fields are checked, parsed and coded once per run of
+        # rows that repeat them all, such as a subject's rows in a row
+        runs = np.arange(block.size) == 0
+        for j in strings:
+            values = block[f"f{j}"]
+            if np.char.str_len(values).max() >= _TOKEN_WIDTH:
+                return None
+            runs[1:] |= values[1:] != values[:-1]
+        starts = np.flatnonzero(runs)
+        counts = np.diff(starts, append=block.size)
+        fields, tokens = [], {}
+        for j, name in enumerate(header):
+            values = block[f"f{j}"]
+            if j in strings:
+                tokens[name] = values[starts].tolist()
+                if "" in tokens[name] or list(map(str.strip, tokens[name])) != tokens[name]:
+                    return None
+                if j == 0:
+                    continue
+                parse = partial(_encode, labelled[name], name) if name in labelled else float
+                values, rejected = _column(tokens[name], parse)
+                if rejected.any():
+                    return None
+                values = np.repeat(values, counts)
+            elif j in codes:
+                # the first character's code point, and none after it
+                points = np.ascontiguousarray(values).view(np.uint32).reshape(-1, 2)
+                values = points[:, 0].astype(float) - ord("0")
+                if points[:, 1].any() or ((values < 0) | (values >= codes[j])).any():
+                    return None
+            fields.append(np.array(values, float))
+        tstart, tstop = (np.zeros(block.size), fields[0]) if self.wide else fields[:2]
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(tstart + tstop).all() and all(
+                np.isfinite(values).all() for values in fields[fixed - 1:])
+        if not (finite and (tstart >= 0).all() and (tstart < tstop).all()):
+            return None
+        subject = self._codes(tokens[header[0]])
+        self._classify(subject, tokens)
+        return np.arange(line, line + block.size), np.repeat(subject, counts), fields, None
 
     def _codes(self, ids) -> np.ndarray:
         """The subject code of each id, coding ids not seen before."""
@@ -546,14 +670,15 @@ class _Rows:
             self.index.setdefault(sid, len(self.index))
         return np.fromiter(map(self.index.__getitem__, ids), int, len(ids))
 
-    def _classify(self, subject, columns):
+    def _classify(self, subject, tokens: dict):
         """Drop from ``_firsts`` each covariate that is empty in this block
-        or differs from its subject's first value, as stripped strings."""
+        or differs from its subject's first value, as stripped strings;
+        ``tokens`` maps covariates to their stripped tokens, and holds at
+        least those still in ``_firsts``."""
         codes = subject.tolist() if self._firsts else ()
-        for name, values in zip(self.header[self.fixed:], columns[self.fixed:]):
-            firsts = self._firsts.get(name)
-            if firsts is not None and (
-                    "" in values or list(map(firsts.setdefault, codes, values)) != values):
+        for name in list(self._firsts):
+            firsts, values = self._firsts[name], tokens[name]
+            if "" in values or list(map(firsts.setdefault, codes, values)) != values:
                 del self._firsts[name]
 
     def schema(self) -> CovariateSchema:
@@ -661,8 +786,7 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     baseline = schema.baseline if schema is not None else ()
     arrays, first_error = [], None
     with _read(path) as rows:
-        for lines, subject, columns in rows:
-            fields, error = _parse(rows, lines, columns, labelled, baseline)
+        for lines, subject, fields, error in rows.blocks(labelled, baseline):
             arrays.append([lines, subject, *fields])
             first_error = first_error or error  # blocks come in row order
     if schema is None:
@@ -727,30 +851,92 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
 def write_csv(ds: CountingProcessDataset, path):
     """Write the long counting-process format; inverse of ``ingest_csv``."""
     schema = ds.schema
-    fields = [[ds.ids[s] for s in ds.row_subject.tolist()], ds.tstart.tolist(),
-              ds.tstop.tolist(), ds.status.tolist(), ds.treated.astype(int).tolist()]
-    for name in schema.names():
+    ids = np.array(_cells(list(ds.ids)), object)  # each id formatted once
+
+    def covariate(name, rows) -> list:
         # a missing time-dependent value is an empty field
-        fields.append(["" if math.isnan(v) else schema.decode(name, v)
-                       for v in ds.columns[name].tolist()])
-    write_rows(path, _LONG_HEADER + schema.names(), zip(*fields))
+        values = ds.columns[name][rows]
+        if name in schema.levels:
+            return _cells(["" if math.isnan(v) else schema.decode(name, v)
+                           for v in values.tolist()])
+        cells = list(map(float.__repr__, values.tolist()))
+        for k in np.flatnonzero(np.isnan(values)).tolist():
+            cells[k] = ""
+        return cells
+
+    def block(rows) -> str:
+        return _joined([ids[ds.row_subject[rows]].tolist(),
+                        *(list(map(float.__repr__, a[rows].tolist()))
+                          for a in (ds.tstart, ds.tstop)),
+                        *(list(map(int.__repr__, a[rows].astype(int).tolist()))
+                          for a in (ds.status, ds.treated)),
+                        *(covariate(name, rows) for name in schema.names())])
+
+    _write(path, _LONG_HEADER + schema.names(),
+           (block(slice(lo, lo + _BLOCK)) for lo in range(0, ds.n_rows, _BLOCK)))
 
 
 def write_rows(path, header, rows):
     """Write a UTF-8 CSV file, creating its directory if missing: the
-    ``header`` line, then ``rows`` of strings, ints and floats, each float
-    as its ``repr``."""
+    ``header`` line, then ``rows``, sequences of strings, ints and floats,
+    with the bytes ``csv.writer`` writes (each float as its ``repr``). Rows
+    are formatted column by column and joined ``_BLOCK`` at a time."""
+    rows = iter(rows)
+    _write(path, header, map(_row_block, iter(lambda: list(itertools.islice(rows, _BLOCK)), [])))
+
+
+def _write(path, header, texts):
+    """Write the ``header`` line and then each of ``texts`` to ``path``."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(texts)
+
+
+def _row_block(rows: list) -> str:
+    """The lines that ``csv.writer`` writes for ``rows``: formatted column
+    by column when the rows have the same two or more fields."""
+    if len(set(map(len, rows))) == 1 and len(rows[0]) > 1:
+        return _joined(list(map(_cells, zip(*rows))))
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _joined(columns) -> str:
+    """CSV lines, each ended by ``\\r\\n``, of the rows whose formatted fields
+    are given as ``columns``."""
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
+def _cells(values) -> list:
+    """A column of values formatted as ``csv.writer`` writes them in a row
+    of two or more fields: None as empty, a float, int or other non-string
+    as its ``str`` (a float's is its ``repr``) and a string quoted if it
+    must be."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(float.__repr__, values))
+    if kinds != {str}:
+        values = [v if isinstance(v, str) else "" if v is None else str(v) for v in values]
+    distinct = dict.fromkeys(values)
+    if not _QUOTABLE.search("".join(distinct)):
+        return values
+    for text in distinct:  # each distinct string through csv.writer once
+        buf = io.StringIO()
+        csv.writer(buf).writerow((text, ""))
+        distinct[text] = buf.getvalue()[:-len(",\r\n")]
+    return list(map(distinct.__getitem__, values))
+
+
+#: the characters that make csv.writer quote a field
+_QUOTABLE = re.compile('[,"\r\n]')
 
 
 def infer_schema(path) -> CovariateSchema:
     """The covariate schema ``ingest_csv`` infers for the file at ``path``."""
     with _read(path) as rows:
-        for _ in rows:
+        for _ in rows.blocks():
             pass
     if rows.short_row is not None:
         raise rows.short_row

@@ -145,13 +145,15 @@ def _diagnostics(start, stop, values, denominator) -> dict:
     # values far from 1 signal misspecification or positivity trouble
     times = denominator.baseline_times
     if times.size:
-        def below(v, weights):
+        def below(v):
+            """The weight sum and the count of the episodes with ``v`` below
+            each time, from one stable sort of ``v``."""
             order = np.argsort(v, kind="stable")
-            cumw = np.concatenate([[0.0], np.cumsum(weights[order])])
-            return cumw[np.searchsorted(v[order], times, side="left")]
+            count = np.searchsorted(v[order], times, side="left")
+            return np.concatenate([[0.0], np.cumsum(values[order])])[count], count
 
-        wsum = below(start, values) - below(stop, values)
-        count = below(start, np.ones_like(values)) - below(stop, np.ones_like(values))
+        (wstart, nstart), (wstop, nstop) = below(start), below(stop)
+        wsum, count = wstart - wstop, nstart - nstop
         ok = count > 0
         if ok.any():
             means = wsum[ok] / count[ok]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predictimands import cli as cli_mod
 from predictimands import cox, scenarios, simulate
 from predictimands import data as data_mod
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
@@ -1052,6 +1053,33 @@ class TestStrictJson:
         for path in written:
             json.loads(path.read_text(), parse_constant=reject)
         assert len(written) == 38
+
+
+#: numbers, and numbers JSON spells as constants or that repr writes
+#: shortest or in exponent form
+NUMBERS = st.one_of(st.integers(), st.floats(),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=4), NUMBERS,
+              st.lists(NUMBERS, max_size=6),
+              st.lists(st.lists(NUMBERS, max_size=3), max_size=4),
+              st.lists(st.tuples(NUMBERS, NUMBERS), max_size=4)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.one_of(JSON_VALUES, st.dictionaries(
+        st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(), st.none()),
+        JSON_VALUES, max_size=3)))
+    def test_writes_what_json_dump_writes(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        cli_mod._write_json(path, payload)
+        expected = io.StringIO()
+        json.dump(payload, expected, indent=2)
+        assert path.read_text() == expected.getvalue() + "\n"
 
 
 class TestConfigForms:

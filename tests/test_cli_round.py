@@ -23,12 +23,12 @@ def test_small_round_writes_every_output(tmp_path):
     fits = ["ignore", "composite", "while-untreated", "censor", "model",
             "censor-ipcw", "model-iptw", "model-tv-cuts", "ignore-breslow",
             "censor-ipcw-truncated", "stops-composite", "stops-while-untreated",
-            "stops-censor", "wide", "labelled"]
+            "stops-censor", "wide", "labelled", "mixed"]
     # the outputs under nested/ go to directories that did not exist
     fit_dirs = [f"fit-{f}" for f in fits] + ["nested/fit/age_gap"]
     predict_dirs = [f"predict-{f}" for f in fits] + ["nested/predict/age_gap"]
     expected = ([f"{s}.csv" for s in ("s2", "age_gap", "s2_stops", "draws", "wide",
-                                      "labelled")]
+                                      "labelled", "mixed")]
                 + [f"{s}.csv.run.json" for s in ("s2", "age_gap", "s2_stops")]
                 + ["nested/sim/s1.csv", "nested/sim/s1.csv.run.json"]
                 + [f"{d}/run.json" for d in fit_dirs]

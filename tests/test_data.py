@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import math
 import statistics
 import tracemalloc
@@ -65,7 +66,8 @@ class TestIngest:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert seen == [False, False]
+        # a reader for each header, and one for the refused block of bad.csv
+        assert seen == [False, False, False]
 
     def test_single_row(self, tmp_path):
         path = write(tmp_path, "id,tstart,tstop,status,treated,age\n1,0,5,1,0,50\n")
@@ -407,6 +409,25 @@ class TestImpute:
         assert once.subjects[1].episodes[0].tv["bmi"] == 5.0
 
 
+#: a field: text with the characters csv.writer quotes for, any text, ints
+#: and floats, with the floats repr writes in exponent form or as words
+CELLS = st.one_of(st.text(st.sampled_from(',"\r\n aé'), max_size=4), st.text(max_size=4),
+                  st.integers(), st.floats(),
+                  st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
+
+
+@st.composite
+def csv_tables(draw):
+    """A header of one to four names and up to ten rows of ``CELLS``, most of
+    the header's width and some of any width."""
+    width = draw(st.integers(1, 4))
+    header = tuple(draw(st.lists(st.text(max_size=3), min_size=width, max_size=width)))
+    row = st.lists(CELLS, min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(st.one_of(row, row, row, st.lists(CELLS, max_size=5).map(tuple)),
+                         max_size=10))
+    return header, rows
+
+
 class TestRoundTrip:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -445,6 +466,45 @@ class TestRoundTrip:
         data_mod.write_rows(path, ("label", "value"), (("x", v) for v in values))
         assert path.read_text().splitlines() == (
             ["label,value"] + [f"x,{v!r}" for v in values])
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_tables())
+    def test_write_rows_writes_what_csv_writer_writes(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", 3)  # rows in several blocks
+            data_mod.write_rows(path, header, iter(rows))
+        expected = io.StringIO()
+        csv.writer(expected).writerows([header, *rows])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_write_csv_writes_what_csv_writer_writes(self, tmp_path, monkeypatch):
+        """Ids that need quoting, labels, values without a label, NaN and
+        floats that repr writes in exponent form, over several blocks; only
+        the labelled covariate is decoded."""
+        schema = CovariateSchema(baseline=("arm",), time_varying=("z",),
+                                 levels={"arm": ("a,b", 'q"x')})
+        ds = CountingProcessDataset(
+            schema, DesignFlavor.CONTINUES_AFTER_TREATMENT, ["x,1", 'y"2', "é", "4"],
+            [0, 1, 2, 3, 5], [0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 2.0, 3.0, 1.0, 1e16],
+            [1, 0, 2, 2, 1], [False, False, False, False, True],
+            {"arm": [0.0, 1.0, 2.5, 1.0, 1.0], "z": [math.nan, -0.0, 5e-324, 1e16, 0.1]})
+        expected = io.StringIO()
+        csv.writer(expected).writerows(
+            [("id", "tstart", "tstop", "status", "treated", "arm", "z")]
+            + [(ds.ids[s], ds.tstart[r], ds.tstop[r], int(ds.status[r]), int(ds.treated[r]),
+                *("" if math.isnan(ds.columns[name][r]) else
+                  schema.decode(name, float(ds.columns[name][r])) for name in ("arm", "z")))
+               for r, s in enumerate(ds.row_subject.tolist())])
+        decoded, decode = [], CovariateSchema.decode
+        monkeypatch.setattr(CovariateSchema, "decode",
+                            lambda self, name, value: decoded.append(name)
+                            or decode(self, name, value))
+        monkeypatch.setattr(data_mod, "_BLOCK", 2)
+        write_csv(ds, tmp_path / "ds.csv")
+        assert (tmp_path / "ds.csv").read_bytes() == expected.getvalue().encode()
+        assert set(decoded) == {"arm"}
 
     def test_write_rows_creates_missing_directories(self, tmp_path):
         path = tmp_path / "new" / "deeper" / "rows.csv"
@@ -859,9 +919,11 @@ def reference_ingest(path, schema=None, design=None, levels=None):
 
 #: tokens planted in a field: spellings that float(), int() and the 0/1 rule
 #: read differently (a NUL that numpy's string cast drops), non-finite
-#: values, labels and junk; and values planted in a time field
+#: values, labels, junk, a quoted field with a comma and a token longer
+#: than numpy's reader takes; and values planted in a time field
 TOKENS = ["", " ", "x", "0", "1", "2", "3", "-1", "0.5", "1.0", "01", "+1", " 1 ", "1_0",
-          "1_000", "１", "1\x00", "nan", "NaN", "inf", "-inf", "1e400", "a", "b"]
+          "1_000", "１", "١", "1\x00", "nan", "NaN", "inf", "-inf", "1e400", "a", "b",
+          "#1", '"1,2"', "i" * 40]
 TIMES = ["", "x", "-1", "-0.5", "-2", "0", "0.5", "9", "nan", "-inf", "1e308"]
 
 
@@ -981,11 +1043,39 @@ class TestReaderAgainstReference:
         # ... and blank rows of every shape on both sides of a block boundary
         ("id,tstart,tstop,status,treated\n1,0,2,0,0\n\n,,,,\n  ,  ,,,\n \n2,0,3,1,0\n"
          ",,,,\n\n3,0,x,0,0\n", (MalformedRow, "line 10: cannot parse tstop 'x'")),
+        # what numpy's reader must not take from a block as it stands: a quote
+        # (the csv module reads the rest of the file), a blank line, an empty
+        # or overlong token, whitespace around an id or a code, a code in
+        # another spelling and a time only float() reads (and, above, a NUL)
+        ('id,tstart,tstop,status,treated\n1,0,1,0,0\n"2,3",0,2,1,0\n4,0,3,1,0\n', None),
+        ("id,tstart,tstop,status,treated\n1,0,1,0,0\n#2,0,2,1,0\n3,0,1,2,0\n", None),
+        ("id,tstart,tstop,status,treated,z\r\n1,0,1,0,0,0.5\r\n1,1,2,1,0,1\r\n\r\n"
+         "2,0,3,2,0,2\r\n", None),
+        ("id,tstart,tstop,status,treated\n1,0,1,0,0\n2,0,2,1,0,\n",
+         (MalformedRow, "line 3: expected 5 fields, got 6")),
+        ("id,tstart,tstop,status,treated\n1,0,1,0,0\n2,0,2,1,0\n\n3,0,3,0,0\n4,0,4,1,0\n",
+         None),
+        ("id,tstart,tstop,status,treated,z\n1,0,1,0,0,0.5\n1,1,2,0,0,\n1,2,3,1,0,2\n", None),
+        ("id,tstart,tstop,status,treated\n" + "i" * 40 + ",0,1,1,0\n" + "i" * 31 + ",0,1,1,0\n",
+         None),
+        ("id,tstart,tstop,status,treated\n 1 ,0,1,0,0\n1,1,2, 1 ,0\n", None),
+        ("id,tstart,tstop,status,treated\n1,0,1,+1,0\n2,0,1,01,0\n", None),
+        ("id,tstart,tstop,status,treated\n1,0,1,1.0,0\n",
+         (MalformedRow, "line 2: status must be 0, 1 or 2, got '1.0'")),
+        ("id,tstart,tstop,status,treated\n1,0,1,2,0\n1,1,2,0,+1\n",
+         (MalformedRow, "line 3: treated must be 0 or 1, got '+1'")),
+        ("id,tstart,tstop,status,treated\n1,0,1,2,0\n1,1,2,0,01\n",
+         (MalformedRow, "line 3: treated must be 0 or 1, got '01'")),
+        ("id,tstart,tstop,status,treated\n1,0,1_000,1,0\n2,0,１,1,0\n3,0,١,1,0\n", None),
     ], ids=["bad-row-first", "short-row-first", "csv-limit-first", "empty-id", "treated",
             "negative-and-reversed", "overflowing-sum", "underscores-and-full-width",
             "nul-in-time", "wide-nan", "wide-empty", "wide-long-names", "row-errors-apart", "row-error-then-short-row",
             "row-error-then-csv-limit", "row-error-then-not-utf8", "subject-across-blocks",
-            "blank-rows-across-blocks"])
+            "blank-rows-across-blocks", "quoted-id-with-comma", "hash-in-id", "crlf-line-ends",
+            "trailing-comma", "blank-line-at-block-edge", "empty-time-varying-field",
+            "id-past-the-token-width", "whitespace-around-id-and-status",
+            "status-plus-one-and-zero-one", "status-one-point-zero", "treated-plus-one",
+            "treated-zero-one", "times-only-float-reads"])
     def test_files(self, tmp_path, text, expected):
         path = tmp_path / "data.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -995,6 +1085,19 @@ class TestReaderAgainstReference:
             assert got[0] is DataError and got[1].startswith(f"cannot read {path}")
         elif expected is not None:
             assert got == expected
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "age_gap"])
+    def test_simulated_files_take_numpys_reader(self, tmp_path, monkeypatch, name):
+        """Files that ``write_csv`` writes are plain in every block: read with
+        the csv path's parser broken, they still give the reference's dataset."""
+        path = tmp_path / f"{name}.csv"
+        write_csv(simulate.simulate(scenarios.builtin(name), 40, seed=3), path)
+
+        def refuse(*args):
+            raise AssertionError("a block went to the csv module")
+
+        monkeypatch.setattr(data_mod, "_parse", refuse)
+        assert ingest_csv(path) == reference_ingest(path)
 
     def test_classifies_strings_not_values(self, tmp_path):
         # "1" and "1.0" are one value but two strings: time-varying

@@ -345,6 +345,19 @@ class TestStabilizedWeights:
         assert d["min"] <= d["mean"] <= d["max"]
         assert "at_risk_mean_min" in d
 
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_at_risk_means_over_episodes_open_at_each_time(self, confounded_ds, mode):
+        """The at-risk mean weight at a treatment event time t averages the
+        episodes with tstart < t <= tstop, as a loop over the times finds."""
+        num = fit_treatment_hazard(confounded_ds, ())
+        den = fit_treatment_hazard(confounded_ds, ("z",))
+        table = stabilized_weights(confounded_ds, num, den, mode)
+        rows = table.rows
+        means = [rows.weight[open_].mean() for t in den.baseline_times.tolist()
+                 for open_ in [(rows.tstart < t) & (t <= rows.tstop)] if open_.any()]
+        assert table.diagnostics["at_risk_mean_min"] == pytest.approx(min(means), rel=1e-12)
+        assert table.diagnostics["at_risk_mean_max"] == pytest.approx(max(means), rel=1e-12)
+
     def test_at_risk_mean_near_one_when_well_specified(self):
         spec = confounded_spec(gamma_treat=1.0)
         ds = simulate.simulate(spec, 2000, seed=31)

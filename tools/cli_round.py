@@ -10,8 +10,9 @@ predict each of the seven strategies, ``--all-strategies``, fits with
 1,99`` (predicted at ``--profile z=0``), and ``weights`` in both modes; an
 age_gap fit and predict at ``--profile age=50``; on the stops-at-treatment
 data, fit and predict composite, while-untreated and ``hypothetical
---method censor``; a fit and predict of two small fixed files, one in the
-wide format and one with a label-coded covariate read with ``--levels``;
+--method censor``; a fit and predict of three fixed files, one in the
+wide format, one with a label-coded covariate read with ``--levels`` and a
+3,000-row one read in part by numpy's reader and in part by the csv module;
 a simulate of ``draws.json``, which draws every kind of baseline
 covariate and a dropout clock; a validate of s2 on 45,000 Monte Carlo
 reps, past two truth blocks; an age_gap validate at ``--profile age=50``;
@@ -51,7 +52,11 @@ def fixed_files() -> dict:
     """Name and text of the fixed input files of the round: 40 subjects in
     the wide format (``id,time,status,age``); 40 in the long format with a
     ``dialysis`` covariate coded HD or PD, every fourth starting treatment
-    and followed on; ``s2_stops.json``, the s2 scenario observed until
+    and followed on; ``mixed.csv``, 1,000 such subjects of three rows each
+    with a time-varying ``z``, whose first 2,048 rows are plain and whose
+    later rows hold an empty ``z`` and a quoted id with a comma, so that the
+    reader hands the file to the csv module partway through;
+    ``s2_stops.json``, the s2 scenario observed until
     treatment start with a dropout rate of 0.05; and ``draws.json``, whose
     baseline covariates are normal, uniform, Bernoulli and constant."""
     wide = ["id,time,status,age"]
@@ -66,6 +71,18 @@ def fixed_files() -> dict:
                      f"{i},{start},{start + 1 + i % 3},{i % 8 // 4},1,{arm}"]
         else:
             long.append(f"{i},0,{stop},{int(i % 5 > 1)},0,{arm}")
+    mixed = ["id,tstart,tstop,status,treated,dialysis,z"]
+    for i in range(1, 1001):
+        sid, arm = '"p,900"' if i == 900 else f"p{i}", "PD" if i % 3 == 0 else "HD"
+        z = [f"{i * k % 13 / 4 - 1}" for k in (1, 2, 3)]
+        z[1] = "" if i == 950 else z[1]
+        if i % 4 == 0:
+            start = 1 + (i % 5 + 1) / 4
+            rows = [(0, 1, 0, 0), (1, start, 2, 0), (start, 3.5, i % 8 // 4, 1)]
+        else:
+            rows = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 2 + (i % 9 + 1) / 4, int(i % 5 > 1), 0)]
+        mixed += [f"{sid},{a},{b},{status},{on},{arm},{v}"
+                  for (a, b, status, on), v in zip(rows, z)]
     stops = {**BUILTIN["s2"], "name": "s2_stops", "design": "stops", "dropout_rate": 0.05}
     draws = {**BUILTIN["s2"], "name": "draws", "dropout_rate": 0.1,
              "baseline_covariates": {
@@ -76,6 +93,7 @@ def fixed_files() -> dict:
              "treatment": {"base": 0.1, "log_hr": {"z": 1.2, "b": 0.5, "c": 1.0}},
              "death_untreated": {"base": 0.12, "log_hr": {"z": 0.8, "x": 0.1, "u": 0.3}}}
     return {"wide.csv": "\n".join(wide) + "\n", "labelled.csv": "\n".join(long) + "\n",
+            "mixed.csv": "\n".join(mixed) + "\n",
             **{f"{name}.json": json.dumps(scenario, indent=2) + "\n"
                for name, scenario in (("s2_stops", stops), ("draws", draws))}}
 
@@ -130,7 +148,11 @@ def commands(n: int) -> list:
              ["fit", "--data", "labelled.csv", "--levels", "dialysis=HD|PD", "--strategy",
               "hypothetical", "--covariates", "dialysis", "--out", "fit-labelled"],
              ["predict", "--run", "fit-labelled", "--profile", "dialysis=PD", "--out",
-              "predict-labelled"]]
+              "predict-labelled"],
+             ["fit", "--data", "mixed.csv", "--levels", "dialysis=HD|PD", "--strategy",
+              "hypothetical", "--covariates", "dialysis", "--out", "fit-mixed"],
+             ["predict", "--run", "fit-mixed", "--profile", "dialysis=PD", "--out",
+              "predict-mixed"]]
     cmds += [["validate", "--scenario", "s2", "--n", "300", "--seeds", "1",
               "--mc-reps", "45000", "--strategies", "composite,ignore,while-untreated",
               "--tolerance", "1", "--out", "validate-s2.json"],
