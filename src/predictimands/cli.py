@@ -10,6 +10,8 @@ machine-readable JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import sys
@@ -21,8 +23,8 @@ from . import weights as weights_mod
 from .cox import CoxModel
 # infer_schema is unused here but stays importable: perfbench's tracer wraps
 # it in this module
-from .data import (CovariateSchema, infer_schema, ingest_csv,  # noqa: F401
-                   reading, write_csv, write_rows)
+from .data import (CovariateSchema, float_texts, infer_schema, ingest_csv,  # noqa: F401
+                   reading, write_columns, write_csv)
 from .errors import DataError, NumericError, ScenarioError
 from .simulate import IntensitySpec
 from .strategies import (
@@ -125,14 +127,29 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+#: the JSON that ``json.dumps`` writes for the floats whose ``repr`` is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Floats:
+    """A list of floats given as the ``repr`` texts the CSV writers write,
+    which ``_indented`` lays out as the JSON list of those floats."""
+
+    def __init__(self, texts):
+        self.json = list(map(_NON_FINITE.get, texts, texts))
+
+
 def _indented(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` encodes it, laid out for
     a place whose lines begin with ``newline`` (a newline and the place's
     indentation). Each list of ints and floats is encoded by the C encoder,
     which ``indent`` would turn off, with the layout's newlines as its
-    separator; anything but a dict with string keys or a list is encoded
-    whole, by ``json.dumps``, and indented to fit."""
+    separator, and each ``_Floats`` is laid out from its texts; anything but
+    a dict with string keys or a list is encoded whole, by ``json.dumps``,
+    and indented to fit."""
     inner = newline + "  "
+    if isinstance(value, _Floats):
+        return "[" + inner + ("," + inner).join(value.json) + newline + "]" if value.json else "[]"
     if isinstance(value, dict) and value and all(type(key) is str for key in value):
         return ("{" + inner + ("," + inner).join(
             f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in value.items())
@@ -224,12 +241,13 @@ def _load_fit(run_dir: Path) -> tuple:
     if (not isinstance(run, dict) or run.get("command") != "fit"
             or not isinstance(run.get("models"), dict) or run.get("horizon") is None):
         raise DataError(f"{run_file} is not the run.json of a fit run")
-    fit_parser = build_parser()[1]["fit"]
+    # an echo the fit parser rejects is a broken file, not a usage error: a
+    # copy of the shared parser reports it
+    fit_parser = copy.copy(_parsers()[1]["fit"])
 
     def reject(message):
         raise DataError(f"{run_file} holds options the fit command rejects: {message}")
 
-    # an echo the fit parser rejects is a broken file, not a usage error
     fit_parser.error = reject
     fit_args = fit_parser.parse_args(_echo_argv(run, fit_parser))
     names = sorted(run["models"])
@@ -246,6 +264,18 @@ def _load_fit(run_dir: Path) -> tuple:
             raise DataError(f"model file {fname!r} of {run_file} cannot be read "
                             f"({type(exc).__name__}: {exc})") from None
     return fit_args, models
+
+
+def _curve_texts(curve) -> tuple:
+    """The texts of a risk curve's times and risks, each distinct value
+    formatted once, for its CSV and its JSON."""
+    return float_texts(curve.times), float_texts(curve.risk)
+
+
+def _curve_json(curve, time, risk) -> dict:
+    """``curve.to_dict()`` with its ``time`` and ``risk`` given by their
+    texts."""
+    return {**curve.to_dict(), "time": _Floats(time), "risk": _Floats(risk)}
 
 
 def cmd_predict(args) -> int:
@@ -290,17 +320,21 @@ def cmd_predict(args) -> int:
         report["diagnostics"]["weights"] = diagnostics
     if args.all_strategies:
         results = estimate_all(_load_dataset(fit_args), spec, profile)
-        write_rows(out / "overlay.csv", ("strategy", "time", "risk"),
-                   ((strategy.value, t, r)
-                    for strategy, curve in results.curves.items()
-                    for t, r in zip(curve.times.tolist(), curve.risk.tolist())))
-        report["curves"] = {s.value: c.to_dict() for s, c in results.curves.items()}
+        labels, times, risks, report["curves"] = [], [], [], {}
+        for strategy, curve in results.curves.items():
+            time, risk = _curve_texts(curve)
+            labels += [strategy.value] * len(time)
+            times += time
+            risks += risk
+            report["curves"][strategy.value] = _curve_json(curve, time, risk)
+        write_columns(out / "overlay.csv", ("strategy", "time", "risk"),
+                      [labels, times, risks])
         report["failures"] = {s.value: msg for s, msg in results.failures.items()}
     else:
         curve = predict_risk(StrategyFit(spec, models), profile)
-        write_rows(out / "curve.csv", ("time", "risk"),
-                   zip(curve.times.tolist(), curve.risk.tolist()))
-        report["curve"] = curve.to_dict()
+        time, risk = _curve_texts(curve)
+        write_columns(out / "curve.csv", ("time", "risk"), [time, risk])
+        report["curve"] = _curve_json(curve, time, risk)
         report["risk_at_horizon"] = curve.value_at(horizon)
     _write_json(out / "report.json", report)
     _write_json(out / "run.json", _echo(args, "predict", {"horizon": horizon}))
@@ -510,6 +544,13 @@ def build_parser() -> tuple:
     return parser, subparsers
 
 
+@functools.cache
+def _parsers() -> tuple:
+    """``build_parser()``, built once per process: parsing leaves a parser
+    as it is."""
+    return build_parser()
+
+
 def _config_argv(command, subparser, argv) -> list:
     """The option tokens of the ``--config`` file among the arguments
     ``argv`` of ``command``, as its ``subparser`` reads them; [] without one."""
@@ -526,7 +567,7 @@ def _config_argv(command, subparser, argv) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, subparsers = _parsers()
     try:
         if argv and argv[0] in subparsers:
             # explicit flags come later and win

@@ -149,12 +149,18 @@ class _RiskSets:
         self.uft = np.unique(design.stop[design.event])
         nuft = self.uft.size
         enter = np.searchsorted(self.uft, design.stop, side="right") - 1
-        exit_ = np.searchsorted(self.uft, design.start, side="right")
+        # a row that starts where the row before it stops leaves one slot
+        # after that row's entry slot; only the other rows are searched
+        follows = np.zeros(enter.size, bool)
+        follows[1:] = design.start[1:] == design.stop[:-1]
+        exit_ = np.empty_like(enter)
+        exit_[follows] = enter[np.flatnonzero(follows) - 1] + 1
+        exit_[~follows] = np.searchsorted(self.uft, design.start[~follows], side="right")
         self.active = np.flatnonzero(enter >= exit_)
         self.enter = enter[self.active]
         self.exit = exit_[self.active]
         dead = np.flatnonzero(design.event)
-        dead_time = np.searchsorted(self.uft, design.stop[dead])
+        dead_time = enter[dead]  # a dead row's stop is an event time
         order = np.argsort(dead_time, kind="stable")
         dead, dead_time = dead[order], dead_time[order]
         self.dead, self.dead_time = dead, dead_time

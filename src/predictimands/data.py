@@ -20,11 +20,13 @@ tests and tools; no module of the package reads it.
 
 CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv`` gives
 each plain block of lines (no ``"``, one row to a line, every token spelt as
-the csv path would read it, no row in error) to numpy's C reader, and every
-other block to the csv module and ``_parse``, which alone reports errors;
-from the first ``"`` on, the csv module reads the rest of the file.
-``write_rows`` and ``write_csv`` format a block column by column and join
-its rows, with the bytes ``csv.writer`` writes.
+the csv path would read it, no empty field but a missing time-dependent
+value, no row in error) to numpy's C reader, and every other block to the
+csv module and ``_parse``, which alone reports errors; from the first ``"``
+on, the csv module reads the rest of the file. ``write_columns``,
+``write_rows`` and ``write_csv`` share one block formatter, ``_texts``: it
+formats each distinct number of a block's column once, as its ``repr``, and
+the block's rows are joined with the bytes ``csv.writer`` writes.
 """
 
 from __future__ import annotations
@@ -547,7 +549,7 @@ class _Rows:
                 except UnicodeDecodeError as exc:
                     fault = exc
                 text = "".join(texts)
-                block = None if fault else self._plain(texts, text, line, labelled)
+                block = None if fault else self._plain(texts, text, line, labelled, baseline)
                 if block is not None:
                     yield block
                     line += len(texts)
@@ -591,18 +593,22 @@ class _Rows:
             if self.short_row is not None or not full:
                 return
 
-    def _plain(self, texts, text, line, labelled):
+    def _plain(self, texts, text, line, labelled, baseline):
         """The block of ``texts``, the lines joined in ``text`` from ``line``
         on, read by one ``np.loadtxt`` call as ``blocks`` yields it with
-        ``labelled``; None to hand it to the csv module.
+        ``labelled`` and ``baseline``; None to hand it to the csv module.
 
         A block is taken only if its rows are one to a line and pass every
         check of ``_parse``, and only from tokens that numpy reads as the
         csv path does: each id and each covariate that is labelled or may
-        still be baseline as a stripped, nonempty string shorter than
-        ``_TOKEN_WIDTH``, each status and treated as the exact token of its
-        code, and the other fields as finite floats, which numpy reads from
-        ASCII tokens as ``float`` does and refuses in any other spelling.
+        still be baseline as a stripped string shorter than ``_TOKEN_WIDTH``,
+        each status and treated as the exact token of its code, and the
+        other fields as finite floats, which numpy reads from ASCII tokens as
+        ``float`` does and refuses in any other spelling. A covariate that
+        neither ``baseline`` nor the wide format makes baseline may be empty,
+        a missing value. numpy refuses an empty float field, so a block it
+        cannot read is read once more with the float covariates that may be
+        empty as strings, parsed as the csv path parses them.
         """
         header, fixed, width = self.header, self.fixed, len(self.header)
         if not texts:  # the end of the file
@@ -617,36 +623,52 @@ class _Rows:
                    if j == 0 or j >= fixed and (name in self._firsts or name in labelled)}
         codes = {j: len(Status) if name == "status" else 2
                  for j, name in enumerate(header[:fixed]) if name in _CODES}
+        # the covariates whose fields may be empty, a missing value
+        nullable = set() if self.wide else {
+            j for j in range(fixed, width) if header[j] not in baseline}
         dtype = [(f"f{j}", f"U{_TOKEN_WIDTH}" if j in strings else "U2" if j in codes
                   else float) for j in range(width)]
+        missing = set()  # the float fields read again as strings
         try:
             block = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
-            return None
+            missing = nullable - strings
+            if not missing:
+                return None
+            dtype = [(f"f{j}", f"U{_TOKEN_WIDTH}") if j in missing else field
+                     for j, field in enumerate(dtype)]
+            try:
+                block = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                return None
         # the string fields are checked, parsed and coded once per run of
         # rows that repeat them all, such as a subject's rows in a row
         runs = np.arange(block.size) == 0
         for j in strings:
             values = block[f"f{j}"]
-            if np.char.str_len(values).max() >= _TOKEN_WIDTH:
-                return None
             runs[1:] |= values[1:] != values[:-1]
         starts = np.flatnonzero(runs)
         counts = np.diff(starts, append=block.size)
         fields, tokens = [], {}
         for j, name in enumerate(header):
             values = block[f"f{j}"]
-            if j in strings:
-                tokens[name] = values[starts].tolist()
-                if "" in tokens[name] or list(map(str.strip, tokens[name])) != tokens[name]:
+            if j in strings or j in missing:
+                raw = (values[starts] if j in strings else values).tolist()
+                if j in strings:
+                    tokens[name] = raw
+                empty = _empty(raw)
+                # a token as wide as the field may have been cut short
+                if (max(map(len, raw)) >= _TOKEN_WIDTH or list(map(str.strip, raw)) != raw
+                        or j not in nullable and empty.any()):
                     return None
                 if j == 0:
                     continue
                 parse = partial(_encode, labelled[name], name) if name in labelled else float
-                values, rejected = _column(tokens[name], parse)
-                if rejected.any():
+                values, rejected = _column(raw, parse)
+                if (~empty & (rejected | ~np.isfinite(values))).any():
                     return None
-                values = np.repeat(values, counts)
+                if j in strings:
+                    values = np.repeat(values, counts)
             elif j in codes:
                 # the first character's code point, and none after it
                 points = np.ascontiguousarray(values).view(np.uint32).reshape(-1, 2)
@@ -657,7 +679,8 @@ class _Rows:
         tstart, tstop = (np.zeros(block.size), fields[0]) if self.wide else fields[:2]
         with np.errstate(over="ignore"):
             finite = np.isfinite(tstart + tstop).all() and all(
-                np.isfinite(values).all() for values in fields[fixed - 1:])
+                np.isfinite(values).all() for j, values in enumerate(fields[fixed - 1:], fixed)
+                if j not in strings and j not in missing)
         if not (finite and (tstart >= 0).all() and (tstart < tstop).all()):
             return None
         subject = self._codes(tokens[header[0]])
@@ -695,11 +718,14 @@ class _Rows:
 def _column(tokens, parse) -> tuple:
     """``parse`` of each token as floats, NaN where it raises a ValueError or
     DataError, and the mask of those tokens. ``float`` parses the column in
-    one pass, another rule each distinct token once."""
+    one pass, with each empty token read as NaN and masked, another rule
+    each distinct token once."""
     n = len(tokens)
     if parse is float:
+        empty = _empty(tokens)
         with suppress(ValueError):
-            return np.fromiter(map(float, tokens), float, n), np.zeros(n, bool)
+            return np.fromiter(map(float, [t or "nan" for t in tokens] if empty.any()
+                                   else tokens), float, n), empty
     values, rejected = dict.fromkeys(tokens, math.nan), set()
     for token in values:
         try:
@@ -814,20 +840,24 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     if rows.wide:  # one untreated episode per subject, from time 0
         zeros = np.zeros(lines.size)
         fields = [zeros, *fields[:2], zeros, *fields[2:]]
-    index, order = rows.index, np.lexsort((fields[0], subject))
+    index = rows.index
     offsets = np.concatenate([[0], np.cumsum(np.bincount(subject, minlength=len(index)))])
-    lines, fields = lines[order], [values[order] for values in fields]
+    if not _in_order(subject, fields[0]):  # as every file write_csv writes is
+        order = np.lexsort((fields[0], subject))
+        lines, *fields = (values[order] for values in (lines, *fields))
+        del order
     if design is None:
         only_starts = (fields[2] == Status.TREATMENT_START).any() and not fields[3].any()
         design = (DesignFlavor.STOPS_AT_TREATMENT if only_starts
                   else DesignFlavor.CONTINUES_AFTER_TREATMENT)
     ds = CountingProcessDataset._of(schema, design, index, offsets, *fields[:4],
                                     dict(zip(cov_cols, fields[4:])))
-    del subject, order, fields  # the dataset adopted the float columns
+    del subject, fields  # the dataset adopted the float columns
 
     failures, sub, n = [], ds.row_subject, ds.n_rows
     # an event and a treatment start at the same stop time of one subject
-    by_stop = np.lexsort((np.arange(n), ds.tstop, sub))
+    by_stop = (np.arange(n) if _in_order(sub, ds.tstop)
+               else np.lexsort((np.arange(n), ds.tstop, sub)))
     prev, cur = by_stop[:-1], by_stop[1:]
     tied = cur[(sub[prev] == sub[cur]) & (ds.tstop[prev] == ds.tstop[cur])
                & (ds.status[prev] * ds.status[cur] == Status.EVENT * Status.TREATMENT_START)]
@@ -848,32 +878,37 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     return ds
 
 
+def _in_order(major, minor) -> bool:
+    """Whether rows are in order by ``major``, then by ``minor``: what a
+    stable sort by the two would leave as it is."""
+    step = np.diff(major)
+    return bool(((step > 0) | ((step == 0) & (np.diff(minor) >= 0))).all())
+
+
 def write_csv(ds: CountingProcessDataset, path):
     """Write the long counting-process format; inverse of ``ingest_csv``."""
     schema = ds.schema
-    ids = np.array(_cells(list(ds.ids)), object)  # each id formatted once
 
-    def covariate(name, rows) -> list:
-        # a missing time-dependent value is an empty field
-        values = ds.columns[name][rows]
+    def cell(name):
+        # a missing time-dependent value is an empty field, a label its text
         if name in schema.levels:
-            return _cells(["" if math.isnan(v) else schema.decode(name, v)
-                           for v in values.tolist()])
-        cells = list(map(float.__repr__, values.tolist()))
-        for k in np.flatnonzero(np.isnan(values)).tolist():
-            cells[k] = ""
-        return cells
+            return lambda v: "" if math.isnan(v) else schema.decode(name, v)
+        return lambda v: "" if math.isnan(v) else v
 
-    def block(rows) -> str:
-        return _joined([ids[ds.row_subject[rows]].tolist(),
-                        *(list(map(float.__repr__, a[rows].tolist()))
-                          for a in (ds.tstart, ds.tstop)),
-                        *(list(map(int.__repr__, a[rows].astype(int).tolist()))
-                          for a in (ds.status, ds.treated)),
-                        *(covariate(name, rows) for name in schema.names())])
+    names = schema.names()
+    _write(path, _LONG_HEADER + names, _blocks(
+        [ds.row_subject, ds.tstart, ds.tstop, ds.status, ds.treated,
+         *(ds.columns[name] for name in names)],
+        [ds.ids.__getitem__, None, None, None, int, *map(cell, names)]))
 
-    _write(path, _LONG_HEADER + schema.names(),
-           (block(slice(lo, lo + _BLOCK)) for lo in range(0, ds.n_rows, _BLOCK)))
+
+def write_columns(path, header, columns):
+    """Write a UTF-8 CSV file, creating its directory if missing: the
+    ``header`` line, then the rows whose fields are ``columns``, two or more
+    sequences of one length, with the bytes ``csv.writer`` writes. A column
+    of numbers is best given as an array: ``_BLOCK`` rows at a time, each
+    of its distinct values is formatted once."""
+    _write(path, header, _blocks(columns, [None] * len(columns)))
 
 
 def write_rows(path, header, rows):
@@ -893,11 +928,18 @@ def _write(path, header, texts):
         fh.writelines(texts)
 
 
+def _blocks(columns, cells):
+    """The lines of the rows whose fields are ``columns``, ``_BLOCK`` rows
+    at a time, each column formatted by ``_texts`` with its ``cells``."""
+    for lo in range(0, len(columns[0]), _BLOCK):
+        yield _joined([_texts(col[lo:lo + _BLOCK], cell) for col, cell in zip(columns, cells)])
+
+
 def _row_block(rows: list) -> str:
     """The lines that ``csv.writer`` writes for ``rows``: formatted column
     by column when the rows have the same two or more fields."""
     if len(set(map(len, rows))) == 1 and len(rows[0]) > 1:
-        return _joined(list(map(_cells, zip(*rows))))
+        return _joined([_texts(col) for col in zip(*rows)])
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
@@ -907,6 +949,33 @@ def _joined(columns) -> str:
     """CSV lines, each ended by ``\\r\\n``, of the rows whose formatted fields
     are given as ``columns``."""
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
+def _texts(values, cell=None) -> list:
+    """The fields ``csv.writer`` writes for ``values`` in rows of two or
+    more fields, as ``_cells`` formats them. An array of numbers, or a
+    sequence of floats, is formatted once per distinct value, after
+    ``cell`` (if given) maps the value to what is written; floats are told
+    apart by their bits, so ``-0.0``, ``0.0`` and each NaN keep their own."""
+    if not isinstance(values, np.ndarray):
+        if set(map(type, values)) != {float}:
+            return _cells(values)
+        values = np.array(values, float)
+    if values.dtype.kind not in "biuf":
+        return _cells(values.tolist())
+    if values.dtype.kind == "f":
+        values = values.astype(float, copy=False)
+    keys, index = np.unique(values.view(np.uint64) if values.dtype == float else values,
+                            return_inverse=True)
+    distinct = keys.view(values.dtype).tolist()
+    return np.array(_cells(list(map(cell, distinct)) if cell else distinct),
+                    object)[index].tolist()
+
+
+def float_texts(values) -> list:
+    """The ``repr`` of each float of the 1-d array ``values``, as the CSV
+    writers write it, made once per distinct value."""
+    return _texts(np.asarray(values, float))
 
 
 def _cells(values) -> list:

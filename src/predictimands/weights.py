@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import cox
-from .data import CountingProcessDataset, Status, split_at_treatment, write_rows
+from .data import CountingProcessDataset, Status, split_at_treatment, write_columns
 from .errors import DataError, NonPositiveProbability, NoTreatmentStarts
 
 
@@ -53,9 +53,8 @@ class WeightTable:
 
     def to_csv(self, path):
         rows = self.rows
-        write_rows(path, ("id", "tstart", "tstop", "weight"),
-                   zip(rows.subject_id.tolist(), rows.tstart.tolist(),
-                       rows.tstop.tolist(), rows.weight.tolist()))
+        write_columns(path, ("id", "tstart", "tstop", "weight"),
+                      [rows.subject_id, rows.tstart, rows.tstop, rows.weight])
 
 
 def fit_treatment_hazard(ds: CountingProcessDataset, covariates=(),

@@ -1,5 +1,6 @@
 import argparse
 import codecs
+import csv
 import contextlib
 import functools
 import io
@@ -10,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,9 @@ from predictimands import cli as cli_mod
 from predictimands import cox, scenarios, simulate
 from predictimands import data as data_mod
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
+from predictimands.curves import RiskCurve
 from predictimands.strategies import HypotheticalMethod, Strategy
+from tests.test_data import SPECIAL_FLOATS
 from tests.test_simulator import reference_risks, reference_simulate
 
 
@@ -1080,6 +1084,41 @@ class TestJsonWriter:
         expected = io.StringIO()
         json.dump(payload, expected, indent=2)
         assert path.read_text() == expected.getvalue() + "\n"
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_curve_texts_write_what_the_standard_writers_write(self, tmp_path_factory,
+                                                              data):
+        """A curve's time and risk texts, made once, give ``curve.csv`` the
+        bytes of ``csv.writer`` and ``report.json`` those of ``json.dump``:
+        times in exponent form and infinite, risks that repeat, both zeros
+        and NaNs of several bit patterns."""
+        times = sorted(data.draw(st.sets(st.sampled_from(
+            [5e-324, 1e-5, 0.5, 1.0, 1e16, 1e22, math.inf]), max_size=6)))
+        risk = sorted(data.draw(st.lists(st.sampled_from([0.0, 1e-5, 0.25, 1.0]),
+                                         min_size=len(times), max_size=len(times))))
+        risk = [data.draw(st.sampled_from([r, -0.0] if r == 0.0 else [r])) for r in risk]
+        for k in data.draw(st.sets(st.integers(0, max(len(risk) - 1, 0)), max_size=2)):
+            if k < len(risk):
+                risk[k] = data.draw(st.sampled_from(SPECIAL_FLOATS[-4:]))
+        with np.errstate(invalid="ignore"):  # the checks compare the NaNs
+            curve = RiskCurve(np.array(times, float), np.array(risk, float),
+                              strategy="composite", profile={"z": -0.0}, horizon=5.0)
+        time, risk = cli_mod._curve_texts(curve)
+        work = tmp_path_factory.mktemp("curve")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", 2)
+            data_mod.write_columns(work / "curve.csv", ("time", "risk"), [time, risk])
+        cli_mod._write_json(work / "report.json",
+                            {"curve": cli_mod._curve_json(curve, time, risk), "n": 1})
+        rows = io.StringIO()
+        csv.writer(rows).writerows(
+            [("time", "risk"), *zip(curve.times.tolist(), curve.risk.tolist())])
+        assert (work / "curve.csv").read_bytes() == rows.getvalue().encode()
+        report = io.StringIO()
+        json.dump({"curve": curve.to_dict(), "n": 1}, report, indent=2)
+        assert (work / "report.json").read_text() == report.getvalue() + "\n"
 
 
 class TestConfigForms:

@@ -323,6 +323,55 @@ class TestOracleProperty:
         np.testing.assert_allclose(model.baseline_increments, incs, rtol=1e-10)
 
 
+@st.composite
+def risk_set_designs(draw):
+    """A design and tie method: 1-6 subjects of 1-4 contiguous episodes on a
+    half-unit grid, so that deaths, censorings, treatment starts and episode
+    boundaries tie; treated episodes cut into pieces at ``tv_cuts``; weights
+    that may be 0; events of either code, or none at all."""
+    subjects, weight = [], []
+    for i in range(draw(st.integers(1, 6))):
+        ends = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
+        bounds = [0.0] + [e / 2 for e in ends]
+        start = draw(st.sampled_from([None, *range(len(ends))]))
+        last = draw(st.sampled_from([Status.EVENT, Status.CENSORED]))
+        eps = tuple(Episode(lo, hi, Status.TREATMENT_START if k == start
+                            else last if k == len(ends) - 1 else Status.CENSORED,
+                            treated=start is not None and k > start)
+                    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])))
+        subjects.append(SubjectRecord(str(i + 1), eps, {"x": draw(st.sampled_from([0.0, 1.0]))}))
+        weight += [draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in eps]
+    ds = dataset(tuple(subjects), CovariateSchema(baseline=("x",)))
+    cuts = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.5]), max_size=3)))
+    spec = cox.CoxSpec(
+        event_code=draw(st.sampled_from([Status.EVENT, Status.TREATMENT_START])),
+        covariates=("x",), treatment=draw(st.sampled_from([None, cox.TreatmentTerm(cuts)])),
+        weights=WeightTable(weight_rows(ds, weight), WeightMode.IPCW))
+    return cox._build_design(ds, spec), draw(st.sampled_from(["efron", "breslow"]))
+
+
+class TestRiskSets:
+    @settings(max_examples=100, deadline=None)
+    @given(case=risk_set_designs())
+    def test_index_arrays_of_three_searches(self, case):
+        """Entry slots, exit slots and death slots equal those of a search of
+        the event times for every row's stop, every row's start and every
+        dead row's stop."""
+        design, ties = case
+        uft = np.unique(design.stop[design.event])
+        enter = np.searchsorted(uft, design.stop, side="right") - 1
+        exit_ = np.searchsorted(uft, design.start, side="right")
+        active = np.flatnonzero(enter >= exit_)
+        dead = np.flatnonzero(design.event)
+        dead_time = np.searchsorted(uft, design.stop[dead])
+        order = np.argsort(dead_time, kind="stable")
+        rs = cox._RiskSets(design, ties)
+        for got, expected in ((rs.active, active), (rs.enter, enter[active]),
+                              (rs.exit, exit_[active]), (rs.dead, dead[order]),
+                              (rs.dead_time, dead_time[order])):
+            np.testing.assert_array_equal(got, expected)
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("ties", ["efron", "breslow"])
     def test_score_matches_finite_differences(self, ties):

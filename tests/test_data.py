@@ -409,11 +409,58 @@ class TestImpute:
         assert once.subjects[1].episodes[0].tv["bmi"] == 5.0
 
 
+def header_line(header) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)
+    return buf.getvalue()
+
+
 #: a field: text with the characters csv.writer quotes for, any text, ints
 #: and floats, with the floats repr writes in exponent form or as words
 CELLS = st.one_of(st.text(st.sampled_from(',"\r\n aé'), max_size=4), st.text(max_size=4),
                   st.integers(), st.floats(),
                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
+
+
+#: floats that repr writes in exponent form or as words, both zeros and NaNs
+#: of four bit patterns
+SPECIAL_FLOATS = [math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1e22, 0.0, -0.0, *np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0000],
+    np.uint64).view(float).tolist()]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def column_tables(draw):
+    """A header and two to four columns of up to ten rows: float arrays whose
+    values come mostly from one small pool that every column shares, so
+    that they repeat within and across columns, int and bool arrays, and
+    lists of ``CELLS``."""
+    n, width = draw(st.integers(0, 10)), draw(st.integers(2, 4))
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["float", "float", "int", "bool", "list"]))
+        if kind == "float":
+            values = st.one_of(st.sampled_from(pool), st.sampled_from(pool), FLOATS)
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), float))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(st.integers(-2, 2) | st.integers(
+                -2**63, 2**63 - 1), min_size=n, max_size=n)), np.int64))
+        elif kind == "bool":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                    bool))
+        else:
+            columns.append(draw(st.lists(CELLS | st.sampled_from(pool), min_size=n,
+                                         max_size=n)))
+    header = tuple(draw(st.lists(st.text(max_size=3), min_size=width, max_size=width)))
+    return header, columns
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    expected = io.StringIO()
+    csv.writer(expected).writerows([header, *rows])
+    return expected.getvalue().encode()
 
 
 @st.composite
@@ -478,6 +525,66 @@ class TestRoundTrip:
         expected = io.StringIO()
         csv.writer(expected).writerows([header, *rows])
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=column_tables())
+    def test_block_formatter_writes_what_csv_writer_writes(self, table):
+        header, columns = table
+        rows = list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                          for col in columns)))
+        text = data_mod._joined([data_mod._texts(col) for col in columns]) if rows else ""
+        assert (header_line(header) + text).encode() == csv_writer_bytes(header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=column_tables())
+    def test_write_columns_writes_what_csv_writer_writes(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("columns") / "columns.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", 3)  # rows in several blocks
+            data_mod.write_columns(path, header, columns)
+        rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=column_tables())
+    def test_write_rows_writes_repeated_floats_as_csv_writer(self, tmp_path_factory, table):
+        header, columns = table
+        rows = list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                          for col in columns)))
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", 3)
+            data_mod.write_rows(path, header, iter(rows))
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_write_csv_of_repeated_floats_writes_what_csv_writer_writes(
+            self, tmp_path_factory, data):
+        """Times that repeat across subjects, and a time-varying covariate of
+        repeated values, both zeros, NaNs of several bit patterns (missing,
+        an empty field) and floats that repr writes in exponent form."""
+        ends = data.draw(st.lists(st.lists(st.sampled_from(
+            [5e-324, 1e-5, 0.5, 1.0, 1e16, 1e22]), min_size=1, max_size=3, unique=True)
+            .map(sorted), min_size=1, max_size=5))
+        rows = [(sid, lo, hi) for sid, stops in enumerate(ends, 1)
+                for lo, hi in zip([0.0, *stops], stops)]
+        z = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS), min_size=len(rows),
+                               max_size=len(rows)))
+        ds = CountingProcessDataset(
+            CovariateSchema(time_varying=("z",)), DesignFlavor.CONTINUES_AFTER_TREATMENT,
+            [str(sid) for sid in range(1, len(ends) + 1)],
+            np.cumsum([0, *map(len, ends)]), [lo for _, lo, _ in rows],
+            [hi for *_, hi in rows], [0] * len(rows), [False] * len(rows), {"z": z})
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", 2)
+            write_csv(ds, path)
+        assert path.read_bytes() == csv_writer_bytes(
+            ("id", "tstart", "tstop", "status", "treated", "z"),
+            [(str(sid), lo, hi, 0, 0, "" if math.isnan(v) else v)
+             for (sid, lo, hi), v in zip(rows, z)])
 
     def test_write_csv_writes_what_csv_writer_writes(self, tmp_path, monkeypatch):
         """Ids that need quoting, labels, values without a label, NaN and
@@ -1098,6 +1205,48 @@ class TestReaderAgainstReference:
 
         monkeypatch.setattr(data_mod, "_parse", refuse)
         assert ingest_csv(path) == reference_ingest(path)
+
+    def test_empty_time_varying_fields_take_numpys_reader(self, tmp_path, monkeypatch):
+        """A missing time-varying value, an empty field, keeps its block on
+        numpy's reader, in the first block (where the covariate may still be
+        baseline) and in later ones."""
+        path = tmp_path / "s2.csv"
+        write_csv(simulate.simulate(scenarios.builtin("s2"), 300, seed=3), path)
+        header, *lines = path.read_text().splitlines()
+        assert header.endswith(",z") and len(lines) > 2048 + 100
+        for k in range(7, len(lines), 700):
+            lines[k] = lines[k].rsplit(",", 1)[0] + ","
+        path.write_text("\n".join([header, *lines]) + "\n")
+
+        def refuse(*args):
+            raise AssertionError("a block went to the csv module")
+
+        monkeypatch.setattr(data_mod, "_parse", refuse)
+        ds = ingest_csv(path)
+        assert ds == reference_ingest(path)
+        assert np.isnan(ds.columns["z"]).sum() == len(range(7, len(lines), 700))
+
+    def test_rows_shuffled_within_and_across_subjects(self, tmp_path):
+        """Rows out of order within a subject, and subjects interleaved, give
+        the dataset of the rows in order."""
+        rows = ["1,0,1,0,0,0.5", "1,1,2,2,0,1", "1,2,4,1,1,", "2,0,3,0,0,1", "2,3,5,1,0,2"]
+        header = "id,tstart,tstop,status,treated,z\n"
+        ordered = write(tmp_path, header + "\n".join(rows) + "\n", "ordered.csv")
+        shuffled = write(tmp_path, header + "\n".join(
+            rows[k] for k in (2, 4, 0, 3, 1)) + "\n", "shuffled.csv")
+        assert outcome(ingest_csv, shuffled) == outcome(reference_ingest, shuffled)
+        assert ingest_csv(shuffled) == ingest_csv(ordered)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2)],
+                             ids=["in-order", "reversed", "swapped"])
+    def test_event_and_treatment_start_tied_at_one_stop(self, tmp_path, order):
+        rows = ["1,0,1,0,0", "1,1,2,2,0", "1,1,2,1,0", "2,0,3,1,0"]
+        path = write(tmp_path, "id,tstart,tstop,status,treated\n"
+                     + "\n".join(rows[k] for k in order) + "\n")
+        got = outcome(ingest_csv, path)
+        line = 2 + max(order.index(1), order.index(2))
+        assert got == outcome(reference_ingest, path) == (
+            MalformedRow, f"line {line}: subject 1: event and treatment start tied at t=2.0")
 
     def test_classifies_strings_not_values(self, tmp_path):
         # "1" and "1.0" are one value but two strings: time-varying

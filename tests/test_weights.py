@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from predictimands import cox, scenarios, simulate
+from predictimands import data as data_mod
 from predictimands.data import (
     CovariateSchema,
     Episode,
@@ -28,8 +29,15 @@ from predictimands.strategies import (
     StrategySpec,
     estimate,
 )
-from predictimands.weights import WeightMode, fit_treatment_hazard, stabilized_weights
+from predictimands.weights import (
+    WeightMode,
+    WeightTable,
+    fit_treatment_hazard,
+    stabilized_weights,
+    weight_rows,
+)
 from tests.records import dataset
+from tests.test_data import SPECIAL_FLOATS
 
 
 def confounded_spec(gamma_treat=0.5, base_treat=0.1):
@@ -211,6 +219,31 @@ class TestWeightColumns:
         reference_csv(table, tmp_path / "reference.csv")
         assert ((tmp_path / "weights.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_csv_of_repeated_values_matches_row_by_row_export(self, tmp_path_factory,
+                                                              data):
+        """Ids that need quoting, times that repeat across subjects and
+        weights drawn from a pool of both zeros, NaNs of several bit
+        patterns, infinities and floats that repr writes in exponent form."""
+        ids = data.draw(st.lists(st.sampled_from(["1", "a,b", 'q"x', "é", "22"]),
+                                 min_size=1, max_size=4, unique=True))
+        subjects = tuple(SubjectRecord(sid, tuple(
+            Episode(lo, hi, Status.CENSORED) for lo, hi in zip([0.0, *stops], stops)))
+            for sid, stops in ((sid, sorted(data.draw(st.sets(st.sampled_from(
+                [5e-324, 1e-5, 0.5, 1e16, 1e22]), min_size=1, max_size=3)))) for sid in ids))
+        ds = dataset(subjects)
+        pool = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=3))
+        weight = data.draw(st.lists(st.sampled_from(pool), min_size=ds.n_rows,
+                                    max_size=ds.n_rows))
+        table = WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
+        work = tmp_path_factory.mktemp("weights")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_mod, "_BLOCK", 2)
+            table.to_csv(work / "weights.csv")
+        reference_csv(table, work / "reference.csv")
+        assert (work / "weights.csv").read_bytes() == (work / "reference.csv").read_bytes()
 
     def test_rows_are_read_only_dataset_columns(self, s2_models):
         ds, num, den = s2_models
