@@ -23,7 +23,7 @@ from . import weights as weights_mod
 from .cox import CoxModel
 # infer_schema is unused here but stays importable: perfbench's tracer wraps
 # it in this module
-from .data import (CovariateSchema, float_texts, infer_schema, ingest_csv,  # noqa: F401
+from .data import (CovariateSchema, _texts, infer_schema, ingest_csv,  # noqa: F401
                    reading, write_columns, write_csv)
 from .errors import DataError, NumericError, ScenarioError
 from .simulate import IntensitySpec
@@ -269,13 +269,14 @@ def _load_fit(run_dir: Path) -> tuple:
 def _curve_texts(curve) -> tuple:
     """The texts of a risk curve's times and risks, each distinct value
     formatted once, for its CSV and its JSON."""
-    return float_texts(curve.times), float_texts(curve.risk)
+    return _texts(curve.times), _texts(curve.risk)
 
 
 def _curve_json(curve, time, risk) -> dict:
     """``curve.to_dict()`` with its ``time`` and ``risk`` given by their
     texts."""
-    return {**curve.to_dict(), "time": _Floats(time), "risk": _Floats(risk)}
+    return {"strategy": curve.strategy, "profile": curve.profile, "horizon": curve.horizon,
+            "time": _Floats(time), "risk": _Floats(risk)}
 
 
 def cmd_predict(args) -> int:

@@ -149,13 +149,7 @@ class _RiskSets:
         self.uft = np.unique(design.stop[design.event])
         nuft = self.uft.size
         enter = np.searchsorted(self.uft, design.stop, side="right") - 1
-        # a row that starts where the row before it stops leaves one slot
-        # after that row's entry slot; only the other rows are searched
-        follows = np.zeros(enter.size, bool)
-        follows[1:] = design.start[1:] == design.stop[:-1]
-        exit_ = np.empty_like(enter)
-        exit_[follows] = enter[np.flatnonzero(follows) - 1] + 1
-        exit_[~follows] = np.searchsorted(self.uft, design.start[~follows], side="right")
+        exit_ = np.searchsorted(self.uft, design.start, side="right")
         self.active = np.flatnonzero(enter >= exit_)
         self.enter = enter[self.active]
         self.exit = exit_[self.active]

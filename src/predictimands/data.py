@@ -20,13 +20,13 @@ tests and tools; no module of the package reads it.
 
 CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv`` gives
 each plain block of lines (no ``"``, one row to a line, every token spelt as
-the csv path would read it, no empty field but a missing time-dependent
-value, no row in error) to numpy's C reader, and every other block to the
-csv module and ``_parse``, which alone reports errors; from the first ``"``
-on, the csv module reads the rest of the file. ``write_columns``,
-``write_rows`` and ``write_csv`` share one block formatter, ``_texts``: it
-formats each distinct number of a block's column once, as its ``repr``, and
-the block's rows are joined with the bytes ``csv.writer`` writes.
+the csv path would read it, no row in error) to numpy's C reader, and every
+other block to the csv module and ``_parse``, which alone reports errors;
+from the first ``"`` on, the csv module reads the rest of the file.
+``write_columns``, ``write_rows`` and ``write_csv`` share one block
+formatter, ``_texts``: it formats each distinct number of a block's column
+once, as its ``repr``, and the block's rows are joined with the bytes
+``csv.writer`` writes.
 """
 
 from __future__ import annotations
@@ -549,7 +549,7 @@ class _Rows:
                 except UnicodeDecodeError as exc:
                     fault = exc
                 text = "".join(texts)
-                block = None if fault else self._plain(texts, text, line, labelled, baseline)
+                block = None if fault else self._plain(texts, text, line, labelled)
                 if block is not None:
                     yield block
                     line += len(texts)
@@ -593,22 +593,18 @@ class _Rows:
             if self.short_row is not None or not full:
                 return
 
-    def _plain(self, texts, text, line, labelled, baseline):
+    def _plain(self, texts, text, line, labelled):
         """The block of ``texts``, the lines joined in ``text`` from ``line``
         on, read by one ``np.loadtxt`` call as ``blocks`` yields it with
-        ``labelled`` and ``baseline``; None to hand it to the csv module.
+        ``labelled``; None to hand it to the csv module.
 
         A block is taken only if its rows are one to a line and pass every
         check of ``_parse``, and only from tokens that numpy reads as the
         csv path does: each id and each covariate that is labelled or may
-        still be baseline as a stripped string shorter than ``_TOKEN_WIDTH``,
-        each status and treated as the exact token of its code, and the
-        other fields as finite floats, which numpy reads from ASCII tokens as
-        ``float`` does and refuses in any other spelling. A covariate that
-        neither ``baseline`` nor the wide format makes baseline may be empty,
-        a missing value. numpy refuses an empty float field, so a block it
-        cannot read is read once more with the float covariates that may be
-        empty as strings, parsed as the csv path parses them.
+        still be baseline as a stripped, nonempty string shorter than
+        ``_TOKEN_WIDTH``, each status and treated as the exact token of its
+        code, and the other fields as finite floats, which numpy reads from
+        ASCII tokens as ``float`` does and refuses in any other spelling.
         """
         header, fixed, width = self.header, self.fixed, len(self.header)
         if not texts:  # the end of the file
@@ -623,52 +619,36 @@ class _Rows:
                    if j == 0 or j >= fixed and (name in self._firsts or name in labelled)}
         codes = {j: len(Status) if name == "status" else 2
                  for j, name in enumerate(header[:fixed]) if name in _CODES}
-        # the covariates whose fields may be empty, a missing value
-        nullable = set() if self.wide else {
-            j for j in range(fixed, width) if header[j] not in baseline}
         dtype = [(f"f{j}", f"U{_TOKEN_WIDTH}" if j in strings else "U2" if j in codes
                   else float) for j in range(width)]
-        missing = set()  # the float fields read again as strings
         try:
             block = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
-            missing = nullable - strings
-            if not missing:
-                return None
-            dtype = [(f"f{j}", f"U{_TOKEN_WIDTH}") if j in missing else field
-                     for j, field in enumerate(dtype)]
-            try:
-                block = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError:
-                return None
+            return None
         # the string fields are checked, parsed and coded once per run of
         # rows that repeat them all, such as a subject's rows in a row
         runs = np.arange(block.size) == 0
         for j in strings:
             values = block[f"f{j}"]
+            if np.char.str_len(values).max() >= _TOKEN_WIDTH:
+                return None
             runs[1:] |= values[1:] != values[:-1]
         starts = np.flatnonzero(runs)
         counts = np.diff(starts, append=block.size)
         fields, tokens = [], {}
         for j, name in enumerate(header):
             values = block[f"f{j}"]
-            if j in strings or j in missing:
-                raw = (values[starts] if j in strings else values).tolist()
-                if j in strings:
-                    tokens[name] = raw
-                empty = _empty(raw)
-                # a token as wide as the field may have been cut short
-                if (max(map(len, raw)) >= _TOKEN_WIDTH or list(map(str.strip, raw)) != raw
-                        or j not in nullable and empty.any()):
+            if j in strings:
+                tokens[name] = values[starts].tolist()
+                if "" in tokens[name] or list(map(str.strip, tokens[name])) != tokens[name]:
                     return None
                 if j == 0:
                     continue
                 parse = partial(_encode, labelled[name], name) if name in labelled else float
-                values, rejected = _column(raw, parse)
-                if (~empty & (rejected | ~np.isfinite(values))).any():
+                values, rejected = _column(tokens[name], parse)
+                if rejected.any():
                     return None
-                if j in strings:
-                    values = np.repeat(values, counts)
+                values = np.repeat(values, counts)
             elif j in codes:
                 # the first character's code point, and none after it
                 points = np.ascontiguousarray(values).view(np.uint32).reshape(-1, 2)
@@ -679,8 +659,7 @@ class _Rows:
         tstart, tstop = (np.zeros(block.size), fields[0]) if self.wide else fields[:2]
         with np.errstate(over="ignore"):
             finite = np.isfinite(tstart + tstop).all() and all(
-                np.isfinite(values).all() for j, values in enumerate(fields[fixed - 1:], fixed)
-                if j not in strings and j not in missing)
+                np.isfinite(values).all() for values in fields[fixed - 1:])
         if not (finite and (tstart >= 0).all() and (tstart < tstop).all()):
             return None
         subject = self._codes(tokens[header[0]])
@@ -718,14 +697,11 @@ class _Rows:
 def _column(tokens, parse) -> tuple:
     """``parse`` of each token as floats, NaN where it raises a ValueError or
     DataError, and the mask of those tokens. ``float`` parses the column in
-    one pass, with each empty token read as NaN and masked, another rule
-    each distinct token once."""
+    one pass, another rule each distinct token once."""
     n = len(tokens)
     if parse is float:
-        empty = _empty(tokens)
         with suppress(ValueError):
-            return np.fromiter(map(float, [t or "nan" for t in tokens] if empty.any()
-                                   else tokens), float, n), empty
+            return np.fromiter(map(float, tokens), float, n), np.zeros(n, bool)
     values, rejected = dict.fromkeys(tokens, math.nan), set()
     for token in values:
         try:
@@ -970,12 +946,6 @@ def _texts(values, cell=None) -> list:
     distinct = keys.view(values.dtype).tolist()
     return np.array(_cells(list(map(cell, distinct)) if cell else distinct),
                     object)[index].tolist()
-
-
-def float_texts(values) -> list:
-    """The ``repr`` of each float of the 1-d array ``values``, as the CSV
-    writers write it, made once per distinct value."""
-    return _texts(np.asarray(values, float))
 
 
 def _cells(values) -> list:

@@ -1206,26 +1206,6 @@ class TestReaderAgainstReference:
         monkeypatch.setattr(data_mod, "_parse", refuse)
         assert ingest_csv(path) == reference_ingest(path)
 
-    def test_empty_time_varying_fields_take_numpys_reader(self, tmp_path, monkeypatch):
-        """A missing time-varying value, an empty field, keeps its block on
-        numpy's reader, in the first block (where the covariate may still be
-        baseline) and in later ones."""
-        path = tmp_path / "s2.csv"
-        write_csv(simulate.simulate(scenarios.builtin("s2"), 300, seed=3), path)
-        header, *lines = path.read_text().splitlines()
-        assert header.endswith(",z") and len(lines) > 2048 + 100
-        for k in range(7, len(lines), 700):
-            lines[k] = lines[k].rsplit(",", 1)[0] + ","
-        path.write_text("\n".join([header, *lines]) + "\n")
-
-        def refuse(*args):
-            raise AssertionError("a block went to the csv module")
-
-        monkeypatch.setattr(data_mod, "_parse", refuse)
-        ds = ingest_csv(path)
-        assert ds == reference_ingest(path)
-        assert np.isnan(ds.columns["z"]).sum() == len(range(7, len(lines), 700))
-
     def test_rows_shuffled_within_and_across_subjects(self, tmp_path):
         """Rows out of order within a subject, and subjects interleaved, give
         the dataset of the rows in order."""
