@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import itertools
 import json
 import math
 import sys
@@ -157,7 +158,8 @@ def _indented(value, newline: str) -> str:
     if isinstance(value, (list, tuple)) and value:
         if _numbers(value):
             body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
-        elif all(isinstance(item, (list, tuple)) and item and _numbers(item) for item in value):
+        elif (set(map(type, value)) <= {list, tuple} and all(value)
+              and _numbers(itertools.chain.from_iterable(value))):
             # a table of numbers in one compact C call: the only commas and
             # brackets in it are its separators, laid out by two replaces
             row = inner + "  "

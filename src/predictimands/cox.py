@@ -133,24 +133,45 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
     return _Design(start, stop, event, X, w[row], names, ds.row_subject[row])
 
 
+def _slots(times: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """The risk-set slots of rows (start, stop] over sorted unique ``times``.
+
+    A row joins the risk sets at its entry slot (the last time at or before
+    its stop) and leaves them after its exit slot (the first time after its
+    start), so it is at risk at time k when exit <= k <= entry. Returns
+    every row's entry and exit slots and the rows at risk at some time,
+    those with a time inside their interval.
+    """
+    enter = np.searchsorted(times, stop, side="right") - 1
+    exit_ = np.searchsorted(times, start, side="right")
+    return enter, exit_, np.flatnonzero(enter >= exit_)
+
+
+def _at_risk(enter: np.ndarray, exit_: np.ndarray, n_times: int, col=None) -> np.ndarray:
+    """The sum of ``col`` (the count, if None) over the rows at risk at
+    each of ``n_times`` times, given the slots of rows at risk at some
+    time: reverse cumulative sums binned by entry slot, minus the same
+    binned by exit slot."""
+    entered = np.bincount(enter, col, n_times + 1)[::-1].cumsum()[::-1]
+    exited = np.bincount(exit_, col, n_times + 1)[::-1].cumsum()[::-1]
+    return entered[:-1] - exited[1:]
+
+
 class _RiskSets:
     """Unique event times and the index arrays a sweep sums over.
 
-    A row joins the risk sets at its entry slot (the last event time at or
-    before its stop) and leaves them after its exit slot (the first event
-    time after its start); rows with no event time inside their interval
-    never join. Dead rows are ordered by event time. Each event time has
-    one tie slot per death under Efron (slot j of d removes j/d of the tied
-    deaths' risk) and one slot with ``frac = 0`` under Breslow.
+    ``active``, ``enter`` and ``exit`` are the rows at risk at some event
+    time and their slots, as ``_slots`` gives them. Dead rows are ordered
+    by event time. Each event time has one tie slot per death under Efron
+    (slot j of d removes j/d of the tied deaths' risk) and one slot with
+    ``frac = 0`` under Breslow.
     """
 
     def __init__(self, design: _Design, ties: str = "efron"):
         self.design = design
         self.uft = np.unique(design.stop[design.event])
         nuft = self.uft.size
-        enter = np.searchsorted(self.uft, design.stop, side="right") - 1
-        exit_ = np.searchsorted(self.uft, design.start, side="right")
-        self.active = np.flatnonzero(enter >= exit_)
+        enter, exit_, self.active = _slots(self.uft, design.start, design.stop)
         self.enter = enter[self.active]
         self.exit = exit_[self.active]
         dead = np.flatnonzero(design.event)
@@ -186,18 +207,11 @@ def _unpack(sums: np.ndarray, p: int):
 
 
 def _risk_sums(rs: _RiskSets, r: np.ndarray):
-    """S0, S1 and S2 over the risk set at each unique event time: reverse
-    cumulative sums of each column binned by entry slot, minus the same
-    binned by exit slot."""
+    """S0, S1 and S2 over the risk set at each unique event time, each
+    column summed by ``_at_risk``."""
     X = rs.design.X[rs.active]
-    n_bins = rs.uft.size + 1
-
-    def at_risk(col):
-        entered = np.bincount(rs.enter, col, n_bins)[::-1].cumsum()[::-1]
-        exited = np.bincount(rs.exit, col, n_bins)[::-1].cumsum()[::-1]
-        return entered[:-1] - exited[1:]
-
-    sums = [at_risk(col) for col in _products(r[rs.active], X)]
+    sums = [_at_risk(rs.enter, rs.exit, rs.uft.size, col)
+            for col in _products(r[rs.active], X)]
     return _unpack(np.stack(sums, axis=1), X.shape[1])
 
 

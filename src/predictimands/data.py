@@ -23,10 +23,10 @@ each plain block of lines (no ``"``, one row to a line, every token spelt as
 the csv path would read it, no row in error) to numpy's C reader, and every
 other block to the csv module and ``_parse``, which alone reports errors;
 from the first ``"`` on, the csv module reads the rest of the file.
-``write_columns``, ``write_rows`` and ``write_csv`` share one block
-formatter, ``_texts``: it formats each distinct number of a block's column
-once, as its ``repr``, and the block's rows are joined with the bytes
-``csv.writer`` writes.
+``write_columns`` and ``write_csv`` share one block formatter, ``_texts``:
+it formats each distinct number of a block's array column once, as its
+``repr``, and the block's rows are joined with the bytes ``csv.writer``
+writes.
 """
 
 from __future__ import annotations
@@ -887,15 +887,6 @@ def write_columns(path, header, columns):
     _write(path, header, _blocks(columns, [None] * len(columns)))
 
 
-def write_rows(path, header, rows):
-    """Write a UTF-8 CSV file, creating its directory if missing: the
-    ``header`` line, then ``rows``, sequences of strings, ints and floats,
-    with the bytes ``csv.writer`` writes (each float as its ``repr``). Rows
-    are formatted column by column and joined ``_BLOCK`` at a time."""
-    rows = iter(rows)
-    _write(path, header, map(_row_block, iter(lambda: list(itertools.islice(rows, _BLOCK)), [])))
-
-
 def _write(path, header, texts):
     """Write the ``header`` line and then each of ``texts`` to ``path``."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -911,16 +902,6 @@ def _blocks(columns, cells):
         yield _joined([_texts(col[lo:lo + _BLOCK], cell) for col, cell in zip(columns, cells)])
 
 
-def _row_block(rows: list) -> str:
-    """The lines that ``csv.writer`` writes for ``rows``: formatted column
-    by column when the rows have the same two or more fields."""
-    if len(set(map(len, rows))) == 1 and len(rows[0]) > 1:
-        return _joined([_texts(col) for col in zip(*rows)])
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 def _joined(columns) -> str:
     """CSV lines, each ended by ``\\r\\n``, of the rows whose formatted fields
     are given as ``columns``."""
@@ -929,14 +910,12 @@ def _joined(columns) -> str:
 
 def _texts(values, cell=None) -> list:
     """The fields ``csv.writer`` writes for ``values`` in rows of two or
-    more fields, as ``_cells`` formats them. An array of numbers, or a
-    sequence of floats, is formatted once per distinct value, after
-    ``cell`` (if given) maps the value to what is written; floats are told
-    apart by their bits, so ``-0.0``, ``0.0`` and each NaN keep their own."""
+    more fields, as ``_cells`` formats them: any other sequence value by
+    value, and an array of numbers once per distinct value, after ``cell``
+    (if given) maps the value to what is written; floats are told apart by
+    their bits, so ``-0.0``, ``0.0`` and each NaN keep their own."""
     if not isinstance(values, np.ndarray):
-        if set(map(type, values)) != {float}:
-            return _cells(values)
-        values = np.array(values, float)
+        return _cells(values)
     if values.dtype.kind not in "biuf":
         return _cells(values.tolist())
     if values.dtype.kind == "f":

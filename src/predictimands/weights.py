@@ -140,22 +140,17 @@ def _diagnostics(start, stop, values, denominator) -> dict:
         "max": float(values.max()),
         "ess": float(values.sum() ** 2 / (values ** 2).sum()),
     }
-    # mean weight among episodes at risk at each treatment event time;
-    # values far from 1 signal misspecification or positivity trouble
+    # mean weight among episodes at risk (start < t <= stop) at each
+    # treatment event time t, over cox's risk-set slots; values far from 1
+    # signal misspecification or positivity trouble
     times = denominator.baseline_times
-    if times.size:
-        def below(v):
-            """The weight sum and the count of the episodes with ``v`` below
-            each time, from one stable sort of ``v``."""
-            order = np.argsort(v, kind="stable")
-            count = np.searchsorted(v[order], times, side="left")
-            return np.concatenate([[0.0], np.cumsum(values[order])])[count], count
-
-        (wstart, nstart), (wstop, nstop) = below(start), below(stop)
-        wsum, count = wstart - wstop, nstart - nstop
-        ok = count > 0
-        if ok.any():
-            means = wsum[ok] / count[ok]
-            diag["at_risk_mean_min"] = float(means.min())
-            diag["at_risk_mean_max"] = float(means.max())
+    enter, exit_, active = cox._slots(times, start, stop)
+    enter, exit_ = enter[active], exit_[active]
+    wsum = cox._at_risk(enter, exit_, times.size, values[active])
+    count = cox._at_risk(enter, exit_, times.size)
+    ok = count > 0
+    if ok.any():
+        means = wsum[ok] / count[ok]
+        diag["at_risk_mean_min"] = float(means.min())
+        diag["at_risk_mean_max"] = float(means.max())
     return diag

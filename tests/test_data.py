@@ -422,9 +422,10 @@ CELLS = st.one_of(st.text(st.sampled_from(',"\r\n aé'), max_size=4), st.text(ma
                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
 
 
-#: floats that repr writes in exponent form or as words, both zeros and NaNs
-#: of four bit patterns
-SPECIAL_FLOATS = [math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1e22, 0.0, -0.0, *np.array(
+#: floats that repr writes in exponent form or as words, subnormals, the
+#: largest float, both zeros and NaNs of four bit patterns (the last four)
+SPECIAL_FLOATS = [math.inf, -math.inf, 5e-324, 1e-320, 2.5e-07, 1e16, 1e-5, 1e22,
+                  1.7976931348623157e308, 0.0, -0.0, *np.array(
     [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0000],
     np.uint64).view(float).tolist()]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
@@ -463,18 +464,6 @@ def csv_writer_bytes(header, rows) -> bytes:
     return expected.getvalue().encode()
 
 
-@st.composite
-def csv_tables(draw):
-    """A header of one to four names and up to ten rows of ``CELLS``, most of
-    the header's width and some of any width."""
-    width = draw(st.integers(1, 4))
-    header = tuple(draw(st.lists(st.text(max_size=3), min_size=width, max_size=width)))
-    row = st.lists(CELLS, min_size=width, max_size=width).map(tuple)
-    rows = draw(st.lists(st.one_of(row, row, row, st.lists(CELLS, max_size=5).map(tuple)),
-                         max_size=10))
-    return header, rows
-
-
 class TestRoundTrip:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -506,26 +495,6 @@ class TestRoundTrip:
         path = write(tmp_path, text)
         assert outcome(ingest_csv, path) == outcome(ingest_csv, path, infer_schema(path))
 
-    def test_write_rows_writes_each_float_as_its_repr(self, tmp_path):
-        values = [5e-324, 1e-320, 2.5e-07, 1e16, 1e22, -0.0,
-                  1.7976931348623157e308, math.inf]
-        path = tmp_path / "floats.csv"
-        data_mod.write_rows(path, ("label", "value"), (("x", v) for v in values))
-        assert path.read_text().splitlines() == (
-            ["label,value"] + [f"x,{v!r}" for v in values])
-
-    @settings(max_examples=200, deadline=None)
-    @given(table=csv_tables())
-    def test_write_rows_writes_what_csv_writer_writes(self, tmp_path_factory, table):
-        header, rows = table
-        path = tmp_path_factory.mktemp("rows") / "rows.csv"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_mod, "_BLOCK", 3)  # rows in several blocks
-            data_mod.write_rows(path, header, iter(rows))
-        expected = io.StringIO()
-        csv.writer(expected).writerows([header, *rows])
-        assert path.read_bytes() == expected.getvalue().encode()
-
     @settings(max_examples=100, deadline=None)
     @given(table=column_tables())
     def test_block_formatter_writes_what_csv_writer_writes(self, table):
@@ -544,18 +513,6 @@ class TestRoundTrip:
             patch.setattr(data_mod, "_BLOCK", 3)  # rows in several blocks
             data_mod.write_columns(path, header, columns)
         rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
-        assert path.read_bytes() == csv_writer_bytes(header, rows)
-
-    @settings(max_examples=100, deadline=None)
-    @given(table=column_tables())
-    def test_write_rows_writes_repeated_floats_as_csv_writer(self, tmp_path_factory, table):
-        header, columns = table
-        rows = list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
-                          for col in columns)))
-        path = tmp_path_factory.mktemp("rows") / "rows.csv"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_mod, "_BLOCK", 3)
-            data_mod.write_rows(path, header, iter(rows))
         assert path.read_bytes() == csv_writer_bytes(header, rows)
 
     @settings(max_examples=50, deadline=None)
@@ -613,9 +570,9 @@ class TestRoundTrip:
         assert (tmp_path / "ds.csv").read_bytes() == expected.getvalue().encode()
         assert set(decoded) == {"arm"}
 
-    def test_write_rows_creates_missing_directories(self, tmp_path):
-        path = tmp_path / "new" / "deeper" / "rows.csv"
-        data_mod.write_rows(path, ("a", "b"), [(1, 0.5), ("", 2.0)])
+    def test_write_columns_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "columns.csv"
+        data_mod.write_columns(path, ("a", "b"), [[1, ""], np.array([0.5, 2.0])])
         assert path.read_text() == "a,b\n1,0.5\n,2.0\n"
 
     def test_infer_schema(self, tmp_path):

@@ -88,6 +88,42 @@ def untreated_two_interval(sid, mid, end, status, z0, z1):
     return SubjectRecord(sid, eps, {})
 
 
+def z_subject(sid, *episodes):
+    """A subject of ``(tstart, tstop, status, treated, z)`` episodes."""
+    return SubjectRecord(sid, tuple(Episode(lo, hi, status, treated, {"z": z})
+                                    for lo, hi, status, treated, z in episodes))
+
+
+C, E, T = Status.CENSORED, Status.EVENT, Status.TREATMENT_START
+
+#: hand-built datasets for the at-risk means of the weight diagnostics
+AT_RISK_CASES = {
+    # treatment starts at 2 and 4; episodes start exactly there (not at
+    # risk then) and stop exactly there (at risk then)
+    "boundaries": [
+        z_subject("a", (0, 2, T, False, 0.5), (2, 5, E, True, 1.0)),
+        z_subject("b", (0, 1, C, False, -1.0), (1, 4, T, False, 0.2), (4, 6, C, True, 0.3)),
+        z_subject("c", (0, 2, C, False, 1.5), (2, 4, C, False, -0.5), (4, 6, E, False, 2.0)),
+        z_subject("d", (0, 2, C, False, 0.1), (2, 4, C, False, 0.8), (4, 7, C, False, -1.2)),
+        z_subject("e", (0, 3, C, False, -0.3), (3, 6, E, False, 0.9)),
+    ],
+    # three subjects start treatment at 2, one at 3
+    "tied-starts": [
+        z_subject("a", (0, 2, T, False, 0.4), (2, 4, C, True, 0.4)),
+        z_subject("b", (0, 2, T, False, -0.6), (2, 5, E, True, 0.1)),
+        z_subject("c", (0, 1, C, False, 1.1), (1, 2, T, False, 0.7), (2, 3, E, True, 0.7)),
+        z_subject("d", (0, 3, T, False, -1.4), (3, 6, C, True, 0.0)),
+        z_subject("e", (0, 2.5, C, False, 0.6), (2.5, 6, C, False, -0.2)),
+        z_subject("f", (0, 4, E, False, 1.9)),
+    ],
+    "single-treated": [
+        z_subject("a", (0, 1.5, T, False, 0.3), (1.5, 4, E, True, 0.3)),
+        z_subject("b", (0, 1, C, False, -0.8), (1, 3, C, False, 0.6)),
+        z_subject("c", (0, 2, E, False, 1.2)),
+    ],
+}
+
+
 @pytest.fixture
 def confounded_ds():
     return simulate.simulate(confounded_spec(gamma_treat=1.0), 400, seed=5)
@@ -381,15 +417,27 @@ class TestStabilizedWeights:
     @pytest.mark.parametrize("mode", list(WeightMode))
     def test_at_risk_means_over_episodes_open_at_each_time(self, confounded_ds, mode):
         """The at-risk mean weight at a treatment event time t averages the
-        episodes with tstart < t <= tstop, as a loop over the times finds."""
-        num = fit_treatment_hazard(confounded_ds, ())
-        den = fit_treatment_hazard(confounded_ds, ("z",))
-        table = stabilized_weights(confounded_ds, num, den, mode)
-        rows = table.rows
-        means = [rows.weight[open_].mean() for t in den.baseline_times.tolist()
-                 for open_ in [(rows.tstart < t) & (t <= rows.tstop)] if open_.any()]
-        assert table.diagnostics["at_risk_mean_min"] == pytest.approx(min(means), rel=1e-12)
-        assert table.diagnostics["at_risk_mean_max"] == pytest.approx(max(means), rel=1e-12)
+        episodes with tstart < t <= tstop, as a loop over the times finds: on
+        simulated data and on the hand-built ``AT_RISK_CASES``, whose
+        denominator model is the numerator's hazard with a coefficient on z."""
+        cases = {"simulated": (confounded_ds, fit_treatment_hazard(confounded_ds, ()),
+                               fit_treatment_hazard(confounded_ds, ("z",)))}
+        for case, subjects in AT_RISK_CASES.items():
+            ds = dataset(subjects, CovariateSchema(time_varying=("z",)))
+            num = fit_treatment_hazard(ds, ())
+            cases[case] = ds, num, replace(num, names=("z",), beta=np.array([0.7]),
+                                           info=np.eye(1), covariates=("z",))
+        for case, (ds, num, den) in cases.items():
+            table = stabilized_weights(ds, num, den, mode)
+            rows, times = table.rows, den.baseline_times.tolist()
+            if case == "boundaries":
+                assert set(times) & set(rows.tstart) and set(times) & set(rows.tstop)
+            means = [rows.weight[open_].mean() for t in times
+                     for open_ in [(rows.tstart < t) & (t <= rows.tstop)] if open_.any()]
+            assert table.diagnostics["at_risk_mean_min"] == pytest.approx(
+                min(means), rel=1e-12), case
+            assert table.diagnostics["at_risk_mean_max"] == pytest.approx(
+                max(means), rel=1e-12), case
 
     def test_at_risk_mean_near_one_when_well_specified(self):
         spec = confounded_spec(gamma_treat=1.0)
