@@ -185,6 +185,10 @@ class CountingProcessDataset:
         if not (np.isfinite([self.tstart, self.tstop]).all()
                 and np.isin(self.status, list(Status)).all()):
             raise DataError("times must be finite and status codes 0, 1 or 2")
+        for name, col in self.columns.items():
+            for r in np.flatnonzero(np.isinf(col))[:1]:
+                raise DataError(f"subject {self.ids[self.row_subject[r]]}: covariate "
+                                f"{name!r} must be finite or missing, got {col[r]}")
         for name in schema.baseline:
             col = self.columns[name]
             if not np.array_equal(col, col[self.offsets[self.row_subject]], equal_nan=True):

@@ -111,6 +111,8 @@ class Dist:
             raise ScenarioError(f"sd must be >= 0, got {p['sd']}")
         if self.kind == "uniform" and p["low"] > p["high"]:
             raise ScenarioError(f"low {p['low']} must not exceed high {p['high']}")
+        if self.kind == "uniform" and math.isinf(p["high"] - p["low"]):
+            raise ScenarioError(f"the width of uniform({p['low']}, {p['high']}) overflows")
         if self.kind == "bernoulli" and not 0.0 <= p["p"] <= 1.0:
             raise ScenarioError(f"p must lie in [0, 1], got {p['p']}")
         object.__setattr__(self, "params", p)
@@ -772,21 +774,26 @@ def simulate_trajectories(spec: IntensitySpec, n: int, seed,
         raise ScenarioError("n must be >= 1")
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
-    x0_draws, z0, noise, dropout, clocks = _draw(spec, n, root)
     grid = spec.grid
     n_seg = grid.size - 1
-
-    x0 = dict(zip(sorted(spec.baseline_covariates), x0_draws))
-    x0.update({name: np.full(n, float(value))
-               for name, value in (x0_override or {}).items()})
-    tv = {}
-    for k, name in enumerate(sorted(spec.tv_covariates)):
-        process, z = spec.tv_covariates[name], np.empty((n, n_seg))
-        z[:, 0] = z0[k]
-        for j in range(1, n_seg):
-            z[:, j] = (process.drift + process.rho * z[:, j - 1]
-                       + process.sd * noise[k, :, j - 1])
-        tv[name] = z
+    # a covariate whose draws overflow is raised below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0_draws, z0, noise, dropout, clocks = _draw(spec, n, root)
+        x0 = dict(zip(sorted(spec.baseline_covariates), x0_draws))
+        x0.update({name: np.full(n, float(value))
+                   for name, value in (x0_override or {}).items()})
+        tv = {}
+        for k, name in enumerate(sorted(spec.tv_covariates)):
+            process, z = spec.tv_covariates[name], np.empty((n, n_seg))
+            z[:, 0] = z0[k]
+            for j in range(1, n_seg):
+                z[:, j] = (process.drift + process.rho * z[:, j - 1]
+                           + process.sd * noise[k, :, j - 1])
+            tv[name] = z
+    for name, col in {**x0, **tv}.items():
+        if not np.isfinite(col).all():
+            raise ScenarioError(f"covariate {name!r} draws values that are not finite: "
+                                "its distribution or process overflows")
     values = {name: col[:, None] for name, col in x0.items()}
     values.update(tv)
 

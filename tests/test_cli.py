@@ -117,6 +117,27 @@ class TestUsageErrors:
         assert message in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("covariates", [
+        {"tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                                 "rho": 1e30}}, "grid_step": 0.5},
+        {"baseline_covariates": {"w": {"dist": "normal", "mean": 0.0, "sd": 1e308}}},
+    ], ids=["ar1-rho-1e30", "normal-sd-1e308"])
+    def test_overflowing_covariate_exits_2(self, tmp_path, capsys, covariates):
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps({
+            **covariates, "treatment": {"base": 0.1}, "death_untreated": {"base": 0.12},
+            "death_treated": {"base": 0.06}}))
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--scenario", str(scenario), "--n", "50",
+                    "--seed", "1", "--out", str(out)])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert (json.loads(stdout), stderr) == ({
+            "error": "ScenarioError",
+            "message": "covariate 'w' draws values that are not finite: its "
+                       "distribution or process overflows"}, "")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "10", "--seed", "1"],
         # a profile that fixes x makes the truth analytic

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from predictimands.data import (
     Episode,
     Status,
     SubjectRecord,
+    compose_outcome,
+    split_at_treatment,
 )
 from predictimands.errors import (
     ConvergenceFailure,
@@ -435,15 +438,18 @@ class TestFitBehavior:
             cox.fit(ds, cox.CoxSpec(covariates=("x",)))
 
     def test_divergence_along_an_unidentified_direction_detected(self):
-        # one event whose risk set separates on x - z: the score vanishes
-        # before |beta| passes the bound, then a Newton step on the singular
-        # information jumps along x + z
+        # one event whose risk set separates on x - z, and a singular
+        # information along x + z: the coefficients drift while the score
+        # shrinks, and the bound on |beta| times the range (2.5) of each
+        # column stops them before a step on the singular information can
+        # jump along x + z
         schema = CovariateSchema(baseline=("x",), time_varying=("z",))
         ds = CountingProcessDataset(
             schema, DesignFlavor.STOPS_AT_TREATMENT, ["1", "2"], [0, 1, 5],
             [0, 0, 0.5, 1, 1.5], [2, 0.5, 1, 1.5, 2], [2, 0, 0, 0, 0], [0] * 5,
             {"x": [1, -1.5, -1.5, -1.5, -1.5], "z": [-1.5, -1.5, -1.5, -1.5, 1]})
-        with pytest.raises(MonotoneLikelihood, match="singular information"):
+        with pytest.raises(MonotoneLikelihood, match=r"^coefficient for 'x' diverges "
+                           r"\(\|beta\| times its column's range = 16.1 > 15 "):
             cox.fit(ds, cox.CoxSpec(event_code=Status.TREATMENT_START,
                                     covariates=("x", "z")))
 
@@ -542,20 +548,90 @@ class TestNewtonExits:
         return calls
 
     def test_one_sweep_per_accepted_step(self, d1, counted):
-        # no step-halving on D1: the start, then one sweep per Newton step
+        # no step-halving on D1: the start, then one sweep per Newton step;
+        # each point's step is solved, the last one's for its decrement only
         model = cox.fit(d1, cox.CoxSpec(covariates=("x",)))
-        assert model.iterations == counted["steps"] >= 3
-        assert counted["sweeps"] == model.iterations + 1
+        assert model.iterations >= 3
+        assert counted["steps"] == counted["sweeps"] == model.iterations + 1
 
     def test_intercept_only_fit_takes_no_step(self, d1, counted):
         model = cox.fit(d1, cox.CoxSpec())
-        assert (model.iterations, counted["steps"], counted["sweeps"]) == (0, 0, 1)
+        assert (model.iterations, counted["steps"], counted["sweeps"]) == (0, 1, 1)
+
+    def test_stalled_step_halving_raises(self, d1, monkeypatch):
+        # every trial point scores below the start, so no halving is accepted
+        sweep = cox._sweep
+
+        def worse_away_from_zero(rs, beta):
+            loglik, *rest = sweep(rs, beta)
+            return (loglik - 1.0 if beta.any() else loglik, *rest)
+
+        monkeypatch.setattr(cox, "_sweep", worse_away_from_zero)
+        with pytest.raises(ConvergenceFailure,
+                           match=r"^step-halving stalled with max \|score\| = "):
+            cox.fit(d1, cox.CoxSpec(covariates=("x",)))
 
     def test_spent_budget_raises(self, d1, monkeypatch):
         monkeypatch.setattr(cox, "MAX_ITER", 1)
         with pytest.raises(ConvergenceFailure,
                            match=r"^no convergence in 1 iterations \(max \|score\| = "):
             cox.fit(d1, cox.CoxSpec(covariates=("x",)))
+
+
+def with_columns(ds, schema=None, **columns):
+    """``ds`` with the named covariate columns replaced or added."""
+    return CountingProcessDataset(
+        schema or ds.schema, ds.design, ds.ids, ds.offsets, ds.tstart, ds.tstop,
+        ds.status, ds.treated, {**ds.columns, **columns})
+
+
+class TestScaleFreeNewton:
+    """Rescaling a covariate or every case weight by a power of two rounds
+    no product, so Newton's iterates rescale exactly; the stopping rule
+    (the decrement per unit of event weight) and the divergence bound
+    (|beta| times the column's range) are scale-free, so the fit stops at
+    the same step."""
+
+    @pytest.fixture(scope="class")
+    def s2(self):
+        return simulate(builtin("s2"), 2000, seed=3)
+
+    def test_case_weights_times_power_of_two(self, s2):
+        ds = split_at_treatment(s2)
+        spec = cox.CoxSpec(covariates=("z",))
+        plain = cox.fit(ds, spec)
+        for k in (-20, -1, 1, 20):
+            table = WeightTable(weight_rows(ds, np.full(ds.n_rows, 2.0 ** k)),
+                                WeightMode.IPCW)
+            weighted = cox.fit(ds, replace(spec, weights=table))
+            assert weighted.iterations == plain.iterations, k
+            np.testing.assert_array_equal(weighted.beta, plain.beta, err_msg=k)
+            np.testing.assert_array_equal(weighted.baseline_increments,
+                                          plain.baseline_increments, err_msg=k)
+            np.testing.assert_array_equal(weighted.info, plain.info * 2.0 ** k, err_msg=k)
+
+    @pytest.mark.parametrize("k", [-10, -7, 7, 10])
+    def test_covariate_times_power_of_two(self, s2, k):
+        ds = compose_outcome(s2)
+        spec = cox.CoxSpec(covariates=("z",))
+        plain = cox.fit(ds, spec)
+        scaled = cox.fit(with_columns(ds, z=ds.columns["z"] * 2.0 ** k), spec)
+        assert scaled.iterations == plain.iterations
+        np.testing.assert_array_equal(scaled.beta * 2.0 ** k, plain.beta)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_constant_covariate_held_at_zero(self, seed):
+        # the baseline hazard absorbs a constant column, so it leaves the
+        # other coefficients as they are and makes the information singular
+        ds = compose_outcome(simulate(builtin("s2"), 2000, seed=seed))
+        alone = cox.fit(ds, cox.CoxSpec(covariates=("z",)))
+        schema = CovariateSchema(baseline=ds.schema.baseline + ("k",),
+                                 time_varying=ds.schema.time_varying)
+        for value in (0.7, 5.0, 123.0):
+            model = cox.fit(with_columns(ds, schema, k=np.full(ds.n_rows, value)),
+                            cox.CoxSpec(covariates=("z", "k")))
+            assert (model.beta[1], model.degenerate) == (0.0, True), value
+            np.testing.assert_allclose(model.beta[0], alone.beta[0], rtol=1e-12, atol=0)
 
 
 class TestTreatmentTerm:

@@ -282,7 +282,12 @@ class TestColumnarConstructor:
          "baseline covariate 'x' varies within a subject"),
         ({"ids": ["1"], "offsets": [0, 2], "columns": {"x": [0.0, math.nan]}},
          "baseline covariate 'x' varies within a subject"),
-    ], ids=["inf-tstop", "nan-tstart", "status-7", "varying-baseline", "partly-nan-baseline"])
+        ({"columns": {"x": [0.0, math.inf]}}, "subject 2: covariate 'x' must be finite "
+                                               "or missing, got inf"),
+        ({"columns": {"x": [-math.inf, 1.0]}}, "subject 1: covariate 'x' must be finite "
+                                                "or missing, got -inf"),
+    ], ids=["inf-tstop", "nan-tstart", "status-7", "varying-baseline", "partly-nan-baseline",
+            "inf-covariate", "minus-inf-covariate"])
     def test_values_outside_their_domain(self, changes, message):
         with pytest.raises(DataError) as exc:
             columnar(**changes)
@@ -521,13 +526,15 @@ class TestRoundTrip:
             self, tmp_path_factory, data):
         """Times that repeat across subjects, and a time-varying covariate of
         repeated values, both zeros, NaNs of several bit patterns (missing,
-        an empty field) and floats that repr writes in exponent form."""
+        an empty field) and floats that repr writes in exponent form; not
+        infinities, which a dataset rejects."""
         ends = data.draw(st.lists(st.lists(st.sampled_from(
             [5e-324, 1e-5, 0.5, 1.0, 1e16, 1e22]), min_size=1, max_size=3, unique=True)
             .map(sorted), min_size=1, max_size=5))
         rows = [(sid, lo, hi) for sid, stops in enumerate(ends, 1)
                 for lo, hi in zip([0.0, *stops], stops)]
-        z = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS), min_size=len(rows),
+        finite = [v for v in SPECIAL_FLOATS if not math.isinf(v)]
+        z = data.draw(st.lists(st.sampled_from(finite), min_size=len(rows),
                                max_size=len(rows)))
         ds = CountingProcessDataset(
             CovariateSchema(time_varying=("z",)), DesignFlavor.CONTINUES_AFTER_TREATMENT,

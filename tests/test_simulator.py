@@ -965,6 +965,8 @@ class TestScenarioParsing:
         ("tv", {"init": {"dist": "normal", "mean": 0, "sd": 1}, "rho": "nan"},
          "must be finite"),
         ("tv", {"init": {"dist": "normal", "mean": 0, "sd": -1}}, "sd must be >= 0"),
+        ("baseline", {"dist": "uniform", "low": -1e308, "high": 1e308},
+         "the width of uniform(-1e+308, 1e+308) overflows"),
     ])
     def test_bad_covariate_parameters_rejected(self, where, value, message):
         d = {"treatment": {"base": 0.1}, "death_untreated": {"base": 0.2},

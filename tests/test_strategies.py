@@ -420,9 +420,8 @@ class TestDuplicatedSubjects:
     every subject twice: each risk-set sum and each event weight doubles,
     so the coefficients and the baseline increments stay as they are, and
     so does every curve. Efron is left out, because duplication ties every
-    death. Newton stops on an absolute score, which duplication doubles, so
-    a fit on the duplicates can take one step more than on the original
-    data and move its risks by about 1e-10; on this dataset none does."""
+    death. Newton stops on its decrement per unit of event weight, which
+    duplication leaves as it is, so both fits take the same steps."""
 
     def test_weight_two_fits_as_duplicates(self):
         ds = split_at_treatment(simulate.simulate(scenarios.builtin("s2"), 400, seed=3))
@@ -439,6 +438,42 @@ class TestDuplicatedSubjects:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
     def test_curves_unchanged(self):
-        ds = simulate.simulate(scenarios.builtin("s2"), 400, seed=3)
-        assert_same_curves(ds, duplicated(ds), {},
-                           dict(t_hor=5.0, weight_covariates=("z",), ties="breslow"))
+        # on seeds 1, 6 and 10, and on 3 and 6 with a cut, a stop on the
+        # absolute score, which duplication doubles, gives the duplicates one
+        # step more and moves the weighted or model-based risks by 3e-11 to
+        # 8e-11
+        for seed in (3, 1, 6, 10):
+            ds = simulate.simulate(scenarios.builtin("s2"), 400, seed=seed)
+            for tv_cuts in ((), (1.5,)):
+                assert_same_curves(ds, duplicated(ds), {},
+                                   dict(t_hor=5.0, tv_cuts=tv_cuts, weight_covariates=("z",),
+                                        ties="breslow"))
+
+
+class TestCovariateUnits:
+    """A covariate in other units (a power of two times the original, with
+    the profile value scaled alike) scales its coefficients inversely and
+    leaves the linear predictors, the weights and every curve as they are,
+    up to rounding, as long as the fit's stopping rule and divergence bound
+    do not depend on units."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
+    def test_same_outcomes(self, name, profile, options, seed):
+        ds = simulate.simulate(scenarios.builtin(name), 500, seed=seed)
+        covariate = options["weight_covariates"][0]
+        specs = [spec_for(strategy, method, **options) for strategy, method in ALL_METHODS]
+        curves = [outcome(ds, spec, profile) for spec in specs]
+        for k in (-20, -3, 3, 20):
+            scaled = CountingProcessDataset(
+                ds.schema, ds.design, ds.ids, ds.offsets, ds.tstart, ds.tstop, ds.status,
+                ds.treated, {**ds.columns, covariate: ds.columns[covariate] * 2.0 ** k})
+            scaled_profile = {key: value * 2.0 ** k for key, value in profile.items()}
+            for spec, curve in zip(specs, curves):
+                curve2 = outcome(scaled, spec, scaled_profile)
+                label = f"{spec.label}, k = {k}"
+                assert type(curve2) is type(curve), (label, curve, curve2)
+                if not isinstance(curve, Exception):
+                    assert np.array_equal(curve2.times, curve.times), label
+                    np.testing.assert_allclose(curve2.risk, curve.risk, rtol=1e-12, atol=0,
+                                               err_msg=label)
