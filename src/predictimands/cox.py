@@ -28,6 +28,7 @@ from .errors import (
     DataError,
     MonotoneLikelihood,
     NoEvents,
+    NumericError,
     ProfileIncomplete,
     SingularInformation,
 )
@@ -304,7 +305,9 @@ class CoxModel:
         Coefficients, information, baseline hazard, log likelihood and score
         norm must be finite, the counts nonnegative integers and the flags
         booleans; ``ties`` is a tie method and ``event_code`` the code of an
-        event or of a treatment start."""
+        event or of a treatment start. The baseline's increments must be
+        nonnegative, and its jump times at most ``n_events``, at least one
+        when there are events."""
         if d["ties"] not in ("efron", "breslow"):
             raise ValueError(f"ties must be 'efron' or 'breslow', got {d['ties']!r}")
         codes = (int(Status.EVENT), int(Status.TREATMENT_START))
@@ -334,6 +337,12 @@ class CoxModel:
             for key in keys:
                 if not valid(d[key]):
                     raise ValueError(f"{key} must be {kind}, got {d[key]!r}")
+        if (base[:, 1] < 0).any():
+            raise ValueError("baseline_cumhaz increments must be nonnegative")
+        # the baseline jumps at distinct event times, at least one if any
+        if len(base) > d["n_events"] or len(base) == 0 < d["n_events"]:
+            raise ValueError(f"baseline_cumhaz has {len(base)} jump times, but the "
+                             f"model has {d['n_events']} events")
         return cls(
             names=names,
             beta=beta,
@@ -446,8 +455,12 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
         beta = cand
         loglik, g, info, dH = trial
 
-    eig = np.linalg.eigvalsh(info) if beta.size else np.array([1.0])
-    degenerate = bool(eig.min() <= 1e-12 * max(1.0, eig.max()))
+    # judged on the information scaled to unit diagonal, so in no unit
+    diag = np.diag(info)
+    degenerate = not (free.all() and (diag > 0).all())
+    if beta.size and not degenerate:
+        eig = np.linalg.eigvalsh(info / np.sqrt(np.outer(diag, diag)))
+        degenerate = bool(eig.min() <= 1e-12 * eig.max())
     return CoxModel(
         names=design.names, beta=beta, info=info, loglik=loglik,
         baseline_times=rs.uft, baseline_increments=dH,
@@ -485,11 +498,21 @@ def _hazard(model: CoxModel, profile: dict, treated: bool = False) -> np.ndarray
     baseline time t_k the coefficient of the segment holding t_k enters
     the linear predictor (a model without a treatment term ignores it).
     """
-    lp = sum(b * v for b, v in zip(model.beta, profile_values(model.covariates, profile)))
-    if treated and model.treatment is not None:
-        segment = np.searchsorted(model.treatment.tv_cuts, model.baseline_times, side="left")
-        lp = lp + model.beta[len(model.covariates) + segment]
-    return model.baseline_increments * np.exp(lp)
+    values = profile_values(model.covariates, profile)
+    # an overflow is raised below, naming the profile
+    with np.errstate(over="ignore", invalid="ignore"):
+        lp = sum(b * v for b, v in zip(model.beta, values))
+        if treated and model.treatment is not None:
+            segment = np.searchsorted(model.treatment.tv_cuts, model.baseline_times,
+                                      side="left")
+            lp = lp + model.beta[len(model.covariates) + segment]
+        dH = model.baseline_increments * np.exp(lp)
+        total = dH.sum()
+    if not np.isfinite(total):
+        raise NumericError(
+            f"the cumulative hazard at profile {dict(zip(model.covariates, values))} "
+            f"overflows (linear predictor up to {np.max(lp):.6g})")
+    return dH
 
 
 def predict_survival(model: CoxModel, profile: dict,

@@ -24,6 +24,8 @@ subjects.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +46,9 @@ TRUTH_BLOCK = 20_000
 #: most Monte Carlo reps of the truth: numpy keeps a SeedSequence's
 #: ``n_children_spawned`` in 32 bits, so every block root must start below 2**32
 MAX_MC_REPS = 2**32
+#: most subjects of one simulation: subject i draws from the child that
+#: ``SeedSequence.spawn`` makes i-th, and numpy counts those in 32 bits
+MAX_SUBJECTS = 2**32
 #: most points a scenario's covariate grid may have; each simulated subject
 #: carries one value per grid segment (the builtin s2 has 13 points)
 MAX_GRID_POINTS = 10_000
@@ -762,6 +767,11 @@ def _draw(spec: IntensitySpec, n: int, root: np.random.SeedSequence) -> tuple:
     return x0, z0, noise, dropout, clocks
 
 
+def _check_n(n) -> None:
+    if not 1 <= n <= MAX_SUBJECTS:
+        raise ScenarioError(f"n must be between 1 and 2**32, got {n}")
+
+
 def simulate_trajectories(spec: IntensitySpec, n: int, seed,
                           x0_override=None) -> Trajectories:
     """Latent clocks of n subjects. Subject i draws from the i-th child of
@@ -770,8 +780,7 @@ def simulate_trajectories(spec: IntensitySpec, n: int, seed,
     ``seed.n_children_spawned + i``, so a stream continues from a root built
     with ``n_children_spawned``. Covariates named in ``x0_override`` are
     fixed at the given values after the draws."""
-    if n < 1:
-        raise ScenarioError("n must be >= 1")
+    _check_n(n)
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
     grid = spec.grid
@@ -920,13 +929,7 @@ def constant_intensity_risks(l_treat: float, l_death: float,
     }
 
 
-def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
-               mc_reps: int = 200_000, mc_seed: int = 977_001) -> TruthOracle:
-    """True risks at ``t_hor`` given the baseline covariates in ``profile``,
-    each of which must be a baseline covariate of the scenario with a
-    finite value; ``t_hor`` must be positive and at most the scenario's
-    ``admin_censor``."""
-    profile = dict(profile or {})
+def _check_truth(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int) -> None:
     unknown = sorted(set(profile) - set(spec.baseline_covariates))
     if unknown:
         raise ScenarioError(f"profile names {unknown}, which are not baseline "
@@ -939,6 +942,19 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
                             "(the covariate grid ends there)")
     if not 0 < t_hor < math.inf:
         raise ScenarioError(f"t_hor must be positive and finite, got {t_hor}")
+    if not 1 <= mc_reps <= MAX_MC_REPS:
+        raise ScenarioError(f"mc_reps must be between 1 and 2**32, got {mc_reps}")
+
+
+def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
+               mc_reps: int = 200_000, mc_seed: int = 977_001) -> TruthOracle:
+    """True risks at ``t_hor`` given the baseline covariates in ``profile``,
+    each of which must be a baseline covariate of the scenario with a
+    finite value; ``t_hor`` must be positive and at most the scenario's
+    ``admin_censor``, and ``mc_reps`` in [1, 2**32] even when the truth is
+    analytic."""
+    profile = dict(profile or {})
+    _check_truth(spec, profile, t_hor, mc_reps)
     if _is_constant_given(spec, profile):
         risks = constant_intensity_risks(
             spec.rate("treatment", profile), spec.rate("death_untreated", profile),
@@ -946,8 +962,6 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
         return TruthOracle("analytic", risks,
                            {k: 0.0 for k in STRATEGY_KEYS}, t_hor, profile)
 
-    if not 1 <= mc_reps <= MAX_MC_REPS:
-        raise ScenarioError(f"mc_reps must be between 1 and 2**32, got {mc_reps}")
     # one stream of mc_reps subjects, drawn in blocks to bound the memory
     hits = np.zeros(4, np.int64)
     for start in range(0, mc_reps, TRUTH_BLOCK):
@@ -965,6 +979,45 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
     return TruthOracle("monte-carlo", risks, se, t_hor, profile, reps=mc_reps)
 
 
+def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
+    """Start ``true_risks`` in a forked child where a second CPU can run it:
+    on Linux, with more than one CPU in this process's affinity, no other
+    Python thread (a fork copies only the calling one) and a caller that may
+    have children. Returns a function that waits for the child and returns
+    its ``TruthOracle`` or raises its error; None where no child may start."""
+    import multiprocessing
+    import threading
+    if (sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
+        return None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def run():
+        try:
+            send.send(true_risks(spec, profile, t_hor, mc_reps=mc_reps))
+        except BaseException as exc:  # raised again by the caller
+            send.send(exc)
+
+    child = ctx.Process(target=run, daemon=True)
+    child.start()
+    send.close()
+
+    def wait() -> TruthOracle:
+        try:
+            result = receive.recv()
+        except EOFError:  # only a signal ends the child before it sends
+            result = RuntimeError("the Monte Carlo truth's process was killed")
+        finally:
+            receive.close()
+            child.join()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    return wait
+
+
 def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
              profile=None, t_hor: float = 5.0, tolerance: float = 0.02,
              mc_reps: int = 200_000) -> dict:
@@ -976,7 +1029,9 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     numeric errors in estimation are collected per seed rather than raised,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
     the horizon of the truth it is compared with, and no two may share a
-    label.
+    label. A Monte Carlo truth is drawn while the replicates are estimated,
+    in a forked child where ``_truth_in_child`` can start one; the report is
+    the same either way, as its hits are integer counts.
     """
     from . import strategies as strat
 
@@ -990,7 +1045,29 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
         if sspec.t_hor != t_hor:
             raise DataError(f"strategy {sspec.label} predicts to horizon "
                             f"{sspec.t_hor:g}, but validate compares at t_hor={t_hor:g}")
-    truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
+    _check_truth(spec, profile, t_hor, mc_reps)
+    _check_n(n)
+    wait = (None if _is_constant_given(spec, profile)
+            else _truth_in_child(spec, profile, t_hor, mc_reps))
+    truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps) if wait is None else None
+    estimates = {s.label: [] for s in strategy_specs}
+    errors = {s.label: [] for s in strategy_specs}
+    try:
+        for seed in seeds:
+            ds = simulate(spec, n, seed)
+            for sspec in strategy_specs:
+                label = sspec.label
+                try:
+                    curve = strat.estimate(ds, sspec, profile)
+                    estimates[label].append(float(curve.value_at(t_hor)))
+                except (DataError, NumericError) as exc:
+                    errors[label].append(
+                        {"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+    finally:
+        if wait is not None:
+            # the truth's error wins over one raised by the replicates
+            truth = wait()
+
     report = {
         "scenario": spec.name,
         "n": n,
@@ -1001,20 +1078,6 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
         "strategies": {},
         "all_passed": True,
     }
-
-    estimates = {s.label: [] for s in strategy_specs}
-    errors = {s.label: [] for s in strategy_specs}
-    for seed in seeds:
-        ds = simulate(spec, n, seed)
-        for sspec in strategy_specs:
-            label = sspec.label
-            try:
-                curve = strat.estimate(ds, sspec, profile)
-                estimates[label].append(float(curve.value_at(t_hor)))
-            except (DataError, NumericError) as exc:
-                errors[label].append(
-                    {"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-
     for sspec in strategy_specs:
         label = sspec.label
         truth_key = sspec.strategy.value

@@ -284,20 +284,21 @@ class TestUsageErrors:
         assert json.loads(capsys.readouterr().out)["error"] == "DataError"
         assert not (tmp_path / "p" / "curve.csv").exists()
 
-    def test_broken_curve_exits_4(self, tmp_path, d4_csv, capsys):
+    def test_negative_increment_exits_3(self, tmp_path, d4_csv, capsys):
         out = tmp_path / "fit"
         assert run(["fit", "--data", str(d4_csv), "--strategy", "composite",
                     "--out", str(out)]) == 0
         model = json.loads((out / "model.json").read_text())
-        # a negative hazard increment drives the risk below zero
+        # a negative hazard increment would drive the risk below zero
         model["baseline_cumhaz"][0][1] = -0.5
         (out / "model.json").write_text(json.dumps(model))
         capsys.readouterr()
         code = run(["predict", "--run", str(out), "--out", str(tmp_path / "p")])
-        assert code == 4
+        assert code == 3
         err = json.loads(capsys.readouterr().out)
-        assert err["error"] == "InvalidCurve"
-        assert "[0, 1]" in err["message"]
+        assert err["error"] == "DataError"
+        assert "baseline_cumhaz increments must be nonnegative" in err["message"]
+        assert not (tmp_path / "p" / "curve.csv").exists()
 
 
 _AGE_CSV = ("id,tstart,tstop,status,treated,age\n1,0,1,1,0,50\n2,0,2,1,0,62\n"
@@ -368,6 +369,71 @@ class TestNonFiniteModelInputs:
                             tmp_path, capsys, "covariate 'age' is not finite")
 
 
+class TestModelsWithoutAValidCurve:
+    """A model file whose baseline no fit writes is a data error at read
+    (exit 3); a profile or coefficient whose hazard overflows is a numeric
+    error (exit 4). Either way: one JSON line, an empty stderr and no
+    curve."""
+
+    @pytest.fixture
+    def fit_dir(self, s2_data, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(s2_data), "--strategy", "composite",
+                    "--covariates", "z", "--out", str(out)]) == 0
+        return out
+
+    def edit_model(self, fit_dir, edit):
+        model = json.loads((fit_dir / "model.json").read_text())
+        edit(model)
+        (fit_dir / "model.json").write_text(json.dumps(model))
+
+    def assert_exits(self, fit_dir, tmp_path, capsys, profile, code, error, message):
+        capsys.readouterr()
+        assert run(["predict", "--run", str(fit_dir), "--profile", profile,
+                    "--horizon", "5", "--out", str(tmp_path / "p")]) == code
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        err = json.loads(stdout)
+        assert err["error"] == error
+        assert message in err["message"]
+        assert not (tmp_path / "p" / "curve.csv").exists()
+
+    @pytest.mark.parametrize("value", ["700", "1e300"])
+    def test_overflowing_profile_exits_4(self, fit_dir, tmp_path, capsys, value):
+        self.assert_exits(fit_dir, tmp_path, capsys, f"z={value}", 4, "NumericError",
+                          f"the cumulative hazard at profile {{'z': {float(value)!r}}} "
+                          "overflows")
+
+    def test_overflowing_coefficient_exits_4(self, fit_dir, tmp_path, capsys):
+        self.edit_model(fit_dir, lambda m: m["coefficients"].update(z=1e308))
+        self.assert_exits(fit_dir, tmp_path, capsys, "z=1", 4, "NumericError",
+                          "the cumulative hazard at profile {'z': 1.0} overflows")
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: m.update(baseline_cumhaz=[]),
+                     "baseline_cumhaz has 0 jump times, but the model has 192 events",
+                     id="empty-baseline"),
+        pytest.param(lambda m: m.update(n_events=len(m["baseline_cumhaz"]) - 1),
+                     "jump times, but the model has", id="more-jump-times-than-events"),
+        pytest.param(lambda m: m["baseline_cumhaz"][-1].__setitem__(1, -1e-9),
+                     "baseline_cumhaz increments must be nonnegative",
+                     id="negative-increment"),
+    ])
+    def test_baseline_no_fit_writes_exits_3(self, fit_dir, tmp_path, capsys, edit,
+                                            message):
+        self.edit_model(fit_dir, edit)
+        self.assert_exits(fit_dir, tmp_path, capsys, "z=0", 3, "DataError", message)
+
+    def test_large_finite_hazard_still_predicts(self, fit_dir, tmp_path, capsys):
+        # the hazard at z = 600 is huge but finite: every risk after the
+        # first event time is 1
+        capsys.readouterr()
+        assert run(["predict", "--run", str(fit_dir), "--profile", "z=600",
+                    "--horizon", "5", "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "p" / "curve.csv").exists()
+
+
 class TestRejectedBeforeRunning:
     """Inputs that ``validate`` and ``simulate`` reject before they simulate."""
 
@@ -391,6 +457,42 @@ class TestRejectedBeforeRunning:
         err = json.loads(stdout)
         assert err["error"] == "UsageError"
         assert message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_n_over_the_cap_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # nothing may be drawn or allocated and no truth process started
+        calls = []
+        fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
+        for attr in ("_draw", "_truth_in_child"):
+            monkeypatch.setattr(simulate, attr, fail)
+        if command == "validate":
+            monkeypatch.setattr(simulate, "simulate_trajectories", fail)
+        argv = {"validate": ["--scenario", "s2", "--seeds", "1", "--mc-reps", "1000"],
+                "simulate": ["--scenario", "s2", "--seed", "1"]}[command]
+        out = tmp_path / "out"
+        code = run([command] + argv + ["--n", str(2**62), "--out", str(out)])
+        assert (code, calls) == (2, [])
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        assert json.loads(stdout) == {
+            "error": "ScenarioError",
+            "message": f"n must be between 1 and 2**32, got {2**62}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_mc_reps_out_of_range_on_an_analytic_truth_exits_2(self, tmp_path, capsys,
+                                                               reps):
+        # s1's truth is analytic and never reads mc_reps
+        out = tmp_path / "out"
+        code = run(["validate"] + self.BASE["validate"] + ["--mc-reps", reps,
+                                                          "--out", str(out)])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        assert json.loads(stdout) == {
+            "error": "ScenarioError",
+            "message": f"mc_reps must be between 1 and 2**32, got {reps}"}
         assert not out.exists()
 
     def test_grid_over_the_cap_exits_2(self, tmp_path, capsys):

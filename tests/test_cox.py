@@ -24,6 +24,7 @@ from predictimands.errors import (
     DataError,
     MonotoneLikelihood,
     NoEvents,
+    NumericError,
     ProfileIncomplete,
 )
 from predictimands.scenarios import builtin
@@ -619,6 +620,23 @@ class TestScaleFreeNewton:
         assert scaled.iterations == plain.iterations
         np.testing.assert_array_equal(scaled.beta * 2.0 ** k, plain.beta)
 
+    @pytest.mark.parametrize("kz, kw", [(0, 0), (-10, 10), (-20, 0), (0, 20)])
+    def test_degenerate_flag_is_unit_free(self, s2, kz, kw):
+        # z with a subject-level N(0, 1) column w: a well-conditioned fit
+        # in any units, as its information scaled to unit diagonal shows
+        ds = compose_outcome(s2)
+        w = np.random.default_rng(0).standard_normal(len(ds.ids))[ds.row_subject]
+        schema = CovariateSchema(baseline=ds.schema.baseline + ("w",),
+                                 time_varying=ds.schema.time_varying)
+        spec = cox.CoxSpec(covariates=("z", "w"))
+        plain = cox.fit(with_columns(ds, schema, w=w), spec)
+        scaled = cox.fit(with_columns(ds, schema, z=ds.columns["z"] * 2.0 ** kz,
+                                      w=w * 2.0 ** kw), spec)
+        # the two-column solve rounds differently in other units
+        np.testing.assert_allclose(scaled.beta * [2.0 ** kz, 2.0 ** kw], plain.beta,
+                                   rtol=1e-12, atol=0)
+        assert (scaled.degenerate, plain.degenerate) == (False, False)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_constant_covariate_held_at_zero(self, seed):
         # the baseline hazard absorbs a constant column, so it leaves the
@@ -710,3 +728,12 @@ class TestTreatmentTerm:
             expected = np.exp(-np.cumsum(
                 h * np.exp(np.where(model.baseline_times <= cut, g_early, g_late))))
             np.testing.assert_allclose(always.surv, expected, rtol=1e-12)
+
+    def test_overflowing_treated_hazard_raises(self):
+        # the treatment coefficient alone can overflow the hazard
+        _, model = self.fit_benefit_model()
+        model = replace(model, beta=np.array([710.0]))
+        cox.predict_survival(model, {}, treated=False)
+        with pytest.raises(NumericError, match=r"at profile \{\} overflows \(linear "
+                                               r"predictor up to 710\)"):
+            cox.predict_survival(model, {}, treated=True)

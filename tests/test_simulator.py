@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
 import re
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predictimands import scenarios, simulate, ziggurat
+from predictimands import scenarios, simulate, strategies, ziggurat
 from predictimands.data import (
     CovariateSchema,
     DesignFlavor,
@@ -1201,3 +1204,139 @@ class TestValidateHorizon:
         with pytest.raises(DataError, match=r"\['composite'\] are listed more than once"):
             simulate.validate(scenarios.builtin("s1"), n=200, seeds=[1],
                               strategy_specs=specs, t_hor=5.0, mc_reps=1000)
+
+
+def cpus(monkeypatch, n):
+    """Make this process's CPU affinity hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def truth_pids(monkeypatch, path):
+    """Make ``true_risks`` append the pid of the process that runs it to
+    ``path``; the pids it has written."""
+    original = simulate.true_risks
+
+    def recorded(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "true_risks", recorded)
+    return lambda: [int(pid) for pid in Path(path).read_text().split()]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the worker is forked on Linux only")
+class TestTruthWorker:
+    """A Monte Carlo truth runs in a forked child while the caller estimates
+    the replicates, where more than one CPU can run them; the report is the
+    one the caller alone gives, errors keep their precedence and no process
+    is left running."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def specs(*labels, t_hor=5.0):
+        out = []
+        for label in labels:
+            name, _, method = label.partition(":")
+            kwargs = {"hypothetical_method": HypotheticalMethod(method)} if method else {}
+            if method == "censor-ipcw":
+                kwargs["weight_covariates"] = ("z",)
+            out.append(StrategySpec(Strategy(name), t_hor=t_hor, **kwargs))
+        return out
+
+    @pytest.mark.parametrize("name, n, seeds, profile, labels, mc_reps", [
+        # three truth blocks: 20,000, 20,000 and 5,000 reps
+        pytest.param("s2", 200, [1, 2], {}, ["composite", "hypothetical:censor"], 45_000,
+                     id="s2-three-blocks"),
+        pytest.param("age_gap", 200, [1], {"age": 50.0}, ["composite", "while-untreated"],
+                     1_000, id="age_gap-age-50"),
+        # censor-ipcw diverges on seed 2
+        pytest.param("s2", 15, [1, 2, 3], {}, ["ignore", "hypothetical:censor-ipcw"], 2_000,
+                     id="s2-failing-seed"),
+    ])
+    def test_same_report_as_one_cpu(self, monkeypatch, name, n, seeds, profile, labels,
+                                    mc_reps):
+        def report(n_cpus):
+            cpus(monkeypatch, n_cpus)
+            return validate(scenarios.builtin(name), n=n, seeds=seeds,
+                            strategy_specs=self.specs(*labels), profile=profile,
+                            t_hor=5.0, mc_reps=mc_reps)
+
+        alone, shared = report(1), report(2)
+        assert json.dumps(shared) == json.dumps(alone)
+        if name == "s2":
+            assert alone["truth_method"] == "monte-carlo"
+        if len(seeds) == 3:
+            assert [e["seed"] for e in alone["strategies"]["hypothetical:censor-ipcw"]
+                    ["errors"]] == [2]
+
+    @pytest.mark.parametrize("n_cpus, in_child", [(2, True), (1, False)])
+    def test_truth_runs_in_a_child_given_two_cpus(self, monkeypatch, tmp_path, n_cpus,
+                                                  in_child):
+        cpus(monkeypatch, n_cpus)
+        pids = truth_pids(monkeypatch, tmp_path / "pids")
+        validate(scenarios.builtin("s2"), n=20, seeds=[1], strategy_specs=self.specs("ignore"),
+                 t_hor=5.0, mc_reps=500)
+        [pid] = pids()
+        assert (pid != os.getpid()) == in_child
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"t_hor": 7.0}, "t_hor must not exceed", id="t_hor-past-admin_censor"),
+        pytest.param({"profile": {"bogus": 1.0}}, "not baseline covariates",
+                     id="unknown-profile-key"),
+        pytest.param({"mc_reps": 0}, "mc_reps must be between", id="zero-mc_reps"),
+        pytest.param({"mc_reps": 2**32 + 1}, "mc_reps must be between", id="mc_reps-over-cap"),
+        pytest.param({"n": 0}, "n must be between", id="zero-n"),
+        pytest.param({"n": 2**62}, "n must be between", id="n-over-cap"),
+    ])
+    def test_errors_before_any_replicate(self, monkeypatch, kwargs, message):
+        cpus(monkeypatch, 2)
+        calls = []
+        fail = lambda *args, **kw: calls.append(args) or 1 / 0  # noqa: E731
+        for attr in ("simulate", "simulate_trajectories", "_truth_in_child"):
+            monkeypatch.setattr(simulate, attr, fail)
+        kwargs = {"n": 20, "t_hor": 5.0, "mc_reps": 500, **kwargs}
+        with pytest.raises(ScenarioError, match=message):
+            validate(scenarios.builtin("s2"), seeds=[1],
+                     strategy_specs=self.specs("ignore", t_hor=kwargs["t_hor"]), **kwargs)
+        assert calls == []
+
+    def test_truth_error_from_the_child_wins(self, monkeypatch):
+        # w enters the treatment intensity, so the truth is Monte Carlo; its
+        # AR(1) path overflows in the child while the caller's replicate fails
+        spec = IntensitySpec.from_dict({
+            "grid_step": 0.5,
+            "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                                    "rho": 1e30}},
+            "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
+            "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}})
+        cpus(monkeypatch, 2)
+
+        def replicate(*args):
+            raise TypeError("a replicate failed")
+
+        monkeypatch.setattr(simulate, "simulate", replicate)
+        with pytest.raises(ScenarioError, match="covariate 'w' draws values that are not "
+                                                "finite") as caught:
+            validate(spec, n=20, seeds=[1], strategy_specs=self.specs("ignore"),
+                     t_hor=5.0, mc_reps=500)
+        # the replicates ran while the child drew the truth
+        assert isinstance(caught.value.__context__, TypeError)
+
+    def test_replicate_error_propagates_while_the_child_runs(self, monkeypatch, tmp_path):
+        cpus(monkeypatch, 2)
+        pids = truth_pids(monkeypatch, tmp_path / "pids")
+
+        def broken(ds, spec, profile):
+            raise TypeError("not an estimation failure")
+
+        monkeypatch.setattr(strategies, "estimate", broken)
+        with pytest.raises(TypeError, match="not an estimation failure"):
+            validate(scenarios.builtin("s2"), n=20, seeds=[1],
+                     strategy_specs=self.specs("ignore"), t_hor=5.0, mc_reps=20_000)
+        [pid] = pids()
+        assert pid != os.getpid()
