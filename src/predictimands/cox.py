@@ -38,6 +38,8 @@ from .errors import (
 DECREMENT_TOL = 1e-20
 #: a coefficient whose |beta| times its column's range passes this diverges
 BETA_BOUND = 15.0
+#: a column whose Cholesky pivot is at most this times its diagonal is aliased
+ALIAS_TOL = np.finfo(float).eps ** 0.75
 MAX_ITER = 50
 
 
@@ -394,8 +396,10 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     MAX_ITER accepted steps raises ConvergenceFailure, as does a Newton step
     that no halving improves. Both tests are scale-free: a covariate in
     other units, or every case weight times a constant, takes the same
-    steps. A constant column is absorbed by the baseline hazard and held at
-    beta = 0.
+    steps. A column is held at beta = 0, and the fit is degenerate, when it
+    is constant or aliased: its pivot in an in-order Cholesky of the
+    information at beta = 0 is at most ALIAS_TOL times its diagonal, so
+    the later column of a collinear pair is held, in any units.
     """
     design, rs = _prepared(ds, spec)
     n_events = int(design.event.sum())
@@ -421,14 +425,21 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     tol = DECREMENT_TOL * float(design.w[design.event].sum())
     beta = np.zeros(design.X.shape[1])
     loglik, g, info, dH = _sweep(rs, beta)
+    # in-order Cholesky at beta = 0: a column with no variance left after
+    # the earlier free ones, relative to its own, is aliased and held at 0
+    chol = np.zeros_like(info)
+    for j in np.flatnonzero(free):
+        col = info[j:, j] - chol[j:] @ chol[j]
+        free[j] = col[0] > ALIAS_TOL * info[j, j]
+        chol[j:, j] = col / np.sqrt(col[0]) if free[j] else 0.0
     iterations = 0
     while True:
         gmax = float(np.abs(g).max(initial=0.0))
-        step, block = np.zeros_like(beta), info[np.ix_(free, free)]
+        step = np.zeros_like(beta)
         try:
-            step[free] = np.linalg.solve(block, g[free])
+            step[free] = np.linalg.solve(info[np.ix_(free, free)], g[free])
         except np.linalg.LinAlgError:
-            step[free], *_ = np.linalg.lstsq(block, g[free], rcond=None)
+            raise SingularInformation("the information is singular") from None
         if not np.all(np.isfinite(step)):
             raise SingularInformation("Newton step is not finite")
         if g @ step <= tol:
@@ -454,19 +465,12 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
             raise ConvergenceFailure(f"step-halving stalled with max |score| = {gmax:.3g}")
         beta = cand
         loglik, g, info, dH = trial
-
-    # judged on the information scaled to unit diagonal, so in no unit
-    diag = np.diag(info)
-    degenerate = not (free.all() and (diag > 0).all())
-    if beta.size and not degenerate:
-        eig = np.linalg.eigvalsh(info / np.sqrt(np.outer(diag, diag)))
-        degenerate = bool(eig.min() <= 1e-12 * eig.max())
     return CoxModel(
         names=design.names, beta=beta, info=info, loglik=loglik,
         baseline_times=rs.uft, baseline_increments=dH,
         covariates=spec.covariates, treatment=spec.treatment, ties=spec.ties,
         event_code=int(spec.event_code), iterations=iterations,
-        score_norm=gmax, degenerate=degenerate,
+        score_norm=gmax, degenerate=not free.all(),
         n_events=n_events, weighted=spec.weights is not None,
         schema_levels=dict(ds.schema.levels))
 

@@ -896,6 +896,39 @@ class TestWeightsCommand:
         assert diag["max"] == pytest.approx(max(weights))
 
 
+class TestCollinearColumn:
+    """s2 (n = 300, seed 1) with w = 2z + 1: the fits hold w, the later
+    column of the aliased pair, at 0 and flag the model degenerate, where
+    both commands used to exit 4."""
+
+    @pytest.fixture
+    def s2_with_copy(self, tmp_path):
+        data = tmp_path / "s2.csv"
+        assert run(["simulate", "--scenario", "s2", "--n", "300", "--seed", "1",
+                    "--out", str(data)]) == 0
+        rows = list(csv.reader(data.read_text().splitlines()))
+        z = rows[0].index("z")
+        out = tmp_path / "s2w.csv"
+        out.write_text("\n".join(",".join(row + [name]) for row, name in zip(
+            rows, ["w"] + [repr(2 * float(row[z]) + 1) for row in rows[1:]])) + "\n")
+        return out
+
+    def test_fit_holds_the_copy(self, s2_with_copy, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", "--data", str(s2_with_copy), "--strategy", "hypothetical",
+                    "--method", "model", "--covariates", "z,w", "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert (model["coefficients"]["w"], model["degenerate"]) == (0.0, True)
+
+    def test_weights_equal_those_without_the_copy(self, s2_with_copy, tmp_path):
+        for covariates, out in (("z,w", tmp_path / "zw"), ("z", tmp_path / "z")):
+            assert run(["weights", "--data", str(s2_with_copy), "--weight-covariates",
+                        covariates, "--out", str(out)]) == 0
+        zw, z = (np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1,
+                            usecols=(1, 2, 3)) for out in (tmp_path / "zw", tmp_path / "z"))
+        np.testing.assert_allclose(zw, z, rtol=1e-12, atol=0)
+
+
 class TestConfigEcho:
     @pytest.fixture
     def fit_dir(self, d4_csv, tmp_path):

@@ -26,6 +26,7 @@ from predictimands.errors import (
     NoEvents,
     NumericError,
     ProfileIncomplete,
+    SingularInformation,
 )
 from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
@@ -439,18 +440,17 @@ class TestFitBehavior:
             cox.fit(ds, cox.CoxSpec(covariates=("x",)))
 
     def test_divergence_along_an_unidentified_direction_detected(self):
-        # one event whose risk set separates on x - z, and a singular
-        # information along x + z: the coefficients drift while the score
-        # shrinks, and the bound on |beta| times the range (2.5) of each
-        # column stops them before a step on the singular information can
-        # jump along x + z
+        # one event whose two-row risk set separates on x and has z = -x -
+        # 0.5: z, the later column of the aliased pair, is held at 0, and x
+        # drifts while the score shrinks until |beta| times its range (2.5)
+        # passes the bound
         schema = CovariateSchema(baseline=("x",), time_varying=("z",))
         ds = CountingProcessDataset(
             schema, DesignFlavor.STOPS_AT_TREATMENT, ["1", "2"], [0, 1, 5],
             [0, 0, 0.5, 1, 1.5], [2, 0.5, 1, 1.5, 2], [2, 0, 0, 0, 0], [0] * 5,
             {"x": [1, -1.5, -1.5, -1.5, -1.5], "z": [-1.5, -1.5, -1.5, -1.5, 1]})
         with pytest.raises(MonotoneLikelihood, match=r"^coefficient for 'x' diverges "
-                           r"\(\|beta\| times its column's range = 16.1 > 15 "):
+                           r"\(\|beta\| times its column's range = 15.2 > 15 "):
             cox.fit(ds, cox.CoxSpec(event_code=Status.TREATMENT_START,
                                     covariates=("x", "z")))
 
@@ -572,6 +572,19 @@ class TestNewtonExits:
                            match=r"^step-halving stalled with max \|score\| = "):
             cox.fit(d1, cox.CoxSpec(covariates=("x",)))
 
+    def test_singular_information_raises(self, d1, monkeypatch):
+        # x is free at the start, but the information of the next point
+        # cannot be solved
+        sweep = cox._sweep
+
+        def singular_away_from_zero(rs, beta):
+            loglik, g, info, dH = sweep(rs, beta)
+            return loglik, g, info * (not beta.any()), dH
+
+        monkeypatch.setattr(cox, "_sweep", singular_away_from_zero)
+        with pytest.raises(SingularInformation, match=r"^the information is singular"):
+            cox.fit(d1, cox.CoxSpec(covariates=("x",)))
+
     def test_spent_budget_raises(self, d1, monkeypatch):
         monkeypatch.setattr(cox, "MAX_ITER", 1)
         with pytest.raises(ConvergenceFailure,
@@ -650,6 +663,25 @@ class TestScaleFreeNewton:
                             cox.CoxSpec(covariates=("z", "k")))
             assert (model.beta[1], model.degenerate) == (0.0, True), value
             np.testing.assert_allclose(model.beta[0], alone.beta[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("c, d", [(2.0, 1.0), (-0.5, 3.0), (7.0, -2.0)])
+    def test_collinear_column_held_at_zero(self, s2, c, d):
+        # w = c z + d is aliased with z: the later of the two is held, so
+        # the fit is the z-only fit, and in any units of w
+        ds = compose_outcome(s2)
+        alone = cox.fit(ds, cox.CoxSpec(covariates=("z",)))
+        schema = CovariateSchema(baseline=ds.schema.baseline,
+                                 time_varying=ds.schema.time_varying + ("w",))
+        w = c * ds.columns["z"] + d
+        for k in (0, -20, 20):
+            model = cox.fit(with_columns(ds, schema, w=w * 2.0 ** k),
+                            cox.CoxSpec(covariates=("z", "w")))
+            assert (model.beta[1], model.degenerate) == (0.0, True), k
+            np.testing.assert_allclose([model.loglik, model.beta[0]],
+                                       [alone.loglik, alone.beta[0]], rtol=1e-12, atol=0)
+        model = cox.fit(with_columns(ds, schema, w=w), cox.CoxSpec(covariates=("w", "z")))
+        assert (model.beta[1], model.degenerate) == (0.0, True)
+        np.testing.assert_allclose(model.beta[0] * c, alone.beta[0], rtol=1e-12, atol=0)
 
 
 class TestTreatmentTerm:

@@ -477,3 +477,35 @@ class TestCovariateUnits:
                     assert np.array_equal(curve2.times, curve.times), label
                     np.testing.assert_allclose(curve2.risk, curve.risk, rtol=1e-12, atol=0,
                                                err_msg=label)
+
+
+class TestCollinearCopy:
+    """A covariate w = c x + d added to the outcome and weight covariates
+    beside x is aliased with x, so the fits hold its coefficient at 0 and
+    every curve is that of the design without it, up to rounding."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name, profile, options", RELATION_CASES, ids=["s2", "age_gap"])
+    def test_same_outcomes(self, name, profile, options, seed):
+        ds = simulate.simulate(scenarios.builtin(name), 500, seed=seed)
+        x = options["weight_covariates"][0]
+        specs = [spec_for(strategy, method, **options) for strategy, method in ALL_METHODS]
+        curves = [outcome(ds, spec, profile) for spec in specs]
+        baseline = x in ds.schema.baseline
+        schema = CovariateSchema(baseline=ds.schema.baseline + ("w",) * baseline,
+                                 time_varying=ds.schema.time_varying + ("w",) * (not baseline))
+        for c, d in ((2.0, 1.0), (-0.5, 3.0), (7.0, -2.0)):
+            copied = CountingProcessDataset(
+                schema, ds.design, ds.ids, ds.offsets, ds.tstart, ds.tstop, ds.status,
+                ds.treated, {**ds.columns, "w": c * ds.columns[x] + d})
+            copied_profile = {**profile, "w": c * profile[x] + d} if profile else {}
+            for spec, curve in zip(specs, curves):
+                spec2 = replace(spec, weight_covariates=spec.weight_covariates + ("w",),
+                                covariates=spec.covariates + ("w",) * bool(spec.covariates))
+                curve2 = outcome(copied, spec2, copied_profile)
+                label = f"{spec.label}, c = {c}, d = {d}"
+                assert type(curve2) is type(curve), (label, curve, curve2)
+                if not isinstance(curve, Exception):
+                    assert np.array_equal(curve2.times, curve.times), label
+                    np.testing.assert_allclose(curve2.risk, curve.risk, rtol=1e-12, atol=0,
+                                               err_msg=label)
