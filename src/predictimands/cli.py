@@ -10,14 +10,22 @@ machine-readable JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
+import zipfile
 from pathlib import Path
 
+import numpy as np
+
+from . import data as data_mod
 from . import scenarios as scenarios_mod
 from . import simulate as sim
 from . import weights as weights_mod
@@ -88,15 +96,133 @@ def _parse_levels(raw: str | None) -> dict:
     return levels
 
 
+#: total bytes of the dataset cache's files past which the least recently
+#: used are removed
+CACHE_BYTES = 256 * 2**20
+#: the first part of every cache key, changed whenever the key does
+_CACHE_TAG = b"predictimands dataset cache 1"
+
+
 def _load_dataset(args):
-    """The command's dataset from one read of ``--data``."""
+    """The command's dataset from ``--data``. A regular file is looked up in
+    the dataset cache by its bytes and the read options: an entry found is
+    rebuilt and checked as any dataset is built, and a file read instead is
+    stored if it did not change while it was hashed and read. Any other
+    file, such as a pipe, is read once. The cache never raises: a fault in
+    it is a miss or a skipped store."""
     levels = _parse_levels(args.levels)
+    schema = None
     if args.baseline_cols or args.tv_cols:
         schema = CovariateSchema(baseline=_csv_list(args.baseline_cols),
                                  time_varying=_csv_list(args.tv_cols),
                                  levels=levels)
-        return ingest_csv(args.data, schema, design=args.design)
-    return ingest_csv(args.data, design=args.design, levels=levels)
+    entry = _cache_entry(args.data, [
+        None if schema is None else [schema.baseline, schema.time_varying],
+        levels, args.design])
+    if entry is not None:
+        ds = _cached(entry[0])
+        if ds is not None:
+            return ds
+    ds = ingest_csv(args.data, schema, design=args.design, levels=levels)
+    if entry is not None:
+        _store(*entry, args.data, ds)
+    return ds
+
+
+def _cache_dir():
+    """The dataset cache's directory, ``$XDG_CACHE_HOME/predictimands`` or
+    ``~/.cache/predictimands``, created with mode 0o700 if missing; None if
+    it can be neither found nor created."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        directory = (Path(base) if os.path.isabs(base)
+                     else Path.home() / ".cache") / "predictimands"
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    return directory
+
+
+def _identity(st) -> tuple:
+    """The fields of a file's ``stat`` that change when it is rewritten."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_entry(path, options):
+    """The cache entry of the regular file at ``path`` read with the JSON
+    list ``options``, and the file's identity when it was hashed; None for
+    any other file or without a cache directory. The key is one digest of
+    the cache tag, the Python and numpy versions, the reader's source, the
+    options and the file's bytes."""
+    import hashlib  # here: it loads OpenSSL, which commands without --data never use
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        directory = _cache_dir()
+        if directory is None:
+            return None
+        digest = hashlib.sha256()
+        for part in (_CACHE_TAG, sys.version.encode(), np.__version__.encode(),
+                     Path(data_mod.__file__).read_bytes(),
+                     json.dumps(options, sort_keys=True).encode()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+        with open(path, "rb") as fh:
+            identity = _identity(os.fstat(fh.fileno()))
+            for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return directory / f"{digest.hexdigest()}.npz", identity
+
+
+def _cached(entry):
+    """The dataset stored at ``entry``, whose use time is then refreshed;
+    None if there is none or it is damaged."""
+    try:
+        with open(entry, "rb") as fh:
+            ds = data_mod._load_columns(fh)
+    except (OSError, EOFError, ValueError, LookupError, TypeError,
+            zipfile.BadZipFile, DataError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return ds
+
+
+def _store(entry, identity, path, ds):
+    """Store ``ds`` at ``entry`` if the file at ``path`` still has the
+    ``identity`` it had when hashed, through a temporary file in the cache
+    directory, then remove the least recently used files past
+    ``CACHE_BYTES``. An OSError skips the rest."""
+    directory = entry.parent
+    try:
+        if _identity(os.stat(path)) != identity:
+            return
+        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                data_mod._save_columns(ds, fh)
+            os.replace(temp, entry)
+        finally:
+            with contextlib.suppress(OSError):  # gone once replaced
+                os.unlink(temp)
+        files = []
+        with os.scandir(directory) as items:
+            for item in items:
+                with contextlib.suppress(FileNotFoundError):
+                    st = item.stat(follow_symlinks=False)
+                    if stat.S_ISREG(st.st_mode):
+                        files.append((st.st_mtime_ns, st.st_size, item.path))
+        total = sum(size for _, size, _ in files)
+        for _, size, name in sorted(files):
+            if total <= CACHE_BYTES:
+                break
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+            total -= size
+    except OSError:
+        pass
 
 
 def _load_scenario(ref: str) -> IntensitySpec:
@@ -578,7 +704,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:
-        # every read goes through data.reading, so this is an output path
+        # reads go through data.reading, and the dataset cache never raises,
+        # so this is an output path
         error = UsageError(f"cannot write {exc.filename}: {exc.strerror or exc}")
     except (ScenarioError, UsageError, DataError, NumericError) as exc:
         error = exc

@@ -101,27 +101,13 @@ class _Design:
 def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
     """One design row per dataset row in dataset order, except that treated
     rows are split at the coefficient cut times so the active segment is
-    constant within each piece."""
+    constant within each piece. When no row is split, the design shares
+    the dataset's read-only columns and the weight table's weights."""
     cuts = np.asarray(spec.treatment.tv_cuts if spec.treatment else (), float)
     covariates = [ds.covariate(name) for name in spec.covariates]
     names = tuple(spec.covariates) + tuple(
         spec.treatment.segment_names() if spec.treatment else ())
 
-    first_cut = np.searchsorted(cuts, ds.tstart, side="right")
-    pieces = np.where(ds.treated, np.searchsorted(cuts, ds.tstop) - first_cut + 1, 1)
-    row = np.repeat(np.arange(ds.n_rows), pieces)
-    piece = np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    last = piece == pieces[row] - 1
-    start, stop = ds.tstart[row], ds.tstop[row]
-    start[piece > 0] = cuts[(first_cut[row] + piece - 1)[piece > 0]]
-    stop[~last] = cuts[(first_cut[row] + piece)[~last]]
-
-    X = np.zeros((row.size, len(names)))
-    for j, col in enumerate(covariates):
-        X[:, j] = col[row]
-    if spec.treatment:
-        on = np.flatnonzero(ds.treated[row])
-        X[on, len(covariates) + np.searchsorted(cuts, stop[on])] = 1.0
     w = np.ones(ds.n_rows)
     if spec.weights is not None:
         # the weight table's rows must be the dataset's rows
@@ -129,8 +115,30 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
             raise DataError(f"the weight table's {len(spec.weights.rows)} rows do not "
                             f"match the dataset's {ds.n_rows} rows")
         w = spec.weights.values
-    event = last & (ds.status[row] == spec.event_code)
-    return _Design(start, stop, event, X, w[row], names, ds.row_subject[row])
+    start, stop, status, treated, subject = (
+        ds.tstart, ds.tstop, ds.status, ds.treated, ds.row_subject)
+    last = True
+    if cuts.size:
+        first_cut = np.searchsorted(cuts, start, side="right")
+        pieces = np.where(treated, np.searchsorted(cuts, stop) - first_cut + 1, 1)
+        if (pieces > 1).any():  # else the rows are used as they are
+            row = np.repeat(np.arange(ds.n_rows), pieces)
+            piece = np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+            last = piece == pieces[row] - 1
+            start, stop = start[row], stop[row]
+            start[piece > 0] = cuts[(first_cut[row] + piece - 1)[piece > 0]]
+            stop[~last] = cuts[(first_cut[row] + piece)[~last]]
+            status, treated, subject, w = status[row], treated[row], subject[row], w[row]
+            covariates = [col[row] for col in covariates]
+
+    X = np.zeros((stop.size, len(names)))
+    for j, col in enumerate(covariates):
+        X[:, j] = col
+    if spec.treatment:
+        on = np.flatnonzero(treated)
+        X[on, len(covariates) + np.searchsorted(cuts, stop[on])] = 1.0
+    event = last & (status == spec.event_code)
+    return _Design(start, stop, event, X, w, names, subject)
 
 
 def _slots(times: np.ndarray, start: np.ndarray, stop: np.ndarray):
@@ -143,7 +151,13 @@ def _slots(times: np.ndarray, start: np.ndarray, stop: np.ndarray):
     those with a time inside their interval.
     """
     enter = np.searchsorted(times, stop, side="right") - 1
-    exit_ = np.searchsorted(times, start, side="right")
+    # a row that starts where the row before it stops leaves one slot after
+    # that row's entry: both count the times at or before that instant
+    follows = np.zeros(start.size, bool)
+    follows[1:] = start[1:] == stop[:-1]
+    exit_ = np.empty_like(enter)
+    exit_[1:][follows[1:]] = enter[:-1][follows[1:]] + 1
+    exit_[~follows] = np.searchsorted(times, start[~follows], side="right")
     return enter, exit_, np.flatnonzero(enter >= exit_)
 
 

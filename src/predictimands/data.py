@@ -16,7 +16,10 @@ the transforms select rows or fill columns without validating again.
 Record boundary: datasets are built from columns only, by the
 ``CountingProcessDataset`` constructor or ``ingest_csv``. ``ds.subjects`` is
 a read-only view of the columns as ``SubjectRecord``s of ``Episode``s, for
-tests and tools; no module of the package reads it.
+tests and tools; no module of the package reads it. ``_save_columns`` and
+``_load_columns`` write a dataset's columns to an ``.npz`` archive and
+rebuild it from them through the constructor: the layout of the CLI's
+dataset cache entries.
 
 CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv`` gives
 each plain block of lines (no ``"``, one row to a line, every token spelt as
@@ -35,6 +38,7 @@ import csv
 import gc
 import io
 import itertools
+import json
 import math
 import operator
 import re
@@ -856,6 +860,44 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     _raise_first(failures)
     _validate(ds)
     return ds
+
+
+def _save_columns(ds: CountingProcessDataset, file):
+    """Write ``ds`` to the binary ``file`` as one uncompressed ``.npz``
+    archive: its ``offsets``, ``tstart``, ``tstop``, ``status`` and
+    ``treated``, its covariate columns stacked in schema order as
+    ``columns``, and as ``meta`` the UTF-8 bytes of one JSON object with its
+    ids, schema and design. The ids are JSON text because a fixed-width
+    numpy string drops a trailing NUL."""
+    names = ds.schema.names()
+    meta = {"ids": list(ds.ids), "baseline": list(ds.schema.baseline),
+            "time_varying": list(ds.schema.time_varying),
+            "levels": {name: list(labels) for name, labels in ds.schema.levels.items()},
+            "design": ds.design.value}
+    np.savez(file, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+             offsets=ds.offsets, tstart=ds.tstart, tstop=ds.tstop, status=ds.status,
+             treated=ds.treated, columns=np.array([ds.columns[name] for name in names],
+                                                  float).reshape(len(names), ds.n_rows))
+
+
+def _load_columns(file) -> CountingProcessDataset:
+    """The dataset that ``_save_columns`` wrote to ``file``, rebuilt by the
+    constructor, which copies and checks every column. A file that is not
+    such an archive raises an OSError, EOFError, ValueError, LookupError,
+    TypeError or ``zipfile.BadZipFile``, and one whose columns do not make
+    a valid dataset a DataError."""
+    with np.load(file, allow_pickle=False) as entry:
+        meta = json.loads(entry["meta"].tobytes())
+        ids, levels = meta["ids"], meta["levels"]
+        if not (isinstance(ids, list) and set(map(type, ids)) <= {str}
+                and isinstance(levels, dict)):
+            raise DataError("the ids must be a list of strings and the levels an object")
+        schema = CovariateSchema(meta["baseline"], meta["time_varying"],
+                                 {name: tuple(labels) for name, labels in levels.items()})
+        return CountingProcessDataset(
+            schema, meta["design"], ids, entry["offsets"], entry["tstart"],
+            entry["tstop"], entry["status"], entry["treated"],
+            dict(zip(schema.names(), entry["columns"])))
 
 
 def _in_order(major, minor) -> bool:

@@ -29,8 +29,11 @@ class WeightMode(str, Enum):
 def weight_rows(ds: CountingProcessDataset, weight) -> np.recarray:
     """One read-only record per row of ``ds``, in its order: the fields
     ``subject_id``, ``tstart``, ``tstop`` and ``weight``."""
+    # a fixed-width numpy string drops a trailing NUL, so ids with a NUL stay
+    # Python strings, in a field about eight times slower to build
+    kind = object if "\x00" in "".join(ds.ids) else str
     rows = np.rec.fromarrays(
-        [np.array(ds.ids, str)[ds.row_subject], ds.tstart, ds.tstop,
+        [np.array(ds.ids, kind)[ds.row_subject], ds.tstart, ds.tstop,
          np.asarray(weight, float)],
         names=("subject_id", "tstart", "tstop", "weight"))
     rows.flags.writeable = False

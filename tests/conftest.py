@@ -18,6 +18,14 @@ from predictimands.data import (
 from tests.records import dataset
 
 
+@pytest.fixture(autouse=True)
+def dataset_cache(tmp_path, monkeypatch):
+    """The CLI's dataset cache directory, in each test's own ``tmp_path``, so
+    that no test reads entries another test or the user stored."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "predictimands"
+
+
 def one_episode_subject(sid, time, status, treated=False, **baseline):
     return SubjectRecord(sid, (Episode(0.0, time, status, treated),), baseline)
 

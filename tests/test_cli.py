@@ -7,7 +7,10 @@ import io
 import json
 import math
 import operator
+import os
+import stat
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -697,14 +700,15 @@ class TestFitPredict:
             assert not (pred / "overlay.csv").exists()
 
 
-class TestOneRead:
-    @pytest.fixture
-    def reads(self, monkeypatch):
-        """The paths ``data._read`` is called with."""
-        calls, read = [], data_mod._read
-        monkeypatch.setattr(data_mod, "_read", lambda path: calls.append(path) or read(path))
-        return calls
+@pytest.fixture
+def reads(monkeypatch):
+    """The paths ``data._read`` is called with."""
+    calls, read = [], data_mod._read
+    monkeypatch.setattr(data_mod, "_read", lambda path: calls.append(path) or read(path))
+    return calls
 
+
+class TestOneRead:
     @pytest.mark.parametrize("argv, n_reads", [
         (["fit", "--strategy", "hypothetical", "--method", "censor-ipcw",
           "--weight-covariates", "z"], 1),
@@ -725,14 +729,23 @@ class TestOneRead:
             "error": "DataError", "message": "levels declared for unknown covariate 'q'"}
         assert reads == [str(s2_data)]
 
-    def test_all_strategies_reads_once(self, s2_data, tmp_path, reads):
+    def test_all_strategies_reads_once(self, s2_data, tmp_path, reads, monkeypatch):
         out = tmp_path / "fit"
         assert run(["fit", "--data", str(s2_data), "--strategy", "composite",
                     "--out", str(out)]) == 0
+        # an empty cache, without the entry the fit stored
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
         reads.clear()
         assert run(["predict", "--run", str(out), "--all-strategies",
                     "--out", str(tmp_path / "p")]) == 0
         assert reads == [str(s2_data)]
+        # the entry that read stored serves the next one
+        reads.clear()
+        assert run(["predict", "--run", str(out), "--all-strategies",
+                    "--out", str(tmp_path / "p2")]) == 0
+        assert reads == []
+        assert ((tmp_path / "p" / "overlay.csv").read_bytes()
+                == (tmp_path / "p2" / "overlay.csv").read_bytes())
 
 
 class TestByteOrderMark:
@@ -894,6 +907,21 @@ class TestWeightsCommand:
                    (out / "weights.csv").read_text().splitlines()[1:]]
         diag = json.loads((out / "weights_diagnostics.json").read_text())
         assert diag["max"] == pytest.approx(max(weights))
+
+    def test_ids_written_exactly(self, tmp_path):
+        """``1`` and ``"1\\x00"`` are two subjects, and each row of
+        weights.csv carries its data row's id, from a parse and from a hit."""
+        data = tmp_path / "nul.csv"
+        data.write_text('id,tstart,tstop,status,treated,z\n1,0,1,2,0,0.5\n1,1,3,1,1,0.5\n'
+                        '"1\x00",0,2,2,0,1.5\n"1\x00",2,4,0,1,1.5\n2,0,1.5,1,0,-1\n'
+                        '3,0,2.5,2,0,2\n3,2.5,3.5,1,1,2\n4,0,5,0,0,0\n')
+        with open(data, newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
+        for out in ("cold", "warm"):
+            assert run(["weights", "--data", str(data), "--weight-covariates", "z",
+                        "--mode", "iptw", "--out", str(tmp_path / out)]) == 0
+            with open(tmp_path / out / "weights.csv", newline="") as fh:
+                assert [row[0] for row in csv.reader(fh)][1:] == ids
 
 
 class TestCollinearColumn:
@@ -1105,6 +1133,213 @@ class TestUnwritableOutput:
         assert error["error"] == "UsageError"
         assert error["message"].startswith("cannot write F: ")
         assert Path("F").read_text() == "a file\n"
+
+
+class TestDatasetCache:
+    """``--data`` is read through the dataset cache, here each test's own
+    ``dataset_cache`` directory: a hit gives the dataset and outputs of a
+    parse, and a fault of the cache is a miss or a skipped store that
+    prints nothing and changes no exit code."""
+
+    @staticmethod
+    def fit(data, out) -> tuple:
+        """The exit code and output files of a censor-ipcw fit of ``data``
+        into ``out``, the run.json echo without ``data`` and ``out``."""
+        code = run(["fit", "--data", str(data), "--strategy", "hypothetical", "--method",
+                    "censor-ipcw", "--weight-covariates", "z", "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in Path(out).iterdir()} if code == 0 else {}
+        if files:
+            files["run.json"] = {k: v for k, v in json.loads(files["run.json"]).items()
+                                 if k not in ("data", "out")}
+        return code, files
+
+    @staticmethod
+    def load(argv):
+        """``cli._load_dataset`` of the ``fit`` options ``argv``."""
+        return cli_mod._load_dataset(cli_mod._parsers()[1]["fit"].parse_args(
+            argv + ["--strategy", "ignore", "--out", "o"]))
+
+    @pytest.mark.parametrize("name, content", [
+        ("missing.csv", None), ("adir", "directory"), ("latin1.csv", _NOT_UTF8)],
+        ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_data_exits_3_with_the_readers_message(
+            self, tmp_path, monkeypatch, capsys, dataset_cache, name, content):
+        monkeypatch.chdir(tmp_path)
+        if content == "directory":
+            Path(name).mkdir()
+        elif content is not None:
+            Path(name).write_bytes(content)
+        with pytest.raises(data_mod.DataError) as raised:
+            data_mod.ingest_csv(name)
+        for command in (_FIT, _WEIGHTS):
+            capsys.readouterr()
+            assert run(command[:1] + ["--data", name] + command[1:]) == 3
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out) == {"error": type(raised.value).__name__,
+                                       "message": str(raised.value)}
+        assert not dataset_cache.exists() or list(dataset_cache.iterdir()) == []
+
+    def test_failed_parse_stores_nothing(self, tmp_path, capsys, dataset_cache):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,tstart,tstop,status,treated,z\n1,0,1,1,0,0\n2,0,2,7,0,1\n")
+        outputs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run(["fit", "--data", str(bad), "--strategy", "composite",
+                        "--out", str(tmp_path / "o")]) == 3
+            outputs.append(capsys.readouterr())
+            assert list(dataset_cache.iterdir()) == []
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0].out)["error"] == "MalformedRow"
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "array-missing",
+                                        "invalid-rows", "ids-not-strings"])
+    def test_damaged_entry_is_parsed_again_and_replaced(
+            self, s2_data, tmp_path, capsys, reads, dataset_cache, damage):
+        expected = self.fit(s2_data, tmp_path / "a")
+        [entry] = dataset_cache.iterdir()
+        stored = entry.read_bytes()
+        if damage in ("empty", "truncated"):
+            entry.write_bytes(stored[:len(stored) // 2 if damage == "truncated" else 0])
+        else:
+            with np.load(entry) as archive:
+                arrays = dict(archive)
+            if damage == "array-missing":
+                del arrays["tstart"]
+            elif damage == "invalid-rows":  # the first row no longer starts at 0
+                arrays["tstart"] = arrays["tstart"] + 0.5
+            else:
+                meta = json.loads(arrays["meta"].tobytes())
+                meta["ids"] = list(range(len(meta["ids"])))
+                arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+            with open(entry, "wb") as fh:
+                np.savez(fh, **arrays)
+        reads.clear()
+        capsys.readouterr()
+        assert self.fit(s2_data, tmp_path / "b") == expected
+        assert capsys.readouterr().err == ""
+        assert reads == [str(s2_data)]
+        assert list(dataset_cache.iterdir()) == [entry]
+        assert entry.read_bytes() == stored
+
+    @pytest.mark.parametrize("blocked", ["cache-home", "cache-directory"])
+    def test_file_in_place_of_the_cache_directory(
+            self, s2_data, tmp_path, monkeypatch, capsys, reads, blocked):
+        expected = self.fit(s2_data, tmp_path / "a")
+        home = tmp_path / "blocked"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        if blocked == "cache-directory":
+            home.mkdir()
+        path = home if blocked == "cache-home" else home / "predictimands"
+        path.write_text("a file\n")
+        reads.clear()
+        for out in ("b", "c"):
+            capsys.readouterr()
+            assert self.fit(s2_data, tmp_path / out) == expected
+            assert capsys.readouterr().err == ""
+        assert reads == [str(s2_data)] * 2
+        assert path.read_text() == "a file\n"
+
+    def test_failed_store_is_skipped(self, s2_data, tmp_path, monkeypatch, capsys, reads,
+                                     dataset_cache):
+        """A store that meets a full disk leaves no file behind."""
+        expected = self.fit(s2_data, tmp_path / "a")
+        for entry in dataset_cache.iterdir():
+            entry.unlink()
+
+        def full(ds, file):
+            file.write(b"PK")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(data_mod, "_save_columns", full)
+        reads.clear()
+        capsys.readouterr()
+        assert self.fit(s2_data, tmp_path / "b") == expected
+        assert capsys.readouterr().err == ""
+        assert list(dataset_cache.iterdir()) == []
+        assert stat.S_IMODE(dataset_cache.stat().st_mode) == 0o700
+
+    def test_fifo_is_parsed(self, s2_data, tmp_path, reads, dataset_cache):
+        """A FIFO is read once, by the reader, and never stored, though its
+        bytes are those of a file with an entry."""
+        expected = self.fit(s2_data, tmp_path / "a")
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        text = s2_data.read_bytes()
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        reads.clear()
+        assert self.fit(fifo, tmp_path / "b") == expected
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert reads == [str(fifo)]
+        assert len(list(dataset_cache.iterdir())) == 1
+
+    def test_ids_come_back_exactly_from_a_hit(self, tmp_path, reads):
+        ids = ["1", "1\x00", "a,b", 'say "hi"', "Zoë", "患者", " x"]
+        rows = [["id", "tstart", "tstop", "status", "treated", "z"]]
+        for k, sid in enumerate(ids):
+            rows += [[sid, 0, 1, 2 * (k % 2), 0, k], [sid, 1, 2 + k, 1, k % 2, k]]
+        path = tmp_path / "ids.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        parsed = self.load(["--data", str(path)])
+        hit = self.load(["--data", str(path)])
+        assert reads == [str(path)]
+        assert hit == parsed
+        assert hit.ids == parsed.ids == ("1", "1\x00", "a,b", 'say "hi"', "Zoë", "患者", "x")
+
+    def test_options_get_their_own_entries(self, tmp_path, reads, dataset_cache):
+        """Each set of read options has its own entry, and each hit equals
+        the parse it stored."""
+        path = tmp_path / "options.csv"
+        path.write_text("id,tstart,tstop,status,treated,x,z\n"
+                        "1,0,1,2,0,0,0.5\n2,0,2,1,0,1,1.5\n3,0,1,0,0,1,2\n3,1,3,1,0,1,3\n")
+        options = [[], ["--baseline-cols", "x", "--tv-cols", "z"], ["--tv-cols", "x,z"],
+                   ["--levels", "x=1|0"], ["--baseline-cols", "x", "--tv-cols", "z",
+                                           "--levels", "x=1|0"],
+                   ["--design", "continues"], ["--design", "stops"]]
+        parsed = {}
+        for extra in options:
+            parsed[tuple(extra)] = self.load(["--data", str(path)] + extra)
+        for extra in options:
+            assert self.load(["--data", str(path)] + extra) == parsed[tuple(extra)]
+        assert reads == [str(path)] * len(options)
+        assert len(list(dataset_cache.iterdir())) == len(options)
+        plain = parsed[()]
+        assert (plain.schema.baseline, plain.design.value) == (("x",), "stops")
+        assert parsed["--tv-cols", "x,z"].schema.time_varying == ("x", "z")
+        assert parsed["--levels", "x=1|0"].columns["x"].tolist() == [1, 0, 0, 0]
+        assert parsed["--design", "continues"].design.value == "continues"
+
+    def test_least_recently_used_entries_go_first(self, tmp_path, monkeypatch,
+                                                  dataset_cache):
+        """Past ``CACHE_BYTES`` a store removes the entries used longest ago:
+        ``a`` was stored first but used last, so ``b`` goes."""
+        entries, args = {}, {}
+        for k, name in enumerate("abcd"):
+            if name == "d":
+                monkeypatch.setattr(cli_mod, "CACHE_BYTES", 3 * size)
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"id,tstart,tstop,status,treated,z\n1,0,1,1,0,{k}\n2,0,2,0,0,1\n")
+            before = set(dataset_cache.glob("*")) if dataset_cache.exists() else set()
+            args[name] = ["--data", str(path)]
+            self.load(args[name])
+            [entries[name]] = set(dataset_cache.glob("*")) - before
+            size = entries[name].stat().st_size
+            if name == "c":
+                for j, entry in enumerate(entries.values()):
+                    os.utime(entry, ns=(10**9 * (j + 1),) * 2)
+                self.load(args["a"])  # a hit: its use time is now
+                assert entries["a"].stat().st_mtime_ns > 3 * 10**9
+        assert {entry.stat().st_size for entry in entries.values() if entry.exists()} == {size}
+        assert sorted(dataset_cache.iterdir()) == sorted(entries[n] for n in "acd")
 
 
 class TestTamperedRun:

@@ -13,10 +13,20 @@ def load_round():
     return module
 
 
-def test_small_round_writes_every_output(tmp_path):
+def tree(root: Path) -> dict:
+    """The bytes of every file under ``root``, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_small_round_writes_every_output(tmp_path, dataset_cache):
     cli_round = load_round()
     out = tmp_path / "round"
     codes = cli_round.run_round(out, n=200)
+    # a second round, whose reads find the first round's cache entries,
+    # writes the same bytes
+    assert any(dataset_cache.iterdir())
+    assert cli_round.run_round(tmp_path / "again", n=200) == codes
+    assert tree(tmp_path / "again") == tree(out)
     # every command succeeds; validate may miss its tolerance at this size
     assert len(codes) == len(cli_round.commands(200))
     assert set(codes[:-1]) == {0} and codes[-1] in (0, 1)

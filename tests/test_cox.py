@@ -376,6 +376,27 @@ class TestRiskSets:
                               (rs.dead_time, dead_time[order])):
             np.testing.assert_array_equal(got, expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(times=st.sets(st.integers(0, 12), max_size=8),
+           rows=st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(1, 6)),
+                         max_size=12))
+    def test_slots_of_two_searches(self, times, rows):
+        """Entry and exit slots equal those of a search of the times for
+        every row's stop and start, on rows in any order, overlapping, with
+        gaps or continuing the row before them, as ``weights._diagnostics``
+        passes them; times on a half-unit grid, so that bounds tie."""
+        times = np.array(sorted(times), float) / 2
+        start, stop = [], []
+        for follows, begin, length in rows:
+            start.append(stop[-1] if follows and stop else begin / 2)
+            stop.append(start[-1] + length / 2)
+        start, stop = np.array(start, float), np.array(stop, float)
+        enter = np.searchsorted(times, stop, side="right") - 1
+        exit_ = np.searchsorted(times, start, side="right")
+        for got, expected in zip(cox._slots(times, start, stop),
+                                 (enter, exit_, np.flatnonzero(enter >= exit_))):
+            np.testing.assert_array_equal(got, expected)
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("ties", ["efron", "breslow"])

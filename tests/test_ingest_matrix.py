@@ -20,6 +20,8 @@ def test_one_small_cell(tmp_path, capsys):
     assert set(report) == {"python", "numpy", "nproc", "cells"}
     [cell] = report["cells"]
     assert set(cell) == {"scenario", "n", "file_mb", "ingest_s", "runs", "rows",
-                         "rss_growth_mb", "array_mb"}
+                         "rss_growth_mb", "array_mb", "cli_cold_s", "cli_warm_s",
+                         "cache_mb"}
+    assert cell["cache_mb"] > 0
     assert (cell["scenario"], cell["n"], cell["runs"]) == ("s2", 200, 3)
     assert (tmp_path / "s2_200.csv").is_file()

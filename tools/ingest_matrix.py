@@ -7,7 +7,11 @@ Simulates each scenario at each size once (seed 1) into ``DIR`` with the
 process imports the package, notes its resident set size, reads the file
 with ``ingest_csv`` (best of 3 runs, one run at 50,000 subjects or more)
 and reports how far its peak resident set size rose above that, and the
-bytes of the dataset's arrays. Linux only: both sizes are read from
+bytes of the dataset's arrays. The child then points ``XDG_CACHE_HOME``
+at an empty directory and times the CLI's dataset load of the file: once
+cold, a parse that stores a cache entry (``cli_cold_s``), then warm, the
+best of 3 hits (``cli_warm_s``), and reports the cache's size
+(``cache_mb``). Linux only: both sizes are read from
 ``/proc/self/status`` (``VmRSS``, ``VmHWM``), whose peak, unlike
 ``ru_maxrss``, does not carry over the parent's. Prints one JSON object:
 the Python and numpy versions, the processor count and one cell per file.
@@ -32,12 +36,19 @@ from predictimands import data, scenarios, simulate  # noqa: E402
 
 #: the child process: argv is the file and the number of runs
 CHILD = """
-import json, sys, time
+import json, os, sys, tempfile, time
+from pathlib import Path
+from predictimands import cli
 from predictimands.data import ingest_csv
 
 def kb(field):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+def seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 path, runs = sys.argv[1], int(sys.argv[2])
 before, times = kb("VmRSS"), []
@@ -47,9 +58,18 @@ for _ in range(runs):
     times.append(time.perf_counter() - start)
 grown = kb("VmHWM") - before
 arrays = [ds.offsets, ds.tstart, ds.tstop, ds.status, ds.treated, *ds.columns.values()]
+with tempfile.TemporaryDirectory() as cache:
+    os.environ["XDG_CACHE_HOME"] = cache
+    args = cli._parsers()[1]["fit"].parse_args(
+        ["--data", path, "--strategy", "ignore", "--out", "unused"])
+    cold = seconds(lambda: cli._load_dataset(args))
+    warm = min(seconds(lambda: cli._load_dataset(args)) for _ in range(3))
+    entries = sum(p.stat().st_size for p in Path(cache).rglob("*") if p.is_file())
 print(json.dumps({"ingest_s": min(times), "runs": runs, "rows": ds.n_rows,
                   "rss_growth_mb": round(grown / 1024, 1),
-                  "array_mb": round(sum(a.nbytes for a in arrays) / 2**20, 2)}))
+                  "array_mb": round(sum(a.nbytes for a in arrays) / 2**20, 2),
+                  "cli_cold_s": cold, "cli_warm_s": warm,
+                  "cache_mb": round(entries / 2**20, 2)}))
 """
 
 
