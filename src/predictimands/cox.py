@@ -385,18 +385,15 @@ def _prepared(ds, spec):
 
 
 def partial_loglik(ds, spec: CoxSpec, beta) -> float:
-    _, rs = _prepared(ds, spec)
-    return _sweep(rs, np.asarray(beta, float))[0]
+    return _sweep(_prepared(ds, spec)[1], np.asarray(beta, float))[0]
 
 
 def score(ds, spec: CoxSpec, beta) -> np.ndarray:
-    _, rs = _prepared(ds, spec)
-    return _sweep(rs, np.asarray(beta, float))[1]
+    return _sweep(_prepared(ds, spec)[1], np.asarray(beta, float))[1]
 
 
 def information(ds, spec: CoxSpec, beta) -> np.ndarray:
-    _, rs = _prepared(ds, spec)
-    return _sweep(rs, np.asarray(beta, float))[2]
+    return _sweep(_prepared(ds, spec)[1], np.asarray(beta, float))[2]
 
 
 def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
@@ -509,6 +506,22 @@ def profile_values(covariates, profile: dict) -> list:
     return values
 
 
+def _cumulative(model: CoxModel, values, dH0, first, where, offset=0.0):
+    """dH = dH0 exp(x'beta + offset), x the ``values`` (numbers, or arrays
+    over dH0's positions), and its running sum over each run of positions,
+    ``first[k]`` the first of k's run. The one overflow check of a fitted
+    hazard: a sum that overflows is a NumericError naming ``where(k)``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        lp = sum(b * v for b, v in zip(model.beta, values)) + offset
+        dH = dH0 * np.exp(lp)
+        total = np.concatenate([[0.0], np.cumsum(dH)])
+    if not np.isfinite(total[-1]):
+        k = np.flatnonzero(~np.isfinite(total))[0] - 1
+        raise NumericError(f"the cumulative hazard {where(k)} overflows (linear predictor "
+                           f"up to {np.max(np.broadcast_to(lp, dH.shape)[first[k]:k + 1]):.6g})")
+    return dH, total[1:] - total[first]
+
+
 def _hazard(model: CoxModel, profile: dict, treated: bool = False) -> np.ndarray:
     """dH(t_k | profile) = dH0(t_k) exp(lp(t_k)) at each baseline time t_k.
 
@@ -516,21 +529,12 @@ def _hazard(model: CoxModel, profile: dict, treated: bool = False) -> np.ndarray
     baseline time t_k the coefficient of the segment holding t_k enters
     the linear predictor (a model without a treatment term ignores it).
     """
-    values = profile_values(model.covariates, profile)
-    # an overflow is raised below, naming the profile
-    with np.errstate(over="ignore", invalid="ignore"):
-        lp = sum(b * v for b, v in zip(model.beta, values))
-        if treated and model.treatment is not None:
-            segment = np.searchsorted(model.treatment.tv_cuts, model.baseline_times,
-                                      side="left")
-            lp = lp + model.beta[len(model.covariates) + segment]
-        dH = model.baseline_increments * np.exp(lp)
-        total = dH.sum()
-    if not np.isfinite(total):
-        raise NumericError(
-            f"the cumulative hazard at profile {dict(zip(model.covariates, values))} "
-            f"overflows (linear predictor up to {np.max(lp):.6g})")
-    return dH
+    values, offset, dH0 = profile_values(model.covariates, profile), 0.0, model.baseline_increments
+    if treated and model.treatment is not None:
+        offset = model.beta[len(model.covariates) + np.searchsorted(
+            model.treatment.tv_cuts, model.baseline_times, side="left")]
+    return _cumulative(model, values, dH0, np.zeros(dH0.size, int), lambda k:
+                       f"at profile {dict(zip(model.covariates, values))}", offset)[0]
 
 
 def predict_survival(model: CoxModel, profile: dict,
@@ -538,6 +542,18 @@ def predict_survival(model: CoxModel, profile: dict,
     """S(t | profile) = exp(-sum dH(t_k | profile)), dH as in ``_hazard``."""
     return SurvivalCurve(model.baseline_times,
                          np.exp(-np.cumsum(_hazard(model, profile, treated))))
+
+
+def path_survival(model: CoxModel, ds: CountingProcessDataset, enter, exit_) -> np.ndarray:
+    """exp(-H) at the end of each row of ``ds``, H summing over its subject's
+    rows up to it the baseline hazard between the row's ``_slots`` ``exit_``
+    and ``enter`` times exp(x'beta); an overflow names subject and covariates."""
+    H0 = np.concatenate([[0.0], np.cumsum(model.baseline_increments)])
+    x = [ds.covariate(name) for name in model.covariates]
+    return np.exp(-_cumulative(
+        model, x, H0[enter + 1] - H0[exit_], ds.offsets[ds.row_subject], lambda r:
+        f"of subject {ds.ids[ds.row_subject[r]]} at "
+        f"{ {name: float(col[r]) for name, col in zip(model.covariates, x)} }")[1])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The stabilized weight for an episode ending at t is the ratio of two
 staying-untreated probabilities, numerator model over denominator model,
-each evaluated as exp(-cumulative hazard) accumulated over the treatment
-model's event-time grid along the subject's own covariate path.
-"""
+each the ``cox.path_survival`` along the subject's own covariate path. Only
+each subject's rows up to its treatment start are evaluated: an IPTW row
+after it copies the weight at the start and its covariates are never read.
+A used row whose hazard overflows is a NumericError naming its subject."""
 
 from __future__ import annotations
 
@@ -72,20 +73,6 @@ def fit_treatment_hazard(ds: CountingProcessDataset, covariates=(),
                                      covariates=tuple(covariates), ties=ties))
 
 
-def _survival_at_episode_ends(model: cox.CoxModel, start: np.ndarray,
-                              stop: np.ndarray, columns: dict,
-                              first: np.ndarray) -> np.ndarray:
-    """Staying-untreated probability at each episode end: the model's
-    cumulative baseline hazard over each episode, times exp(x'beta),
-    summed along each subject's episodes (``first`` holds each episode's
-    subject's first row)."""
-    H = cox.baseline_cumhaz(model)
-    lp = sum(b * columns[name] for b, name in zip(model.beta, model.covariates))
-    inc = (H(stop) - H(start)) * np.exp(lp)
-    cum = np.concatenate([[0.0], np.cumsum(inc)])
-    return np.exp(-(cum[1:] - cum[first]))
-
-
 def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
                        denominator: cox.CoxModel,
                        mode: WeightMode = WeightMode.IPCW,
@@ -105,37 +92,35 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
             len(truncation) == 2 and 0 <= truncation[0] < truncation[1] <= 100):
         raise DataError(f"truncation must be two percentiles 0 <= lo < hi <= "
                         f"100, got {tuple(truncation)}")
-    target = split_at_treatment(ds) if mode == WeightMode.IPCW else ds
-    start, stop, n = target.tstart, target.tstop, target.n_rows
-    columns = {name: target.covariate(name) for name in denominator.covariates}
-    first = target.offsets[target.row_subject]
+    base = split_at_treatment(ds)
+    target = base if mode == WeightMode.IPCW else ds
+    # base's rows, the first of each subject's rows in target, are evaluated
+    keep = np.arange(target.n_rows) < (target.offsets[:-1] + np.diff(base.offsets))[
+        target.row_subject]
+    start, stop, times = target.tstart, target.tstop, denominator.baseline_times
+    slots = cox._slots(times, start, stop)
 
-    s_num = _survival_at_episode_ends(numerator, start, stop, columns, first)
-    s_den = _survival_at_episode_ends(denominator, start, stop, columns, first)
-    index = np.arange(n)
-    # IPTW rows after a treatment start copy its weight and go unchecked
-    source = index
-    if mode == WeightMode.IPTW:
-        starts = target.status == Status.TREATMENT_START
-        latest = np.maximum.accumulate(np.where(starts, index, -1))
-        source = np.where(latest >= first, latest, index)
-    checked = source == index
-    bad = np.flatnonzero(checked & (s_den <= 0.0))
-    if bad.size:
+    def survival(model):
+        enter, exit_, _ = (slots if np.array_equal(model.baseline_times, times)
+                           else cox._slots(model.baseline_times, start, stop))
+        return cox.path_survival(model, base, enter[keep], exit_[keep])
+
+    s_den, s_num = survival(denominator), survival(numerator)
+    for r in np.flatnonzero(s_den <= 0.0)[:1]:
         raise NonPositiveProbability(
-            f"subject {target.ids[target.row_subject[bad[0]]]}: staying-untreated "
-            f"probability underflowed at t={float(stop[bad[0]])}")
-    values = np.divide(s_num, s_den, out=np.zeros(n), where=checked)[source]
+            f"subject {base.ids[base.row_subject[r]]}: staying-untreated "
+            f"probability underflowed at t={float(base.tstop[r])}")
+    values = (s_num / s_den)[np.cumsum(keep) - 1]  # a later row copies the last
 
     bounds = None
     if truncation is not None:
         bounds = tuple(np.percentile(values, truncation))
         values = np.clip(values, *bounds)
-    diagnostics = _diagnostics(start, stop, values, denominator)
+    diagnostics = _diagnostics(values, slots, times.size)
     return WeightTable(weight_rows(target, values), mode, diagnostics, bounds)
 
 
-def _diagnostics(start, stop, values, denominator) -> dict:
+def _diagnostics(values, slots, n_times) -> dict:
     diag = {
         "n_rows": int(values.size),
         "mean": float(values.mean()),
@@ -146,11 +131,10 @@ def _diagnostics(start, stop, values, denominator) -> dict:
     # mean weight among episodes at risk (start < t <= stop) at each
     # treatment event time t, over cox's risk-set slots; values far from 1
     # signal misspecification or positivity trouble
-    times = denominator.baseline_times
-    enter, exit_, active = cox._slots(times, start, stop)
+    enter, exit_, active = slots
     enter, exit_ = enter[active], exit_[active]
-    wsum = cox._at_risk(enter, exit_, times.size, values[active])
-    count = cox._at_risk(enter, exit_, times.size)
+    wsum = cox._at_risk(enter, exit_, n_times, values[active])
+    count = cox._at_risk(enter, exit_, n_times)
     ok = count > 0
     if ok.any():
         means = wsum[ok] / count[ok]

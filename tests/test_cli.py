@@ -924,6 +924,117 @@ class TestWeightsCommand:
                 assert [row[0] for row in csv.reader(fh)][1:] == ids
 
 
+def edit_z(path, out, edit):
+    """Copy the simulated CSV at ``path`` to ``out`` with ``edit(row, fields)``
+    applied to the fields of each data row, ``row`` counted from 0; it
+    returns the row's new ``z`` field or None to keep it."""
+    lines = Path(path).read_bytes().split(b"\r\n")
+    header = lines[0].decode().split(",")
+    z = header.index("z")
+    for i, line in enumerate(lines[1:-1], 1):
+        fields = dict(zip(header, line.decode().split(",")))
+        value = edit(i - 1, fields)
+        if value is not None:
+            lines[i] = b",".join(value.encode() if j == z else f
+                                 for j, f in enumerate(line.split(b",")))
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    Path(out).write_bytes(b"\r\n".join(lines))
+
+
+class TestPostStartOutlier:
+    """s2 (n = 300, seed 1) with the z of its first treated row set to 1000.
+    IPTW fits and weights read no covariate after a treatment start, so both
+    commands write what they write for the unedited file, with an empty
+    stderr; a value on a row they use whose hazard overflows exp is a
+    NumericError."""
+
+    @pytest.fixture
+    def s2_seed1(self, tmp_path):
+        path = tmp_path / "unedited" / "s2.csv"
+        assert run(["simulate", "--scenario", "s2", "--n", "300", "--seed", "1",
+                    "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--mode", "iptw", "--weight-covariates", "z"],
+        ["fit", "--strategy", "hypothetical", "--method", "model-iptw",
+         "--weight-covariates", "z"]], ids=["weights", "fit"])
+    def test_outputs_match_unedited(self, s2_seed1, tmp_path, monkeypatch, capsys, argv):
+        with open(s2_seed1, newline="") as fh:
+            first = next(r for r, row in enumerate(csv.DictReader(fh)) if row["treated"] == "1")
+        edit_z(s2_seed1, tmp_path / "edited" / "s2.csv",
+               lambda row, fields: "1000" if row == first else None)
+        outputs = []
+        for name in ("unedited", "edited"):
+            # relative paths, so that run.json and stdout echo the same names
+            monkeypatch.chdir(tmp_path / name)
+            capsys.readouterr()
+            assert run(argv + ["--data", "s2.csv", "--out", "out"]) == 0
+            stdout, stderr = capsys.readouterr()
+            assert stderr == ""
+            outputs.append((stdout, {p.name: p.read_bytes()
+                                     for p in Path("out").iterdir()}))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("mode", ["ipcw", "iptw"])
+    def test_overflowing_hazard_exits_4(self, s2_seed1, tmp_path, capsys, mode):
+        # z measured from an origin 1000 below: beta z passes 709 on every row
+        data = tmp_path / "shifted.csv"
+        edit_z(s2_seed1, data, lambda row, fields: repr(float(fields["z"]) + 1000))
+        capsys.readouterr()
+        assert run(["weights", "--data", str(data), "--weight-covariates", "z",
+                    "--mode", mode, "--out", str(tmp_path / "w")]) == 4
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        err = json.loads(stdout)
+        assert err["error"] == "NumericError"
+        assert err["message"].startswith("the cumulative hazard of subject 1 at {'z': ")
+
+
+@functools.cache
+def small_s2() -> bytes:
+    """A simulated s2 file of 50 subjects."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "s2.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["simulate", "--scenario", "s2", "--n", "50", "--seed", "2",
+                        "--out", str(path)]) == 0
+        return path.read_bytes()
+
+
+class TestWeightsErrorContract:
+    """``weights`` in both modes on a small s2 file with one z field edited
+    to a value far out, not finite or empty: exit 0 with every weight
+    finite, or exit 3 or 4 with one JSON line; stderr stays empty and no
+    warning is raised."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(0, 10**6), value=st.sampled_from(
+        ["0", "1000", "-1000", "1e6", "-1e6", "1e300", "-1e300", "nan", "inf", "-inf", ""]))
+    def test_exit_0_with_finite_weights_or_3_or_4(self, tmp_path_factory, row, value):
+        work = tmp_path_factory.mktemp("contract")
+        (work / "s2.csv").write_bytes(small_s2())
+        n_rows = small_s2().count(b"\r\n") - 1
+        edit_z(work / "s2.csv", work / "edited.csv",
+               lambda r, fields: value if r == row % n_rows else None)
+        for mode in ("ipcw", "iptw"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = run(["weights", "--data", str(work / "edited.csv"), "--mode", mode,
+                            "--weight-covariates", "z", "--out", str(work / mode)])
+            assert (stderr.getvalue(), [str(w.message) for w in caught]) == ("", [])
+            if code == 0:
+                with open(work / mode / "weights.csv", newline="") as fh:
+                    weights = [float(r["weight"]) for r in csv.DictReader(fh)]
+                assert all(map(math.isfinite, weights))
+            else:
+                assert code in (3, 4)
+                assert set(json.loads(stdout.getvalue())) == {"error", "message"}
+                assert len(stdout.getvalue().splitlines()) == 1
+
+
 class TestCollinearColumn:
     """s2 (n = 300, seed 1) with w = 2z + 1: the fits hold w, the later
     column of the aliased pair, at 0 and flag the model degenerate, where

@@ -37,8 +37,8 @@ def test_small_round_writes_every_output(tmp_path, dataset_cache):
     # the outputs under nested/ go to directories that did not exist
     fit_dirs = [f"fit-{f}" for f in fits] + ["nested/fit/age_gap"]
     predict_dirs = [f"predict-{f}" for f in fits] + ["nested/predict/age_gap"]
-    expected = ([f"{s}.csv" for s in ("s2", "age_gap", "s2_stops", "draws", "wide",
-                                      "labelled", "mixed")]
+    expected = ([f"{s}.csv" for s in ("s2", "s2_outlier", "age_gap", "s2_stops", "draws",
+                                      "wide", "labelled", "mixed")]
                 + [f"{s}.csv.run.json" for s in ("s2", "age_gap", "s2_stops")]
                 + ["nested/sim/s1.csv", "nested/sim/s1.csv.run.json"]
                 + [f"{d}/run.json" for d in fit_dirs]
@@ -48,9 +48,15 @@ def test_small_round_writes_every_output(tmp_path, dataset_cache):
                    "fit-stops-while-untreated/model_treatment.json",
                    "fit-censor-ipcw/weights.csv", "fit-model-iptw/weights.csv",
                    "predict-all/overlay.csv", "weights-ipcw/weights.csv",
-                   "weights-iptw/weights.csv", "validate.json", "validate-s2.json",
+                   "weights-iptw/weights.csv", "weights-iptw-outlier/weights.csv",
+                   "validate.json", "validate-s2.json",
                    "validate-age_gap.json", "round.log"])
     missing = [name for name in expected if not (out / name).is_file()]
     assert missing == []
+    # no IPTW weight reads the outlier after a treatment start
+    assert (out / "s2_outlier.csv").read_bytes() != (out / "s2.csv").read_bytes()
+    for name in ("weights.csv", "weights_diagnostics.json"):
+        assert ((out / "weights-iptw-outlier" / name).read_bytes()
+                == (out / "weights-iptw" / name).read_bytes())
     log = (out / "round.log").read_text()
     assert log.count("$ predictimands ") == len(codes)

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from predictimands import cox, scenarios, simulate
 from predictimands import data as data_mod
 from predictimands.data import (
+    CountingProcessDataset,
     CovariateSchema,
     Episode,
     Status,
@@ -131,40 +133,45 @@ def confounded_ds():
 
 def reference_weights(ds, numerator, denominator, mode):
     """Slow reference: per-subject accumulation of each model's hazard
-    increments along the subject's covariate path, episode by episode.
-    Returns (subject_id, tstart, tstop, weight) per row."""
+    increments along the subject's covariate path, episode by episode. An
+    IPTW row after a treatment start is not evaluated: it copies the
+    weight frozen at the start. Returns (subject_id, tstart, tstop, weight)
+    per row."""
     target = split_at_treatment(ds) if mode == WeightMode.IPCW else ds
     schema = target.schema
 
-    def survival(model, sub):
-        out, cum = [], 0.0
-        for ep in sub.episodes:
-            lp = sum(model.beta[j] * (sub.baseline[name] if name in schema.baseline
-                                      else ep.tv[name])
-                     for j, name in enumerate(model.covariates))
-            lo = np.searchsorted(model.baseline_times, ep.tstart, side="right")
-            hi = np.searchsorted(model.baseline_times, ep.tstop, side="right")
-            cum += float(model.baseline_increments[lo:hi].sum()) * float(np.exp(lp))
-            out.append(float(np.exp(-cum)))
-        return out
+    def increment(model, sub, ep):
+        lp = sum(model.beta[j] * (sub.baseline[name] if name in schema.baseline
+                                  else ep.tv[name])
+                 for j, name in enumerate(model.covariates))
+        lo = np.searchsorted(model.baseline_times, ep.tstart, side="right")
+        hi = np.searchsorted(model.baseline_times, ep.tstop, side="right")
+        return float(model.baseline_increments[lo:hi].sum()) * float(np.exp(lp))
 
     rows = []
     for sub in target.subjects:
-        frozen = None
-        for ep, sn, sd in zip(sub.episodes, survival(numerator, sub),
-                              survival(denominator, sub)):
-            if frozen is not None:
-                w = frozen
-            else:
-                if sd <= 0.0:
+        frozen, h_num, h_den = False, 0.0, 0.0
+        for ep in sub.episodes:
+            if not frozen:
+                h_num += increment(numerator, sub, ep)
+                h_den += increment(denominator, sub, ep)
+                if math.exp(-h_den) <= 0.0:
                     raise NonPositiveProbability(
                         f"subject {sub.subject_id}: staying-untreated "
                         f"probability underflowed at t={ep.tstop}")
-                w = sn / sd
-                if mode == WeightMode.IPTW and ep.status == Status.TREATMENT_START:
-                    frozen = w
+                w = math.exp(-h_num) / math.exp(-h_den)
+                frozen = mode == WeightMode.IPTW and ep.status == Status.TREATMENT_START
             rows.append((sub.subject_id, ep.tstart, ep.tstop, w))
     return rows
+
+
+def with_value(ds, row, name, value):
+    """``ds`` with the value of covariate ``name`` on ``row`` replaced."""
+    columns = dict(ds.columns)
+    columns[name] = columns[name].copy()
+    columns[name][row] = value
+    return CountingProcessDataset(ds.schema, ds.design, ds.ids, ds.offsets, ds.tstart,
+                                  ds.tstop, ds.status, ds.treated, columns)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +200,26 @@ class TestAgainstReference:
         with pytest.raises(NonPositiveProbability) as exc:
             stabilized_weights(ds, num, huge, WeightMode.IPCW)
         assert str(exc.value) == str(ref.value)
+
+    @pytest.mark.parametrize("mode", [WeightMode.IPCW, WeightMode.IPTW])
+    def test_post_start_outlier_is_never_read(self, s2_models, mode):
+        """A z of 1000 on the first row after a treatment start, which no
+        weight reads: the weights match the reference and those of the
+        unedited data bit for bit, and IPTW's rows up to each start carry
+        IPCW's weights."""
+        ds, num, den = s2_models
+        edited = with_value(ds, np.flatnonzero(ds.treated)[0], "z", 1000.0)
+        table = stabilized_weights(edited, num, den, mode)
+        assert table.values.tolist() == stabilized_weights(ds, num, den, mode).values.tolist()
+        np.testing.assert_allclose(table.values, [row[3] for row in reference_weights(
+            edited, num, den, mode)], rtol=1e-12, atol=0)
+        if mode == WeightMode.IPTW:
+            # a row is evaluated when no treatment start of its subject precedes it
+            starts = edited.status == Status.TREATMENT_START
+            before = np.cumsum(starts) - starts
+            evaluated = before == before[edited.offsets[edited.row_subject]]
+            assert table.values[evaluated].tolist() == stabilized_weights(
+                ds, num, den, WeightMode.IPCW).values.tolist()
 
     def test_rows_after_iptw_freeze_are_not_checked(self, d4):
         num = fit_treatment_hazard(d4, ())
@@ -329,6 +356,40 @@ class TestHandComputedWeights:
         # IPTW keeps c's treated row with the weight frozen at its start
         expected += [-0.3 + 0.15] if mode == WeightMode.IPTW else []
         assert table.values.tolist() == pytest.approx(np.exp(expected), rel=1e-12)
+
+
+class TestOverflowingHazard:
+    """A row that a weight uses and whose linear predictor overflows exp is
+    a NumericError naming its subject and covariate values; a row after a
+    treatment start, which no weight uses, may hold any value."""
+
+    def data(self, before, after):
+        """Subject b starts treatment at 2 with x ``before`` and has x
+        ``after`` on its treated row."""
+        return dataset([
+            SubjectRecord("a", (Episode(0.0, 1.0, C, False, {"x": 0.0}),
+                                Episode(1.0, 2.5, E, False, {"x": 1.0}))),
+            SubjectRecord("b", (Episode(0.0, 2.0, T, False, {"x": before}),
+                                Episode(2.0, 4.0, E, True, {"x": after}))),
+            SubjectRecord("c", (Episode(0.0, 3.0, C, False, {"x": 2.0}),)),
+        ], CovariateSchema(time_varying=("x",)))
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_used_row_raises(self, mode):
+        numerator, denominator = hand_model([0.1, 0.2, 0.3]), hand_model(
+            [0.05, 0.1, 0.2], {"x": 0.5})
+        with pytest.raises(NumericError, match=re.escape(
+                "the cumulative hazard of subject b at {'x': 2000.0} overflows "
+                "(linear predictor up to 1000)")):
+            stabilized_weights(self.data(2000.0, 0.0), numerator, denominator, mode)
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_unused_row_is_not_read(self, mode):
+        numerator, denominator = hand_model([0.1, 0.2, 0.3]), hand_model(
+            [0.05, 0.1, 0.2], {"x": 0.5})
+        values = [stabilized_weights(self.data(0.5, after), numerator, denominator,
+                                     mode).values.tolist() for after in (0.0, 2000.0)]
+        assert values[0] == values[1] and np.isfinite(values[0]).all()
 
 
 class TestStabilizedWeights:

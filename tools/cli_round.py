@@ -7,10 +7,12 @@ from the ``src`` tree next to this script: simulate s1, s2, age_gap and
 ``s2_stops.json`` (s2 observed until treatment start); on s2, fit and
 predict each of the seven strategies, ``--all-strategies``, fits with
 ``--covariates z --tv-cuts 2``, ``--tie breslow`` and ``--truncate-weights
-1,99`` (predicted at ``--profile z=0``), and ``weights`` in both modes; an
-age_gap fit and predict at ``--profile age=50``; on the stops-at-treatment
-data, fit and predict composite, while-untreated and ``hypothetical
---method censor``; a fit and predict of three fixed files, one in the
+1,99`` (predicted at ``--profile z=0``), and ``weights`` in both modes and,
+with ``--mode iptw``, on ``s2_outlier.csv``, a copy of s2 whose first
+treated row has ``z`` 1000, a value no IPTW weight reads; an age_gap fit
+and predict at ``--profile age=50``; on the stops-at-treatment data, fit
+and predict composite, while-untreated and ``hypothetical --method
+censor``; a fit and predict of three fixed files, one in the
 wide format, one with a label-coded covariate read with ``--levels`` and a
 3,000-row one read in part by numpy's reader and in part by the csv module;
 a simulate of ``draws.json``, which draws every kind of baseline
@@ -46,6 +48,9 @@ LABELS = (("ignore", []), ("composite", []), ("while-untreated", []),
           ("hypothetical:censor", []), ("hypothetical:model", []),
           ("hypothetical:censor-ipcw", ["--weight-covariates", "z"]),
           ("hypothetical:model-iptw", ["--weight-covariates", "z"]))
+
+#: s2.csv with a post-start outlier, written from it by ``write_outlier``
+OUTLIER = "s2_outlier.csv"
 
 
 def fixed_files() -> dict:
@@ -129,8 +134,10 @@ def commands(n: int) -> list:
                     + profile)
     cmds.append(["predict", "--run", "fit-censor-ipcw", "--all-strategies",
                  "--out", "predict-all"])
-    cmds += [["weights", "--data", "s2.csv", "--weight-covariates", "z",
-              "--mode", mode, "--out", f"weights-{mode}"] for mode in ("ipcw", "iptw")]
+    cmds += [["weights", "--data", data, "--weight-covariates", "z", "--mode", mode,
+              "--out", out] for data, mode, out in (
+                  ("s2.csv", "ipcw", "weights-ipcw"), ("s2.csv", "iptw", "weights-iptw"),
+                  (OUTLIER, "iptw", "weights-iptw-outlier"))]
     cmds += [["fit", "--data", "age_gap.csv", "--strategy", "hypothetical",
               "--covariates", "age", "--horizon", "10", "--out", "nested/fit/age_gap"],
              ["predict", "--run", "nested/fit/age_gap", "--profile", "age=50",
@@ -165,6 +172,21 @@ def commands(n: int) -> list:
     return cmds
 
 
+def write_outlier(path, out):
+    """Copy the CSV at ``path`` to ``out`` with the ``z`` field of its first
+    treated row, a row after a treatment start, set to 1000."""
+    lines = Path(path).read_bytes().split(b"\r\n")
+    header = lines[0].split(b",")
+    treated, z = header.index(b"treated"), header.index(b"z")
+    for i, line in enumerate(lines[1:], 1):
+        fields = line.split(b",")
+        if fields[treated:treated + 1] == [b"1"]:
+            fields[z] = b"1000"
+            lines[i] = b",".join(fields)
+            break
+    Path(out).write_bytes(b"\r\n".join(lines))
+
+
 def _show(message, category, filename, lineno, file=None, line=None):
     # category and message only: the source location differs between checkouts
     sys.stderr.write(f"{category.__name__}: {message}\n")
@@ -181,6 +203,8 @@ def run_round(out, n: int = 5000) -> list:
         for name, text in fixed_files().items():
             Path(name).write_text(text)
         for argv in commands(n):
+            if OUTLIER in argv:
+                write_outlier("s2.csv", OUTLIER)
             stdout, stderr = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
