@@ -41,6 +41,9 @@ BETA_BOUND = 15.0
 #: a column whose Cholesky pivot is at most this times its diagonal is aliased
 ALIAS_TOL = np.finfo(float).eps ** 0.75
 MAX_ITER = 50
+#: a hazard increment adds at most this to a running sum, past which exp(-H)
+#: is 0: no subject's hazard then swamps the sums of the subjects after it
+SATURATED = 1e3
 
 
 @dataclass(frozen=True)
@@ -385,15 +388,18 @@ def _prepared(ds, spec):
 
 
 def partial_loglik(ds, spec: CoxSpec, beta) -> float:
-    return _sweep(_prepared(ds, spec)[1], np.asarray(beta, float))[0]
+    _, rs = _prepared(ds, spec)
+    return _sweep(rs, np.asarray(beta, float))[0]
 
 
 def score(ds, spec: CoxSpec, beta) -> np.ndarray:
-    return _sweep(_prepared(ds, spec)[1], np.asarray(beta, float))[1]
+    _, rs = _prepared(ds, spec)
+    return _sweep(rs, np.asarray(beta, float))[1]
 
 
 def information(ds, spec: CoxSpec, beta) -> np.ndarray:
-    return _sweep(_prepared(ds, spec)[1], np.asarray(beta, float))[2]
+    _, rs = _prepared(ds, spec)
+    return _sweep(rs, np.asarray(beta, float))[2]
 
 
 def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
@@ -508,17 +514,20 @@ def profile_values(covariates, profile: dict) -> list:
 
 def _cumulative(model: CoxModel, values, dH0, first, where, offset=0.0):
     """dH = dH0 exp(x'beta + offset), x the ``values`` (numbers, or arrays
-    over dH0's positions), and its running sum over each run of positions,
-    ``first[k]`` the first of k's run. The one overflow check of a fitted
-    hazard: a sum that overflows is a NumericError naming ``where(k)``."""
+    over dH0's positions), and H, its running sum over each run of
+    positions, ``first[k]`` the first of k's run, with each increment capped
+    at SATURATED. The one overflow check of a fitted hazard: a run whose own
+    sum overflows is a NumericError naming ``where(k)``, k where it does."""
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         lp = sum(b * v for b, v in zip(model.beta, values)) + offset
+        lp = np.broadcast_to(lp, dH0.shape)
         dH = dH0 * np.exp(lp)
-        total = np.concatenate([[0.0], np.cumsum(dH)])
-    if not np.isfinite(total[-1]):
-        k = np.flatnonzero(~np.isfinite(total))[0] - 1
-        raise NumericError(f"the cumulative hazard {where(k)} overflows (linear predictor "
-                           f"up to {np.max(np.broadcast_to(lp, dH.shape)[first[k]:k + 1]):.6g})")
+        if not np.isfinite(dH.sum()):
+            for run in np.split(np.arange(dH.size), np.flatnonzero(np.diff(first)) + 1):
+                for k in run[~np.isfinite(np.cumsum(dH[run]))][:1]:
+                    raise NumericError(f"the cumulative hazard {where(k)} overflows (linear "
+                                       f"predictor up to {lp[run[0]:k + 1].max():.6g})")
+    total = np.concatenate([[0.0], np.cumsum(np.minimum(dH, SATURATED))])
     return dH, total[1:] - total[first]
 
 
@@ -529,12 +538,17 @@ def _hazard(model: CoxModel, profile: dict, treated: bool = False) -> np.ndarray
     baseline time t_k the coefficient of the segment holding t_k enters
     the linear predictor (a model without a treatment term ignores it).
     """
-    values, offset, dH0 = profile_values(model.covariates, profile), 0.0, model.baseline_increments
+    values = profile_values(model.covariates, profile)
+    offset = 0.0
     if treated and model.treatment is not None:
-        offset = model.beta[len(model.covariates) + np.searchsorted(
-            model.treatment.tv_cuts, model.baseline_times, side="left")]
-    return _cumulative(model, values, dH0, np.zeros(dH0.size, int), lambda k:
-                       f"at profile {dict(zip(model.covariates, values))}", offset)[0]
+        segment = np.searchsorted(model.treatment.tv_cuts, model.baseline_times,
+                                  side="left")
+        offset = model.beta[len(model.covariates) + segment]
+    dH0 = model.baseline_increments
+    dH, _ = _cumulative(model, values, dH0, np.zeros(dH0.size, int),
+                        lambda k: f"at profile {dict(zip(model.covariates, values))}",
+                        offset)
+    return dH
 
 
 def predict_survival(model: CoxModel, profile: dict,
@@ -544,16 +558,21 @@ def predict_survival(model: CoxModel, profile: dict,
                          np.exp(-np.cumsum(_hazard(model, profile, treated))))
 
 
-def path_survival(model: CoxModel, ds: CountingProcessDataset, enter, exit_) -> np.ndarray:
+def path_survival(model: CoxModel, ds: CountingProcessDataset) -> np.ndarray:
     """exp(-H) at the end of each row of ``ds``, H summing over its subject's
-    rows up to it the baseline hazard between the row's ``_slots`` ``exit_``
-    and ``enter`` times exp(x'beta); an overflow names subject and covariates."""
+    rows up to it the baseline hazard over the row's interval times
+    exp(x'beta); an overflow names subject and covariates."""
+    enter, exit_, _ = _slots(model.baseline_times, ds.tstart, ds.tstop)
     H0 = np.concatenate([[0.0], np.cumsum(model.baseline_increments)])
     x = [ds.covariate(name) for name in model.covariates]
-    return np.exp(-_cumulative(
-        model, x, H0[enter + 1] - H0[exit_], ds.offsets[ds.row_subject], lambda r:
-        f"of subject {ds.ids[ds.row_subject[r]]} at "
-        f"{ {name: float(col[r]) for name, col in zip(model.covariates, x)} }")[1])
+
+    def where(r):
+        values = {name: float(col[r]) for name, col in zip(model.covariates, x)}
+        return f"of subject {ds.ids[ds.row_subject[r]]} at {values}"
+
+    _, H = _cumulative(model, x, H0[enter + 1] - H0[exit_],
+                       ds.offsets[ds.row_subject], where)
+    return np.exp(-H)
 
 
 @dataclass(frozen=True)

@@ -319,8 +319,8 @@ def _validate(ds: CountingProcessDataset):
     subjects in order; within one, its id and start, then episode by
     episode, then its baseline covariates and design."""
     failures, first_of = [], {}
-    if len(set(ds.ids)) < len(ds.ids):  # the loop finds the first repeat
-        s = next(s for s, sid in enumerate(ds.ids) if first_of.setdefault(sid, s) != s)
+    repeats = [s for s, sid in enumerate(ds.ids) if first_of.setdefault(sid, s) != s]
+    for s in repeats[:1]:
         failures.append(((s, 0, 0, 0), DataError(f"duplicate subject id {ds.ids[s]!r}")))
     sizes = np.diff(ds.offsets)
     for s in np.flatnonzero(sizes == 0)[:1]:

@@ -94,33 +94,28 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
                         f"100, got {tuple(truncation)}")
     base = split_at_treatment(ds)
     target = base if mode == WeightMode.IPCW else ds
-    # base's rows, the first of each subject's rows in target, are evaluated
-    keep = np.arange(target.n_rows) < (target.offsets[:-1] + np.diff(base.offsets))[
-        target.row_subject]
-    start, stop, times = target.tstart, target.tstop, denominator.baseline_times
-    slots = cox._slots(times, start, stop)
-
-    def survival(model):
-        enter, exit_, _ = (slots if np.array_equal(model.baseline_times, times)
-                           else cox._slots(model.baseline_times, start, stop))
-        return cox.path_survival(model, base, enter[keep], exit_[keep])
-
-    s_den, s_num = survival(denominator), survival(numerator)
-    for r in np.flatnonzero(s_den <= 0.0)[:1]:
+    s_den, s_num = cox.path_survival(denominator, base), cox.path_survival(numerator, base)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
+        ratio = s_num / s_den
+    for r in np.flatnonzero(~np.isfinite(ratio))[:1]:
         raise NonPositiveProbability(
             f"subject {base.ids[base.row_subject[r]]}: staying-untreated "
             f"probability underflowed at t={float(base.tstop[r])}")
-    values = (s_num / s_den)[np.cumsum(keep) - 1]  # a later row copies the last
+    # base's rows are the first of each subject's rows in target; a later
+    # row copies the last of them
+    keep = np.arange(target.n_rows) < (target.offsets[:-1] + np.diff(base.offsets))[
+        target.row_subject]
+    values = ratio[np.cumsum(keep) - 1]
 
     bounds = None
     if truncation is not None:
         bounds = tuple(np.percentile(values, truncation))
         values = np.clip(values, *bounds)
-    diagnostics = _diagnostics(values, slots, times.size)
+    diagnostics = _diagnostics(target.tstart, target.tstop, values, denominator)
     return WeightTable(weight_rows(target, values), mode, diagnostics, bounds)
 
 
-def _diagnostics(values, slots, n_times) -> dict:
+def _diagnostics(start, stop, values, denominator) -> dict:
     diag = {
         "n_rows": int(values.size),
         "mean": float(values.mean()),
@@ -131,10 +126,11 @@ def _diagnostics(values, slots, n_times) -> dict:
     # mean weight among episodes at risk (start < t <= stop) at each
     # treatment event time t, over cox's risk-set slots; values far from 1
     # signal misspecification or positivity trouble
-    enter, exit_, active = slots
+    times = denominator.baseline_times
+    enter, exit_, active = cox._slots(times, start, stop)
     enter, exit_ = enter[active], exit_[active]
-    wsum = cox._at_risk(enter, exit_, n_times, values[active])
-    count = cox._at_risk(enter, exit_, n_times)
+    wsum = cox._at_risk(enter, exit_, times.size, values[active])
+    count = cox._at_risk(enter, exit_, times.size)
     ok = count > 0
     if ok.any():
         means = wsum[ok] / count[ok]

@@ -254,22 +254,6 @@ class TestColumnarConstructor:
             columnar(ids=["1", "1"])
         assert (type(exc.value), str(exc.value)) == (DataError, "duplicate subject id '1'")
 
-    @pytest.mark.parametrize("tstart, message", [
-        # the first repeat is the second 2, and its error comes before the
-        # late start of the second 1
-        ([0.0, 0.0, 0.0, 0.0, 1.0], "duplicate subject id '2'"),
-        # an error of a subject before the first repeat comes first
-        ([0.0, 1.0, 0.0, 0.0, 0.0], "subject 2: first episode must start at time 0"),
-    ], ids=["first-repeat", "earlier-error"])
-    def test_two_repeated_ids(self, tstart, message):
-        """Ids 1, 2, 3, 2, 1. A file never repeats one, as the reader groups
-        an id's rows into one subject; the constructor can."""
-        with pytest.raises(DataError) as exc:
-            columnar(ids=["1", "2", "3", "2", "1"], offsets=range(6), tstart=tstart,
-                     tstop=[5.0] * 5, status=[0] * 5, treated=[False] * 5,
-                     columns={"x": [0.0] * 5})
-        assert str(exc.value) == message
-
     def test_nan_baseline_value(self):
         with pytest.raises(DataError) as exc:
             columnar(columns={"x": [math.nan, 1.0]})

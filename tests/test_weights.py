@@ -155,11 +155,12 @@ def reference_weights(ds, numerator, denominator, mode):
             if not frozen:
                 h_num += increment(numerator, sub, ep)
                 h_den += increment(denominator, sub, ep)
-                if math.exp(-h_den) <= 0.0:
+                s_num, s_den = math.exp(-h_num), math.exp(-h_den)
+                if s_den <= 0.0 or not math.isfinite(s_num / s_den):
                     raise NonPositiveProbability(
                         f"subject {sub.subject_id}: staying-untreated "
                         f"probability underflowed at t={ep.tstop}")
-                w = math.exp(-h_num) / math.exp(-h_den)
+                w = s_num / s_den
                 frozen = mode == WeightMode.IPTW and ep.status == Status.TREATMENT_START
             rows.append((sub.subject_id, ep.tstart, ep.tstop, w))
     return rows
@@ -361,7 +362,9 @@ class TestHandComputedWeights:
 class TestOverflowingHazard:
     """A row that a weight uses and whose linear predictor overflows exp is
     a NumericError naming its subject and covariate values; a row after a
-    treatment start, which no weight uses, may hold any value."""
+    treatment start, which no weight uses, may hold any value. A weight
+    that overflows on a subnormal S_den is a NonPositiveProbability, and a
+    huge finite hazard touches no other subject's weight."""
 
     def data(self, before, after):
         """Subject b starts treatment at 2 with x ``before`` and has x
@@ -390,6 +393,57 @@ class TestOverflowingHazard:
         values = [stabilized_weights(self.data(0.5, after), numerator, denominator,
                                      mode).values.tolist() for after in (0.0, 2000.0)]
         assert values[0] == values[1] and np.isfinite(values[0]).all()
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_subnormal_probability_raises(self, mode):
+        """x = 16.97 puts subject b's denominator hazard at 0.15 exp(8.485) =
+        727: exp(-727) is a subnormal that the numerator's 0.74 divided by
+        overflows."""
+        numerator, denominator = hand_model([0.1, 0.2, 0.3]), hand_model(
+            [0.05, 0.1, 0.2], {"x": 0.5})
+        with pytest.raises(NonPositiveProbability, match=re.escape(
+                "subject b: staying-untreated probability underflowed at t=2.0")):
+            stabilized_weights(self.data(16.97, 0.0), numerator, denominator, mode)
+
+    @staticmethod
+    def huge_first(*more):
+        """Subjects a and a2, whose numerator hazard 2 exp(709 x) is finite
+        but about 1.6e308 at x = 1, then b and c at x = 0 and ``more``."""
+        return dataset([
+            SubjectRecord("a", (Episode(0.0, 2.5, E, False, {"x": 1.0}),)),
+            SubjectRecord("a2", (Episode(0.0, 2.5, C, False, {"x": 1.0}),)),
+            SubjectRecord("b", (Episode(0.0, 2.0, T, False, {"x": 0.0}),
+                                Episode(2.0, 4.0, E, True, {"x": 0.0}))),
+            SubjectRecord("c", (Episode(0.0, 3.0, C, False, {"x": 0.0}),)),
+            *more], CovariateSchema(time_varying=("x",)))
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    @pytest.mark.parametrize("beta", [600.0, 709.0])
+    def test_huge_hazard_stays_with_its_subject(self, mode, beta):
+        """A finite numerator hazard of 7.6e260 (beta 600) or 1.6e308 (709)
+        gives its subject a weight of 0 and leaves the weights of the later
+        subjects as the reference has them: a running sum across subjects
+        would cancel theirs to 0, or overflow in b's row."""
+        numerator, denominator = hand_model([1.0, 1.0, 1.0], {"x": beta}), hand_model(
+            [0.05, 0.1, 0.2], {"x": 0.5})
+        ds = self.huge_first()
+        values = stabilized_weights(ds, numerator, denominator, mode).values
+        assert values[:2].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(values, [row[3] for row in reference_weights(
+            ds, numerator, denominator, mode)], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_overflow_names_its_own_subject(self, mode):
+        """d's own numerator hazard overflows on its second row; the sum over
+        a and a2 already overflows in b's row, whose hazard does not."""
+        numerator, denominator = hand_model([1.0, 1.0, 1.0], {"x": 709.0}), hand_model(
+            [0.05, 0.1, 0.2], {"x": 0.5})
+        ds = self.huge_first(SubjectRecord("d", (Episode(0.0, 2.0, C, False, {"x": 1.0}),
+                                                 Episode(2.0, 3.0, C, False, {"x": 1.0}))))
+        with pytest.raises(NumericError, match=re.escape(
+                "the cumulative hazard of subject d at {'x': 1.0} overflows "
+                "(linear predictor up to 709)")):
+            stabilized_weights(ds, numerator, denominator, mode)
 
 
 class TestStabilizedWeights:
