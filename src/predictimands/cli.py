@@ -19,12 +19,12 @@ import math
 import os
 import stat
 import sys
-import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from . import cache
 from . import data as data_mod
 from . import scenarios as scenarios_mod
 from . import simulate as sim
@@ -96,20 +96,18 @@ def _parse_levels(raw: str | None) -> dict:
     return levels
 
 
-#: total bytes of the dataset cache's files past which the least recently
-#: used are removed
-CACHE_BYTES = 256 * 2**20
-#: the first part of every cache key, changed whenever the key does
+#: the first part of every dataset entry's key, changed whenever the key does
 _CACHE_TAG = b"predictimands dataset cache 1"
+#: what reading a damaged dataset entry may raise
+_DAMAGED = cache.DAMAGED + (zipfile.BadZipFile, DataError)
 
 
 def _load_dataset(args):
     """The command's dataset from ``--data``. A regular file is looked up in
-    the dataset cache by its bytes and the read options: an entry found is
-    rebuilt and checked as any dataset is built, and a file read instead is
-    stored if it did not change while it was hashed and read. Any other
-    file, such as a pipe, is read once. The cache never raises: a fault in
-    it is a miss or a skipped store."""
+    the cache (``cache``) by its bytes and the read options: an entry found
+    is rebuilt and checked as any dataset is built, and a file read instead
+    is stored if it did not change while it was hashed and read. Any other
+    file, such as a pipe, is read once."""
     levels = _parse_levels(args.levels)
     schema = None
     if args.baseline_cols or args.tv_cols:
@@ -120,27 +118,13 @@ def _load_dataset(args):
         None if schema is None else [schema.baseline, schema.time_varying],
         levels, args.design])
     if entry is not None:
-        ds = _cached(entry[0])
+        ds = cache.load(entry[0], data_mod._load_columns, _DAMAGED)
         if ds is not None:
             return ds
     ds = ingest_csv(args.data, schema, design=args.design, levels=levels)
     if entry is not None:
         _store(*entry, args.data, ds)
     return ds
-
-
-def _cache_dir():
-    """The dataset cache's directory, ``$XDG_CACHE_HOME/predictimands`` or
-    ``~/.cache/predictimands``, created with mode 0o700 if missing; None if
-    it can be neither found nor created."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    try:
-        directory = (Path(base) if os.path.isabs(base)
-                     else Path.home() / ".cache") / "predictimands"
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
-        return None
-    return directory
 
 
 def _identity(st) -> tuple:
@@ -154,19 +138,15 @@ def _cache_entry(path, options):
     any other file or without a cache directory. The key is one digest of
     the cache tag, the Python and numpy versions, the reader's source, the
     options and the file's bytes."""
-    import hashlib  # here: it loads OpenSSL, which commands without --data never use
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None
-        directory = _cache_dir()
+        directory = cache.directory()
         if directory is None:
             return None
-        digest = hashlib.sha256()
-        for part in (_CACHE_TAG, sys.version.encode(), np.__version__.encode(),
-                     Path(data_mod.__file__).read_bytes(),
-                     json.dumps(options, sort_keys=True).encode()):
-            digest.update(len(part).to_bytes(8, "little"))
-            digest.update(part)
+        digest = cache.digest([_CACHE_TAG, sys.version.encode(), np.__version__.encode(),
+                               Path(data_mod.__file__).read_bytes(),
+                               json.dumps(options, sort_keys=True).encode()])
         with open(path, "rb") as fh:
             identity = _identity(os.fstat(fh.fileno()))
             for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
@@ -176,53 +156,12 @@ def _cache_entry(path, options):
     return directory / f"{digest.hexdigest()}.npz", identity
 
 
-def _cached(entry):
-    """The dataset stored at ``entry``, whose use time is then refreshed;
-    None if there is none or it is damaged."""
-    try:
-        with open(entry, "rb") as fh:
-            ds = data_mod._load_columns(fh)
-    except (OSError, EOFError, ValueError, LookupError, TypeError,
-            zipfile.BadZipFile, DataError):
-        return None
-    with contextlib.suppress(OSError):
-        os.utime(entry)
-    return ds
-
-
 def _store(entry, identity, path, ds):
     """Store ``ds`` at ``entry`` if the file at ``path`` still has the
-    ``identity`` it had when hashed, through a temporary file in the cache
-    directory, then remove the least recently used files past
-    ``CACHE_BYTES``. An OSError skips the rest."""
-    directory = entry.parent
-    try:
-        if _identity(os.stat(path)) != identity:
-            return
-        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                data_mod._save_columns(ds, fh)
-            os.replace(temp, entry)
-        finally:
-            with contextlib.suppress(OSError):  # gone once replaced
-                os.unlink(temp)
-        files = []
-        with os.scandir(directory) as items:
-            for item in items:
-                with contextlib.suppress(FileNotFoundError):
-                    st = item.stat(follow_symlinks=False)
-                    if stat.S_ISREG(st.st_mode):
-                        files.append((st.st_mtime_ns, st.st_size, item.path))
-        total = sum(size for _, size, _ in files)
-        for _, size, name in sorted(files):
-            if total <= CACHE_BYTES:
-                break
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(name)
-            total -= size
-    except OSError:
-        pass
+    ``identity`` it had when hashed."""
+    with contextlib.suppress(OSError):
+        if _identity(os.stat(path)) == identity:
+            cache.store(entry, functools.partial(data_mod._save_columns, ds))
 
 
 def _load_scenario(ref: str) -> IntensitySpec:
@@ -524,6 +463,8 @@ def cmd_validate(args) -> int:
     _check_seed(args)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seeds > sim.MAX_SEEDS:
+        raise UsageError(f"--seeds must be at most 2**20, got {args.seeds}")
     spec = _load_scenario(args.scenario)
     seeds = list(range(args.seed, args.seed + args.seeds))
     strategy_specs = _parse_strategy_tokens(args.strategies, args, args.t_hor)
@@ -704,8 +645,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:
-        # reads go through data.reading, and the dataset cache never raises,
-        # so this is an output path
+        # reads go through data.reading, and the cache never raises, so this
+        # is an output path
         error = UsageError(f"cannot write {exc.filename}: {exc.strerror or exc}")
     except (ScenarioError, UsageError, DataError, NumericError) as exc:
         error = exc

@@ -23,10 +23,12 @@ subjects.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .data import (
     Status,
     split_at_treatment,
 )
-from . import ziggurat
+from . import cache, ziggurat
 from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
@@ -49,6 +51,14 @@ MAX_MC_REPS = 2**32
 #: most subjects of one simulation: subject i draws from the child that
 #: ``SeedSequence.spawn`` makes i-th, and numpy counts those in 32 bits
 MAX_SUBJECTS = 2**32
+#: most replicate seeds of one ``validate`` command: its seeds are listed in
+#: memory and in the report
+MAX_SEEDS = 2**20
+#: the seed of the Monte Carlo truth's stream
+MC_SEED = 977_001
+#: the first part of every truth entry's key, changed whenever the key or
+#: the entry's layout does
+_TRUTH_TAG = b"predictimands truth cache 1"
 #: most points a scenario's covariate grid may have; each simulated subject
 #: carries one value per grid segment (the builtin s2 has 13 points)
 MAX_GRID_POINTS = 10_000
@@ -947,7 +957,7 @@ def _check_truth(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int)
 
 
 def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
-               mc_reps: int = 200_000, mc_seed: int = 977_001) -> TruthOracle:
+               mc_reps: int = 200_000, mc_seed: int = MC_SEED) -> TruthOracle:
     """True risks at ``t_hor`` given the baseline covariates in ``profile``,
     each of which must be a baseline covariate of the scenario with a
     finite value; ``t_hor`` must be positive and at most the scenario's
@@ -961,7 +971,15 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
             spec.rate("death_treated", profile, 0.0), t_hor)
         return TruthOracle("analytic", risks,
                            {k: 0.0 for k in STRATEGY_KEYS}, t_hor, profile)
+    return _truth_from_hits(_truth_hits(spec, profile, t_hor, mc_reps, mc_seed),
+                            profile, t_hor, mc_reps)
 
+
+def _truth_hits(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int,
+                mc_seed: int = MC_SEED) -> list:
+    """The Monte Carlo truth's hits: how many of ``mc_reps`` subjects drawn
+    at ``profile`` meet each strategy's event by ``t_hor``, in the order of
+    ``STRATEGY_KEYS``."""
     # one stream of mc_reps subjects, drawn in blocks to bound the memory
     hits = np.zeros(4, np.int64)
     for start in range(0, mc_reps, TRUTH_BLOCK):
@@ -973,18 +991,63 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
                  np.count_nonzero(np.minimum(t0, v) <= t_hor),
                  np.count_nonzero((t0 <= t_hor) & (t0 < v)),
                  np.count_nonzero(tr.death_time <= t_hor)]
+    return [int(h) for h in hits]
+
+
+def _truth_from_hits(hits: list, profile: dict, t_hor: float, mc_reps: int) -> TruthOracle:
+    """The Monte Carlo ``TruthOracle`` of the hit counts ``_truth_hits``
+    gives."""
     risks = {key: float(h / mc_reps) for key, h in zip(STRATEGY_KEYS, hits)}
     se = {k: math.sqrt(max(v * (1 - v), 1e-12) / mc_reps)
           for k, v in risks.items()}
     return TruthOracle("monte-carlo", risks, se, t_hor, profile, reps=mc_reps)
 
 
+def _truth_entry(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
+    """The cache entry of the Monte Carlo truth of ``validate``; None
+    without a cache directory. The key is one digest of the truth tag, the
+    Python and numpy versions, the source of this module and of
+    ``ziggurat``, and the JSON of the spec, profile, horizon, reps and
+    seed."""
+    directory = cache.directory()
+    if directory is None:
+        return None
+    try:
+        parts = [Path(__file__).read_bytes(), Path(ziggurat.__file__).read_bytes(),
+                 json.dumps([spec.to_dict(), profile, t_hor, mc_reps, MC_SEED],
+                            sort_keys=True).encode()]
+    except (OSError, TypeError, ValueError):  # TypeError, ValueError: not JSON
+        return None
+    key = cache.digest([_TRUTH_TAG, sys.version.encode(), np.__version__.encode(), *parts])
+    return directory / f"{key.hexdigest()}.json"
+
+
+def _cached_hits(entry, mc_reps: int):
+    """The hits stored at ``entry``; None if there are none or they are not
+    four ints in [0, ``mc_reps``]."""
+    def read(fh) -> list:
+        hits = json.load(fh)
+        if not (type(hits) is list and len(hits) == 4
+                and all(type(h) is int and 0 <= h <= mc_reps for h in hits)):
+            raise ValueError("not four hit counts")
+        return hits
+
+    return cache.load(entry, read, cache.DAMAGED + (RecursionError,))
+
+
+def _stored(entry, hits: list) -> list:
+    """``hits``, stored at ``entry`` unless it is None."""
+    if entry is not None:
+        cache.store(entry, lambda fh: fh.write(json.dumps(hits).encode()))
+    return hits
+
+
 def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
-    """Start ``true_risks`` in a forked child where a second CPU can run it:
-    on Linux, with more than one CPU in this process's affinity, no other
-    Python thread (a fork copies only the calling one) and a caller that may
-    have children. Returns a function that waits for the child and returns
-    its ``TruthOracle`` or raises its error; None where no child may start."""
+    """Start ``_truth_hits`` in a forked child where a second CPU can run
+    it: on Linux, with more than one CPU in this process's affinity, no
+    other Python thread (a fork copies only the calling one) and a caller
+    that may have children. Returns a function that waits for the child and
+    returns its hits or raises its error; None where no child may start."""
     import multiprocessing
     import threading
     if (sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2
@@ -995,7 +1058,7 @@ def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: i
 
     def run():
         try:
-            send.send(true_risks(spec, profile, t_hor, mc_reps=mc_reps))
+            send.send(_truth_hits(spec, profile, t_hor, mc_reps))
         except BaseException as exc:  # raised again by the caller
             send.send(exc)
 
@@ -1003,7 +1066,7 @@ def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: i
     child.start()
     send.close()
 
-    def wait() -> TruthOracle:
+    def wait() -> list:
         try:
             result = receive.recv()
         except EOFError:  # only a signal ends the child before it sends
@@ -1029,9 +1092,10 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     numeric errors in estimation are collected per seed rather than raised,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
     the horizon of the truth it is compared with, and no two may share a
-    label. A Monte Carlo truth is drawn while the replicates are estimated,
-    in a forked child where ``_truth_in_child`` can start one; the report is
-    the same either way, as its hits are integer counts.
+    label. A Monte Carlo truth is read from its cache entry (``cache``) if
+    one is stored; otherwise it is drawn while the replicates are estimated,
+    in a forked child where ``_truth_in_child`` can start one, and stored.
+    The report is the same either way, as its hits are integer counts.
     """
     from . import strategies as strat
 
@@ -1047,9 +1111,15 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
                             f"{sspec.t_hor:g}, but validate compares at t_hor={t_hor:g}")
     _check_truth(spec, profile, t_hor, mc_reps)
     _check_n(n)
-    wait = (None if _is_constant_given(spec, profile)
-            else _truth_in_child(spec, profile, t_hor, mc_reps))
-    truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps) if wait is None else None
+    truth = hits = wait = None
+    if _is_constant_given(spec, profile):
+        truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
+    else:
+        entry = _truth_entry(spec, profile, t_hor, mc_reps)
+        hits = None if entry is None else _cached_hits(entry, mc_reps)
+        wait = None if hits is not None else _truth_in_child(spec, profile, t_hor, mc_reps)
+        if hits is None and wait is None:
+            hits = _stored(entry, _truth_hits(spec, profile, t_hor, mc_reps))
     estimates = {s.label: [] for s in strategy_specs}
     errors = {s.label: [] for s in strategy_specs}
     try:
@@ -1066,7 +1136,9 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     finally:
         if wait is not None:
             # the truth's error wins over one raised by the replicates
-            truth = wait()
+            hits = _stored(entry, wait())
+    if truth is None:
+        truth = _truth_from_hits(hits, profile, t_hor, mc_reps)
 
     report = {
         "scenario": spec.name,

@@ -20,8 +20,9 @@ from tests.records import dataset
 
 @pytest.fixture(autouse=True)
 def dataset_cache(tmp_path, monkeypatch):
-    """The CLI's dataset cache directory, in each test's own ``tmp_path``, so
-    that no test reads entries another test or the user stored."""
+    """The cache directory of datasets and Monte Carlo truths, in each
+    test's own ``tmp_path``, so that no test reads entries another test or
+    the user stored."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache" / "predictimands"
 

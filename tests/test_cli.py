@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predictimands import cli as cli_mod
-from predictimands import cox, scenarios, simulate
+from predictimands import cache, cox, scenarios, simulate
 from predictimands import data as data_mod
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
 from predictimands.curves import RiskCurve
@@ -483,6 +483,25 @@ class TestRejectedBeforeRunning:
             "message": f"n must be between 1 and 2**32, got {2**62}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", [2**20 + 1, 2**62, 2**63])
+    def test_seeds_over_the_cap_exits_2(self, tmp_path, monkeypatch, capsys, seeds):
+        # before the seeds are listed: at 2**63 range() overflowed, and 2**62
+        # seeds do not fit in memory
+        calls = []
+        fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
+        for attr in ("simulate", "_truth_hits", "_truth_in_child"):
+            monkeypatch.setattr(simulate, attr, fail)
+        out = tmp_path / "out"
+        code = run(["validate"] + self.BASE["validate"] + ["--seeds", str(seeds),
+                                                          "--out", str(out)])
+        assert (code, calls) == (2, [])
+        stdout, stderr = capsys.readouterr()
+        assert (len(stdout.splitlines()), stderr) == (1, "")
+        assert json.loads(stdout) == {
+            "error": "UsageError", "message": f"--seeds must be at most 2**20, got {seeds}"}
+        assert simulate.MAX_SEEDS == 2**20
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_mc_reps_out_of_range_on_an_analytic_truth_exits_2(self, tmp_path, capsys,
                                                                reps):
@@ -886,6 +905,43 @@ class TestValidate:
         assert json.loads(out)["error"] == "UsageError"
         assert "--tolerance" in json.loads(out)["message"]
         assert not report_path.exists()
+
+
+class TestValidateOptionValues:
+    """Each numeric option of ``validate`` given each of a fixed list of
+    edge values, one at a time, on a tiny base run: every case exits 0, 1,
+    2 or 3 and none raises or warns. A 2 or 3 from the package is one JSON
+    line on stdout and nothing on stderr; argparse's own type errors exit 2
+    with its usage on stderr."""
+
+    BASE = ["validate", "--scenario", "s2", "--n", "10", "--seeds", "1", "--mc-reps", "100",
+            "--strategies", "composite"]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "", str(2**63)])
+    @pytest.mark.parametrize("option", ["--n", "--seeds", "--mc-reps", "--t-hor",
+                                        "--tolerance", "--seed"])
+    def test_exits_0_to_3(self, tmp_path, capfd, option, value):
+        out = tmp_path / "report.json"
+        parsed = True
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run(self.BASE + [f"{option}={value}", "--out", str(out)])
+            except SystemExit as exc:
+                code, parsed = exc.code, False
+        stdout, stderr = capfd.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2, 3)
+        if not parsed:
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith("usage: predictimands validate")
+        elif code in (2, 3):
+            assert (len(stdout.splitlines()), stderr) == (1, "")
+            assert set(json.loads(stdout)) == {"error", "message"}
+            assert not out.exists()
+        else:
+            assert stderr == ""
+            assert json.loads(out.read_text())["all_passed"] == (code == 0)
 
 
 class TestWeightsCommand:
@@ -1436,7 +1492,7 @@ class TestDatasetCache:
         entries, args = {}, {}
         for k, name in enumerate("abcd"):
             if name == "d":
-                monkeypatch.setattr(cli_mod, "CACHE_BYTES", 3 * size)
+                monkeypatch.setattr(cache, "CACHE_BYTES", 3 * size)
             path = tmp_path / f"{name}.csv"
             path.write_text(f"id,tstart,tstop,status,treated,z\n1,0,1,1,0,{k}\n2,0,2,0,0,1\n")
             before = set(dataset_cache.glob("*")) if dataset_cache.exists() else set()
@@ -1451,6 +1507,24 @@ class TestDatasetCache:
                 assert entries["a"].stat().st_mtime_ns > 3 * 10**9
         assert {entry.stat().st_size for entry in entries.values() if entry.exists()} == {size}
         assert sorted(dataset_cache.iterdir()) == sorted(entries[n] for n in "acd")
+
+    def test_one_budget_trims_both_kinds(self, s2_data, tmp_path, monkeypatch,
+                                         dataset_cache):
+        """Datasets and the Monte Carlo truths of ``validate`` share
+        ``CACHE_BYTES``: a store of either kind removes an entry of the
+        other kind used longer ago."""
+        self.load(["--data", str(s2_data)])
+        [dataset] = dataset_cache.iterdir()
+        os.utime(dataset, ns=(10**9,) * 2)
+        monkeypatch.setattr(cache, "CACHE_BYTES", dataset.stat().st_size)
+        assert run(["validate", "--scenario", "s2", "--n", "50", "--seeds", "1",
+                    "--mc-reps", "300", "--strategies", "ignore", "--tolerance", "1",
+                    "--out", str(tmp_path / "v.json")]) == 0
+        [truth] = dataset_cache.iterdir()
+        assert truth.suffix == ".json"
+        os.utime(truth, ns=(10**9,) * 2)
+        self.load(["--data", str(s2_data)])
+        assert list(dataset_cache.iterdir()) == [dataset]
 
 
 class TestTamperedRun:
@@ -1555,10 +1629,11 @@ class TestStrictJson:
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
+        # the validate's truth entry, under cache/, is JSON too
         written = sorted(Path(".").rglob("*.json"))
         for path in written:
             json.loads(path.read_text(), parse_constant=reject)
-        assert len(written) == 38
+        assert len([path for path in written if path.parts[0] != "cache"]) == 38
 
 
 #: numbers, and numbers JSON spells as constants or that repr writes
@@ -1747,10 +1822,14 @@ class TestBrokenCsvFuzz:
         for argv in (["fit", "--strategy", "hypothetical", "--method", "censor-ipcw",
                       "--weight-covariates", "z"],
                      ["weights", "--weight-covariates", "z", "--mode", "iptw"]):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = run(argv + ["--data", str(data), "--out", str(work / argv[0])])
             assert code in ((3,) if must_fail else (0, 3)), out.getvalue()
+            assert stderr.getvalue() == ""
+            assert [str(w.message) for w in caught] == []
             if code == 3:
                 err = json.loads(out.getvalue().splitlines()[-1])
                 assert set(err) == {"error", "message"}

@@ -22,9 +22,9 @@ def test_small_round_writes_every_output(tmp_path, dataset_cache):
     cli_round = load_round()
     out = tmp_path / "round"
     codes = cli_round.run_round(out, n=200)
-    # a second round, whose reads find the first round's cache entries,
-    # writes the same bytes
-    assert any(dataset_cache.iterdir())
+    # a second round, whose reads and Monte Carlo truths find the first
+    # round's cache entries, writes the same bytes
+    assert {p.suffix for p in dataset_cache.iterdir()} == {".npz", ".json"}
     assert cli_round.run_round(tmp_path / "again", n=200) == codes
     assert tree(tmp_path / "again") == tree(out)
     # every command succeeds; validate may miss its tolerance at this size

@@ -1212,16 +1212,16 @@ def cpus(monkeypatch, n):
 
 
 def truth_pids(monkeypatch, path):
-    """Make ``true_risks`` append the pid of the process that runs it to
-    ``path``; the pids it has written."""
-    original = simulate.true_risks
+    """Make ``_truth_hits``, the Monte Carlo truth's draw, append the pid of
+    the process that runs it to ``path``; the pids it has written."""
+    original = simulate._truth_hits
 
     def recorded(*args, **kwargs):
         with open(path, "a") as f:
             f.write(f"{os.getpid()}\n")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "true_risks", recorded)
+    monkeypatch.setattr(simulate, "_truth_hits", recorded)
     return lambda: [int(pid) for pid in Path(path).read_text().split()]
 
 
@@ -1258,10 +1258,12 @@ class TestTruthWorker:
         pytest.param("s2", 15, [1, 2, 3], {}, ["ignore", "hypothetical:censor-ipcw"], 2_000,
                      id="s2-failing-seed"),
     ])
-    def test_same_report_as_one_cpu(self, monkeypatch, name, n, seeds, profile, labels,
-                                    mc_reps):
+    def test_same_report_as_one_cpu(self, monkeypatch, tmp_path, name, n, seeds, profile,
+                                    labels, mc_reps):
         def report(n_cpus):
             cpus(monkeypatch, n_cpus)
+            # an empty cache, so that each call draws its truth
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache-{n_cpus}"))
             return validate(scenarios.builtin(name), n=n, seeds=seeds,
                             strategy_specs=self.specs(*labels), profile=profile,
                             t_hor=5.0, mc_reps=mc_reps)
@@ -1276,13 +1278,16 @@ class TestTruthWorker:
 
     @pytest.mark.parametrize("n_cpus, in_child", [(2, True), (1, False)])
     def test_truth_runs_in_a_child_given_two_cpus(self, monkeypatch, tmp_path, n_cpus,
-                                                  in_child):
+                                                  in_child, dataset_cache):
         cpus(monkeypatch, n_cpus)
         pids = truth_pids(monkeypatch, tmp_path / "pids")
+        assert not dataset_cache.exists()
         validate(scenarios.builtin("s2"), n=20, seeds=[1], strategy_specs=self.specs("ignore"),
                  t_hor=5.0, mc_reps=500)
         [pid] = pids()
         assert (pid != os.getpid()) == in_child
+        # the caller stores the truth either way
+        assert [p.suffix for p in dataset_cache.iterdir()] == [".json"]
 
     @pytest.mark.parametrize("kwargs, message", [
         pytest.param({"t_hor": 7.0}, "t_hor must not exceed", id="t_hor-past-admin_censor"),
@@ -1340,3 +1345,106 @@ class TestTruthWorker:
                      strategy_specs=self.specs("ignore"), t_hor=5.0, mc_reps=20_000)
         [pid] = pids()
         assert pid != os.getpid()
+
+
+#: s2 with a baseline covariate in the untreated death rate, so that a
+#: profile changes its Monte Carlo truth
+S2_AGE = {**scenarios.BUILTIN["s2"], "name": "s2-age",
+          "baseline_covariates": {"age": {"dist": "uniform", "low": 40.0, "high": 80.0}},
+          "death_untreated": {"base": 0.12, "log_hr": {"z": 0.8, "age": 0.01}}}
+
+
+class TestTruthCache:
+    """``validate`` reads a Monte Carlo truth from its cache entry, here in
+    each test's ``dataset_cache`` directory, and stores one it draws: a hit
+    gives the report of a draw, and a fault of the cache is a miss or a
+    skipped store that prints nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def report(spec=None, profile=None, t_hor=5.0, mc_reps=500) -> str:
+        return json.dumps(validate(
+            spec or scenarios.builtin("s2"), n=20, seeds=[1],
+            strategy_specs=[StrategySpec(Strategy.IGNORE_TREATMENT, t_hor=t_hor)],
+            profile=profile, t_hor=t_hor, mc_reps=mc_reps))
+
+    @staticmethod
+    def no_draw(monkeypatch) -> list:
+        """Make a truth drawn here or started in a child fail; the calls."""
+        calls = []
+        fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
+        for attr in ("_truth_hits", "_truth_in_child"):
+            monkeypatch.setattr(simulate, attr, fail)
+        return calls
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_warm_entry_starts_no_process_and_draws_nothing(self, monkeypatch, dataset_cache,
+                                                            n_cpus):
+        cpus(monkeypatch, n_cpus)
+        drawn = self.report()
+        [entry] = dataset_cache.iterdir()
+        calls = self.no_draw(monkeypatch)
+        assert self.report() == drawn
+        assert calls == []
+        assert list(dataset_cache.iterdir()) == [entry]
+
+    def test_each_input_keys_its_own_entry(self, monkeypatch, dataset_cache):
+        cpus(monkeypatch, 1)
+        base = {"spec": IntensitySpec.from_dict(S2_AGE), "profile": {"age": 50.0}}
+        other = IntensitySpec.from_dict({**S2_AGE, "treatment": {"base": 0.11,
+                                                                 "log_hr": {"z": 1.2}}})
+        cases = [{}, {"spec": other}, {"profile": {"age": 60.0}}, {"t_hor": 4.0},
+                 {"mc_reps": 600}]
+        drawn = [self.report(**{**base, **case}) for case in cases]
+        assert len(list(dataset_cache.iterdir())) == len(cases)
+        calls = self.no_draw(monkeypatch)
+        assert [self.report(**{**base, **case}) for case in cases] == drawn
+        assert calls == []
+
+    @pytest.mark.parametrize("damage", [
+        b"[1, 2, 3", b"[1.0, 2, 3, 4]", b"[true, 2, 3, 4]", b"[-1, 2, 3, 4]",
+        b"[501, 2, 3, 4]", b"[1, 2, 3]", b'{"hits": [1, 2, 3, 4]}', b"\xff", "directory"],
+        ids=["truncated", "float", "bool", "negative", "past-mc_reps", "three-counts",
+             "object", "not-utf8", "directory"])
+    def test_damaged_entry_is_drawn_again_and_replaced(self, monkeypatch, dataset_cache,
+                                                       damage):
+        cpus(monkeypatch, 1)
+        drawn = self.report()
+        [entry] = dataset_cache.iterdir()
+        stored = entry.read_bytes()
+        if damage == "directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            entry.write_bytes(damage)
+        calls, original = [], simulate._truth_hits
+        monkeypatch.setattr(simulate, "_truth_hits",
+                            lambda *args: calls.append(args) or original(*args))
+        assert self.report() == drawn
+        assert len(calls) == 1
+        assert list(dataset_cache.iterdir()) == [entry]
+        assert entry.read_bytes() == stored
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("blocked", ["cache-home", "cache-directory"])
+    def test_file_in_place_of_the_cache_directory(self, tmp_path, monkeypatch, capfd,
+                                                  blocked, n_cpus):
+        cpus(monkeypatch, n_cpus)
+        drawn = self.report()
+        home = tmp_path / "blocked"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        if blocked == "cache-directory":
+            home.mkdir()
+        path = home if blocked == "cache-home" else home / "predictimands"
+        path.write_text("a file\n")
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert [self.report(), self.report()] == [drawn, drawn]
+        assert caught == []
+        assert capfd.readouterr() == ("", "")
+        assert path.read_text() == "a file\n"
