@@ -1,11 +1,9 @@
-"""The on-disk cache of results that depend only on their inputs.
+"""The CLI's on-disk cache of the datasets it parses from ``--data`` files.
 
-Two kinds of entry share one directory, ``$XDG_CACHE_HOME/predictimands``
-or ``~/.cache/predictimands``: the datasets the CLI parses from ``--data``
-files (``.npz``) and the Monte Carlo truths of ``simulate.validate``
-(``.json``). Each entry is one file named by a SHA-256 of everything its
-content depends on, so an entry is never stale, only unused. A store writes
-a temporary file in the directory and moves it into place; past
+The entries live in ``$XDG_CACHE_HOME/predictimands`` or
+``~/.cache/predictimands``, each one file named by a SHA-256 of everything
+its content depends on, so an entry is never stale, only unused. A store
+writes a temporary file in the directory and moves it into place; past
 ``CACHE_BYTES`` the least recently used entries go, a read counting as a
 use. Nothing here raises: a fault is a miss or a skipped store.
 """
@@ -21,8 +19,6 @@ from pathlib import Path
 #: total bytes of the cache's files past which the least recently used are
 #: removed
 CACHE_BYTES = 256 * 2**20
-#: what reading a damaged entry may raise
-DAMAGED = (OSError, EOFError, ValueError, LookupError, TypeError)
 
 
 def directory():
@@ -41,7 +37,7 @@ def directory():
 def digest(parts):
     """A SHA-256 of the byte strings ``parts``, each preceded by its length
     as 8 little-endian bytes; the caller may add more bytes to it."""
-    import hashlib  # here: it loads OpenSSL, which commands without an entry never use
+    import hashlib  # here: it loads OpenSSL, which commands without --data never use
     key = hashlib.sha256()
     for part in parts:
         key.update(len(part).to_bytes(8, "little"))
@@ -49,7 +45,7 @@ def digest(parts):
     return key
 
 
-def load(entry: Path, read, damaged=DAMAGED):
+def load(entry: Path, read, damaged: tuple):
     """``read(fh)`` of the file at ``entry`` opened for binary reading, after
     which the entry's use time is refreshed; None if there is no such file
     or ``read`` raises one of ``damaged``."""
@@ -72,11 +68,7 @@ def store(entry: Path, write) -> None:
         try:
             with os.fdopen(fd, "wb") as fh:
                 write(fh)
-            try:
-                os.replace(temp, entry)
-            except IsADirectoryError:  # an empty directory in the entry's place
-                os.rmdir(entry)
-                os.replace(temp, entry)
+            os.replace(temp, entry)
         finally:
             with contextlib.suppress(OSError):  # gone once replaced
                 os.unlink(temp)

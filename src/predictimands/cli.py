@@ -99,7 +99,8 @@ def _parse_levels(raw: str | None) -> dict:
 #: the first part of every dataset entry's key, changed whenever the key does
 _CACHE_TAG = b"predictimands dataset cache 1"
 #: what reading a damaged dataset entry may raise
-_DAMAGED = cache.DAMAGED + (zipfile.BadZipFile, DataError)
+_DAMAGED = (OSError, EOFError, ValueError, LookupError, TypeError, zipfile.BadZipFile,
+            DataError)
 
 
 def _load_dataset(args):

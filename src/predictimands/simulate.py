@@ -27,8 +27,8 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .data import (
     Status,
     split_at_treatment,
 )
-from . import cache, ziggurat
+from . import ziggurat
 from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
@@ -56,9 +56,8 @@ MAX_SUBJECTS = 2**32
 MAX_SEEDS = 2**20
 #: the seed of the Monte Carlo truth's stream
 MC_SEED = 977_001
-#: the first part of every truth entry's key, changed whenever the key or
-#: the entry's layout does
-_TRUTH_TAG = b"predictimands truth cache 1"
+#: most Monte Carlo truths ``validate`` remembers in one process
+TRUTH_MEMO = 64
 #: most points a scenario's covariate grid may have; each simulated subject
 #: carries one value per grid segment (the builtin s2 has 13 points)
 MAX_GRID_POINTS = 10_000
@@ -976,7 +975,7 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
 
 
 def _truth_hits(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int,
-                mc_seed: int = MC_SEED) -> list:
+                mc_seed: int = MC_SEED) -> tuple:
     """The Monte Carlo truth's hits: how many of ``mc_reps`` subjects drawn
     at ``profile`` meet each strategy's event by ``t_hor``, in the order of
     ``STRATEGY_KEYS``."""
@@ -991,10 +990,10 @@ def _truth_hits(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int,
                  np.count_nonzero(np.minimum(t0, v) <= t_hor),
                  np.count_nonzero((t0 <= t_hor) & (t0 < v)),
                  np.count_nonzero(tr.death_time <= t_hor)]
-    return [int(h) for h in hits]
+    return tuple(int(h) for h in hits)
 
 
-def _truth_from_hits(hits: list, profile: dict, t_hor: float, mc_reps: int) -> TruthOracle:
+def _truth_from_hits(hits: tuple, profile: dict, t_hor: float, mc_reps: int) -> TruthOracle:
     """The Monte Carlo ``TruthOracle`` of the hit counts ``_truth_hits``
     gives."""
     risks = {key: float(h / mc_reps) for key, h in zip(STRATEGY_KEYS, hits)}
@@ -1003,42 +1002,39 @@ def _truth_from_hits(hits: list, profile: dict, t_hor: float, mc_reps: int) -> T
     return TruthOracle("monte-carlo", risks, se, t_hor, profile, reps=mc_reps)
 
 
-def _truth_entry(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
-    """The cache entry of the Monte Carlo truth of ``validate``; None
-    without a cache directory. The key is one digest of the truth tag, the
-    Python and numpy versions, the source of this module and of
-    ``ziggurat``, and the JSON of the spec, profile, horizon, reps and
-    seed."""
-    directory = cache.directory()
-    if directory is None:
-        return None
+#: the hits of the Monte Carlo truths ``validate`` drew in this process, by
+#: ``_truth_key``, the least recently used first
+_truths: dict = {}
+_truths_lock = threading.Lock()
+
+
+def _truth_key(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
+    """The key of a Monte Carlo truth in ``_truths``: the JSON of the spec,
+    profile, horizon and reps it depends on; None if they are not JSON."""
     try:
-        parts = [Path(__file__).read_bytes(), Path(ziggurat.__file__).read_bytes(),
-                 json.dumps([spec.to_dict(), profile, t_hor, mc_reps, MC_SEED],
-                            sort_keys=True).encode()]
-    except (OSError, TypeError, ValueError):  # TypeError, ValueError: not JSON
+        return json.dumps([spec.to_dict(), profile, t_hor, mc_reps], sort_keys=True)
+    except (TypeError, ValueError):
         return None
-    key = cache.digest([_TRUTH_TAG, sys.version.encode(), np.__version__.encode(), *parts])
-    return directory / f"{key.hexdigest()}.json"
 
 
-def _cached_hits(entry, mc_reps: int):
-    """The hits stored at ``entry``; None if there are none or they are not
-    four ints in [0, ``mc_reps``]."""
-    def read(fh) -> list:
-        hits = json.load(fh)
-        if not (type(hits) is list and len(hits) == 4
-                and all(type(h) is int and 0 <= h <= mc_reps for h in hits)):
-            raise ValueError("not four hit counts")
-        return hits
-
-    return cache.load(entry, read, cache.DAMAGED + (RecursionError,))
+def _recall(key):
+    """The hits remembered under ``key``, now the most recently used; None
+    if there are none."""
+    with _truths_lock:
+        hits = _truths.pop(key, None)
+        if hits is not None:
+            _truths[key] = hits
+    return hits
 
 
-def _stored(entry, hits: list) -> list:
-    """``hits``, stored at ``entry`` unless it is None."""
-    if entry is not None:
-        cache.store(entry, lambda fh: fh.write(json.dumps(hits).encode()))
+def _remember(key, hits: tuple) -> tuple:
+    """``hits``, remembered under ``key`` unless it is None; past
+    ``TRUTH_MEMO`` truths the least recently used are forgotten."""
+    if key is not None:
+        with _truths_lock:
+            _truths[key] = hits
+            while len(_truths) > TRUTH_MEMO:
+                del _truths[next(iter(_truths))]
     return hits
 
 
@@ -1049,7 +1045,6 @@ def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: i
     that may have children. Returns a function that waits for the child and
     returns its hits or raises its error; None where no child may start."""
     import multiprocessing
-    import threading
     if (sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return None
@@ -1066,7 +1061,7 @@ def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: i
     child.start()
     send.close()
 
-    def wait() -> list:
+    def wait() -> tuple:
         try:
             result = receive.recv()
         except EOFError:  # only a signal ends the child before it sends
@@ -1092,10 +1087,10 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     numeric errors in estimation are collected per seed rather than raised,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
     the horizon of the truth it is compared with, and no two may share a
-    label. A Monte Carlo truth is read from its cache entry (``cache``) if
-    one is stored; otherwise it is drawn while the replicates are estimated,
-    in a forked child where ``_truth_in_child`` can start one, and stored.
-    The report is the same either way, as its hits are integer counts.
+    label. A Monte Carlo truth is drawn once per process and remembered
+    (``_truths``): it is drawn while the replicates are estimated, in a
+    forked child where ``_truth_in_child`` can start one. The report is the
+    same either way, as its hits are integer counts.
     """
     from . import strategies as strat
 
@@ -1115,11 +1110,11 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     if _is_constant_given(spec, profile):
         truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
     else:
-        entry = _truth_entry(spec, profile, t_hor, mc_reps)
-        hits = None if entry is None else _cached_hits(entry, mc_reps)
+        key = _truth_key(spec, profile, t_hor, mc_reps)
+        hits = _recall(key)
         wait = None if hits is not None else _truth_in_child(spec, profile, t_hor, mc_reps)
         if hits is None and wait is None:
-            hits = _stored(entry, _truth_hits(spec, profile, t_hor, mc_reps))
+            hits = _remember(key, _truth_hits(spec, profile, t_hor, mc_reps))
     estimates = {s.label: [] for s in strategy_specs}
     errors = {s.label: [] for s in strategy_specs}
     try:
@@ -1136,7 +1131,7 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     finally:
         if wait is not None:
             # the truth's error wins over one raised by the replicates
-            hits = _stored(entry, wait())
+            hits = _remember(key, wait())
     if truth is None:
         truth = _truth_from_hits(hits, profile, t_hor, mc_reps)
 

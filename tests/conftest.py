@@ -8,6 +8,7 @@ D4: event 1, treatment start 2, event 3, censored 4 (competing structure).
 
 import pytest
 
+from predictimands import simulate
 from predictimands.data import (
     CovariateSchema,
     DesignFlavor,
@@ -20,11 +21,18 @@ from tests.records import dataset
 
 @pytest.fixture(autouse=True)
 def dataset_cache(tmp_path, monkeypatch):
-    """The cache directory of datasets and Monte Carlo truths, in each
-    test's own ``tmp_path``, so that no test reads entries another test or
-    the user stored."""
+    """The CLI's dataset cache directory, in each test's own ``tmp_path``, so
+    that no test reads entries another test or the user stored."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache" / "predictimands"
+
+
+@pytest.fixture(autouse=True)
+def truth_memo(monkeypatch):
+    """An empty memo of the Monte Carlo truths ``validate`` draws, for each
+    test, so that no test reads a truth another test drew."""
+    monkeypatch.setattr(simulate, "_truths", {})
+    return simulate._truths
 
 
 def one_episode_subject(sid, time, status, treated=False, **baseline):

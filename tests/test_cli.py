@@ -1508,24 +1508,6 @@ class TestDatasetCache:
         assert {entry.stat().st_size for entry in entries.values() if entry.exists()} == {size}
         assert sorted(dataset_cache.iterdir()) == sorted(entries[n] for n in "acd")
 
-    def test_one_budget_trims_both_kinds(self, s2_data, tmp_path, monkeypatch,
-                                         dataset_cache):
-        """Datasets and the Monte Carlo truths of ``validate`` share
-        ``CACHE_BYTES``: a store of either kind removes an entry of the
-        other kind used longer ago."""
-        self.load(["--data", str(s2_data)])
-        [dataset] = dataset_cache.iterdir()
-        os.utime(dataset, ns=(10**9,) * 2)
-        monkeypatch.setattr(cache, "CACHE_BYTES", dataset.stat().st_size)
-        assert run(["validate", "--scenario", "s2", "--n", "50", "--seeds", "1",
-                    "--mc-reps", "300", "--strategies", "ignore", "--tolerance", "1",
-                    "--out", str(tmp_path / "v.json")]) == 0
-        [truth] = dataset_cache.iterdir()
-        assert truth.suffix == ".json"
-        os.utime(truth, ns=(10**9,) * 2)
-        self.load(["--data", str(s2_data)])
-        assert list(dataset_cache.iterdir()) == [dataset]
-
 
 class TestTamperedRun:
     """A file under ``--run`` that the fit would not have written is a data
@@ -1629,11 +1611,10 @@ class TestStrictJson:
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        # the validate's truth entry, under cache/, is JSON too
         written = sorted(Path(".").rglob("*.json"))
         for path in written:
             json.loads(path.read_text(), parse_constant=reject)
-        assert len([path for path in written if path.parts[0] != "cache"]) == 38
+        assert len(written) == 38
 
 
 #: numbers, and numbers JSON spells as constants or that repr writes

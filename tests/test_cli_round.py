@@ -18,13 +18,15 @@ def tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_small_round_writes_every_output(tmp_path, dataset_cache):
+def test_small_round_writes_every_output(tmp_path, dataset_cache, truth_memo):
     cli_round = load_round()
     out = tmp_path / "round"
     codes = cli_round.run_round(out, n=200)
-    # a second round, whose reads and Monte Carlo truths find the first
-    # round's cache entries, writes the same bytes
-    assert {p.suffix for p in dataset_cache.iterdir()} == {".npz", ".json"}
+    # a second round, whose reads find the first round's cache entries and
+    # whose validates find the Monte Carlo truths it drew, writes the same
+    # bytes
+    assert {p.suffix for p in dataset_cache.iterdir()} == {".npz"}
+    assert truth_memo
     assert cli_round.run_round(tmp_path / "again", n=200) == codes
     assert tree(tmp_path / "again") == tree(out)
     # every command succeeds; validate may miss its tolerance at this size

@@ -1258,12 +1258,11 @@ class TestTruthWorker:
         pytest.param("s2", 15, [1, 2, 3], {}, ["ignore", "hypothetical:censor-ipcw"], 2_000,
                      id="s2-failing-seed"),
     ])
-    def test_same_report_as_one_cpu(self, monkeypatch, tmp_path, name, n, seeds, profile,
+    def test_same_report_as_one_cpu(self, monkeypatch, truth_memo, name, n, seeds, profile,
                                     labels, mc_reps):
         def report(n_cpus):
             cpus(monkeypatch, n_cpus)
-            # an empty cache, so that each call draws its truth
-            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache-{n_cpus}"))
+            truth_memo.clear()  # so that each call draws its truth
             return validate(scenarios.builtin(name), n=n, seeds=seeds,
                             strategy_specs=self.specs(*labels), profile=profile,
                             t_hor=5.0, mc_reps=mc_reps)
@@ -1278,16 +1277,15 @@ class TestTruthWorker:
 
     @pytest.mark.parametrize("n_cpus, in_child", [(2, True), (1, False)])
     def test_truth_runs_in_a_child_given_two_cpus(self, monkeypatch, tmp_path, n_cpus,
-                                                  in_child, dataset_cache):
+                                                  in_child, truth_memo):
         cpus(monkeypatch, n_cpus)
         pids = truth_pids(monkeypatch, tmp_path / "pids")
-        assert not dataset_cache.exists()
         validate(scenarios.builtin("s2"), n=20, seeds=[1], strategy_specs=self.specs("ignore"),
                  t_hor=5.0, mc_reps=500)
         [pid] = pids()
         assert (pid != os.getpid()) == in_child
-        # the caller stores the truth either way
-        assert [p.suffix for p in dataset_cache.iterdir()] == [".json"]
+        # the caller remembers the truth either way
+        assert len(truth_memo) == 1
 
     @pytest.mark.parametrize("kwargs, message", [
         pytest.param({"t_hor": 7.0}, "t_hor must not exceed", id="t_hor-past-admin_censor"),
@@ -1354,11 +1352,11 @@ S2_AGE = {**scenarios.BUILTIN["s2"], "name": "s2-age",
           "death_untreated": {"base": 0.12, "log_hr": {"z": 0.8, "age": 0.01}}}
 
 
-class TestTruthCache:
-    """``validate`` reads a Monte Carlo truth from its cache entry, here in
-    each test's ``dataset_cache`` directory, and stores one it draws: a hit
-    gives the report of a draw, and a fault of the cache is a miss or a
-    skipped store that prints nothing."""
+class TestTruthMemo:
+    """``validate`` remembers the hits of each Monte Carlo truth it draws
+    in this process (``simulate._truths``, emptied for each test by the
+    ``truth_memo`` fixture) and reads them again instead of drawing: a
+    recalled truth gives the report of a draw."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -1366,85 +1364,77 @@ class TestTruthCache:
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def report(spec=None, profile=None, t_hor=5.0, mc_reps=500) -> str:
-        return json.dumps(validate(
+    def report(spec=None, profile=None, t_hor=5.0, mc_reps=500) -> dict:
+        return validate(
             spec or scenarios.builtin("s2"), n=20, seeds=[1],
             strategy_specs=[StrategySpec(Strategy.IGNORE_TREATMENT, t_hor=t_hor)],
-            profile=profile, t_hor=t_hor, mc_reps=mc_reps))
+            profile=profile, t_hor=t_hor, mc_reps=mc_reps)
 
     @staticmethod
-    def no_draw(monkeypatch) -> list:
-        """Make a truth drawn here or started in a child fail; the calls."""
+    def draws(monkeypatch) -> list:
+        """Make the truth's draw record its calls here; the calls."""
+        calls, original = [], simulate._truth_hits
+        monkeypatch.setattr(simulate, "_truth_hits",
+                            lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_recalled_truth_starts_no_process_and_draws_nothing(self, monkeypatch,
+                                                                truth_memo, n_cpus):
+        cpus(monkeypatch, n_cpus)
+        drawn = json.dumps(self.report())
         calls = []
         fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
         for attr in ("_truth_hits", "_truth_in_child"):
             monkeypatch.setattr(simulate, attr, fail)
-        return calls
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_warm_entry_starts_no_process_and_draws_nothing(self, monkeypatch, dataset_cache,
-                                                            n_cpus):
-        cpus(monkeypatch, n_cpus)
-        drawn = self.report()
-        [entry] = dataset_cache.iterdir()
-        calls = self.no_draw(monkeypatch)
-        assert self.report() == drawn
+        assert json.dumps(self.report()) == drawn
         assert calls == []
-        assert list(dataset_cache.iterdir()) == [entry]
+        assert len(truth_memo) == 1
 
-    def test_each_input_keys_its_own_entry(self, monkeypatch, dataset_cache):
+    def test_each_input_keys_its_own_truth(self, monkeypatch, truth_memo):
         cpus(monkeypatch, 1)
         base = {"spec": IntensitySpec.from_dict(S2_AGE), "profile": {"age": 50.0}}
         other = IntensitySpec.from_dict({**S2_AGE, "treatment": {"base": 0.11,
                                                                  "log_hr": {"z": 1.2}}})
         cases = [{}, {"spec": other}, {"profile": {"age": 60.0}}, {"t_hor": 4.0},
                  {"mc_reps": 600}]
-        drawn = [self.report(**{**base, **case}) for case in cases]
-        assert len(list(dataset_cache.iterdir())) == len(cases)
-        calls = self.no_draw(monkeypatch)
-        assert [self.report(**{**base, **case}) for case in cases] == drawn
+        drawn = [json.dumps(self.report(**{**base, **case})) for case in cases]
+        assert len(set(drawn)) == len(truth_memo) == len(cases)
+        calls = self.draws(monkeypatch)
+        assert [json.dumps(self.report(**{**base, **case})) for case in cases] == drawn
         assert calls == []
 
-    @pytest.mark.parametrize("damage", [
-        b"[1, 2, 3", b"[1.0, 2, 3, 4]", b"[true, 2, 3, 4]", b"[-1, 2, 3, 4]",
-        b"[501, 2, 3, 4]", b"[1, 2, 3]", b'{"hits": [1, 2, 3, 4]}', b"\xff", "directory"],
-        ids=["truncated", "float", "bool", "negative", "past-mc_reps", "three-counts",
-             "object", "not-utf8", "directory"])
-    def test_damaged_entry_is_drawn_again_and_replaced(self, monkeypatch, dataset_cache,
-                                                       damage):
+    def test_least_recently_used_truth_is_forgotten(self, monkeypatch, truth_memo):
         cpus(monkeypatch, 1)
-        drawn = self.report()
-        [entry] = dataset_cache.iterdir()
-        stored = entry.read_bytes()
-        if damage == "directory":
-            entry.unlink()
-            entry.mkdir()
-        else:
-            entry.write_bytes(damage)
-        calls, original = [], simulate._truth_hits
-        monkeypatch.setattr(simulate, "_truth_hits",
-                            lambda *args: calls.append(args) or original(*args))
-        assert self.report() == drawn
-        assert len(calls) == 1
-        assert list(dataset_cache.iterdir()) == [entry]
-        assert entry.read_bytes() == stored
+        monkeypatch.setattr(simulate, "TRUTH_MEMO", 2)
+        calls = self.draws(monkeypatch)
+        for t_hor in (3.0, 4.0, 3.0, 5.0):
+            self.report(t_hor=t_hor)
+        # 3.0 was recalled, so 4.0 was the least recently used
+        assert [args[2] for args in calls] == [3.0, 4.0, 5.0]
+        spec = scenarios.builtin("s2")
+        assert list(truth_memo) == [simulate._truth_key(spec, {}, t, 500) for t in (3.0, 5.0)]
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("blocked", ["cache-home", "cache-directory"])
-    def test_file_in_place_of_the_cache_directory(self, tmp_path, monkeypatch, capfd,
-                                                  blocked, n_cpus):
+    def test_truth_that_raises_is_not_remembered(self, monkeypatch, truth_memo, n_cpus):
         cpus(monkeypatch, n_cpus)
-        drawn = self.report()
-        home = tmp_path / "blocked"
-        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-        if blocked == "cache-directory":
-            home.mkdir()
-        path = home if blocked == "cache-home" else home / "predictimands"
-        path.write_text("a file\n")
-        capfd.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert [self.report(), self.report()] == [drawn, drawn]
-        assert caught == []
-        assert capfd.readouterr() == ("", "")
-        assert path.read_text() == "a file\n"
+        # w's AR(1) path overflows in the truth's draw
+        spec = IntensitySpec.from_dict({
+            "grid_step": 0.5,
+            "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                                    "rho": 1e30}},
+            "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
+            "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}})
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="not finite"):
+                self.report(spec)
+        assert truth_memo == {}
+
+    def test_profile_that_is_not_json_is_drawn_each_time(self, monkeypatch, truth_memo):
+        cpus(monkeypatch, 1)
+        calls = self.draws(monkeypatch)
+        spec = IntensitySpec.from_dict(S2_AGE)
+        profile = {"age": np.float32(50.0)}
+        first, second = (self.report(spec, profile) for _ in range(2))
+        assert first["strategies"] == second["strategies"]
+        assert (len(calls), truth_memo) == (2, {})
