@@ -461,6 +461,8 @@ def cmd_validate(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise UsageError(f"--tolerance must be finite and nonnegative, "
                          f"got {args.tolerance}")
+    if not 0 < args.t_hor < math.inf:
+        raise UsageError(f"--t-hor must be positive and finite, got {args.t_hor}")
     _check_seed(args)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")

@@ -36,7 +36,8 @@ from .errors import (
 #: Newton-Raphson has converged when the Newton decrement g'I^-1 g is at
 #: most this per unit of event weight
 DECREMENT_TOL = 1e-20
-#: a coefficient whose |beta| times its column's range passes this diverges
+#: a coefficient whose |beta| times its column's range passes this diverges,
+#: unless its Newton step no longer moves it outward by 1 over that range
 BETA_BOUND = 15.0
 #: a column whose Cholesky pivot is at most this times its diagonal is aliased
 ALIAS_TOL = np.finfo(float).eps ** 0.75
@@ -409,7 +410,8 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     Each pass solves for the Newton step and stops when the Newton
     decrement g'I^-1 g is at most DECREMENT_TOL times the total event
     weight. Otherwise a coefficient whose |beta| times its column's range
-    passes BETA_BOUND raises MonotoneLikelihood, and a spent budget of
+    passes BETA_BOUND, and whose Newton step times that range still moves it
+    outward by at least 1, raises MonotoneLikelihood, and a spent budget of
     MAX_ITER accepted steps raises ConvergenceFailure, as does a Newton step
     that no halving improves. Both tests are scale-free: a covariate in
     other units, or every case weight times a constant, takes the same
@@ -461,8 +463,11 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
             raise SingularInformation("Newton step is not finite")
         if g @ step <= tol:
             break
+        # a coefficient past the bound diverges only while the step still
+        # carries it outward by a unit of linear predictor over its range
         reach = np.abs(beta) * span
-        for j in np.flatnonzero(reach > BETA_BOUND)[:1]:
+        outward = step * np.sign(beta) * span
+        for j in np.flatnonzero((reach > BETA_BOUND) & (outward >= 1))[:1]:
             raise MonotoneLikelihood(
                 f"coefficient for {design.names[j]!r} diverges (|beta| times its "
                 f"column's range = {reach[j]:.3g} > {BETA_BOUND:g} with max "

@@ -1038,24 +1038,37 @@ def _remember(key, hits: tuple) -> tuple:
     return hits
 
 
-def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
-    """Start ``_truth_hits`` in a forked child where a second CPU can run
-    it: on Linux, with more than one CPU in this process's affinity, no
-    other Python thread (a fork copies only the calling one) and a caller
-    that may have children. Returns a function that waits for the child and
-    returns its hits or raises its error; None where no child may start."""
+def _cpus() -> int:
+    """How many CPUs ``validate`` may keep busy with forked children: those
+    in this process's affinity on Linux, with no other Python thread (a
+    fork copies only the calling one) and a caller that may have children;
+    1 otherwise."""
     import multiprocessing
-    if (sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2
-            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
-        return None
+    if (sys.platform != "linux" or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_child(what: str, fn, *args):
+    """Start ``fn(*args)`` in a forked child, where ``_cpus()`` is at least 2.
+    The child writes nothing: it records the warnings its inherited filters
+    let through, and sends them back with fn's result or error. Returns a
+    function that waits for the child and returns what it sent, which
+    ``_settled`` makes the caller's; ``what`` names fn's work in the error
+    of a child that was killed."""
+    import multiprocessing
+    import warnings
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
 
     def run():
-        try:
-            send.send(_truth_hits(spec, profile, t_hor, mc_reps))
-        except BaseException as exc:  # raised again by the caller
-            send.send(exc)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result = fn(*args)
+            except BaseException as exc:  # raised again by the caller
+                result = exc
+        send.send((result, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
 
     child = ctx.Process(target=run, daemon=True)
     child.start()
@@ -1063,17 +1076,88 @@ def _truth_in_child(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: i
 
     def wait() -> tuple:
         try:
-            result = receive.recv()
+            return receive.recv()
         except EOFError:  # only a signal ends the child before it sends
-            result = RuntimeError("the Monte Carlo truth's process was killed")
+            return RuntimeError(f"the process of {what} was killed"), []
         finally:
             receive.close()
             child.join()
-        if isinstance(result, BaseException):
-            raise result
-        return result
 
     return wait
+
+
+def _settled(sent: tuple):
+    """Issue again the warnings a child sent, as the module of the file that
+    raised each one would (its name for the filters, its registry for
+    "default" and "module"), then return the child's result or raise its
+    error."""
+    import warnings
+    result, caught = sent
+    for message, category, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            warnings.warn_explicit(message, category, filename, lineno, module.__name__,
+                                   vars(module).setdefault("__warningregistry__", {}),
+                                   vars(module))
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def _replicates(spec: IntensitySpec, n: int, seeds, strategy_specs, profile: dict,
+                t_hor: float) -> tuple:
+    """Simulate the replicate of each seed in turn and estimate each strategy
+    on it at ``t_hor``: the estimates and the data and numeric errors, each
+    a list by label; any other error propagates."""
+    from . import strategies as strat
+
+    estimates = {s.label: [] for s in strategy_specs}
+    errors = {s.label: [] for s in strategy_specs}
+    for seed in seeds:
+        ds = simulate(spec, n, seed)
+        for sspec in strategy_specs:
+            label = sspec.label
+            try:
+                curve = strat.estimate(ds, sspec, profile)
+                estimates[label].append(float(curve.value_at(t_hor)))
+            except (DataError, NumericError) as exc:
+                errors[label].append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+    return estimates, errors
+
+
+def _all_replicates(spec: IntensitySpec, n: int, seeds: list, strategy_specs,
+                    profile: dict, t_hor: float) -> tuple:
+    """``_replicates`` over ``seeds`` in contiguous chunks, one per CPU of
+    ``_cpus()``: the caller estimates the first chunk while forked children
+    estimate the others. Merged in seed order, the result, the warnings and
+    the error raised are those of one call over all seeds: the earliest
+    seed's error wins, and a child's warnings follow the caller's chunk."""
+    k = max(1, min(len(seeds), _cpus()))
+    cuts = [len(seeds) * i // k for i in range(k + 1)]
+    chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+    rest = (strategy_specs, profile, t_hor)
+    pending = []
+    try:
+        for chunk in chunks[1:]:
+            pending.append(_in_child(f"the replicates from seed {chunk[0]}", _replicates,
+                                     spec, n, chunk, *rest))
+        parts = [_replicates(spec, n, chunks[0], *rest)]
+        while pending:
+            parts.append(_settled(pending.pop(0)()))
+    finally:
+        # the chunks after one that raised are dropped, warnings and all, as
+        # one call over all seeds would never reach them
+        for wait in pending:
+            wait()
+    estimates, errors = parts[0]
+    for more_estimates, more_errors in parts[1:]:
+        for label in estimates:
+            estimates[label] += more_estimates[label]
+            errors[label] += more_errors[label]
+    return estimates, errors
 
 
 def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
@@ -1088,12 +1172,12 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
     the horizon of the truth it is compared with, and no two may share a
     label. A Monte Carlo truth is drawn once per process and remembered
-    (``_truths``): it is drawn while the replicates are estimated, in a
-    forked child where ``_truth_in_child`` can start one. The report is the
-    same either way, as its hits are integer counts.
+    (``_truths``). Where ``_cpus()`` allows forked children, the truth is
+    drawn in one while the replicates are estimated, and the seeds after
+    the caller's first chunk are estimated in others (``_all_replicates``).
+    The report is the same either way, as the truth's hits are integer
+    counts and the chunks are merged in seed order.
     """
-    from . import strategies as strat
-
     profile = dict(profile or {})
     seeds = list(seeds)
     labels = [s.label for s in strategy_specs]
@@ -1112,26 +1196,17 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     else:
         key = _truth_key(spec, profile, t_hor, mc_reps)
         hits = _recall(key)
-        wait = None if hits is not None else _truth_in_child(spec, profile, t_hor, mc_reps)
-        if hits is None and wait is None:
+        if hits is None and _cpus() > 1:
+            wait = _in_child("the Monte Carlo truth", _truth_hits, spec, profile, t_hor,
+                             mc_reps)
+        elif hits is None:
             hits = _remember(key, _truth_hits(spec, profile, t_hor, mc_reps))
-    estimates = {s.label: [] for s in strategy_specs}
-    errors = {s.label: [] for s in strategy_specs}
     try:
-        for seed in seeds:
-            ds = simulate(spec, n, seed)
-            for sspec in strategy_specs:
-                label = sspec.label
-                try:
-                    curve = strat.estimate(ds, sspec, profile)
-                    estimates[label].append(float(curve.value_at(t_hor)))
-                except (DataError, NumericError) as exc:
-                    errors[label].append(
-                        {"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+        estimates, errors = _all_replicates(spec, n, seeds, strategy_specs, profile, t_hor)
     finally:
         if wait is not None:
             # the truth's error wins over one raised by the replicates
-            hits = _remember(key, wait())
+            hits = _remember(key, _settled(wait()))
     if truth is None:
         truth = _truth_from_hits(hits, profile, t_hor, mc_reps)
 

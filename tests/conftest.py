@@ -6,6 +6,8 @@ D3: events at 1 and 3, censored at 2, no covariates.
 D4: event 1, treatment start 2, event 3, censored 4 (competing structure).
 """
 
+import multiprocessing
+
 import pytest
 
 from predictimands import simulate
@@ -33,6 +35,14 @@ def truth_memo(monkeypatch):
     test, so that no test reads a truth another test drew."""
     monkeypatch.setattr(simulate, "_truths", {})
     return simulate._truths
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process running: ``validate`` forks its
+    Monte Carlo truth and its replicates."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def one_episode_subject(sid, time, status, treated=False, **baseline):

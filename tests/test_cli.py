@@ -467,7 +467,7 @@ class TestRejectedBeforeRunning:
         # nothing may be drawn or allocated and no truth process started
         calls = []
         fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
-        for attr in ("_draw", "_truth_in_child"):
+        for attr in ("_draw", "_in_child"):
             monkeypatch.setattr(simulate, attr, fail)
         if command == "validate":
             monkeypatch.setattr(simulate, "simulate_trajectories", fail)
@@ -489,7 +489,7 @@ class TestRejectedBeforeRunning:
         # seeds do not fit in memory
         calls = []
         fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
-        for attr in ("simulate", "_truth_hits", "_truth_in_child"):
+        for attr in ("simulate", "_truth_hits", "_in_child"):
             monkeypatch.setattr(simulate, attr, fail)
         out = tmp_path / "out"
         code = run(["validate"] + self.BASE["validate"] + ["--seeds", str(seeds),
@@ -906,13 +906,29 @@ class TestValidate:
         assert "--tolerance" in json.loads(out)["message"]
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("t_hor, error, message", [
+        *[(value, "UsageError", "--t-hor must be positive and finite")
+          for value in ("0", "-1", "nan", "inf")],
+        ("7", "ScenarioError", "t_hor must not exceed the scenario's admin_censor")])
+    def test_bad_horizon_exits_2(self, tmp_path, capsys, t_hor, error, message):
+        report_path = tmp_path / "report.json"
+        code = run(["validate", "--scenario", "s2", "--n", "50", "--seeds", "1",
+                    "--mc-reps", "100", f"--t-hor={t_hor}", "--out", str(report_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        assert json.loads(out)["error"] == error
+        assert message in json.loads(out)["message"]
+        assert not report_path.exists()
+
 
 class TestValidateOptionValues:
     """Each numeric option of ``validate`` given each of a fixed list of
     edge values, one at a time, on a tiny base run: every case exits 0, 1,
     2 or 3 and none raises or warns. A 2 or 3 from the package is one JSON
     line on stdout and nothing on stderr; argparse's own type errors exit 2
-    with its usage on stderr."""
+    with its usage on stderr. No edge value is a valid ``--t-hor``, and each
+    is a usage error (exit 2), never a data error."""
 
     BASE = ["validate", "--scenario", "s2", "--n", "10", "--seeds", "1", "--mc-reps", "100",
             "--strategies", "composite"]
@@ -932,6 +948,8 @@ class TestValidateOptionValues:
         stdout, stderr = capfd.readouterr()
         assert [str(w.message) for w in caught] == []
         assert code in (0, 1, 2, 3)
+        if option == "--t-hor":
+            assert code == 2
         if not parsed:
             assert (code, stdout) == (2, "")
             assert stderr.startswith("usage: predictimands validate")

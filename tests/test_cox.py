@@ -475,6 +475,18 @@ class TestFitBehavior:
             cox.fit(ds, cox.CoxSpec(event_code=Status.TREATMENT_START,
                                     covariates=("x", "z")))
 
+    def test_large_coefficient_that_converges_does_not_diverge(self):
+        # s2's treatment log hazard ratio on z is 1.2, and z spans 12.2 in
+        # this replicate, so the converged coefficient passes the bound while
+        # its Newton steps shrink
+        base = split_at_treatment(simulate(builtin("s2"), 2000, 2073065470))
+        model = cox.fit(base, cox.CoxSpec(event_code=Status.TREATMENT_START,
+                                          covariates=("z",)))
+        z = base.columns["z"]
+        assert abs(model.beta[0]) * (z.max() - z.min()) > cox.BETA_BOUND
+        assert model.beta[0] == pytest.approx(1.258, abs=1e-3)
+        assert model.iterations == 4
+
     def test_no_events(self):
         ds = dataset(
             (one_episode_subject("1", 1.0, Status.CENSORED),), CovariateSchema())

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import sys
 import tempfile
 import warnings
@@ -1232,11 +1233,6 @@ class TestTruthWorker:
     one the caller alone gives, errors keep their precedence and no process
     is left running."""
 
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert multiprocessing.active_children() == []
-
     @staticmethod
     def specs(*labels, t_hor=5.0):
         out = []
@@ -1300,7 +1296,7 @@ class TestTruthWorker:
         cpus(monkeypatch, 2)
         calls = []
         fail = lambda *args, **kw: calls.append(args) or 1 / 0  # noqa: E731
-        for attr in ("simulate", "simulate_trajectories", "_truth_in_child"):
+        for attr in ("simulate", "simulate_trajectories", "_in_child"):
             monkeypatch.setattr(simulate, attr, fail)
         kwargs = {"n": 20, "t_hor": 5.0, "mc_reps": 500, **kwargs}
         with pytest.raises(ScenarioError, match=message):
@@ -1345,6 +1341,140 @@ class TestTruthWorker:
         assert pid != os.getpid()
 
 
+def replicate_pids(monkeypatch, path, warn=False, fail=None):
+    """Make ``simulate``, a replicate's draw, append its seed and the pid of
+    the process that runs it to ``path``, warn with its seed from its
+    caller if ``warn`` and, if ``fail(seed)`` gives an exception, raise it; the (seed, pid)
+    pairs it has written, in the order each process wrote them."""
+    original = simulate.simulate
+
+    def recorded(spec, n, seed):
+        with open(path, "a") as f:
+            f.write(f"{seed} {os.getpid()}\n")
+        if warn:  # from simulate's module, as the package's warnings name their caller
+            warnings.warn(f"replicate {seed}", UserWarning, stacklevel=2)
+        exc = fail and fail(seed)
+        if exc:
+            raise exc
+        return original(spec, n, seed)
+
+    monkeypatch.setattr(simulate, "simulate", recorded)
+    return lambda: [tuple(map(int, line.split())) for line in
+                    Path(path).read_text().splitlines()]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the workers are forked on Linux only")
+class TestReplicateWorkers:
+    """``validate`` estimates its replicate seeds in contiguous chunks, one
+    per CPU: the caller the first, forked children the others. The report,
+    the warnings and the error raised are those of the caller alone."""
+
+    SPECS = TestTruthWorker.specs("ignore", "hypothetical:censor-ipcw")
+
+    @staticmethod
+    def run(monkeypatch, n_cpus, seeds, n=15, **kwargs):
+        cpus(monkeypatch, n_cpus)
+        return validate(scenarios.builtin("s2"), n=n, seeds=seeds,
+                        strategy_specs=TestReplicateWorkers.SPECS, t_hor=5.0, mc_reps=500,
+                        **kwargs)
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2], [1, 2, 3]])
+    def test_same_report_at_any_cpu_count(self, monkeypatch, seeds):
+        reports = [json.dumps(self.run(monkeypatch, n_cpus, seeds)) for n_cpus in (1, 2, 4)]
+        assert reports[1:] == reports[:1] * 2
+        errors = json.loads(reports[0])["strategies"]["hypothetical:censor-ipcw"]["errors"]
+        # censor-ipcw diverges on seed 2
+        assert [e["seed"] for e in errors] == [2] * (len(seeds) > 1)
+
+    def test_caller_runs_the_first_seed(self, monkeypatch, tmp_path):
+        pids = replicate_pids(monkeypatch, tmp_path / "pids")
+        self.run(monkeypatch, 2, [1, 2])
+        ran = dict(pids())
+        assert ran[1] == os.getpid() != ran[2]
+
+    def test_no_more_chunks_than_seeds(self, monkeypatch, tmp_path):
+        self.run(monkeypatch, 1, [4])  # remembers the truth: no truth child
+        pids = replicate_pids(monkeypatch, tmp_path / "pids")
+        started, original = [], simulate._in_child
+        monkeypatch.setattr(simulate, "_in_child",
+                            lambda *args: started.append(args[0]) or original(*args))
+        self.run(monkeypatch, 64, [1, 2, 3])
+        assert started == ["the replicates from seed 2", "the replicates from seed 3"]
+        ran = dict(pids())
+        assert ran[1] == os.getpid() and len(set(ran.values())) == 3
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_in_seed_order(self, monkeypatch, tmp_path, capfd, action):
+        def caught(n_cpus):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter(action)
+                self.run(monkeypatch, n_cpus, [1, 2, 3, 1])
+            return [(str(w.message), w.category, w.filename, w.lineno) for w in log]
+
+        replicate_pids(monkeypatch, tmp_path / "pids", warn=True)
+        alone = caught(1)
+        assert caught(2) == caught(4) == alone
+        expected = ["replicate 1", "replicate 2", "replicate 3"]
+        assert [w[0] for w in alone if w[0].startswith("replicate")] == (
+            expected + ["replicate 1"] * (action == "always"))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("failing", [(2, 3), (1, 3), (3,)])
+    def test_earliest_error_wins(self, monkeypatch, tmp_path, capfd, failing):
+        replicate_pids(monkeypatch, tmp_path / "pids", warn=True,
+                       fail=lambda seed: ValueError(f"seed {seed} failed") if seed in failing
+                       else None)
+
+        def raised(n_cpus):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError) as caught:
+                    self.run(monkeypatch, n_cpus, [1, 2, 3])
+            return str(caught.value), [str(w.message) for w in log]
+
+        alone = raised(1)
+        assert alone[0] == f"seed {failing[0]} failed"
+        # no warning of a seed after the failing one, as with one CPU
+        assert raised(3) == alone
+        assert capfd.readouterr() == ("", "")
+
+    def test_killed_child(self, monkeypatch):
+        caller, original = os.getpid(), simulate.simulate
+
+        def killed(spec, n, seed):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(spec, n, seed)
+
+        monkeypatch.setattr(simulate, "simulate", killed)
+        with pytest.raises(RuntimeError, match="the process of the replicates from seed 2 "
+                                               "was killed"):
+            self.run(monkeypatch, 2, [1, 2])
+
+    def test_truth_error_wins_over_a_childs(self, monkeypatch):
+        # w's AR(1) path overflows in the truth's child; the caller estimates
+        # an s2 replicate while the replicates' child fails
+        spec = IntensitySpec.from_dict({
+            "grid_step": 0.5,
+            "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                                    "rho": 1e30}},
+            "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
+            "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}})
+        caller, original = os.getpid(), simulate.simulate
+
+        def replicate(_, n, seed):
+            if os.getpid() != caller:
+                raise TypeError(f"replicate {seed} failed")
+            return original(scenarios.builtin("s2"), n, seed)
+
+        monkeypatch.setattr(simulate, "simulate", replicate)
+        cpus(monkeypatch, 2)
+        with pytest.raises(ScenarioError, match="not finite") as caught:
+            validate(spec, n=20, seeds=[1, 2], strategy_specs=TestTruthWorker.specs("ignore"),
+                     t_hor=5.0, mc_reps=500)
+        assert str(caught.value.__context__) == "replicate 2 failed"
+
+
 #: s2 with a baseline covariate in the untreated death rate, so that a
 #: profile changes its Monte Carlo truth
 S2_AGE = {**scenarios.BUILTIN["s2"], "name": "s2-age",
@@ -1357,11 +1487,6 @@ class TestTruthMemo:
     in this process (``simulate._truths``, emptied for each test by the
     ``truth_memo`` fixture) and reads them again instead of drawing: a
     recalled truth gives the report of a draw."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert multiprocessing.active_children() == []
 
     @staticmethod
     def report(spec=None, profile=None, t_hor=5.0, mc_reps=500) -> dict:
@@ -1385,7 +1510,7 @@ class TestTruthMemo:
         drawn = json.dumps(self.report())
         calls = []
         fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
-        for attr in ("_truth_hits", "_truth_in_child"):
+        for attr in ("_truth_hits", "_in_child"):
             monkeypatch.setattr(simulate, attr, fail)
         assert json.dumps(self.report()) == drawn
         assert calls == []
