@@ -21,15 +21,12 @@ tests and tools; no module of the package reads it. ``_save_columns`` and
 rebuild it from them through the constructor: the layout of the CLI's
 dataset cache entries.
 
-CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv`` gives
-each plain block of lines (no ``"``, one row to a line, every token spelt as
-the csv path would read it, no row in error) to numpy's C reader, and every
-other block to the csv module and ``_parse``, which alone reports errors;
-from the first ``"`` on, the csv module reads the rest of the file.
-``write_columns`` and ``write_csv`` share one block formatter, ``_texts``:
-it formats each distinct number of a block's array column once, as its
-``repr``, and the block's rows are joined with the bytes ``csv.writer``
-writes.
+CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv``
+splits the file with one ``csv.reader`` and parses each block of rows with
+``_parse``, which also reports errors. ``write_columns`` and ``write_csv``
+share one block formatter, ``_texts``: it formats each distinct number of a
+block's array column once, as its ``repr``, and the block's rows are joined
+with the bytes ``csv.writer`` writes.
 """
 
 from __future__ import annotations
@@ -499,26 +496,15 @@ def _read(path):
         yield _Rows(fh)
 
 
-def _raising(exc):
-    """An iterator that raises ``exc`` when first asked for an item."""
-    raise exc
-    yield  # noqa: unreachable; makes this a generator
-
-
-#: characters of the widest id, or labelled or baseline covariate token, that
-#: numpy's reader takes from a plain block; a longer one hands its block over
-_TOKEN_WIDTH = 32
-
-
 class _Rows:
     """The rows of a counting-process CSV below its header, read once by
     ``blocks`` in blocks of up to ``_BLOCK`` rows.
 
-    Until a ``"`` is seen, the file is taken in blocks of ``_BLOCK`` lines,
-    and a block that ``_plain`` can take is parsed by numpy's C reader. Any
-    other block, and every row from the block with the first ``"`` on (a
-    quoted field may span lines), is split by the csv module and parsed by
-    ``_parse``, the only code that reports an error.
+    One ``csv.reader`` splits the header and then every row (a quoted field
+    may span lines), and ``_parse``, the only code that reports an error,
+    parses each block. A row's line number counts CSV records, the header
+    being line 1, so it is the physical line unless a quoted field before it
+    spans lines.
 
     The rows end at the first non-blank row with the wrong number of fields;
     its error is then ``short_row``, kept so that the rows before it report
@@ -527,7 +513,8 @@ class _Rows:
     """
 
     def __init__(self, fh):
-        header = next(csv.reader(fh), None)
+        self._reader = csv.reader(fh)
+        header = next(self._reader, None)
         if header is None:
             raise MalformedRow(1, "empty file")
         header = [h.strip() for h in header]
@@ -539,7 +526,6 @@ class _Rows:
                 problem = f"repeats the name {name!r}" if name else "has no name"
                 raise MalformedRow(1, f"header column {j + 1} {problem}")
         self.header, self.fixed = header, 3 if self.wide else 5
-        self._fh, self._reader = fh, None  # the csv reader, once a '"' is seen
         self.index, self.short_row = {}, None
         # per covariate not yet seen to vary or be empty, each subject's first value
         self._firsts = {} if self.wide else {name: {} for name in header[5:]}
@@ -550,31 +536,9 @@ class _Rows:
         as ``_parse`` gives them with ``labelled`` and ``baseline``."""
         width, line, labelled = len(self.header), 2, labelled or {}
         while True:
-            if self._reader is None:
-                texts, fault = [], None
-                try:
-                    texts.extend(itertools.islice(self._fh, _BLOCK))
-                except UnicodeDecodeError as exc:
-                    fault = exc
-                text = "".join(texts)
-                block = None if fault else self._plain(texts, text, line, labelled)
-                if block is not None:
-                    yield block
-                    line += len(texts)
-                    if len(texts) < _BLOCK:
-                        return
-                    continue
-                records = csv.reader(texts)
-                if fault is not None or '"' in text:
-                    # the csv module reads on from this block's first line, and
-                    # meets a fault where it would have met it in the file
-                    self._reader = csv.reader(itertools.chain(
-                        texts, _raising(fault) if fault else self._fh))
-            if self._reader is not None:
-                records = itertools.islice(self._reader, _BLOCK)
             rows, fault = [], None
             try:
-                rows.extend(records)
+                rows.extend(itertools.islice(self._reader, _BLOCK))
             except (csv.Error, UnicodeDecodeError) as exc:
                 fault = exc  # unless a row of the wrong length ends the rows first
             full, lines = len(rows) == _BLOCK, np.arange(line, line + len(rows))
@@ -600,79 +564,6 @@ class _Rows:
             yield (lines, subject, *_parse(self, lines, columns, labelled, baseline))
             if self.short_row is not None or not full:
                 return
-
-    def _plain(self, texts, text, line, labelled):
-        """The block of ``texts``, the lines joined in ``text`` from ``line``
-        on, read by one ``np.loadtxt`` call as ``blocks`` yields it with
-        ``labelled``; None to hand it to the csv module.
-
-        A block is taken only if its rows are one to a line and pass every
-        check of ``_parse``, and only from tokens that numpy reads as the
-        csv path does: each id and each covariate that is labelled or may
-        still be baseline as a stripped, nonempty string shorter than
-        ``_TOKEN_WIDTH``, each status and treated as the exact token of its
-        code, and the other fields as finite floats, which numpy reads from
-        ASCII tokens as ``float`` does and refuses in any other spelling.
-        """
-        header, fixed, width = self.header, self.fixed, len(self.header)
-        if not texts:  # the end of the file
-            return np.arange(line, line), np.zeros(0, int), [np.zeros(0) for _ in header[1:]], None
-        limit = csv.field_size_limit()  # the csv module's, which a longer field breaks
-        if ('"' in text or "\x00" in text
-                # no blank line, which numpy would skip and the csv path would count
-                or text.count(",") != (width - 1) * len(texts)
-                or len(text) > limit and max(map(len, texts)) > limit):
-            return None
-        strings = {j for j, name in enumerate(header)
-                   if j == 0 or j >= fixed and (name in self._firsts or name in labelled)}
-        codes = {j: len(Status) if name == "status" else 2
-                 for j, name in enumerate(header[:fixed]) if name in _CODES}
-        dtype = [(f"f{j}", f"U{_TOKEN_WIDTH}" if j in strings else "U2" if j in codes
-                  else float) for j in range(width)]
-        try:
-            block = np.loadtxt(texts, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            return None
-        # the string fields are checked, parsed and coded once per run of
-        # rows that repeat them all, such as a subject's rows in a row
-        runs = np.arange(block.size) == 0
-        for j in strings:
-            values = block[f"f{j}"]
-            if np.char.str_len(values).max() >= _TOKEN_WIDTH:
-                return None
-            runs[1:] |= values[1:] != values[:-1]
-        starts = np.flatnonzero(runs)
-        counts = np.diff(starts, append=block.size)
-        fields, tokens = [], {}
-        for j, name in enumerate(header):
-            values = block[f"f{j}"]
-            if j in strings:
-                tokens[name] = values[starts].tolist()
-                if "" in tokens[name] or list(map(str.strip, tokens[name])) != tokens[name]:
-                    return None
-                if j == 0:
-                    continue
-                parse = partial(_encode, labelled[name], name) if name in labelled else float
-                values, rejected = _column(tokens[name], parse)
-                if rejected.any():
-                    return None
-                values = np.repeat(values, counts)
-            elif j in codes:
-                # the first character's code point, and none after it
-                points = np.ascontiguousarray(values).view(np.uint32).reshape(-1, 2)
-                values = points[:, 0].astype(float) - ord("0")
-                if points[:, 1].any() or ((values < 0) | (values >= codes[j])).any():
-                    return None
-            fields.append(np.array(values, float))
-        tstart, tstop = (np.zeros(block.size), fields[0]) if self.wide else fields[:2]
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(tstart + tstop).all() and all(
-                np.isfinite(values).all() for values in fields[fixed - 1:])
-        if not (finite and (tstart >= 0).all() and (tstart < tstop).all()):
-            return None
-        subject = self._codes(tokens[header[0]])
-        self._classify(subject, tokens)
-        return np.arange(line, line + block.size), np.repeat(subject, counts), fields, None
 
     def _codes(self, ids) -> np.ndarray:
         """The subject code of each id, coding ids not seen before."""

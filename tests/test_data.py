@@ -66,8 +66,8 @@ class TestIngest:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        # a reader for each header, and one for the refused block of bad.csv
-        assert seen == [False, False, False]
+        # one reader for each file, its header and its rows
+        assert seen == [False, False]
 
     def test_single_row(self, tmp_path):
         path = write(tmp_path, "id,tstart,tstop,status,treated,age\n1,0,5,1,0,50\n")
@@ -989,9 +989,9 @@ def reference_ingest(path, schema=None, design=None, levels=None):
 
 
 #: tokens planted in a field: spellings that float(), int() and the 0/1 rule
-#: read differently (a NUL that numpy's string cast drops), non-finite
-#: values, labels, junk, a quoted field with a comma and a token longer
-#: than numpy's reader takes; and values planted in a time field
+#: read differently (a trailing NUL that float() rejects), non-finite values,
+#: labels, junk, a quoted field with a comma and a 40-character token; and
+#: values planted in a time field
 TOKENS = ["", " ", "x", "0", "1", "2", "3", "-1", "0.5", "1.0", "01", "+1", " 1 ", "1_0",
           "1_000", "１", "١", "1\x00", "nan", "NaN", "inf", "-inf", "1e400", "a", "b",
           "#1", '"1,2"', "i" * 40]
@@ -1086,7 +1086,7 @@ class TestReaderAgainstReference:
         ("id,tstart,tstop,status,treated,x\n1,0,1e308,0,0,1\n1,1e308,1e308,0,0,1\n",
          (MalformedRow, "line 3: tstop must be finite, got '1e308'")),
         ("id,tstart,tstop,status,treated,x\n1,0,1_000,+1,0,１\n", None),
-        # float() rejects a NUL that numpy's string cast would drop
+        # a trailing NUL is part of the token, which float() rejects
         ("id,tstart,tstop,status,treated\n1,0,1\x00,1,0\n",
          (MalformedRow, "line 2: cannot parse tstop '1\\x00'")),
         ("id,time,status,x\n1,nan,1,1\n", (MalformedRow, "line 2: time must be finite, got 'nan'")),
@@ -1114,10 +1114,11 @@ class TestReaderAgainstReference:
         # ... and blank rows of every shape on both sides of a block boundary
         ("id,tstart,tstop,status,treated\n1,0,2,0,0\n\n,,,,\n  ,  ,,,\n \n2,0,3,1,0\n"
          ",,,,\n\n3,0,x,0,0\n", (MalformedRow, "line 10: cannot parse tstop 'x'")),
-        # what numpy's reader must not take from a block as it stands: a quote
-        # (the csv module reads the rest of the file), a blank line, an empty
-        # or overlong token, whitespace around an id or a code, a code in
-        # another spelling and a time only float() reads (and, above, a NUL)
+        # tokens and rows the reader must take as the reference does: a
+        # quoted id with a comma, a '#' in an id, CRLF line ends and a blank
+        # line, a trailing comma, a blank line mid-file, an empty
+        # time-varying field, a 40-character id, whitespace around an id or a
+        # code, a code in another spelling and times only float() reads
         ('id,tstart,tstop,status,treated\n1,0,1,0,0\n"2,3",0,2,1,0\n4,0,3,1,0\n', None),
         ("id,tstart,tstop,status,treated\n1,0,1,0,0\n#2,0,2,1,0\n3,0,1,2,0\n", None),
         ("id,tstart,tstop,status,treated,z\r\n1,0,1,0,0,0.5\r\n1,1,2,1,0,1\r\n\r\n"
@@ -1158,16 +1159,10 @@ class TestReaderAgainstReference:
             assert got == expected
 
     @pytest.mark.parametrize("name", ["s1", "s2", "age_gap"])
-    def test_simulated_files_take_numpys_reader(self, tmp_path, monkeypatch, name):
-        """Files that ``write_csv`` writes are plain in every block: read with
-        the csv path's parser broken, they still give the reference's dataset."""
+    def test_simulated_files_read_as_the_reference_reads_them(self, tmp_path, name):
+        """Files that ``write_csv`` writes give the reference's dataset."""
         path = tmp_path / f"{name}.csv"
         write_csv(simulate.simulate(scenarios.builtin(name), 40, seed=3), path)
-
-        def refuse(*args):
-            raise AssertionError("a block went to the csv module")
-
-        monkeypatch.setattr(data_mod, "_parse", refuse)
         assert ingest_csv(path) == reference_ingest(path)
 
     def test_rows_shuffled_within_and_across_subjects(self, tmp_path):

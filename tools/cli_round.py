@@ -14,8 +14,8 @@ and predict at ``--profile age=50``; on the stops-at-treatment data, fit
 and predict composite, while-untreated and ``hypothetical --method
 censor``; a fit and predict of three fixed files, one in the
 wide format, one with a label-coded covariate read with ``--levels`` and a
-3,000-row one read in part by numpy's reader and in part by the csv module;
-a simulate of ``draws.json``, which draws every kind of baseline
+3,000-row one with an empty ``z`` and a quoted id with a comma after row
+2,048; a simulate of ``draws.json``, which draws every kind of baseline
 covariate and a dropout clock; a validate of s2 on 45,000 Monte Carlo
 reps, past two truth blocks; an age_gap validate at ``--profile age=50``;
 and a small validate of all seven labels. The s1 data and the age_gap fit
@@ -58,9 +58,8 @@ def fixed_files() -> dict:
     the wide format (``id,time,status,age``); 40 in the long format with a
     ``dialysis`` covariate coded HD or PD, every fourth starting treatment
     and followed on; ``mixed.csv``, 1,000 such subjects of three rows each
-    with a time-varying ``z``, whose first 2,048 rows are plain and whose
-    later rows hold an empty ``z`` and a quoted id with a comma, so that the
-    reader hands the file to the csv module partway through;
+    with a time-varying ``z``, whose rows after the 2,048th, the reader's
+    first block, hold an empty ``z`` and a quoted id with a comma;
     ``s2_stops.json``, the s2 scenario observed until
     treatment start with a dropout rate of 0.05; and ``draws.json``, whose
     baseline covariates are normal, uniform, Bernoulli and constant."""
