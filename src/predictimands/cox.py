@@ -100,13 +100,17 @@ class _Design:
     w: np.ndarray
     names: tuple
     subject: np.ndarray
+    #: the dataset whose rows these are, None when tv_cuts split some
+    rows_of: CountingProcessDataset | None
+    event_code: int
 
 
 def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
     """One design row per dataset row in dataset order, except that treated
     rows are split at the coefficient cut times so the active segment is
     constant within each piece. When no row is split, the design shares
-    the dataset's read-only columns and the weight table's weights."""
+    the dataset's read-only columns and the weight table's weights, and
+    its risk sets the slots the dataset remembers."""
     cuts = np.asarray(spec.treatment.tv_cuts if spec.treatment else (), float)
     covariates = [ds.covariate(name) for name in spec.covariates]
     names = tuple(spec.covariates) + tuple(
@@ -121,14 +125,14 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
         w = spec.weights.values
     start, stop, status, treated, subject = (
         ds.tstart, ds.tstop, ds.status, ds.treated, ds.row_subject)
-    last = True
+    last, rows_of = True, ds
     if cuts.size:
         first_cut = np.searchsorted(cuts, start, side="right")
         pieces = np.where(treated, np.searchsorted(cuts, stop) - first_cut + 1, 1)
         if (pieces > 1).any():  # else the rows are used as they are
             row = np.repeat(np.arange(ds.n_rows), pieces)
             piece = np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-            last = piece == pieces[row] - 1
+            last, rows_of = piece == pieces[row] - 1, None
             start, stop = start[row], stop[row]
             start[piece > 0] = cuts[(first_cut[row] + piece - 1)[piece > 0]]
             stop[~last] = cuts[(first_cut[row] + piece)[~last]]
@@ -142,7 +146,7 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
         on = np.flatnonzero(treated)
         X[on, len(covariates) + np.searchsorted(cuts, stop[on])] = 1.0
     event = last & (status == spec.event_code)
-    return _Design(start, stop, event, X, w, names, subject)
+    return _Design(start, stop, event, X, w, names, subject, rows_of, int(spec.event_code))
 
 
 def _slots(times: np.ndarray, start: np.ndarray, stop: np.ndarray):
@@ -165,6 +169,30 @@ def _slots(times: np.ndarray, start: np.ndarray, stop: np.ndarray):
     return enter, exit_, np.flatnonzero(enter >= exit_)
 
 
+def _event_slots(ds: CountingProcessDataset, code) -> tuple:
+    """The unique stop times of the rows of ``ds`` with status ``code`` and
+    the ``_slots`` of all its rows over them, as read-only arrays: built on
+    the first call for each code and remembered by ``ds``."""
+    def build():
+        times = np.unique(ds.tstop[ds.status == code])
+        arrays = (times, *_slots(times, ds.tstart, ds.tstop))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    return ds._remember(("slots", int(code)), build)
+
+
+def _model_slots(model: CoxModel, ds: CountingProcessDataset) -> tuple:
+    """The ``_slots`` of the rows of ``ds`` over the model's baseline
+    times: those ``ds`` remembers when the times are its own grid for the
+    model's event code."""
+    times, *slots = _event_slots(ds, model.event_code)
+    if np.array_equal(times, model.baseline_times):
+        return tuple(slots)
+    return _slots(model.baseline_times, ds.tstart, ds.tstop)
+
+
 def _at_risk(enter: np.ndarray, exit_: np.ndarray, n_times: int, col=None) -> np.ndarray:
     """The sum of ``col`` (the count, if None) over the rows at risk at
     each of ``n_times`` times, given the slots of rows at risk at some
@@ -179,7 +207,8 @@ class _RiskSets:
     """Unique event times and the index arrays a sweep sums over.
 
     ``active``, ``enter`` and ``exit`` are the rows at risk at some event
-    time and their slots, as ``_slots`` gives them. Dead rows are ordered
+    time and their slots, as ``_slots`` gives them, or as the design's
+    dataset remembers them when they are its own rows. Dead rows are ordered
     by event time. Each event time has one tie slot per death under Efron
     (slot j of d removes j/d of the tied deaths' risk) and one slot with
     ``frac = 0`` under Breslow.
@@ -187,9 +216,13 @@ class _RiskSets:
 
     def __init__(self, design: _Design, ties: str = "efron"):
         self.design = design
-        self.uft = np.unique(design.stop[design.event])
+        if design.rows_of is not None:
+            self.uft, enter, exit_, self.active = _event_slots(design.rows_of,
+                                                               design.event_code)
+        else:
+            self.uft = np.unique(design.stop[design.event])
+            enter, exit_, self.active = _slots(self.uft, design.start, design.stop)
         nuft = self.uft.size
-        enter, exit_, self.active = _slots(self.uft, design.start, design.stop)
         self.enter = enter[self.active]
         self.exit = exit_[self.active]
         dead = np.flatnonzero(design.event)
@@ -420,7 +453,7 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     information at beta = 0 is at most ALIAS_TOL times its diagonal, so
     the later column of a collinear pair is held, in any units.
     """
-    design, rs = _prepared(ds, spec)
+    design = _build_design(ds, spec)
     n_events = int(design.event.sum())
     if n_events == 0:
         raise NoEvents(f"no episode carries event code {int(spec.event_code)}")
@@ -442,6 +475,7 @@ def fit(ds: CountingProcessDataset, spec: CoxSpec) -> CoxModel:
     span = hi - lo
     free = span > 0
     tol = DECREMENT_TOL * float(design.w[design.event].sum())
+    rs = _RiskSets(design, ties=spec.ties)
     beta = np.zeros(design.X.shape[1])
     loglik, g, info, dH = _sweep(rs, beta)
     # in-order Cholesky at beta = 0: a column with no variance left after
@@ -567,7 +601,7 @@ def path_survival(model: CoxModel, ds: CountingProcessDataset) -> np.ndarray:
     """exp(-H) at the end of each row of ``ds``, H summing over its subject's
     rows up to it the baseline hazard over the row's interval times
     exp(x'beta); an overflow names subject and covariates."""
-    enter, exit_, _ = _slots(model.baseline_times, ds.tstart, ds.tstop)
+    enter, exit_, _ = _model_slots(model, ds)
     H0 = np.concatenate([[0.0], np.cumsum(model.baseline_increments)])
     x = [ds.covariate(name) for name in model.covariates]
 

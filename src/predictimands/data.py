@@ -11,7 +11,10 @@ NaN marks a missing one.
 
 Validation runs once, when a dataset is built from columns or read from
 CSV, and names the first failing subject or line. Datasets are immutable;
-the transforms select rows or fill columns without validating again.
+the transforms select rows or fill columns without validating again. A
+dataset remembers what is derived from its rows alone, for as long as it
+lives: its ``split_at_treatment`` and ``compose_outcome`` views, and the
+risk-set slots ``cox`` builds over the event times of each status code.
 
 Record boundary: datasets are built from columns only, by the
 ``CountingProcessDataset`` constructor or ``ingest_csv``. ``ds.subjects`` is
@@ -203,6 +206,7 @@ class CountingProcessDataset:
         self.tstart, self.tstop = _frozen(tstart, float, copy), _frozen(tstop, float, copy)
         self.status, self.treated = _frozen(status, int, copy), _frozen(treated, bool, copy)
         self.columns = {name: _frozen(columns[name], float, copy) for name in schema.names()}
+        self._memo = {}
 
     @classmethod
     def _of(cls, *columns) -> "CountingProcessDataset":
@@ -250,6 +254,15 @@ class CountingProcessDataset:
         """Index of each row's subject."""
         return _frozen(np.repeat(np.arange(self.n_subjects), np.diff(self.offsets)), int,
                        copy=False)
+
+    def _remember(self, key, build):
+        """What ``build()`` derives from the rows, built on the first call for
+        ``key`` and kept for as long as the dataset lives; a build that
+        raises keeps nothing."""
+        if key not in self._memo:
+            # of two threads that both build, the first to store wins
+            self._memo.setdefault(key, build())
+        return self._memo[key]
 
     @property
     def has_treatment_starts(self) -> bool:
@@ -384,24 +397,31 @@ def split_at_treatment(ds: CountingProcessDataset) -> CountingProcessDataset:
 
     The row ending in a treatment start becomes the subject's last; rows
     after it are dropped. Stops-at-treatment data are returned as they are:
-    validation already rules out rows after a treatment start there.
+    validation already rules out rows after a treatment start there. Other
+    data remember their view: every call returns the same object.
     """
     if ds.design == DesignFlavor.STOPS_AT_TREATMENT:
         return ds
-    keep = _count_before(ds, ds.status == Status.TREATMENT_START) == 0
-    return ds._replace(keep, design=DesignFlavor.STOPS_AT_TREATMENT)
+    def split():
+        keep = _count_before(ds, ds.status == Status.TREATMENT_START) == 0
+        return ds._replace(keep, design=DesignFlavor.STOPS_AT_TREATMENT)
+
+    return ds._remember("split", split)
 
 
 def compose_outcome(ds: CountingProcessDataset) -> CountingProcessDataset:
     """Recode the first of {event, treatment start} as the event.
 
     Follow-up ends at min(T, V); the combined endpoint carries the event
-    status.
+    status. The data remember their view: every call returns the same object.
     """
-    starts = ds.status == Status.TREATMENT_START
-    keep = _count_before(ds, starts) == 0
-    return ds._replace(keep, status=np.where(starts, Status.EVENT, ds.status),
-                       design=DesignFlavor.STOPS_AT_TREATMENT)
+    def composed():
+        starts = ds.status == Status.TREATMENT_START
+        return ds._replace(_count_before(ds, starts) == 0,
+                           status=np.where(starts, Status.EVENT, ds.status),
+                           design=DesignFlavor.STOPS_AT_TREATMENT)
+
+    return ds._remember("composed", composed)
 
 
 def impute_tv_covariates(ds: CountingProcessDataset,

@@ -111,11 +111,11 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
     if truncation is not None:
         bounds = tuple(np.percentile(values, truncation))
         values = np.clip(values, *bounds)
-    diagnostics = _diagnostics(target.tstart, target.tstop, values, denominator)
+    diagnostics = _diagnostics(target, values, denominator)
     return WeightTable(weight_rows(target, values), mode, diagnostics, bounds)
 
 
-def _diagnostics(start, stop, values, denominator) -> dict:
+def _diagnostics(target: CountingProcessDataset, values, denominator) -> dict:
     diag = {
         "n_rows": int(values.size),
         "mean": float(values.mean()),
@@ -126,11 +126,11 @@ def _diagnostics(start, stop, values, denominator) -> dict:
     # mean weight among episodes at risk (start < t <= stop) at each
     # treatment event time t, over cox's risk-set slots; values far from 1
     # signal misspecification or positivity trouble
-    times = denominator.baseline_times
-    enter, exit_, active = cox._slots(times, start, stop)
+    n_times = denominator.baseline_times.size
+    enter, exit_, active = cox._model_slots(denominator, target)
     enter, exit_ = enter[active], exit_[active]
-    wsum = cox._at_risk(enter, exit_, times.size, values[active])
-    count = cox._at_risk(enter, exit_, times.size)
+    wsum = cox._at_risk(enter, exit_, n_times, values[active])
+    count = cox._at_risk(enter, exit_, n_times)
     ok = count > 0
     if ok.any():
         means = wsum[ok] / count[ok]

@@ -24,7 +24,7 @@ from predictimands import cache, cox, scenarios, simulate
 from predictimands import data as data_mod
 from predictimands.cli import _parse_strategy_tokens, build_parser, main
 from predictimands.curves import RiskCurve
-from predictimands.strategies import HypotheticalMethod, Strategy
+from predictimands.strategies import HypotheticalMethod, Strategy, StrategySpec, estimate
 from tests.test_data import SPECIAL_FLOATS
 from tests.test_simulator import reference_risks, reference_simulate
 
@@ -767,6 +767,68 @@ class TestOneRead:
                 == (tmp_path / "p2" / "overlay.csv").read_bytes())
 
 
+@pytest.fixture
+def slot_builds(monkeypatch):
+    """The number of rows of each ``cox._slots`` call, in order."""
+    calls, slots = [], cox._slots
+    monkeypatch.setattr(cox, "_slots", lambda times, start, stop: calls.append(
+        start.size) or slots(times, start, stop))
+    return calls
+
+
+class TestSlotBuilds:
+    """The strategies fitted on one dataset share its views and risk-set
+    slots: one build per view and status code."""
+
+    FITS = {
+        "ignore": (["--strategy", "ignore"], 1),
+        "composite": (["--strategy", "composite"], 1),
+        "while-untreated": (["--strategy", "while-untreated"], 2),
+        "censor": (["--strategy", "hypothetical", "--method", "censor"], 1),
+        "model": (["--strategy", "hypothetical", "--method", "model"], 1),
+        "censor-ipcw": (["--strategy", "hypothetical", "--method", "censor-ipcw",
+                         "--weight-covariates", "z"], 2),
+        "model-iptw": (["--strategy", "hypothetical", "--method", "model-iptw",
+                        "--weight-covariates", "z"], 3),
+    }
+
+    def test_replicate_builds_four(self, slot_builds):
+        """An s2 replicate (n = 2000) by ignore, composite, while-untreated,
+        censor and censor-ipcw on z, the five strategies of the s2-validate
+        benchmark: the full, split and composed rows over the event times,
+        and the split rows over the treatment starts."""
+        S, H = Strategy, HypotheticalMethod
+        specs = [StrategySpec(S.IGNORE_TREATMENT, 5.0), StrategySpec(S.COMPOSITE, 5.0),
+                 StrategySpec(S.WHILE_UNTREATED, 5.0),
+                 StrategySpec(S.HYPOTHETICAL, 5.0, hypothetical_method=H.CENSOR_BASELINE),
+                 StrategySpec(S.HYPOTHETICAL, 5.0, hypothetical_method=H.CENSOR_IPCW,
+                              weight_covariates=("z",))]
+        ds = simulate.simulate(scenarios.builtin("s2"), 2000, 1)
+        for spec in specs:
+            estimate(ds, spec)
+        base, composed = data_mod.split_at_treatment(ds), data_mod.compose_outcome(ds)
+        assert sorted(slot_builds) == sorted(
+            [ds.n_rows, composed.n_rows, base.n_rows, base.n_rows])
+
+    def test_cli_operation_builds_fifteen(self, s2_data, tmp_path, slot_builds):
+        """The 15 commands of an s2-cli benchmark operation: each reads its
+        dataset anew, so each command builds its own."""
+        builds = {}
+        for label, (extra, _) in self.FITS.items():
+            assert run(["fit", "--data", str(s2_data), "--horizon", "5",
+                        "--out", str(tmp_path / label)] + extra) == 0
+            builds[label], slot_builds[:] = len(slot_builds), []
+        for label in self.FITS:
+            assert run(["predict", "--run", str(tmp_path / label),
+                        "--out", str(tmp_path / f"predict-{label}")]) == 0
+        assert slot_builds == []
+        assert run(["predict", "--run", str(tmp_path / "censor-ipcw"), "--all-strategies",
+                    "--out", str(tmp_path / "all")]) == 0
+        assert builds == {label: n for label, (_, n) in self.FITS.items()}
+        assert len(slot_builds) == 4
+        assert sum(builds.values()) + len(slot_builds) == 15
+
+
 class TestByteOrderMark:
     def test_marked_file_reads_as_the_unmarked_one(self, s2_data, tmp_path):
         """A CSV saved with a UTF-8 byte-order mark, as spreadsheets save
@@ -1076,6 +1138,36 @@ def small_s2() -> bytes:
         return path.read_bytes()
 
 
+#: a z field far out, not finite or empty
+Z_VALUES = ["0", "1000", "-1000", "1e6", "-1e6", "1e300", "-1e300", "nan", "inf", "-inf", ""]
+
+
+def small_s2_edited(work, row, value):
+    """``small_s2`` in ``work`` with the z of data row ``row`` (modulo the
+    number of rows) set to ``value``."""
+    (work / "s2.csv").write_bytes(small_s2())
+    n_rows = small_s2().count(b"\r\n") - 1
+    edit_z(work / "s2.csv", work / "edited.csv",
+           lambda r, fields: value if r == row % n_rows else None)
+    return work / "edited.csv"
+
+
+def contract_run(argv) -> int:
+    """Exit code of ``argv``, asserting an empty stderr, no warning and, for
+    exit 3 or 4, one JSON line on stdout."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert (stderr.getvalue(), [str(w.message) for w in caught]) == ("", [])
+    if code != 0:
+        assert code in (3, 4)
+        assert set(json.loads(stdout.getvalue())) == {"error", "message"}
+        assert len(stdout.getvalue().splitlines()) == 1
+    return code
+
+
 class TestWeightsErrorContract:
     """``weights`` in both modes on a small s2 file with one z field edited
     to a value far out, not finite or empty: exit 0 with every weight
@@ -1083,30 +1175,51 @@ class TestWeightsErrorContract:
     warning is raised."""
 
     @settings(max_examples=60, deadline=None)
-    @given(row=st.integers(0, 10**6), value=st.sampled_from(
-        ["0", "1000", "-1000", "1e6", "-1e6", "1e300", "-1e300", "nan", "inf", "-inf", ""]))
+    @given(row=st.integers(0, 10**6), value=st.sampled_from(Z_VALUES))
     def test_exit_0_with_finite_weights_or_3_or_4(self, tmp_path_factory, row, value):
         work = tmp_path_factory.mktemp("contract")
-        (work / "s2.csv").write_bytes(small_s2())
-        n_rows = small_s2().count(b"\r\n") - 1
-        edit_z(work / "s2.csv", work / "edited.csv",
-               lambda r, fields: value if r == row % n_rows else None)
+        data = small_s2_edited(work, row, value)
         for mode in ("ipcw", "iptw"):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                warnings.simplefilter("always")
-                code = run(["weights", "--data", str(work / "edited.csv"), "--mode", mode,
-                            "--weight-covariates", "z", "--out", str(work / mode)])
-            assert (stderr.getvalue(), [str(w.message) for w in caught]) == ("", [])
-            if code == 0:
+            if contract_run(["weights", "--data", str(data), "--mode", mode,
+                             "--weight-covariates", "z", "--out", str(work / mode)]) == 0:
                 with open(work / mode / "weights.csv", newline="") as fh:
                     weights = [float(r["weight"]) for r in csv.DictReader(fh)]
                 assert all(map(math.isfinite, weights))
-            else:
-                assert code in (3, 4)
-                assert set(json.loads(stdout.getvalue())) == {"error", "message"}
-                assert len(stdout.getvalue().splitlines()) == 1
+
+
+class TestFitErrorContract:
+    """``fit`` by each of the seven methods, z a covariate of the outcome
+    model (of the weights only, for model-iptw, whose outcome model takes no
+    time-varying covariate), on the edited files of
+    ``TestWeightsErrorContract``: exit 0 with every model readable, or exit
+    3 or 4 with one JSON line; stderr stays empty and no warning is raised.
+    The methods share one dataset's views and slots within a command, and
+    the error a command raises first is still its own."""
+
+    METHODS = {
+        "ignore": ["--strategy", "ignore", "--covariates", "z"],
+        "composite": ["--strategy", "composite", "--covariates", "z"],
+        "while-untreated": ["--strategy", "while-untreated", "--covariates", "z"],
+        "censor": ["--strategy", "hypothetical", "--method", "censor", "--covariates", "z"],
+        "model": ["--strategy", "hypothetical", "--method", "model", "--covariates", "z"],
+        "censor-ipcw": ["--strategy", "hypothetical", "--method", "censor-ipcw",
+                        "--covariates", "z", "--weight-covariates", "z"],
+        "model-iptw": ["--strategy", "hypothetical", "--method", "model-iptw",
+                       "--weight-covariates", "z"],
+    }
+
+    @settings(max_examples=20, deadline=None)
+    @given(row=st.integers(0, 10**6), value=st.sampled_from(Z_VALUES))
+    def test_exit_0_with_readable_models_or_3_or_4(self, tmp_path_factory, row, value):
+        work = tmp_path_factory.mktemp("contract")
+        data = small_s2_edited(work, row, value)
+        for method, extra in self.METHODS.items():
+            out = work / method
+            if contract_run(["fit", "--data", str(data), "--out", str(out)] + extra) == 0:
+                models = sorted(out.glob("model*.json"))
+                assert models
+                for path in models:
+                    cox.CoxModel.from_dict(json.loads(path.read_text()))
 
 
 class TestCollinearColumn:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from predictimands import cox
+from predictimands import competing, cox
 from predictimands.data import (
     CountingProcessDataset,
     CovariateSchema,
@@ -24,13 +24,14 @@ from predictimands.errors import (
     DataError,
     MonotoneLikelihood,
     NoEvents,
+    NoTreatmentStarts,
     NumericError,
     ProfileIncomplete,
     SingularInformation,
 )
 from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
-from predictimands.weights import WeightMode, WeightTable, weight_rows
+from predictimands.weights import WeightMode, WeightTable, fit_treatment_hazard, weight_rows
 from tests.conftest import one_episode_subject
 from tests.records import dataset
 
@@ -329,11 +330,11 @@ class TestOracleProperty:
 
 
 @st.composite
-def risk_set_designs(draw):
-    """A design and tie method: 1-6 subjects of 1-4 contiguous episodes on a
-    half-unit grid, so that deaths, censorings, treatment starts and episode
-    boundaries tie; treated episodes cut into pieces at ``tv_cuts``; weights
-    that may be 0; events of either code, or none at all."""
+def half_grid_datasets(draw):
+    """A dataset and one weight per row: 1-6 subjects of 1-4 contiguous
+    episodes on a half-unit grid, so that deaths, censorings, treatment
+    starts and episode boundaries tie; weights that may be 0; events of
+    either code, or none at all."""
     subjects, weight = [], []
     for i in range(draw(st.integers(1, 6))):
         ends = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
@@ -346,7 +347,14 @@ def risk_set_designs(draw):
                     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])))
         subjects.append(SubjectRecord(str(i + 1), eps, {"x": draw(st.sampled_from([0.0, 1.0]))}))
         weight += [draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in eps]
-    ds = dataset(tuple(subjects), CovariateSchema(baseline=("x",)))
+    return dataset(tuple(subjects), CovariateSchema(baseline=("x",))), weight
+
+
+@st.composite
+def risk_set_designs(draw):
+    """A design and tie method on a ``half_grid_datasets`` dataset, its
+    treated episodes cut into pieces at ``tv_cuts``."""
+    ds, weight = draw(half_grid_datasets())
     cuts = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.5]), max_size=3)))
     spec = cox.CoxSpec(
         event_code=draw(st.sampled_from([Status.EVENT, Status.TREATMENT_START])),
@@ -396,6 +404,78 @@ class TestRiskSets:
         for got, expected in zip(cox._slots(times, start, stop),
                                  (enter, exit_, np.flatnonzero(enter >= exit_))):
             np.testing.assert_array_equal(got, expected)
+
+
+def fresh(ds):
+    """A dataset equal to ``ds`` that remembers nothing yet."""
+    return CountingProcessDataset(ds.schema, ds.design, ds.ids, ds.offsets, ds.tstart,
+                                  ds.tstop, ds.status, ds.treated, ds.columns)
+
+
+def slots_kept(ds) -> list:
+    return sorted(key[1] for key in ds._memo if key[0] == "slots")
+
+
+class TestRememberedSlots:
+    """A dataset builds the slots of its rows over the event times of each
+    status code once; they equal fresh ``_slots`` and serve every fit,
+    weight and diagnostic on its own rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=half_grid_datasets(), stops=st.booleans(),
+           ties=st.sampled_from(["efron", "breslow"]))
+    def test_equal_fresh_slots(self, case, stops, ties):
+        """On the full, split and composed views, with both status codes,
+        on continuing and stops-at-treatment data."""
+        ds = fresh(split_at_treatment(case[0])) if stops else case[0]
+        for view in (ds, split_at_treatment(ds), compose_outcome(ds)):
+            for code in (Status.EVENT, Status.TREATMENT_START):
+                times = np.unique(view.tstop[view.status == code])
+                got = cox._event_slots(view, code)
+                for a, b in zip(got, (times, *cox._slots(times, view.tstart, view.tstop))):
+                    np.testing.assert_array_equal(a, b)
+                    assert not a.flags.writeable
+                assert cox._event_slots(view, code) is got
+                design = cox._build_design(view, cox.CoxSpec(event_code=code,
+                                                             covariates=("x",)))
+                assert design.rows_of is view
+                kept = cox._RiskSets(design, ties)
+                direct = cox._RiskSets(replace(design, rows_of=None), ties)
+                for name in ("uft", "active", "enter", "exit", "dead", "dead_time",
+                             "slot_time", "n_slots", "slot_frac"):
+                    np.testing.assert_array_equal(getattr(kept, name), getattr(direct, name))
+            assert slots_kept(view) == [1, 2]
+        if stops:
+            assert split_at_treatment(ds) is ds
+
+    def test_tv_cuts_split_rows_bypass(self):
+        ds, kwargs = treatment_two_cuts()
+        spec = cox.CoxSpec(**kwargs)
+        assert cox._build_design(ds, spec).rows_of is None
+        cox.fit(ds, spec)
+        assert slots_kept(ds) == []
+        cox.fit(ds, cox.CoxSpec(treatment=cox.TreatmentTerm()))
+        assert slots_kept(ds) == [1]
+
+    def test_no_treatment_starts_keep_nothing(self, d1):
+        base = split_at_treatment(d1)
+        with pytest.raises(NoTreatmentStarts, match="^no subject ever starts treatment$"):
+            fit_treatment_hazard(d1, ("x",))
+        with pytest.raises(NoEvents, match="^no episode carries event code 2$"):
+            cox.fit(d1, cox.CoxSpec(event_code=Status.TREATMENT_START))
+        assert competing.fit_cause_specific_pair(d1, ("x",)).keys() == {"event"}
+        assert (slots_kept(d1), slots_kept(base)) == ([], [1])
+
+    def test_model_on_other_times_is_computed_directly(self, d4):
+        model = cox.fit(d4, cox.CoxSpec())
+        times, enter, exit_, active = cox._event_slots(d4, Status.EVENT)
+        assert all(a is b for a, b in zip(cox._model_slots(model, d4),
+                                          (enter, exit_, active)))
+        other = replace(model, baseline_times=np.array([0.5, 2.0, 3.5]))
+        for a, b in zip(cox._model_slots(other, d4),
+                        cox._slots(other.baseline_times, d4.tstart, d4.tstop)):
+            np.testing.assert_array_equal(a, b)
+        assert cox._event_slots(d4, Status.EVENT)[0] is times
 
 
 class TestDerivatives:

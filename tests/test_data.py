@@ -351,6 +351,19 @@ class TestTransforms:
         ds = simulate.simulate(spec, 150, seed=3)
         assert compose_outcome(split_at_treatment(ds)) == compose_outcome(ds)
 
+    def test_views_are_built_once_and_read_only(self):
+        """Each view is built on the first call and is the same object on
+        every later one; stops-at-treatment data are their own split."""
+        ds = simulate.simulate(scenarios.builtin("s2"), 100, seed=5)
+        for transform in (split_at_treatment, compose_outcome):
+            view = transform(ds)
+            assert transform(ds) is view
+            assert view == transform(dataset(ds.subjects, ds.schema))
+            for col in (view.offsets, view.tstart, view.tstop, view.status,
+                        view.treated, view.row_subject, *view.columns.values()):
+                assert not col.flags.writeable
+        assert split_at_treatment(split_at_treatment(ds)) is split_at_treatment(ds)
+
     def test_person_time_never_increases(self):
         spec = scenarios.builtin("s1")
         ds = simulate.simulate(spec, 150, seed=4)
