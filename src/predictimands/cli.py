@@ -10,22 +10,15 @@ machine-readable JSON object on stdout.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import functools
 import itertools
 import json
 import math
-import os
-import stat
 import sys
-import zipfile
 from pathlib import Path
 
-import numpy as np
-
 from . import cache
-from . import data as data_mod
 from . import scenarios as scenarios_mod
 from . import simulate as sim
 from . import weights as weights_mod
@@ -82,6 +75,8 @@ def _parse_profile(raw: str | None, levels: dict | None = None) -> dict:
         if "=" not in item:
             raise DataError(f"profile entry {item!r} is not name=value")
         name, value = (part.strip() for part in item.split("=", 1))
+        if name in profile:
+            raise DataError(f"profile gives covariate {name!r} more than once")
         profile[name] = schema.encode(name, value)
     return profile
 
@@ -91,78 +86,27 @@ def _parse_levels(raw: str | None) -> dict:
     for item in _csv_list(raw):
         if "=" not in item:
             raise DataError(f"levels entry {item!r} is not name=LAB1|LAB2")
-        name, labels = item.split("=", 1)
-        levels[name.strip()] = tuple(s.strip() for s in labels.split("|"))
+        name, labels = (part.strip() for part in item.split("=", 1))
+        if name in levels:
+            raise DataError(f"levels given more than once for covariate {name!r}")
+        levels[name] = tuple(s.strip() for s in labels.split("|"))
     return levels
 
 
-#: the first part of every dataset entry's key, changed whenever the key does
-_CACHE_TAG = b"predictimands dataset cache 1"
-#: what reading a damaged dataset entry may raise
-_DAMAGED = (OSError, EOFError, ValueError, LookupError, TypeError, zipfile.BadZipFile,
-            DataError)
-
-
 def _load_dataset(args):
-    """The command's dataset from ``--data``. A regular file is looked up in
-    the cache (``cache``) by its bytes and the read options: an entry found
-    is rebuilt and checked as any dataset is built, and a file read instead
-    is stored if it did not change while it was hashed and read. Any other
-    file, such as a pipe, is read once."""
+    """The command's dataset from ``--data``, through the dataset cache
+    (``cache.dataset``)."""
     levels = _parse_levels(args.levels)
     schema = None
     if args.baseline_cols or args.tv_cols:
         schema = CovariateSchema(baseline=_csv_list(args.baseline_cols),
                                  time_varying=_csv_list(args.tv_cols),
                                  levels=levels)
-    entry = _cache_entry(args.data, [
+    # ingest_csv is looked up when called: perfbench's tracer wraps it here
+    return cache.dataset(args.data, [
         None if schema is None else [schema.baseline, schema.time_varying],
-        levels, args.design])
-    if entry is not None:
-        ds = cache.load(entry[0], data_mod._load_columns, _DAMAGED)
-        if ds is not None:
-            return ds
-    ds = ingest_csv(args.data, schema, design=args.design, levels=levels)
-    if entry is not None:
-        _store(*entry, args.data, ds)
-    return ds
-
-
-def _identity(st) -> tuple:
-    """The fields of a file's ``stat`` that change when it is rewritten."""
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _cache_entry(path, options):
-    """The cache entry of the regular file at ``path`` read with the JSON
-    list ``options``, and the file's identity when it was hashed; None for
-    any other file or without a cache directory. The key is one digest of
-    the cache tag, the Python and numpy versions, the reader's source, the
-    options and the file's bytes."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        directory = cache.directory()
-        if directory is None:
-            return None
-        digest = cache.digest([_CACHE_TAG, sys.version.encode(), np.__version__.encode(),
-                               Path(data_mod.__file__).read_bytes(),
-                               json.dumps(options, sort_keys=True).encode()])
-        with open(path, "rb") as fh:
-            identity = _identity(os.fstat(fh.fileno()))
-            for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
-                digest.update(chunk)
-    except OSError:
-        return None
-    return directory / f"{digest.hexdigest()}.npz", identity
-
-
-def _store(entry, identity, path, ds):
-    """Store ``ds`` at ``entry`` if the file at ``path`` still has the
-    ``identity`` it had when hashed."""
-    with contextlib.suppress(OSError):
-        if _identity(os.stat(path)) == identity:
-            cache.store(entry, functools.partial(data_mod._save_columns, ds))
+        levels, args.design], lambda: ingest_csv(args.data, schema, design=args.design,
+                                                 levels=levels))
 
 
 def _load_scenario(ref: str) -> IntensitySpec:

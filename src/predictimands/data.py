@@ -19,10 +19,7 @@ risk-set slots ``cox`` builds over the event times of each status code.
 Record boundary: datasets are built from columns only, by the
 ``CountingProcessDataset`` constructor or ``ingest_csv``. ``ds.subjects`` is
 a read-only view of the columns as ``SubjectRecord``s of ``Episode``s, for
-tests and tools; no module of the package reads it. ``_save_columns`` and
-``_load_columns`` write a dataset's columns to an ``.npz`` archive and
-rebuild it from them through the constructor: the layout of the CLI's
-dataset cache entries.
+tests and tools; no module of the package reads it.
 
 CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv``
 splits the file with one ``csv.reader`` and parses each block of rows with
@@ -38,7 +35,6 @@ import csv
 import gc
 import io
 import itertools
-import json
 import math
 import operator
 import re
@@ -86,9 +82,9 @@ class ImputePolicy(str, Enum):
 class CovariateSchema:
     """Declared covariate names, split into baseline and time-dependent.
 
-    ``levels`` optionally maps a covariate to its category labels; values in
-    files and profiles may then be given as labels and are stored as the
-    label's index.
+    ``levels`` optionally maps a covariate to its category labels, each one
+    nonempty and listed once; values in files and profiles may then be given
+    as labels and are stored as the label's index.
     """
 
     baseline: tuple = ()
@@ -102,9 +98,16 @@ class CovariateSchema:
         if repeated:
             raise DataError(f"covariates listed more than once, as baseline or "
                             f"time-varying: {repeated}")
-        for name in self.levels:
+        for name, labels in self.levels.items():
             if name not in self.names():
                 raise DataError(f"levels declared for unknown covariate {name!r}")
+            labels = list(labels)
+            if "" in labels:
+                raise DataError(f"levels of covariate {name!r} include an empty label")
+            for k, label in enumerate(labels):
+                if label in labels[:k]:
+                    raise DataError(f"levels of covariate {name!r} list {label!r} "
+                                    f"more than once")
 
     def names(self) -> tuple:
         return self.baseline + self.time_varying
@@ -771,44 +774,6 @@ def ingest_csv(path, schema: CovariateSchema | None = None,
     _raise_first(failures)
     _validate(ds)
     return ds
-
-
-def _save_columns(ds: CountingProcessDataset, file):
-    """Write ``ds`` to the binary ``file`` as one uncompressed ``.npz``
-    archive: its ``offsets``, ``tstart``, ``tstop``, ``status`` and
-    ``treated``, its covariate columns stacked in schema order as
-    ``columns``, and as ``meta`` the UTF-8 bytes of one JSON object with its
-    ids, schema and design. The ids are JSON text because a fixed-width
-    numpy string drops a trailing NUL."""
-    names = ds.schema.names()
-    meta = {"ids": list(ds.ids), "baseline": list(ds.schema.baseline),
-            "time_varying": list(ds.schema.time_varying),
-            "levels": {name: list(labels) for name, labels in ds.schema.levels.items()},
-            "design": ds.design.value}
-    np.savez(file, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
-             offsets=ds.offsets, tstart=ds.tstart, tstop=ds.tstop, status=ds.status,
-             treated=ds.treated, columns=np.array([ds.columns[name] for name in names],
-                                                  float).reshape(len(names), ds.n_rows))
-
-
-def _load_columns(file) -> CountingProcessDataset:
-    """The dataset that ``_save_columns`` wrote to ``file``, rebuilt by the
-    constructor, which copies and checks every column. A file that is not
-    such an archive raises an OSError, EOFError, ValueError, LookupError,
-    TypeError or ``zipfile.BadZipFile``, and one whose columns do not make
-    a valid dataset a DataError."""
-    with np.load(file, allow_pickle=False) as entry:
-        meta = json.loads(entry["meta"].tobytes())
-        ids, levels = meta["ids"], meta["levels"]
-        if not (isinstance(ids, list) and set(map(type, ids)) <= {str}
-                and isinstance(levels, dict)):
-            raise DataError("the ids must be a list of strings and the levels an object")
-        schema = CovariateSchema(meta["baseline"], meta["time_varying"],
-                                 {name: tuple(labels) for name, labels in levels.items()})
-        return CountingProcessDataset(
-            schema, meta["design"], ids, entry["offsets"], entry["tstart"],
-            entry["tstop"], entry["status"], entry["treated"],
-            dict(zip(schema.names(), entry["columns"])))
 
 
 def _in_order(major, minor) -> bool:

@@ -9,6 +9,7 @@ import math
 import operator
 import os
 import stat
+import sys
 import tempfile
 import threading
 import warnings
@@ -1492,7 +1493,8 @@ class TestDatasetCache:
         assert json.loads(outputs[0].out)["error"] == "MalformedRow"
 
     @pytest.mark.parametrize("damage", ["empty", "truncated", "array-missing",
-                                        "invalid-rows", "ids-not-strings"])
+                                        "invalid-rows", "ids-not-strings",
+                                        "label-repeated", "label-empty"])
     def test_damaged_entry_is_parsed_again_and_replaced(
             self, s2_data, tmp_path, capsys, reads, dataset_cache, damage):
         expected = self.fit(s2_data, tmp_path / "a")
@@ -1509,7 +1511,10 @@ class TestDatasetCache:
                 arrays["tstart"] = arrays["tstart"] + 0.5
             else:
                 meta = json.loads(arrays["meta"].tobytes())
-                meta["ids"] = list(range(len(meta["ids"])))
+                if damage == "ids-not-strings":
+                    meta["ids"] = list(range(len(meta["ids"])))
+                else:
+                    meta["levels"] = {"z": ["lo", "lo" if damage == "label-repeated" else ""]}
                 arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
             with open(entry, "wb") as fh:
                 np.savez(fh, **arrays)
@@ -1550,7 +1555,7 @@ class TestDatasetCache:
             file.write(b"PK")
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(data_mod, "_save_columns", full)
+        monkeypatch.setattr(cache, "_save", full)
         reads.clear()
         capsys.readouterr()
         assert self.fit(s2_data, tmp_path / "b") == expected
@@ -1616,6 +1621,34 @@ class TestDatasetCache:
         assert parsed["--levels", "x=1|0"].columns["x"].tolist() == [1, 0, 0, 0]
         assert parsed["--design", "continues"].design.value == "continues"
 
+    @pytest.mark.parametrize("part", ["file-bytes", "python", "numpy", "data-source",
+                                      "cache-source"])
+    def test_each_key_part_misses(self, tmp_path, monkeypatch, reads, dataset_cache, part):
+        """A change to any one part of the key gives a new entry and a
+        parse: the file's bytes (at the same size and mtime), the Python
+        and numpy versions, and the sources of data.py and cache.py."""
+        path = tmp_path / "key.csv"
+        path.write_text("id,tstart,tstop,status,treated,z\n1,0,1,1,0,0\n2,0,2,0,0,1\n")
+        first = self.load(["--data", str(path)])
+        if part == "file-bytes":
+            st = path.stat()
+            path.write_text("id,tstart,tstop,status,treated,z\n1,0,1,1,0,0\n2,0,2,0,0,2\n")
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        elif part == "python":
+            monkeypatch.setattr(sys, "version", sys.version + " (changed)")
+        elif part == "numpy":
+            monkeypatch.setattr(np, "__version__", np.__version__ + ".changed")
+        else:
+            module = data_mod if part == "data-source" else cache
+            source = tmp_path / "source.py"
+            source.write_bytes(Path(module.__file__).read_bytes() + b"# changed\n")
+            monkeypatch.setattr(module, "__file__", str(source))
+        second = self.load(["--data", str(path)])
+        assert reads == [str(path)] * 2
+        assert len(list(dataset_cache.iterdir())) == 2
+        assert second.columns["z"].tolist() == [0, 2 if part == "file-bytes" else 1]
+        assert first.columns["z"].tolist() == [0, 1]
+
     def test_least_recently_used_entries_go_first(self, tmp_path, monkeypatch,
                                                   dataset_cache):
         """Past ``CACHE_BYTES`` a store removes the entries used longest ago:
@@ -1663,6 +1696,11 @@ class TestTamperedRun:
                      "OverflowError: int too large", id="model-huge-int"),
         pytest.param("weights_diagnostics.json", {"ess": math.nan},
                      "must map each diagnostic to a finite number", id="weights-diagnostics"),
+        pytest.param("model.json", {"schema_levels": {"z": ["lo", "hi", "lo"]}},
+                     "levels of covariate 'z' list 'lo' more than once",
+                     id="model-label-repeated"),
+        pytest.param("model.json", {"schema_levels": {"z": ["", "hi"]}},
+                     "levels of covariate 'z' include an empty label", id="model-label-empty"),
     ])
     def test_exits_3(self, s2_data, tmp_path, monkeypatch, capsys, name, change, message):
         monkeypatch.chdir(tmp_path)
@@ -1709,6 +1747,41 @@ class TestTermsNamedOnce:
         out, err = capsys.readouterr()
         assert (len(out.splitlines()), err) == (1, "")
         assert message in json.loads(out)["message"]
+
+
+class TestNamedOnce:
+    """An option that names one covariate twice is a data error: exit 3,
+    one JSON line naming the covariate, an empty stderr and no output. The
+    last value does not silently win."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["predict", "--run", "fit", "--profile", "z=1,z=2", "--out", "p"],
+                     "profile gives covariate 'z' more than once", id="predict-profile"),
+        pytest.param(["validate", "--scenario", "age_gap", "--n", "10", "--seeds", "1",
+                      "--profile", "age=50,age=60", "--out", "p"],
+                     "profile gives covariate 'age' more than once", id="validate-profile"),
+        pytest.param(["fit", "--data", "lv.csv", "--strategy", "ignore", "--covariates", "x",
+                      "--levels", "x=A|B,x=B|A", "--out", "p"],
+                     "levels given more than once for covariate 'x'", id="fit-levels"),
+        pytest.param(["fit", "--data", "lv.csv", "--strategy", "ignore", "--covariates", "x",
+                      "--levels", "x=A|A|B", "--out", "p"],
+                     "levels of covariate 'x' list 'A' more than once", id="fit-label-repeated"),
+        pytest.param(["fit", "--data", "lv.csv", "--strategy", "ignore", "--covariates", "x",
+                      "--baseline-cols", "x", "--levels", "x=A|", "--out", "p"],
+                     "levels of covariate 'x' include an empty label", id="fit-label-empty"),
+    ])
+    def test_exits_3(self, s2_data, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("lv.csv").write_text("id,tstart,tstop,status,treated,x\n"
+                                  "1,0,1,1,0,A\n2,0,2,1,0,B\n3,0,3,0,0,A\n4,0,4,1,0,B\n")
+        assert run(["fit", "--data", "s2.csv", "--strategy", "composite",
+                    "--covariates", "z", "--out", "fit"]) == 0
+        capsys.readouterr()
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert (len(out.splitlines()), err) == (1, "")
+        assert json.loads(out) == {"error": "DataError", "message": message}
+        assert not Path("p").exists()
 
 
 class TestStrictJson:

@@ -199,6 +199,25 @@ class TestSchema:
         with pytest.raises(DataError, match="listed more than once"):
             CovariateSchema(**kwargs)
 
+    @pytest.mark.parametrize("labels, message", [
+        (("A", "A", "B"), "levels of covariate 'x' list 'A' more than once"),
+        (("A", "B", "A"), "levels of covariate 'x' list 'A' more than once"),
+        (("", "A"), "levels of covariate 'x' include an empty label"),
+    ], ids=["repeated", "repeated-apart", "empty"])
+    def test_labels_nonempty_and_listed_once(self, labels, message):
+        """A repeated label would shift the codes of the labels after it,
+        and an empty one would read a missing field as that label."""
+        with pytest.raises(DataError) as raised:
+            CovariateSchema(baseline=("x",), levels={"x": labels})
+        assert str(raised.value) == message
+
+    def test_empty_label_is_not_read_for_a_missing_field(self, tmp_path):
+        """Without the check the missing ``w`` of line 2 reads as label 0."""
+        path = write(tmp_path, "id,tstart,tstop,status,treated,w\n"
+                               "1,0,1,0,0,\n1,1,2,1,0,A\n2,0,3,0,0,A\n")
+        with pytest.raises(DataError, match="levels of covariate 'w' include an empty label"):
+            ingest_csv(path, levels={"w": ("", "A")})
+
 
 class TestInvariants:
     def test_event_must_be_final(self):
