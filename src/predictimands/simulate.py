@@ -19,10 +19,19 @@ checks one subject's numbers against numpy's own seeding and draws. The
 covariate paths, the intensities (with the C library's ``exp``, bit for
 bit) and the inversion of the cumulative hazards are array passes over all
 subjects.
+
+Ground truth: ``true_risks`` gives each strategy's true risk at a profile,
+in closed form when the law is constant given it, else by Monte Carlo: one
+stream of subjects drawn in blocks of ``TRUTH_BLOCK``, the blocks spread
+over forked children as ``validate`` spreads its replicate seeds
+(``_spread``). A Monte Carlo truth's hits are remembered in the process, so
+``validate``, which takes its truth from ``true_risks`` before any
+replicate starts, draws each truth once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -44,7 +53,7 @@ from .errors import DataError, InvalidIntensity, NumericError, ScenarioError
 
 STRATEGY_KEYS = ("hypothetical", "composite", "while-untreated", "ignore")
 #: subjects per block of the Monte Carlo truth
-TRUTH_BLOCK = 20_000
+TRUTH_BLOCK = 5_000
 #: most Monte Carlo reps of the truth: numpy keeps a SeedSequence's
 #: ``n_children_spawned`` in 32 bits, so every block root must start below 2**32
 MAX_MC_REPS = 2**32
@@ -56,7 +65,7 @@ MAX_SUBJECTS = 2**32
 MAX_SEEDS = 2**20
 #: the seed of the Monte Carlo truth's stream
 MC_SEED = 977_001
-#: most Monte Carlo truths ``validate`` remembers in one process
+#: most Monte Carlo truths ``true_risks`` remembers in one process
 TRUTH_MEMO = 64
 #: most points a scenario's covariate grid may have; each simulated subject
 #: carries one value per grid segment (the builtin s2 has 13 points)
@@ -781,6 +790,13 @@ def _check_n(n) -> None:
         raise ScenarioError(f"n must be between 1 and 2**32, got {n}")
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    """A ScenarioError naming ``seed`` unless it is a nonnegative int or
+    numpy integer, the entropy of a stream's ``SeedSequence``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ScenarioError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
 def simulate_trajectories(spec: IntensitySpec, n: int, seed,
                           x0_override=None) -> Trajectories:
     """Latent clocks of n subjects. Subject i draws from the i-th child of
@@ -790,8 +806,11 @@ def simulate_trajectories(spec: IntensitySpec, n: int, seed,
     with ``n_children_spawned``. Covariates named in ``x0_override`` are
     fixed at the given values after the draws."""
     _check_n(n)
-    root = (seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed))
+    if isinstance(seed, np.random.SeedSequence):
+        root = seed
+    else:
+        _check_seed(seed)
+        root = np.random.SeedSequence(seed)
     grid = spec.grid
     n_seg = grid.size - 1
     # a covariate whose draws overflow is raised below, by name
@@ -960,28 +979,68 @@ def true_risks(spec: IntensitySpec, profile=None, t_hor: float = 5.0,
     """True risks at ``t_hor`` given the baseline covariates in ``profile``,
     each of which must be a baseline covariate of the scenario with a
     finite value; ``t_hor`` must be positive and at most the scenario's
-    ``admin_censor``, and ``mc_reps`` in [1, 2**32] even when the truth is
-    analytic."""
+    ``admin_censor``, ``mc_reps`` in [1, 2**32] and ``mc_seed`` a
+    nonnegative integer, even when the truth is analytic. A Monte Carlo
+    truth's hits are remembered: the same inputs given again in this
+    process, within the last ``TRUTH_MEMO`` truths, are recalled, not drawn
+    (``_memo_hits``); inputs that are not JSON are drawn each time."""
     profile = dict(profile or {})
     _check_truth(spec, profile, t_hor, mc_reps)
+    _check_seed(mc_seed, "mc_seed")
     if _is_constant_given(spec, profile):
         risks = constant_intensity_risks(
             spec.rate("treatment", profile), spec.rate("death_untreated", profile),
             spec.rate("death_treated", profile, 0.0), t_hor)
         return TruthOracle("analytic", risks,
                            {k: 0.0 for k in STRATEGY_KEYS}, t_hor, profile)
-    return _truth_from_hits(_truth_hits(spec, profile, t_hor, mc_reps, mc_seed),
-                            profile, t_hor, mc_reps)
+    key = _truth_key(spec, profile, t_hor, mc_reps, mc_seed)
+    hits = (_truth_hits(spec, profile, t_hor, mc_reps, mc_seed) if key is None
+            else _memo_hits(key))
+    risks = {k: float(h / mc_reps) for k, h in zip(STRATEGY_KEYS, hits)}
+    se = {k: math.sqrt(max(v * (1 - v), 1e-12) / mc_reps)
+          for k, v in risks.items()}
+    return TruthOracle("monte-carlo", risks, se, t_hor, profile, reps=mc_reps)
+
+
+def _truth_key(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int,
+               mc_seed: int):
+    """The key of a Monte Carlo truth in ``_memo_hits``: the JSON of the
+    spec, profile, horizon, reps and seed it depends on; None if they are
+    not JSON or do not read back as themselves."""
+    args = [spec.to_dict(), profile, t_hor, mc_reps, mc_seed]
+    try:
+        key = json.dumps(args, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+    return key if json.loads(key) == args else None
+
+
+@functools.lru_cache(maxsize=TRUTH_MEMO)
+def _memo_hits(key: str) -> tuple:
+    """The hits of the Monte Carlo truth whose inputs ``key`` holds
+    (``_truth_key``), drawn once while the key is among the ``TRUTH_MEMO``
+    most recently used; a draw that raises is not remembered."""
+    spec, profile, t_hor, mc_reps, mc_seed = json.loads(key)
+    return _truth_hits(IntensitySpec.from_dict(spec), profile, t_hor, mc_reps, mc_seed)
 
 
 def _truth_hits(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int,
-                mc_seed: int = MC_SEED) -> tuple:
+                mc_seed: int) -> tuple:
     """The Monte Carlo truth's hits: how many of ``mc_reps`` subjects drawn
     at ``profile`` meet each strategy's event by ``t_hor``, in the order of
-    ``STRATEGY_KEYS``."""
-    # one stream of mc_reps subjects, drawn in blocks to bound the memory
+    ``STRATEGY_KEYS``. The subjects are one stream, drawn in blocks of
+    ``TRUTH_BLOCK`` to bound the memory; ``_spread`` spreads the blocks, and
+    as the hits are integer counts their sum does not depend on how."""
+    parts = _spread("the Monte Carlo truth from rep", _block_hits,
+                    range(0, mc_reps, TRUTH_BLOCK), spec, profile, t_hor, mc_reps, mc_seed)
+    return tuple(int(h) for h in np.sum(parts, axis=0))
+
+
+def _block_hits(starts: range, spec: IntensitySpec, profile: dict, t_hor: float,
+                mc_reps: int, mc_seed: int) -> np.ndarray:
+    """The hits of the truth's blocks that begin at the reps ``starts``."""
     hits = np.zeros(4, np.int64)
-    for start in range(0, mc_reps, TRUTH_BLOCK):
+    for start in starts:
         root = np.random.SeedSequence(mc_seed, n_children_spawned=start)
         tr = simulate_trajectories(spec, min(TRUTH_BLOCK, mc_reps - start),
                                    root, x0_override=profile)
@@ -990,56 +1049,11 @@ def _truth_hits(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int,
                  np.count_nonzero(np.minimum(t0, v) <= t_hor),
                  np.count_nonzero((t0 <= t_hor) & (t0 < v)),
                  np.count_nonzero(tr.death_time <= t_hor)]
-    return tuple(int(h) for h in hits)
-
-
-def _truth_from_hits(hits: tuple, profile: dict, t_hor: float, mc_reps: int) -> TruthOracle:
-    """The Monte Carlo ``TruthOracle`` of the hit counts ``_truth_hits``
-    gives."""
-    risks = {key: float(h / mc_reps) for key, h in zip(STRATEGY_KEYS, hits)}
-    se = {k: math.sqrt(max(v * (1 - v), 1e-12) / mc_reps)
-          for k, v in risks.items()}
-    return TruthOracle("monte-carlo", risks, se, t_hor, profile, reps=mc_reps)
-
-
-#: the hits of the Monte Carlo truths ``validate`` drew in this process, by
-#: ``_truth_key``, the least recently used first
-_truths: dict = {}
-_truths_lock = threading.Lock()
-
-
-def _truth_key(spec: IntensitySpec, profile: dict, t_hor: float, mc_reps: int):
-    """The key of a Monte Carlo truth in ``_truths``: the JSON of the spec,
-    profile, horizon and reps it depends on; None if they are not JSON."""
-    try:
-        return json.dumps([spec.to_dict(), profile, t_hor, mc_reps], sort_keys=True)
-    except (TypeError, ValueError):
-        return None
-
-
-def _recall(key):
-    """The hits remembered under ``key``, now the most recently used; None
-    if there are none."""
-    with _truths_lock:
-        hits = _truths.pop(key, None)
-        if hits is not None:
-            _truths[key] = hits
-    return hits
-
-
-def _remember(key, hits: tuple) -> tuple:
-    """``hits``, remembered under ``key`` unless it is None; past
-    ``TRUTH_MEMO`` truths the least recently used are forgotten."""
-    if key is not None:
-        with _truths_lock:
-            _truths[key] = hits
-            while len(_truths) > TRUTH_MEMO:
-                del _truths[next(iter(_truths))]
     return hits
 
 
 def _cpus() -> int:
-    """How many CPUs ``validate`` may keep busy with forked children: those
+    """How many CPUs ``_spread`` may keep busy with forked children: those
     in this process's affinity on Linux, with no other Python thread (a
     fork copies only the calling one) and a caller that may have children;
     1 otherwise."""
@@ -1107,7 +1121,33 @@ def _settled(sent: tuple):
     return result
 
 
-def _replicates(spec: IntensitySpec, n: int, seeds, strategy_specs, profile: dict,
+def _spread(what: str, fn, items, *args) -> list:
+    """``fn(chunk, *args)`` of contiguous chunks of ``items``, one per CPU of
+    ``_cpus()`` and at most one per item: the caller runs the first chunk
+    while forked children run the others (``_in_child``, naming each by
+    ``what`` and its first item). The results are listed in chunk order, and
+    the warnings and the error raised are those of running the chunks in
+    turn: the earliest chunk's error wins, and a child's warnings follow the
+    chunks before it."""
+    k = max(1, min(len(items), _cpus()))
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    chunks = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    pending = []
+    try:
+        for chunk in chunks[1:]:
+            pending.append(_in_child(f"{what} {chunk[0]}", fn, chunk, *args))
+        parts = [fn(chunks[0], *args)]
+        while pending:
+            parts.append(_settled(pending.pop(0)()))
+    finally:
+        # the chunks after one that raised are dropped, warnings and all, as
+        # running the chunks in turn would never reach them
+        for wait in pending:
+            wait()
+    return parts
+
+
+def _replicates(seeds, spec: IntensitySpec, n: int, strategy_specs, profile: dict,
                 t_hor: float) -> tuple:
     """Simulate the replicate of each seed in turn and estimate each strategy
     on it at ``t_hor``: the estimates and the data and numeric errors, each
@@ -1128,38 +1168,6 @@ def _replicates(spec: IntensitySpec, n: int, seeds, strategy_specs, profile: dic
     return estimates, errors
 
 
-def _all_replicates(spec: IntensitySpec, n: int, seeds: list, strategy_specs,
-                    profile: dict, t_hor: float) -> tuple:
-    """``_replicates`` over ``seeds`` in contiguous chunks, one per CPU of
-    ``_cpus()``: the caller estimates the first chunk while forked children
-    estimate the others. Merged in seed order, the result, the warnings and
-    the error raised are those of one call over all seeds: the earliest
-    seed's error wins, and a child's warnings follow the caller's chunk."""
-    k = max(1, min(len(seeds), _cpus()))
-    cuts = [len(seeds) * i // k for i in range(k + 1)]
-    chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
-    rest = (strategy_specs, profile, t_hor)
-    pending = []
-    try:
-        for chunk in chunks[1:]:
-            pending.append(_in_child(f"the replicates from seed {chunk[0]}", _replicates,
-                                     spec, n, chunk, *rest))
-        parts = [_replicates(spec, n, chunks[0], *rest)]
-        while pending:
-            parts.append(_settled(pending.pop(0)()))
-    finally:
-        # the chunks after one that raised are dropped, warnings and all, as
-        # one call over all seeds would never reach them
-        for wait in pending:
-            wait()
-    estimates, errors = parts[0]
-    for more_estimates, more_errors in parts[1:]:
-        for label in estimates:
-            estimates[label] += more_estimates[label]
-            errors[label] += more_errors[label]
-    return estimates, errors
-
-
 def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
              profile=None, t_hor: float = 5.0, tolerance: float = 0.02,
              mc_reps: int = 200_000) -> dict:
@@ -1171,12 +1179,12 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     numeric errors in estimation are collected per seed rather than raised,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
     the horizon of the truth it is compared with, and no two may share a
-    label. A Monte Carlo truth is drawn once per process and remembered
-    (``_truths``). Where ``_cpus()`` allows forked children, the truth is
-    drawn in one while the replicates are estimated, and the seeds after
-    the caller's first chunk are estimated in others (``_all_replicates``).
-    The report is the same either way, as the truth's hits are integer
-    counts and the chunks are merged in seed order.
+    label, and every seed must be a nonnegative integer. The truth is
+    ``true_risks``'s, drawn with its blocks spread over the CPUs, or
+    recalled, before any replicate starts; then the seeds are estimated in
+    contiguous chunks, the caller the first and forked children the others
+    (``_spread``). The report is the same at any CPU count, as the truth's
+    hits are integer counts and the chunks are merged in seed order.
     """
     profile = dict(profile or {})
     seeds = list(seeds)
@@ -1190,25 +1198,16 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
                             f"{sspec.t_hor:g}, but validate compares at t_hor={t_hor:g}")
     _check_truth(spec, profile, t_hor, mc_reps)
     _check_n(n)
-    truth = hits = wait = None
-    if _is_constant_given(spec, profile):
-        truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
-    else:
-        key = _truth_key(spec, profile, t_hor, mc_reps)
-        hits = _recall(key)
-        if hits is None and _cpus() > 1:
-            wait = _in_child("the Monte Carlo truth", _truth_hits, spec, profile, t_hor,
-                             mc_reps)
-        elif hits is None:
-            hits = _remember(key, _truth_hits(spec, profile, t_hor, mc_reps))
-    try:
-        estimates, errors = _all_replicates(spec, n, seeds, strategy_specs, profile, t_hor)
-    finally:
-        if wait is not None:
-            # the truth's error wins over one raised by the replicates
-            hits = _remember(key, _settled(wait()))
-    if truth is None:
-        truth = _truth_from_hits(hits, profile, t_hor, mc_reps)
+    for seed in seeds:
+        _check_seed(seed)
+    truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
+    parts = _spread("the replicates from seed", _replicates, seeds, spec, n, strategy_specs,
+                    profile, t_hor)
+    estimates, errors = parts[0]
+    for more_estimates, more_errors in parts[1:]:
+        for label in estimates:
+            estimates[label] += more_estimates[label]
+            errors[label] += more_errors[label]
 
     report = {
         "scenario": spec.name,

@@ -30,17 +30,18 @@ def dataset_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def truth_memo(monkeypatch):
-    """An empty memo of the Monte Carlo truths ``validate`` draws, for each
+def truth_memo():
+    """An empty memo of the Monte Carlo truths ``true_risks`` draws, for each
     test, so that no test reads a truth another test drew."""
-    monkeypatch.setattr(simulate, "_truths", {})
-    return simulate._truths
+    simulate._memo_hits.cache_clear()
+    yield simulate._memo_hits
+    simulate._memo_hits.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """No test leaves a child process running: ``validate`` forks its
-    Monte Carlo truth and its replicates."""
+    """No test leaves a child process running: ``true_risks`` forks for the
+    blocks of its Monte Carlo truth and ``validate`` for its replicates."""
     yield
     assert multiprocessing.active_children() == []
 

@@ -26,7 +26,7 @@ def test_small_round_writes_every_output(tmp_path, dataset_cache, truth_memo):
     # whose validates find the Monte Carlo truths it drew, writes the same
     # bytes
     assert {p.suffix for p in dataset_cache.iterdir()} == {".npz"}
-    assert truth_memo
+    assert truth_memo.cache_info().currsize
     assert cli_round.run_round(tmp_path / "again", n=200) == codes
     assert tree(tmp_path / "again") == tree(out)
     # every command succeeds; validate may miss its tolerance at this size

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predictimands import scenarios, simulate, strategies, ziggurat
+from predictimands import scenarios, simulate, ziggurat
 from predictimands.data import (
     CovariateSchema,
     DesignFlavor,
@@ -1212,26 +1212,50 @@ def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def truth_pids(monkeypatch, path):
-    """Make ``_truth_hits``, the Monte Carlo truth's draw, append the pid of
-    the process that runs it to ``path``; the pids it has written."""
-    original = simulate._truth_hits
+def forbid(monkeypatch, *names) -> list:
+    """Make each of ``simulate``'s functions ``names`` record its call here
+    and fail; the calls."""
+    calls = []
+    fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
+    for name in names:
+        monkeypatch.setattr(simulate, name, fail)
+    return calls
 
-    def recorded(*args, **kwargs):
-        with open(path, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "_truth_hits", recorded)
-    return lambda: [int(pid) for pid in Path(path).read_text().split()]
+def block_pids(monkeypatch, path):
+    """Make ``simulate_trajectories`` append the first rep of each Monte
+    Carlo truth block it draws, and the pid of the process that draws it,
+    to ``path``; the (rep, pid) pairs it has written."""
+    original = simulate.simulate_trajectories
+
+    def recorded(spec, n, seed, x0_override=None):
+        if isinstance(seed, np.random.SeedSequence):  # a truth block's root
+            with open(path, "a") as f:
+                f.write(f"{seed.n_children_spawned} {os.getpid()}\n")
+        return original(spec, n, seed, x0_override)
+
+    monkeypatch.setattr(simulate, "simulate_trajectories", recorded)
+    return lambda: [tuple(map(int, line.split())) for line in
+                    Path(path).read_text().splitlines()]
+
+
+#: a Monte Carlo truth that raises: w enters the treatment intensity, and
+#: its AR(1) path overflows
+OVERFLOWING = {
+    "grid_step": 0.5,
+    "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
+                            "rho": 1e30}},
+    "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
+    "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the worker is forked on Linux only")
 class TestTruthWorker:
-    """A Monte Carlo truth runs in a forked child while the caller estimates
-    the replicates, where more than one CPU can run them; the report is the
-    one the caller alone gives, errors keep their precedence and no process
-    is left running."""
+    """A Monte Carlo truth's blocks are spread like the replicate seeds: the
+    caller draws the first chunk of blocks and forked children the others,
+    where more than one CPU can run them. ``validate`` takes the truth
+    before any replicate starts; the report is the one the caller alone
+    gives, and no process is left running."""
 
     @staticmethod
     def specs(*labels, t_hor=5.0):
@@ -1245,9 +1269,9 @@ class TestTruthWorker:
         return out
 
     @pytest.mark.parametrize("name, n, seeds, profile, labels, mc_reps", [
-        # three truth blocks: 20,000, 20,000 and 5,000 reps
+        # nine truth blocks of 5,000 reps
         pytest.param("s2", 200, [1, 2], {}, ["composite", "hypothetical:censor"], 45_000,
-                     id="s2-three-blocks"),
+                     id="s2-nine-blocks"),
         pytest.param("age_gap", 200, [1], {"age": 50.0}, ["composite", "while-untreated"],
                      1_000, id="age_gap-age-50"),
         # censor-ipcw diverges on seed 2
@@ -1258,13 +1282,14 @@ class TestTruthWorker:
                                     labels, mc_reps):
         def report(n_cpus):
             cpus(monkeypatch, n_cpus)
-            truth_memo.clear()  # so that each call draws its truth
-            return validate(scenarios.builtin(name), n=n, seeds=seeds,
-                            strategy_specs=self.specs(*labels), profile=profile,
-                            t_hor=5.0, mc_reps=mc_reps)
+            truth_memo.cache_clear()  # so that each call draws its truth
+            return json.dumps(validate(scenarios.builtin(name), n=n, seeds=seeds,
+                                       strategy_specs=self.specs(*labels), profile=profile,
+                                       t_hor=5.0, mc_reps=mc_reps))
 
-        alone, shared = report(1), report(2)
-        assert json.dumps(shared) == json.dumps(alone)
+        alone = report(1)
+        assert report(2) == report(4) == alone
+        alone = json.loads(alone)
         if name == "s2":
             assert alone["truth_method"] == "monte-carlo"
         if len(seeds) == 3:
@@ -1275,13 +1300,17 @@ class TestTruthWorker:
     def test_truth_runs_in_a_child_given_two_cpus(self, monkeypatch, tmp_path, n_cpus,
                                                   in_child, truth_memo):
         cpus(monkeypatch, n_cpus)
-        pids = truth_pids(monkeypatch, tmp_path / "pids")
+        pids = block_pids(monkeypatch, tmp_path / "pids")
         validate(scenarios.builtin("s2"), n=20, seeds=[1], strategy_specs=self.specs("ignore"),
-                 t_hor=5.0, mc_reps=500)
-        [pid] = pids()
-        assert (pid != os.getpid()) == in_child
+                 t_hor=5.0, mc_reps=20_000)
+        drawn = dict(pids())
+        assert sorted(drawn) == [0, 5_000, 10_000, 15_000]
+        # the caller draws the first chunk of blocks, a child the second
+        caller = {rep for rep, pid in drawn.items() if pid == os.getpid()}
+        assert caller == ({0, 5_000} if in_child else set(drawn))
+        assert len(set(drawn.values())) == 1 + in_child
         # the caller remembers the truth either way
-        assert len(truth_memo) == 1
+        assert truth_memo.cache_info().currsize == 1
 
     @pytest.mark.parametrize("kwargs, message", [
         pytest.param({"t_hor": 7.0}, "t_hor must not exceed", id="t_hor-past-admin_censor"),
@@ -1294,51 +1323,46 @@ class TestTruthWorker:
     ])
     def test_errors_before_any_replicate(self, monkeypatch, kwargs, message):
         cpus(monkeypatch, 2)
-        calls = []
-        fail = lambda *args, **kw: calls.append(args) or 1 / 0  # noqa: E731
-        for attr in ("simulate", "simulate_trajectories", "_in_child"):
-            monkeypatch.setattr(simulate, attr, fail)
+        calls = forbid(monkeypatch, "simulate", "simulate_trajectories", "_in_child")
         kwargs = {"n": 20, "t_hor": 5.0, "mc_reps": 500, **kwargs}
         with pytest.raises(ScenarioError, match=message):
             validate(scenarios.builtin("s2"), seeds=[1],
                      strategy_specs=self.specs("ignore", t_hor=kwargs["t_hor"]), **kwargs)
         assert calls == []
 
-    def test_truth_error_from_the_child_wins(self, monkeypatch):
-        # w enters the treatment intensity, so the truth is Monte Carlo; its
-        # AR(1) path overflows in the child while the caller's replicate fails
-        spec = IntensitySpec.from_dict({
-            "grid_step": 0.5,
-            "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
-                                    "rho": 1e30}},
-            "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
-            "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}})
+    def test_truth_error_from_the_child_wins(self, monkeypatch, truth_memo):
+        # the truth's second chunk of blocks fails in its child; no
+        # replicate starts, and the truth is not remembered
+        caller, original = os.getpid(), simulate.simulate_trajectories
+        replicates = []
+
+        def block(spec, n, seed, x0_override=None):
+            if os.getpid() != caller:
+                raise ScenarioError(f"block from rep {seed.n_children_spawned} failed")
+            return original(spec, n, seed, x0_override)
+
+        monkeypatch.setattr(simulate, "simulate_trajectories", block)
+        monkeypatch.setattr(simulate, "simulate", lambda *args: replicates.append(args))
         cpus(monkeypatch, 2)
-
-        def replicate(*args):
-            raise TypeError("a replicate failed")
-
-        monkeypatch.setattr(simulate, "simulate", replicate)
-        with pytest.raises(ScenarioError, match="covariate 'w' draws values that are not "
-                                                "finite") as caught:
-            validate(spec, n=20, seeds=[1], strategy_specs=self.specs("ignore"),
-                     t_hor=5.0, mc_reps=500)
-        # the replicates ran while the child drew the truth
-        assert isinstance(caught.value.__context__, TypeError)
-
-    def test_replicate_error_propagates_while_the_child_runs(self, monkeypatch, tmp_path):
-        cpus(monkeypatch, 2)
-        pids = truth_pids(monkeypatch, tmp_path / "pids")
-
-        def broken(ds, spec, profile):
-            raise TypeError("not an estimation failure")
-
-        monkeypatch.setattr(strategies, "estimate", broken)
-        with pytest.raises(TypeError, match="not an estimation failure"):
-            validate(scenarios.builtin("s2"), n=20, seeds=[1],
+        with pytest.raises(ScenarioError, match="block from rep 10000 failed"):
+            validate(scenarios.builtin("s2"), n=20, seeds=[1, 2],
                      strategy_specs=self.specs("ignore"), t_hor=5.0, mc_reps=20_000)
-        [pid] = pids()
-        assert pid != os.getpid()
+        assert replicates == []
+        assert truth_memo.cache_info().currsize == 0
+
+    def test_killed_truth_child(self, monkeypatch):
+        caller, original = os.getpid(), simulate.simulate_trajectories
+
+        def killed(*args, **kwargs):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "simulate_trajectories", killed)
+        cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="the process of the Monte Carlo truth from "
+                                               "rep 10000 was killed"):
+            true_risks(scenarios.builtin("s2"), {}, t_hor=5.0, mc_reps=20_000)
 
 
 def replicate_pids(monkeypatch, path, warn=False, fail=None):
@@ -1452,27 +1476,24 @@ class TestReplicateWorkers:
             self.run(monkeypatch, 2, [1, 2])
 
     def test_truth_error_wins_over_a_childs(self, monkeypatch):
-        # w's AR(1) path overflows in the truth's child; the caller estimates
-        # an s2 replicate while the replicates' child fails
-        spec = IntensitySpec.from_dict({
-            "grid_step": 0.5,
-            "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
-                                    "rho": 1e30}},
-            "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
-            "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}})
+        # the truth raises in the caller before any replicate starts, so no
+        # child's replicate error can take its place
         caller, original = os.getpid(), simulate.simulate
+        started = []
 
         def replicate(_, n, seed):
+            started.append(seed)
             if os.getpid() != caller:
                 raise TypeError(f"replicate {seed} failed")
             return original(scenarios.builtin("s2"), n, seed)
 
         monkeypatch.setattr(simulate, "simulate", replicate)
         cpus(monkeypatch, 2)
-        with pytest.raises(ScenarioError, match="not finite") as caught:
-            validate(spec, n=20, seeds=[1, 2], strategy_specs=TestTruthWorker.specs("ignore"),
-                     t_hor=5.0, mc_reps=500)
-        assert str(caught.value.__context__) == "replicate 2 failed"
+        with pytest.raises(ScenarioError, match="not finite"):
+            validate(IntensitySpec.from_dict(OVERFLOWING), n=20, seeds=[1, 2],
+                     strategy_specs=TestTruthWorker.specs("ignore"), t_hor=5.0,
+                     mc_reps=500)
+        assert started == []
 
 
 #: s2 with a baseline covariate in the untreated death rate, so that a
@@ -1483,10 +1504,10 @@ S2_AGE = {**scenarios.BUILTIN["s2"], "name": "s2-age",
 
 
 class TestTruthMemo:
-    """``validate`` remembers the hits of each Monte Carlo truth it draws
-    in this process (``simulate._truths``, emptied for each test by the
-    ``truth_memo`` fixture) and reads them again instead of drawing: a
-    recalled truth gives the report of a draw."""
+    """``true_risks`` remembers the hits of each Monte Carlo truth it draws
+    in this process (``simulate._memo_hits``, emptied for each test by the
+    ``truth_memo`` fixture) and reads them again instead of drawing, for
+    ``validate`` too: a recalled truth gives the report of a draw."""
 
     @staticmethod
     def report(spec=None, profile=None, t_hor=5.0, mc_reps=500) -> dict:
@@ -1508,13 +1529,20 @@ class TestTruthMemo:
                                                                 truth_memo, n_cpus):
         cpus(monkeypatch, n_cpus)
         drawn = json.dumps(self.report())
-        calls = []
-        fail = lambda *args, **kwargs: calls.append(args) or 1 / 0  # noqa: E731
-        for attr in ("_truth_hits", "_in_child"):
-            monkeypatch.setattr(simulate, attr, fail)
+        calls = forbid(monkeypatch, "_truth_hits", "_in_child")
         assert json.dumps(self.report()) == drawn
         assert calls == []
-        assert len(truth_memo) == 1
+        assert truth_memo.cache_info().currsize == 1
+
+    def test_truth_of_true_risks_is_recalled_by_validate(self, monkeypatch, truth_memo):
+        cpus(monkeypatch, 2)
+        truth = true_risks(scenarios.builtin("s2"), {}, t_hor=5.0, mc_reps=500)
+        calls = forbid(monkeypatch, "_truth_hits", "_in_child")
+        entry = self.report()["strategies"]["ignore"]
+        assert (entry["truth"], entry["truth_se"]) == (truth.risks["ignore"],
+                                                       truth.se["ignore"])
+        assert calls == []
+        assert truth_memo.cache_info().currsize == 1
 
     def test_each_input_keys_its_own_truth(self, monkeypatch, truth_memo):
         cpus(monkeypatch, 1)
@@ -1524,36 +1552,46 @@ class TestTruthMemo:
         cases = [{}, {"spec": other}, {"profile": {"age": 60.0}}, {"t_hor": 4.0},
                  {"mc_reps": 600}]
         drawn = [json.dumps(self.report(**{**base, **case})) for case in cases]
-        assert len(set(drawn)) == len(truth_memo) == len(cases)
+        assert len(set(drawn)) == truth_memo.cache_info().currsize == len(cases)
         calls = self.draws(monkeypatch)
         assert [json.dumps(self.report(**{**base, **case})) for case in cases] == drawn
         assert calls == []
 
+    def test_mc_seed_keys_its_own_truth(self, monkeypatch, truth_memo):
+        cpus(monkeypatch, 1)
+        spec = scenarios.builtin("s2")
+        drawn = [true_risks(spec, {}, t_hor=5.0, mc_reps=500, mc_seed=seed).risks
+                 for seed in (1, 2)]
+        assert drawn[0] != drawn[1]
+        assert truth_memo.cache_info().currsize == 2
+        calls = self.draws(monkeypatch)
+        assert [true_risks(spec, {}, t_hor=5.0, mc_reps=500, mc_seed=seed).risks
+                for seed in (1, 2)] == drawn
+        assert calls == []
+
     def test_least_recently_used_truth_is_forgotten(self, monkeypatch, truth_memo):
         cpus(monkeypatch, 1)
-        monkeypatch.setattr(simulate, "TRUTH_MEMO", 2)
         calls = self.draws(monkeypatch)
-        for t_hor in (3.0, 4.0, 3.0, 5.0):
-            self.report(t_hor=t_hor)
-        # 3.0 was recalled, so 4.0 was the least recently used
-        assert [args[2] for args in calls] == [3.0, 4.0, 5.0]
         spec = scenarios.builtin("s2")
-        assert list(truth_memo) == [simulate._truth_key(spec, {}, t, 500) for t in (3.0, 5.0)]
+        reps = list(range(10, 11 + simulate.TRUTH_MEMO))
+        for mc_reps in reps:
+            true_risks(spec, {}, t_hor=5.0, mc_reps=mc_reps)
+        assert truth_memo.cache_info().currsize == simulate.TRUTH_MEMO == 64
+        del calls[:]
+        # the first truth was forgotten; recalling the second makes the
+        # third the least recently used, which the first then displaces
+        for mc_reps in (reps[-1], reps[1], reps[0], reps[2]):
+            true_risks(spec, {}, t_hor=5.0, mc_reps=mc_reps)
+        assert [args[3] for args in calls] == [reps[0], reps[2]]
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_truth_that_raises_is_not_remembered(self, monkeypatch, truth_memo, n_cpus):
         cpus(monkeypatch, n_cpus)
-        # w's AR(1) path overflows in the truth's draw
-        spec = IntensitySpec.from_dict({
-            "grid_step": 0.5,
-            "tv_covariates": {"w": {"init": {"dist": "normal", "mean": 0.0, "sd": 1.0},
-                                    "rho": 1e30}},
-            "treatment": {"base": 0.1, "log_hr": {"w": 0.0}},
-            "death_untreated": {"base": 0.12}, "death_treated": {"base": 0.06}})
+        spec = IntensitySpec.from_dict(OVERFLOWING)
         for _ in range(2):
             with pytest.raises(ScenarioError, match="not finite"):
                 self.report(spec)
-        assert truth_memo == {}
+        assert truth_memo.cache_info().currsize == 0
 
     def test_profile_that_is_not_json_is_drawn_each_time(self, monkeypatch, truth_memo):
         cpus(monkeypatch, 1)
@@ -1562,4 +1600,49 @@ class TestTruthMemo:
         profile = {"age": np.float32(50.0)}
         first, second = (self.report(spec, profile) for _ in range(2))
         assert first["strategies"] == second["strategies"]
-        assert (len(calls), truth_memo) == (2, {})
+        assert (len(calls), truth_memo.cache_info().currsize) == (2, 0)
+
+
+class TestSeedChecks:
+    """A seed that is not a nonnegative integer is a ScenarioError naming it,
+    raised before anything is drawn or forked."""
+
+    @pytest.mark.parametrize("seeds, bad", [([1, -2], "-2"), ([1.5], "1.5"),
+                                            ([3, "4"], "'4'")],
+                             ids=["negative", "float", "string"])
+    def test_validate(self, monkeypatch, seeds, bad):
+        cpus(monkeypatch, 2)
+        calls = forbid(monkeypatch, "_draw", "_in_child", "_truth_hits")
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"seed must be a nonnegative integer, got {bad}")):
+            validate(scenarios.builtin("s2"), n=20, seeds=seeds,
+                     strategy_specs=TestTruthWorker.specs("ignore"), t_hor=5.0,
+                     mc_reps=20_000)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_simulate(self, monkeypatch, seed):
+        calls = forbid(monkeypatch, "_draw", "_in_child", "_truth_hits")
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"seed must be a nonnegative integer, got {seed}")):
+            simulate.simulate(scenarios.builtin("s2"), 5, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("mc_seed", [-1, 1.5])
+    @pytest.mark.parametrize("name", ["s1", "s2"])
+    def test_true_risks(self, monkeypatch, name, mc_seed):
+        # s1's truth is analytic and never reads mc_seed, as with mc_reps
+        cpus(monkeypatch, 2)
+        calls = forbid(monkeypatch, "_draw", "_in_child", "_truth_hits")
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"mc_seed must be a nonnegative integer, got {mc_seed}")):
+            true_risks(scenarios.builtin(name), {}, t_hor=5.0, mc_reps=20_000,
+                       mc_seed=mc_seed)
+        assert calls == []
+
+    def test_numpy_integers_are_seeds(self):
+        spec = scenarios.builtin("s2")
+        assert (simulate.simulate(spec, 5, np.uint32(3)).tstop.tobytes()
+                == simulate.simulate(spec, 5, 3).tstop.tobytes())
+        assert (true_risks(spec, {}, mc_reps=100, mc_seed=np.int64(7)).risks
+                == true_risks(spec, {}, mc_reps=100, mc_seed=7).risks)

@@ -17,7 +17,7 @@ wide format, one with a label-coded covariate read with ``--levels`` and a
 3,000-row one with an empty ``z`` and a quoted id with a comma after row
 2,048; a simulate of ``draws.json``, which draws every kind of baseline
 covariate and a dropout clock; a validate of s2 on 45,000 Monte Carlo
-reps, past two truth blocks; an age_gap validate at ``--profile age=50``;
+reps, nine truth blocks; an age_gap validate at ``--profile age=50``;
 and a small validate of all seven labels. The s1 data and the age_gap fit
 and predict go to ``nested/sim``, ``nested/fit`` and ``nested/predict``,
 directories that the writers create. ``N`` (default 5000) is the size
