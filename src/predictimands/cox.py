@@ -120,7 +120,7 @@ def _build_design(ds: CountingProcessDataset, spec: CoxSpec) -> _Design:
     if spec.weights is not None:
         # the weight table's rows must be the dataset's rows
         if not np.array_equal(spec.weights.rows.tstop, ds.tstop):
-            raise DataError(f"the weight table's {len(spec.weights.rows)} rows do not "
+            raise DataError(f"the weight table's {spec.weights.rows.n_rows} rows do not "
                             f"match the dataset's {ds.n_rows} rows")
         w = spec.weights.values
     start, stop, status, treated, subject = (

@@ -1,13 +1,13 @@
 """Counting-process survival data: columns, validation, CSV I/O, transforms.
 
-A dataset holds one row per (tstart, tstop] episode. ``ids`` lists the
-subjects in order of first appearance and subject s owns rows
-``offsets[s]:offsets[s + 1]``, in time order. Per row there are ``tstart``,
-``tstop``, ``status`` (at tstop: 0 = censored / interval boundary, 1 = event,
-2 = treatment start), ``treated`` (the indicator in force on the row) and
-one float column per covariate in ``columns``: a baseline value X(0) repeats
-on each of its subject's rows, a time-dependent X(t) belongs to its row and
-NaN marks a missing one.
+A dataset holds one row per (tstart, tstop] episode, ``len(ds)`` (its
+``n_rows``) in all. ``ids`` lists the subjects in order of first appearance
+and subject s owns rows ``offsets[s]:offsets[s + 1]``, in time order. Per
+row there are ``tstart``, ``tstop``, ``status`` (at tstop: 0 = censored /
+interval boundary, 1 = event, 2 = treatment start), ``treated`` (the
+indicator in force on the row) and one float column per covariate in
+``columns``: a baseline value X(0) repeats on each of its subject's rows, a
+time-dependent X(t) belongs to its row and NaN marks a missing one.
 
 Validation runs once, when a dataset is built from columns or read from
 CSV, and names the first failing subject or line. Datasets are immutable;
@@ -23,10 +23,10 @@ tests and tools; no module of the package reads it.
 
 CSV text is read and written ``_BLOCK`` rows at a time. ``ingest_csv``
 splits the file with one ``csv.reader`` and parses each block of rows with
-``_parse``, which also reports errors. ``write_columns`` and ``write_csv``
-share one block formatter, ``_texts``: it formats each distinct number of a
-block's array column once, as its ``repr``, and the block's rows are joined
-with the bytes ``csv.writer`` writes.
+``_parse``, which also reports errors. ``write_columns``, which ``write_csv``
+calls, has ``_texts`` format each distinct number of a block's array column
+once, as its ``repr`` or as the column's cell map gives it (an id, a label),
+and joins the block's rows with the bytes ``csv.writer`` writes.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ class CountingProcessDataset:
     @property
     def n_rows(self) -> int:
         return self.tstop.size
+
+    def __len__(self) -> int:
+        return self.n_rows
 
     @cached_property
     def row_subject(self) -> np.ndarray:
@@ -794,34 +797,26 @@ def write_csv(ds: CountingProcessDataset, path):
         return lambda v: "" if math.isnan(v) else v
 
     names = schema.names()
-    _write(path, _LONG_HEADER + names, _blocks(
-        [ds.row_subject, ds.tstart, ds.tstop, ds.status, ds.treated,
-         *(ds.columns[name] for name in names)],
-        [ds.ids.__getitem__, None, None, None, int, *map(cell, names)]))
+    write_columns(path, _LONG_HEADER + names,
+                  [ds.row_subject, ds.tstart, ds.tstop, ds.status, ds.treated,
+                   *(ds.columns[name] for name in names)],
+                  [ds.ids.__getitem__, None, None, None, int, *map(cell, names)])
 
 
-def write_columns(path, header, columns):
+def write_columns(path, header, columns, cells=None):
     """Write a UTF-8 CSV file, creating its directory if missing: the
     ``header`` line, then the rows whose fields are ``columns``, two or more
     sequences of one length, with the bytes ``csv.writer`` writes. A column
     of numbers is best given as an array: ``_BLOCK`` rows at a time, each
-    of its distinct values is formatted once."""
-    _write(path, header, _blocks(columns, [None] * len(columns)))
-
-
-def _write(path, header, texts):
-    """Write the ``header`` line and then each of ``texts`` to ``path``."""
+    of its distinct values is formatted once, after its entry in ``cells``
+    (if given and not None) maps it to what is written."""
+    cells = cells or [None] * len(columns)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(texts)
-
-
-def _blocks(columns, cells):
-    """The lines of the rows whose fields are ``columns``, ``_BLOCK`` rows
-    at a time, each column formatted by ``_texts`` with its ``cells``."""
-    for lo in range(0, len(columns[0]), _BLOCK):
-        yield _joined([_texts(col[lo:lo + _BLOCK], cell) for col, cell in zip(columns, cells)])
+        for lo in range(0, len(columns[0]), _BLOCK):
+            fh.write(_joined([_texts(col[lo:lo + _BLOCK], cell)
+                              for col, cell in zip(columns, cells)]))
 
 
 def _joined(columns) -> str:

@@ -1179,7 +1179,9 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     numeric errors in estimation are collected per seed rather than raised,
     anything else propagates. Every strategy spec must predict to ``t_hor``,
     the horizon of the truth it is compared with, and no two may share a
-    label, and every seed must be a nonnegative integer. The truth is
+    label. ``seeds`` is a sequence of 1 to ``MAX_SEEDS`` nonnegative
+    integers, reported as Python ints, and ``tolerance`` is finite and
+    nonnegative, else a ScenarioError names the value. The truth is
     ``true_risks``'s, drawn with its blocks spread over the CPUs, or
     recalled, before any replicate starts; then the seeds are estimated in
     contiguous chunks, the caller the first and forked children the others
@@ -1187,7 +1189,14 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     hits are integer counts and the chunks are merged in seed order.
     """
     profile = dict(profile or {})
-    seeds = list(seeds)
+    if not 0 <= tolerance < math.inf:
+        raise ScenarioError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    try:
+        count = len(seeds)
+    except OverflowError:  # a range of more than sys.maxsize seeds
+        count = math.inf
+    if not 1 <= count <= MAX_SEEDS:
+        raise ScenarioError(f"validate takes 1 to 2**20 seeds, got {count}")
     labels = [s.label for s in strategy_specs]
     twice = sorted({label for label in labels if labels.count(label) > 1})
     if twice:
@@ -1200,6 +1209,7 @@ def validate(spec: IntensitySpec, n: int, seeds, strategy_specs,
     _check_n(n)
     for seed in seeds:
         _check_seed(seed)
+    seeds = [int(seed) for seed in seeds]
     truth = true_risks(spec, profile, t_hor, mc_reps=mc_reps)
     parts = _spread("the replicates from seed", _replicates, seeds, spec, n, strategy_specs,
                     profile, t_hor)

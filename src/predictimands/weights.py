@@ -5,7 +5,8 @@ staying-untreated probabilities, numerator model over denominator model,
 each the ``cox.path_survival`` along the subject's own covariate path. Only
 each subject's rows up to its treatment start are evaluated: an IPTW row
 after it copies the weight at the start and its covariates are never read.
-A used row whose hazard overflows is a NumericError naming its subject."""
+A used row whose hazard overflows is a NumericError naming its subject. A
+``WeightTable`` is the dataset it weights plus one weight per row."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 from . import cox
-from .data import CountingProcessDataset, Status, split_at_treatment, write_columns
+from .data import (CountingProcessDataset, Status, _frozen, split_at_treatment,
+                   write_columns)
 from .errors import DataError, NonPositiveProbability, NoTreatmentStarts
 
 
@@ -27,38 +29,30 @@ class WeightMode(str, Enum):
     IPTW = "iptw"
 
 
-def weight_rows(ds: CountingProcessDataset, weight) -> np.recarray:
-    """One read-only record per row of ``ds``, in its order: the fields
-    ``subject_id``, ``tstart``, ``tstop`` and ``weight``."""
-    # a fixed-width numpy string drops a trailing NUL, so ids with a NUL stay
-    # Python strings, in a field about eight times slower to build
-    kind = object if "\x00" in "".join(ds.ids) else str
-    rows = np.rec.fromarrays(
-        [np.array(ds.ids, kind)[ds.row_subject], ds.tstart, ds.tstop,
-         np.asarray(weight, float)],
-        names=("subject_id", "tstart", "tstop", "weight"))
-    rows.flags.writeable = False
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Per-episode stabilized weights plus degeneracy diagnostics;
-    ``rows`` is a ``weight_rows`` record array."""
+    """Per-episode stabilized weights plus degeneracy diagnostics: a
+    read-only copy of one weight per row of ``rows``, else a DataError.
+    ``rows`` is the split view for IPCW and the full data for IPTW."""
 
-    rows: np.recarray
+    rows: CountingProcessDataset
+    values: np.ndarray
     mode: WeightMode
     diagnostics: dict = field(default_factory=dict)
     truncation: tuple | None = None
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.rows.weight
+    def __post_init__(self):
+        values = _frozen(self.values, float)
+        if values.shape != (self.rows.n_rows,):
+            raise DataError(f"need one weight for each of the dataset's "
+                            f"{self.rows.n_rows} rows, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
 
     def to_csv(self, path):
         rows = self.rows
         write_columns(path, ("id", "tstart", "tstop", "weight"),
-                      [rows.subject_id, rows.tstart, rows.tstop, rows.weight])
+                      [rows.row_subject, rows.tstart, rows.tstop, self.values],
+                      [rows.ids.__getitem__, None, None, None])
 
 
 def fit_treatment_hazard(ds: CountingProcessDataset, covariates=(),
@@ -112,7 +106,7 @@ def stabilized_weights(ds: CountingProcessDataset, numerator: cox.CoxModel,
         bounds = tuple(np.percentile(values, truncation))
         values = np.clip(values, *bounds)
     diagnostics = _diagnostics(target, values, denominator)
-    return WeightTable(weight_rows(target, values), mode, diagnostics, bounds)
+    return WeightTable(target, values, mode, diagnostics, bounds)
 
 
 def _diagnostics(target: CountingProcessDataset, values, denominator) -> dict:

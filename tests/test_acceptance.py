@@ -71,8 +71,7 @@ def test_criterion_1_cox_correctness(d1, d2):
 def _random_weights(ds, rng):
     """One uniform(0.5, 2) weight per row, drawn in row order."""
     return weights.WeightTable(
-        weights.weight_rows(ds, [float(rng.uniform(0.5, 2.0)) for _ in range(ds.n_rows)]),
-        weights.WeightMode.IPCW)
+        ds, [float(rng.uniform(0.5, 2.0)) for _ in range(ds.n_rows)], weights.WeightMode.IPCW)
 
 
 def test_criterion_2_gradient_and_curvature():

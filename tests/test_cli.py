@@ -1025,6 +1025,72 @@ class TestValidateOptionValues:
             assert json.loads(out.read_text())["all_passed"] == (code == 0)
 
 
+class TestOptionValues:
+    """The numeric options of ``fit``, ``predict``, ``simulate`` and
+    ``weights`` given ``TestValidateOptionValues``'s edge values, one at a
+    time, on one shared n = 200 file: every case exits 0, 2 or 3. A 2 or 3
+    from the package is one JSON line on stdout, nothing on stderr and no
+    output; argparse's own type errors exit 2 with its usage on stderr. A
+    simulation past its cap draws nothing. On success the only warning is
+    the positivity warning and stderr holds at most the horizon note."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("option-values")
+        data_mod.write_csv(simulate.simulate(scenarios.builtin("s2"), 200, 1), work / "s2.csv")
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+            patch.setenv("XDG_CACHE_HOME", str(work / "cache"))
+            assert run(self.base("fit", work) + ["--out", str(work / "run")]) == 0
+        return work
+
+    @staticmethod
+    def base(command, work) -> list:
+        return {
+            "fit": ["fit", "--data", str(work / "s2.csv"), "--strategy", "hypothetical",
+                    "--method", "model-iptw", "--weight-covariates", "z"],
+            "predict": ["predict", "--run", str(work / "run")],
+            "simulate": ["simulate", "--scenario", "s2", "--n", "200", "--seed", "1"],
+            "weights": ["weights", "--data", str(work / "s2.csv"), "--weight-covariates", "z"],
+        }[command]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "", str(2**63)])
+    @pytest.mark.parametrize("command, option", [
+        ("fit", "--horizon"), ("fit", "--tv-cuts"), ("fit", "--truncate-weights"),
+        ("predict", "--horizon"), ("simulate", "--n"), ("simulate", "--seed"),
+        ("weights", "--truncate-weights")])
+    def test_exits_0_2_or_3(self, work, tmp_path, capfd, monkeypatch, command, option,
+                            value):
+        out = tmp_path / ("out.csv" if command == "simulate" else "out")
+        drawn = []
+        draw = simulate._draw
+        monkeypatch.setattr(simulate, "_draw", lambda spec, n, root: (
+            drawn.append(n), draw(spec, n, root))[1])
+        parsed = True
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = run(self.base(command, work) + [f"{option}={value}", "--out", str(out)])
+            except SystemExit as exc:
+                code, parsed = exc.code, False
+        stdout, stderr = capfd.readouterr()
+        assert code in (0, 2, 3)
+        assert {type(w.message).__name__ for w in caught} <= (
+            {"PositivityWarning"} if code == 0 else set())
+        if not parsed:
+            assert (code, stdout) == (2, "")
+            assert stderr.startswith(f"usage: predictimands {command}")
+        elif code in (2, 3):
+            assert (len(stdout.splitlines()), stderr) == (1, "")
+            assert set(json.loads(stdout)) == {"error", "message"}
+            assert not out.exists()
+            assert drawn == []
+        else:
+            assert out.exists()
+            assert drawn == ([200] if command == "simulate" else [])
+            assert stderr == "" or (command == "predict"
+                                    and stderr.startswith("warning: horizon "))
+
+
 class TestWeightsCommand:
     def test_weight_export(self, s2_data, tmp_path):
         out = tmp_path / "w"

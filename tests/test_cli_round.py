@@ -51,6 +51,7 @@ def test_small_round_writes_every_output(tmp_path, dataset_cache, truth_memo):
                    "fit-censor-ipcw/weights.csv", "fit-model-iptw/weights.csv",
                    "predict-all/overlay.csv", "weights-ipcw/weights.csv",
                    "weights-iptw/weights.csv", "weights-iptw-outlier/weights.csv",
+                   "weights-mixed-ipcw/weights.csv", "weights-mixed-iptw/weights.csv",
                    "validate.json", "validate-s2.json",
                    "validate-age_gap.json", "round.log"])
     missing = [name for name in expected if not (out / name).is_file()]
@@ -60,5 +61,9 @@ def test_small_round_writes_every_output(tmp_path, dataset_cache, truth_memo):
     for name in ("weights.csv", "weights_diagnostics.json"):
         assert ((out / "weights-iptw-outlier" / name).read_bytes()
                 == (out / "weights-iptw" / name).read_bytes())
+    # the quoted id of mixed.csv is written after weights.csv's first block
+    for mode in ("ipcw", "iptw"):
+        lines = (out / f"weights-mixed-{mode}" / "weights.csv").read_bytes().split(b"\r\n")
+        assert [i for i, line in enumerate(lines) if line.startswith(b'"p,900",')][0] > 2048
     log = (out / "round.log").read_text()
     assert log.count("$ predictimands ") == len(codes)

@@ -31,7 +31,7 @@ from predictimands.errors import (
 )
 from predictimands.scenarios import builtin
 from predictimands.simulate import simulate
-from predictimands.weights import WeightMode, WeightTable, fit_treatment_hazard, weight_rows
+from predictimands.weights import WeightMode, WeightTable, fit_treatment_hazard
 from tests.conftest import one_episode_subject
 from tests.records import dataset
 
@@ -77,13 +77,13 @@ def naive_risk_sets(ds, spec, beta):
     beta = np.asarray(beta, float)
     cuts = spec.treatment.tv_cuts if spec.treatment else ()
     episodes = [(sub, ep) for sub in ds.subjects for ep in sub.episodes]
-    table = (spec.weights.rows if spec.weights is not None
-             else weight_rows(ds, np.ones(ds.n_rows)))
+    table = (spec.weights if spec.weights is not None
+             else WeightTable(ds, np.ones(ds.n_rows), WeightMode.IPCW))
+    of = table.rows
     rows = []
-    for (sub, ep), sid, tstop, w in zip(episodes, table.subject_id.tolist(),
-                                        table.tstop.tolist(), table.weight.tolist(),
-                                        strict=True):
-        assert (sid, tstop) == (sub.subject_id, ep.tstop)
+    for (sub, ep), s, tstop, w in zip(episodes, of.row_subject.tolist(), of.tstop.tolist(),
+                                      table.values.tolist(), strict=True):
+        assert (of.ids[s], tstop) == (sub.subject_id, ep.tstop)
         x = [sub.baseline[c] if c in ds.schema.baseline else ep.tv[c]
              for c in spec.covariates]
         rows.append((ep.tstart, ep.tstop, ep.status == spec.event_code, x,
@@ -257,7 +257,7 @@ def zero_weights():
         zero = int(sub.subject_id) % 3 == 0 and sub.subject_id != longest
         weight += [0.0 if zero else float(rng.uniform(0.5, 2.0))
                    for _ in sub.episodes]
-    table = WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
+    table = WeightTable(ds, weight, WeightMode.IPCW)
     assert 0.0 in table.values
     return ds, {"covariates": ("x0", "x1"), "weights": table}
 
@@ -310,7 +310,7 @@ def small_weighted_datasets(draw):
         weight += [draw(st.sampled_from([0.25, 1.0, 3.0])) for _ in eps]
     assume(any(ep.status == Status.EVENT for sub in subjects for ep in sub.episodes))
     ds = dataset(tuple(subjects), CovariateSchema(baseline=("x",)))
-    return ds, WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
+    return ds, WeightTable(ds, weight, WeightMode.IPCW)
 
 
 class TestOracleProperty:
@@ -359,7 +359,7 @@ def risk_set_designs(draw):
     spec = cox.CoxSpec(
         event_code=draw(st.sampled_from([Status.EVENT, Status.TREATMENT_START])),
         covariates=("x",), treatment=draw(st.sampled_from([None, cox.TreatmentTerm(cuts)])),
-        weights=WeightTable(weight_rows(ds, weight), WeightMode.IPCW))
+        weights=WeightTable(ds, weight, WeightMode.IPCW))
     return cox._build_design(ds, spec), draw(st.sampled_from(["efron", "breslow"]))
 
 
@@ -574,7 +574,7 @@ class TestFitBehavior:
             cox.fit(ds, cox.CoxSpec())
 
     def test_unit_weights_equal_unweighted_exactly(self, d1):
-        ones = WeightTable(weight_rows(d1, np.ones(d1.n_rows)), WeightMode.IPCW)
+        ones = WeightTable(d1, np.ones(d1.n_rows), WeightMode.IPCW)
         plain = cox.fit(d1, cox.CoxSpec(covariates=("x",)))
         weighted = cox.fit(d1, cox.CoxSpec(covariates=("x",), weights=ones))
         assert weighted.beta[0] == plain.beta[0]
@@ -583,14 +583,16 @@ class TestFitBehavior:
                                       plain.baseline_increments)
 
     def test_weight_table_must_match_the_rows(self, d1, d3):
-        rows = weight_rows(d1, np.ones(d1.n_rows))
-        for table in (rows[:-1], np.roll(rows, -1)):
+        """A table of the dataset's rows in another order or of another
+        dataset's rows; a table with fewer weights than rows is never built
+        (``TestWeightColumns``)."""
+        reordered = dataset(d1.subjects[1:] + d1.subjects[:1], d1.schema)
+        for rows in (reordered, d3):
             spec = cox.CoxSpec(covariates=("x",),
-                               weights=WeightTable(table, WeightMode.IPCW))
-            with pytest.raises(DataError, match="do not match"):
+                               weights=WeightTable(rows, np.ones(len(rows)), WeightMode.IPCW))
+            with pytest.raises(DataError, match=f"table's {len(rows)} rows do not match "
+                                                "the dataset's 4 rows"):
                 cox.fit(d1, spec)
-        with pytest.raises(DataError, match="3 rows"):
-            cox.fit(d3, cox.CoxSpec(weights=WeightTable(rows, WeightMode.IPCW)))
 
     def test_covariate_shift_invariance(self, d1):
         spec = cox.CoxSpec(covariates=("x",))
@@ -728,8 +730,7 @@ class TestScaleFreeNewton:
         spec = cox.CoxSpec(covariates=("z",))
         plain = cox.fit(ds, spec)
         for k in (-20, -1, 1, 20):
-            table = WeightTable(weight_rows(ds, np.full(ds.n_rows, 2.0 ** k)),
-                                WeightMode.IPCW)
+            table = WeightTable(ds, np.full(ds.n_rows, 2.0 ** k), WeightMode.IPCW)
             weighted = cox.fit(ds, replace(spec, weights=table))
             assert weighted.iterations == plain.iterations, k
             np.testing.assert_array_equal(weighted.beta, plain.beta, err_msg=k)

@@ -1646,3 +1646,57 @@ class TestSeedChecks:
                 == simulate.simulate(spec, 5, 3).tstop.tobytes())
         assert (true_risks(spec, {}, mc_reps=100, mc_seed=np.int64(7)).risks
                 == true_risks(spec, {}, mc_reps=100, mc_seed=7).risks)
+
+    def test_numpy_seeds_are_reported_as_ints(self, monkeypatch):
+        """A numpy integer seed goes into the report as a Python int, in
+        ``seeds`` and in each error's ``seed``, so the report is JSON."""
+        from predictimands import strategies
+
+        def broken(ds, spec, profile):
+            raise DataError("no fit")
+
+        cpus(monkeypatch, 1)
+        monkeypatch.setattr(strategies, "estimate", broken)
+        report = validate(scenarios.builtin("s1"), n=20, seeds=[np.int64(1), np.uint32(2)],
+                          strategy_specs=TestTruthWorker.specs("ignore"), t_hor=5.0)
+        errors = report["strategies"]["ignore"]["errors"]
+        assert [type(s) for s in report["seeds"]] == [int, int]
+        assert [(type(e["seed"]), e["seed"]) for e in errors] == [(int, 1), (int, 2)]
+        json.dumps(report)
+
+
+class TestValidateArguments:
+    """A tolerance or a seed count that the CLI rejects is a ScenarioError
+    from ``validate`` too, naming the value, raised before the truth is
+    drawn or anything forks."""
+
+    def run(self, monkeypatch, seeds=(1,), tolerance=0.02) -> tuple:
+        """``validate``'s error, the calls it made to the forbidden
+        functions before raising it."""
+        cpus(monkeypatch, 2)
+        calls = forbid(monkeypatch, "_draw", "_in_child", "_truth_hits", "true_risks")
+        with pytest.raises(Exception) as exc:
+            validate(scenarios.builtin("s2"), n=20, seeds=seeds,
+                     strategy_specs=TestTruthWorker.specs("ignore"), t_hor=5.0,
+                     tolerance=tolerance, mc_reps=20_000)
+        return exc.value, calls
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_tolerance(self, monkeypatch, tolerance):
+        error, calls = self.run(monkeypatch, tolerance=tolerance)
+        assert (type(error), str(error), calls) == (
+            ScenarioError, f"tolerance must be finite and nonnegative, got {tolerance}", [])
+
+    @pytest.mark.parametrize("seeds, count", [([], 0), (range(simulate.MAX_SEEDS + 1),
+                                                        simulate.MAX_SEEDS + 1),
+                                              (range(2**63), math.inf)],
+                             ids=["none", "past-the-cap", "past-maxsize"])
+    def test_seed_count(self, monkeypatch, seeds, count):
+        # range(2**63) cannot be listed: the count comes first
+        error, calls = self.run(monkeypatch, seeds=seeds)
+        assert (type(error), str(error), calls) == (
+            ScenarioError, f"validate takes 1 to 2**20 seeds, got {count}", [])
+
+    def test_edge_values_pass(self, monkeypatch):
+        error, calls = self.run(monkeypatch, seeds=[0], tolerance=0.0)
+        assert type(error) is ZeroDivisionError and len(calls) == 1  # at the truth

@@ -25,7 +25,7 @@ from predictimands.strategies import (
     estimate_all,
     fit_strategy_models,
 )
-from predictimands.weights import WeightMode, WeightTable, weight_rows
+from predictimands.weights import WeightMode, WeightTable
 from tests.records import dataset
 
 
@@ -426,7 +426,7 @@ class TestDuplicatedSubjects:
     def test_weight_two_fits_as_duplicates(self):
         ds = split_at_treatment(simulate.simulate(scenarios.builtin("s2"), 400, seed=3))
         spec = cox.CoxSpec(covariates=("z",), ties="breslow")
-        table = WeightTable(weight_rows(ds, np.full(ds.n_rows, 2.0)), WeightMode.IPCW)
+        table = WeightTable(ds, np.full(ds.n_rows, 2.0), WeightMode.IPCW)
         weighted = cox.fit(ds, replace(spec, weights=table))
         twice = cox.fit(duplicated(ds), spec)
         assert weighted.baseline_times.size > 10

@@ -36,7 +36,6 @@ from predictimands.weights import (
     WeightTable,
     fit_treatment_hazard,
     stabilized_weights,
-    weight_rows,
 )
 from tests.records import dataset
 from tests.test_data import SPECIAL_FLOATS
@@ -166,6 +165,14 @@ def reference_weights(ds, numerator, denominator, mode):
     return rows
 
 
+def table_rows(table):
+    """``(subject_id, tstart, tstop, weight)`` per row of ``table``, as
+    ``reference_weights`` returns them."""
+    rows = table.rows
+    return list(zip([rows.ids[s] for s in rows.row_subject.tolist()], rows.tstart.tolist(),
+                    rows.tstop.tolist(), table.values.tolist(), strict=True))
+
+
 def with_value(ds, row, name, value):
     """``ds`` with the value of covariate ``name`` on ``row`` replaced."""
     columns = dict(ds.columns)
@@ -187,8 +194,7 @@ class TestAgainstReference:
         ds, num, den = s2_models
         table = stabilized_weights(ds, num, den, mode)
         ref = reference_weights(ds, num, den, mode)
-        assert [(r.subject_id, r.tstart, r.tstop) for r in table.rows] == [
-            row[:3] for row in ref]
+        assert [row[:3] for row in table_rows(table)] == [row[:3] for row in ref]
         np.testing.assert_allclose(table.values, [row[3] for row in ref],
                                    rtol=1e-12, atol=0)
 
@@ -233,9 +239,9 @@ class TestAgainstReference:
                     untreated_two_interval("3", 1.0, 2.0, Status.EVENT, 0.0, 0.0))
         ds = dataset(subjects, CovariateSchema(time_varying=("z",)))
         table = stabilized_weights(ds, num, den, WeightMode.IPTW)
-        weights_of = {r.subject_id: [] for r in table.rows}
-        for r in table.rows:
-            weights_of[r.subject_id].append(r.weight)
+        weights_of = {}
+        for sid, _, _, weight in table_rows(table):
+            weights_of.setdefault(sid, []).append(weight)
         assert weights_of["1"][1] == weights_of["1"][0] > 0
         assert weights_of["2"][1] == weights_of["2"][0] > 0
         late = untreated_two_interval("4", 1.0, 6.0, Status.CENSORED, 0.0, 0.0)
@@ -249,9 +255,9 @@ def reference_csv(table, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "tstart", "tstop", "weight"])
-        for r in table.rows:
-            w.writerow([str(r.subject_id), repr(float(r.tstart)), repr(float(r.tstop)),
-                        repr(float(r.weight))])
+        for sid, tstart, tstop, weight in table_rows(table):
+            w.writerow([str(sid), repr(float(tstart)), repr(float(tstop)),
+                        repr(float(weight))])
 
 
 def single_subject_table():
@@ -301,7 +307,7 @@ class TestWeightColumns:
         pool = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=3))
         weight = data.draw(st.lists(st.sampled_from(pool), min_size=ds.n_rows,
                                     max_size=ds.n_rows))
-        table = WeightTable(weight_rows(ds, weight), WeightMode.IPCW)
+        table = WeightTable(ds, weight, WeightMode.IPCW)
         work = tmp_path_factory.mktemp("weights")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(data_mod, "_BLOCK", 2)
@@ -309,15 +315,29 @@ class TestWeightColumns:
         reference_csv(table, work / "reference.csv")
         assert (work / "weights.csv").read_bytes() == (work / "reference.csv").read_bytes()
 
-    def test_rows_are_read_only_dataset_columns(self, s2_models):
+    def test_rows_are_the_weighted_dataset(self, s2_models):
         ds, num, den = s2_models
-        table = stabilized_weights(ds, num, den, WeightMode.IPTW)
-        assert table.rows.subject_id.tolist() == [ds.ids[s] for s in ds.row_subject]
-        np.testing.assert_array_equal(table.rows.tstart, ds.tstart)
-        np.testing.assert_array_equal(table.rows.tstop, ds.tstop)
-        assert np.shares_memory(table.values, table.rows)
+        assert stabilized_weights(ds, num, den, WeightMode.IPTW).rows is ds
+        table = stabilized_weights(ds, num, den, WeightMode.IPCW)
+        assert table.rows is split_at_treatment(ds)
+        assert len(table.rows) == table.values.size == table.diagnostics["n_rows"]
         with pytest.raises(ValueError, match="read-only"):
             table.values[0] = 2.0
+
+    def test_values_are_a_read_only_copy(self, d3):
+        weight = np.array([1.0, 2.0, 3.0])
+        table = WeightTable(d3, weight, WeightMode.IPCW)
+        weight[0] = 5.0
+        assert table.values.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0] = 2.0
+
+    @pytest.mark.parametrize("weight", [[], [1.0, 2.0], np.ones(4), np.ones((3, 1)), 1.0],
+                             ids=["none", "fewer", "more", "column", "scalar"])
+    def test_one_weight_per_row_or_a_data_error(self, d3, weight):
+        with pytest.raises(DataError, match="one weight for each of the dataset's 3 rows, "
+                                            f"got shape {re.escape(str(np.shape(weight)))}"):
+            WeightTable(d3, weight, WeightMode.IPCW)
 
 
 def hand_model(increments, beta=None):
@@ -470,10 +490,8 @@ class TestStabilizedWeights:
         num = fit_treatment_hazard(confounded_ds, ())
         den = fit_treatment_hazard(confounded_ds, ("z",))
         table = stabilized_weights(confounded_ds, num, den, WeightMode.IPCW)
-        first = den.baseline_times[0]
-        for row in table.rows:
-            if row.tstop < first:
-                assert row.weight == 1.0
+        before = table.rows.tstop < den.baseline_times[0]
+        np.testing.assert_array_equal(table.values[before], 1.0)
 
     def test_numerator_must_nest_in_denominator(self, confounded_ds):
         num = fit_treatment_hazard(confounded_ds, ("z",))
@@ -497,16 +515,16 @@ class TestStabilizedWeights:
         den = fit_treatment_hazard(confounded_ds, ("z",))
         table = stabilized_weights(confounded_ds, num, den, WeightMode.IPTW)
         by_subject = {}
-        for row in table.rows:
-            by_subject.setdefault(row.subject_id, []).append(row)
+        for sid, *row in table_rows(table):
+            by_subject.setdefault(sid, []).append(row)
         seen_frozen = False
         for sub in confounded_ds.subjects:
             v = next((ep.tstop for ep in sub.episodes
                       if ep.status == Status.TREATMENT_START), None)
             if v is None:
                 continue
-            post = [r.weight for r in by_subject[sub.subject_id] if r.tstart >= v]
-            at_v = [r.weight for r in by_subject[sub.subject_id] if r.tstop == v]
+            post = [w for tstart, _, w in by_subject[sub.subject_id] if tstart >= v]
+            at_v = [w for _, tstop, w in by_subject[sub.subject_id] if tstop == v]
             if post:
                 seen_frozen = True
                 assert all(w == at_v[0] for w in post)
@@ -547,7 +565,7 @@ class TestStabilizedWeights:
             rows, times = table.rows, den.baseline_times.tolist()
             if case == "boundaries":
                 assert set(times) & set(rows.tstart) and set(times) & set(rows.tstop)
-            means = [rows.weight[open_].mean() for t in times
+            means = [table.values[open_].mean() for t in times
                      for open_ in [(rows.tstart < t) & (t <= rows.tstop)] if open_.any()]
             assert table.diagnostics["at_risk_mean_min"] == pytest.approx(
                 min(means), rel=1e-12), case

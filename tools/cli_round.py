@@ -9,7 +9,9 @@ predict each of the seven strategies, ``--all-strategies``, fits with
 ``--covariates z --tv-cuts 2``, ``--tie breslow`` and ``--truncate-weights
 1,99`` (predicted at ``--profile z=0``), and ``weights`` in both modes and,
 with ``--mode iptw``, on ``s2_outlier.csv``, a copy of s2 whose first
-treated row has ``z`` 1000, a value no IPTW weight reads; an age_gap fit
+treated row has ``z`` 1000, a value no IPTW weight reads, and in both
+modes on ``mixed.csv`` with ``--weight-covariates dialysis``, whose
+weights.csv writes the quoted id after its first block; an age_gap fit
 and predict at ``--profile age=50``; on the stops-at-treatment data, fit
 and predict composite, while-untreated and ``hypothetical --method
 censor``; a fit and predict of three fixed files, one in the
@@ -137,6 +139,9 @@ def commands(n: int) -> list:
               "--out", out] for data, mode, out in (
                   ("s2.csv", "ipcw", "weights-ipcw"), ("s2.csv", "iptw", "weights-iptw"),
                   (OUTLIER, "iptw", "weights-iptw-outlier"))]
+    cmds += [["weights", "--data", "mixed.csv", "--levels", "dialysis=HD|PD",
+              "--weight-covariates", "dialysis", "--mode", mode, "--out", f"weights-mixed-{mode}"]
+             for mode in ("ipcw", "iptw")]
     cmds += [["fit", "--data", "age_gap.csv", "--strategy", "hypothetical",
               "--covariates", "age", "--horizon", "10", "--out", "nested/fit/age_gap"],
              ["predict", "--run", "nested/fit/age_gap", "--profile", "age=50",
